@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-update-baseline race bench bench-json bench-sim golden arena arena-smoke fuzz chaos soak soak-smoke verify
+.PHONY: build test vet lint lint-update-baseline race bench bench-json bench-sim perf-test perf golden arena arena-smoke fuzz chaos soak soak-smoke verify
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,20 @@ bench-json:
 bench-sim:
 	$(GO) test -bench 'BenchmarkShardedMetro' -benchtime=3x -benchmem -run '^$$' -count=1 . \
 		| $(GO) run ./cmd/benchjson -out BENCH_sim.json -check -min-scaling 3
+
+# perf-test vets and tests the repository's benchmark (bench/, declared
+# by BENCHMARK.json). bench/ is a module of its own, so `go build ./...`
+# and `go test ./...` at the root never compile it: without this target
+# a change to an API the benchmark calls would surface only when the
+# benchmark is next run.
+perf-test:
+	cd bench && $(GO) vet . && $(GO) test .
+
+# perf runs the whole benchmark once at seed 1: five workloads, untraced
+# then traced, every metric by name; writes bench/out/result-seed1.json
+# (see bench/README.md for multi-run and compare forms).
+perf:
+	bash bench/run.sh --seed 1
 
 # golden checks the pinned reduced-scale corpus for all experiments;
 # regenerate deliberately with `go test ./internal/golden/ -update`.

@@ -49,9 +49,11 @@ func warmNetwork(t *testing.T, cfg Config) *Network {
 // with the smallest ID, so failures reproduce).
 func anyLiveConn(n *Network) *connection {
 	var best *connection
-	for _, c := range n.conns {
-		if best == nil || c.id < best.id {
-			best = c
+	for _, st := range n.tables {
+		for _, c := range st.conns {
+			if best == nil || c.id < best.id {
+				best = c
+			}
 		}
 	}
 	return best
@@ -67,6 +69,23 @@ func TestAuditCatchesEngineLeak(t *testing.T) {
 	v := wantAuditViolation(t, "connection-lifecycle", func() { n.Snapshot() })
 	if v.Snapshot == "" || v.Time != 300 {
 		t.Errorf("violation not located: %+v", v)
+	}
+}
+
+// TestAuditCatchesLifecycleTallyDrift: births − deaths = live + in flight
+// is checked under instant signaling too, where nothing is ever in
+// flight. A connection that vanishes from its engine and its table
+// together leaves every other ledger consistent; only the tallies notice.
+func TestAuditCatchesLifecycleTallyDrift(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		cfg := scenario(core.AC3, 200, 1.0, mobility.HighMobility, 89)
+		cfg.Sharding.Shards = shards
+		n := warmNetwork(t, cfg)
+		conn := anyLiveConn(n)
+		c := n.cells[conn.cell]
+		c.engine.RemoveConnection(conn.id)
+		delete(c.tab.conns, conn.id)
+		wantAuditViolation(t, "handoff-conservation", func() { n.Snapshot() })
 	}
 }
 

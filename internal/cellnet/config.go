@@ -118,8 +118,9 @@ type Config struct {
 	Sharding ShardingConfig
 }
 
-// ShardingConfig selects the event kernel and, with a positive
-// signaling latency, the asynchronous peer-exchange model that makes
+// ShardingConfig selects the event kernel and the signaling model the
+// one cellnet event pipeline runs under: instant (zero latency, the
+// default) or, with a positive latency, the delayed model that makes
 // genuinely parallel execution deterministic.
 type ShardingConfig struct {
 	// Shards is the number of kernel shards; 0 and 1 both mean the
@@ -129,17 +130,20 @@ type ShardingConfig struct {
 	// one at a time, so classic synchronous semantics — and the golden
 	// corpus — are preserved at any shard count.
 	Shards int
-	// SignalingLatency, when positive, switches the run to the
-	// asynchronous signaling model: every cross-cell interaction (peer
-	// state exchange and hand-off control) travels as a timestamped
-	// message with this one-way delay in seconds, cells draw from
-	// per-cell and per-connection RNG streams, and shards execute
-	// concurrently under a conservative lookahead equal to this
-	// latency. Results are byte-identical at any shard count by
-	// construction, but differ from the zero-latency model: peer state
-	// is refreshed by periodic exchange rounds instead of synchronous
-	// queries. Requires a plain scenario — no Backbone, MobSpec, soft
-	// hand-off, fault injection, or SkipDroppedDepartures.
+	// SignalingLatency, when positive, runs the pipeline under the
+	// delayed (asynchronous) signaling model: every cross-cell
+	// interaction (peer state exchange and hand-off control) travels as
+	// a timestamped message with this one-way delay in seconds, cells
+	// and connections draw from RNG streams of their own instead of the
+	// run's shared one, and shards execute concurrently under a
+	// conservative lookahead equal to this latency. Results are
+	// byte-identical at any shard count by construction, but differ
+	// from the zero-latency model: peer state is refreshed by periodic
+	// exchange rounds instead of synchronous queries, and a hand-off is
+	// decided one latency after the old cell let go. Requires a plain
+	// scenario — no Backbone, MobSpec, soft hand-off, fault injection,
+	// or SkipDroppedDepartures: each needs synchronous knowledge of
+	// another cell (DESIGN.md §13).
 	SignalingLatency float64
 	// ExchangePeriod is the interval between peer-exchange rounds in
 	// the asynchronous model (each round refreshes every cell's view of

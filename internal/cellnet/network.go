@@ -33,6 +33,7 @@ type cell struct {
 	engine   *core.Engine
 	peers    core.Peers
 	sched    sim.Scheduler // the cell's kernel shard (the whole kernel at 1 shard)
+	tab      *shardState   // the ownership table tracking this cell's connections
 	counters stats.Counters
 	hourly   stats.Hourly
 	brTW     stats.TimeWeighted
@@ -43,12 +44,15 @@ type cell struct {
 	exchanges uint64
 	trace     *Trace
 
-	// Asynchronous-signaling state (Config.Sharding.Async); nil/zero in
-	// the classic synchronous modes.
-	rng     *rand.Rand    // per-cell stream: arrivals, class mix, lifetimes, retries
-	mirror  []mirrorEntry // last known neighbor state, by local index (entry 0 unused)
-	connSeq uint64        // per-cell connection counter (IDs: cell<<32 | seq)
-	msgSeq  uint64        // per-cell message counter (mailbox ordering keys)
+	// rng draws the cell's arrivals, class mix, lifetimes and retries:
+	// the cell's own salted stream under delayed signaling, the run's one
+	// shared stream (Network.rng) under instant signaling.
+	rng     *rand.Rand
+	connSeq uint64 // per-cell connection counter (IDs: cell<<32 | seq)
+
+	// Delayed-signaling state (Config.Sharding.Async); nil/zero otherwise.
+	mirror []mirrorEntry // last known neighbor state, by local index (entry 0 unused)
+	msgSeq uint64        // per-cell message counter (mailbox ordering keys)
 }
 
 // connection is the network-level state of one mobile's connection.
@@ -64,16 +68,16 @@ type connection struct {
 	pledges    []topology.CellID // cells holding a MobSpec pledge for this connection
 	min, max   int               // QoS range; rigid connections have min == max == bw
 	class      core.ServiceClass // service class (voice = 0, video = streaming)
-	// rng is the connection's private stream (async sharding only): the
-	// mobility path draws per hop while the connection migrates across
-	// shards, so the draws must follow the connection, not a cell or the
-	// run. Nil in the classic synchronous modes, which share one stream.
+	// rng draws the mobility path, hop by hop. Under delayed signaling it
+	// is the connection's private stream: the connection migrates across
+	// shards, so the draws must follow it, not a cell or the run. Under
+	// instant signaling it is the run's one shared stream.
 	rng *rand.Rand
 }
 
 // Network is a runnable cellular-network simulation.
 //
-// In the classic synchronous modes a Network is single-threaded and
+// Under instant signaling (the default) a Network is single-threaded and
 // confined to one goroutine: engines, counters, the event kernel and the
 // RNG are all unsynchronized ("one Network per goroutine"). Concurrent
 // sweeps (internal/runner) build one Network per scenario point from an
@@ -83,22 +87,23 @@ type connection struct {
 //
 // With Config.Sharding the cells are partitioned across the shards of an
 // internal/sim/shard kernel. At zero signaling latency the shards merge
-// serially — same semantics, same goldens. At positive latency the run
-// switches to the asynchronous signaling model (see network_async.go)
-// and the shards execute concurrently; each shard then only ever touches
-// the cells and connections it owns, and Run/RunUntil/Snapshot remain
-// single-goroutine entry points.
+// serially — same semantics, same goldens. At positive latency the same
+// event pipeline runs under the delayed signaling model (see
+// network_async.go) and the shards execute concurrently; each shard then
+// only ever touches the cells and connections it owns, and
+// Run/RunUntil/Snapshot remain single-goroutine entry points.
 type Network struct {
 	cfg    Config
 	traits core.PolicyTraits // resolved admission-policy traits
 	kernel sim.Kernel
-	shk    *shard.Kernel        // non-nil when Sharding selects the sharded kernel
-	part   *topology.Partition  // cell→shard ownership (nil with the single-heap kernel)
-	shards []*shardState        // async mode only: per-shard ownership tables
-	rng    *rand.Rand           // shared stream (nil in async mode)
+	shk    *shard.Kernel       // non-nil when Sharding selects the sharded kernel
+	part   *topology.Partition // cell→shard ownership (nil with the single-heap kernel)
+	// tables are the connection ownership tables: one per kernel shard
+	// under delayed signaling, a single one for the whole run otherwise
+	// (serial execution makes sharing it across shards safe).
+	tables []*shardState
+	rng    *rand.Rand // shared stream (nil under delayed signaling)
 	cells  []*cell
-	conns  map[core.ConnID]*connection // synchronous modes only; async owns conns per shard
-	nextID core.ConnID
 
 	// Soft hand-off outcome counters (§7 CDMA extension).
 	softSaved   uint64 // hand-offs completed within the overlap window
@@ -122,14 +127,15 @@ type Network struct {
 	// re-derivation runs on a stride of it (see audit.go).
 	auditTick uint64
 
-	// barrierTick counts windowed-kernel barriers in the async model;
-	// the cross-shard audit samples on it (see network_async.go).
+	// barrierTick counts windowed-kernel barriers under delayed
+	// signaling; the audit samples on it there.
 	barrierTick uint64
 }
 
-// now returns the serial simulation clock. Valid in the synchronous
-// modes (single-heap or serial merge), where the kernel clock is the
-// current event time; async event code reads its shard clock instead.
+// now returns the kernel clock, for the entry points that run between
+// events (Snapshot, ResetStats, Now). Event code reads its cell's shard
+// clock instead: the same value in the single heap and the serial merge,
+// the only valid one while shards execute concurrently.
 func (n *Network) now() float64 { return n.kernel.Now() }
 
 // New builds a network from a validated config.
@@ -146,7 +152,6 @@ func New(cfg Config) (*Network, error) {
 	async := cfg.Sharding.Async()
 	if !async {
 		n.rng = rand.New(rand.NewPCG(cfg.Seed, 0x9e3779b97f4a7c15))
-		n.conns = make(map[core.ConnID]*connection)
 	}
 	if cfg.Faults.Enabled {
 		n.faultRng = rand.New(rand.NewPCG(cfg.Seed, 0xfa17_fa17_fa17_fa17))
@@ -154,7 +159,7 @@ func New(cfg Config) (*Network, error) {
 	// Pick the event kernel. One shard at zero latency keeps the classic
 	// single-heap Simulator; otherwise the cells are partitioned across a
 	// sharded kernel — merged serially at zero latency (same semantics),
-	// windowed in parallel under the async signaling model.
+	// windowed in parallel under the delayed signaling model.
 	nshards := cfg.Sharding.NumShards()
 	var single *sim.Simulator
 	if nshards == 1 && !async {
@@ -164,6 +169,14 @@ func New(cfg Config) (*Network, error) {
 		n.part = topology.NewPartition(cfg.Topology, nshards)
 		n.shk = shard.New(shard.Config{Shards: nshards, Lookahead: cfg.Sharding.SignalingLatency})
 		n.kernel = n.shk
+	}
+	ntables := 1
+	if async {
+		ntables = nshards
+	}
+	n.tables = make([]*shardState, ntables)
+	for s := range n.tables {
+		n.tables[s] = &shardState{idx: s, conns: make(map[core.ConnID]*connection)}
 	}
 	num := cfg.Topology.NumCells()
 	n.cells = make([]*cell, num)
@@ -176,12 +189,16 @@ func New(cfg Config) (*Network, error) {
 			c.sched = n.shk.Shard(n.part.ShardOf(id))
 		}
 		if async {
+			c.tab = n.tables[n.part.ShardOf(id)]
 			c.peers = &mirrorPeers{c: c}
 			c.rng = rand.New(rand.NewPCG(cfg.Seed, cellStream(id)))
 			c.mirror = make([]mirrorEntry, cfg.Topology.Degree(id)+1)
 		} else {
+			c.tab = n.tables[0]
 			c.peers = &memPeers{n: n, c: c}
+			c.rng = n.rng
 		}
+		c.tab.cells = append(c.tab.cells, c)
 		c.brTW.Set(0, c.engine.LastTargetReservation())
 		c.buTW.Set(0, 0)
 		n.cells[i] = c
@@ -194,41 +211,58 @@ func New(cfg Config) (*Network, error) {
 			PHD:  stats.Series{MinGap: gap},
 		}
 	}
-	if async {
-		n.startAsync()
-		return n, nil
-	}
-	for _, c := range n.cells {
-		n.scheduleNextArrival(c)
-	}
-	if n.traits.Adaptive && !math.IsInf(cfg.Estimation.Tint, 1) {
-		// Periodically apply the §3.1 cache-deletion rule so long runs
-		// don't accumulate out-of-date quadruplets in idle pairs.
-		n.scheduleSweep(cfg.Estimation.Period)
+	// Initial events, per table: arrivals in ascending cell ID, then the
+	// sweep, then the exchange round. The order fixes the heap sequence
+	// numbers that break same-time ties, so it is part of the results.
+	for _, st := range n.tables {
+		for _, c := range st.cells {
+			n.scheduleNextArrival(c)
+		}
+		if n.traits.Adaptive && !math.IsInf(cfg.Estimation.Tint, 1) {
+			// Periodically apply the §3.1 cache-deletion rule so long runs
+			// don't accumulate out-of-date quadruplets in idle pairs.
+			n.scheduleSweep(st, cfg.Estimation.Period)
+		}
+		if async && n.traits.UsesPeers {
+			n.scheduleExchange(st, cfg.Sharding.exchangeEvery())
+		}
 	}
 	if cfg.Audit != nil {
-		// Invariant auditing at event boundaries: every event's state
-		// mutations are complete when the hook fires, so any ledger drift
-		// is pinned to the event that introduced it.
-		n.kernel.AfterEvent(func() {
-			if cfg.Audit.Sample(n.kernel.Fired()) {
-				n.auditNow()
-			}
-		})
+		if async {
+			// Window barriers are the only instants at which every shard
+			// is quiescent and its outbox delivered, so the audit hooks
+			// there.
+			n.shk.AtBarrier(func(now float64) {
+				n.barrierTick++
+				if cfg.Audit.Sample(n.barrierTick) {
+					n.auditNow(now)
+				}
+			})
+		} else {
+			// Invariant auditing at event boundaries: every event's state
+			// mutations are complete when the hook fires, so any ledger
+			// drift is pinned to the event that introduced it.
+			n.kernel.AfterEvent(func() {
+				if cfg.Audit.Sample(n.kernel.Fired()) {
+					n.auditNow(n.now())
+				}
+			})
+		}
 	}
 	return n, nil
 }
 
-// scheduleSweep books a recurring estimation-cache eviction pass. The
-// sweep touches every cell, which is only legal because the synchronous
-// modes execute serially; the async model schedules per-shard sweeps.
-func (n *Network) scheduleSweep(period float64) {
-	n.cells[0].sched.MustAfter(period, func(sim.Scheduler) {
-		t := n.now()
-		for _, c := range n.cells {
+// scheduleSweep books the recurring §3.1 cache-deletion pass over one
+// table's cells, on the kernel shard of its first cell: all of them under
+// serial execution, one shard's own cells when shards run concurrently.
+func (n *Network) scheduleSweep(st *shardState, period float64) {
+	sched := st.cells[0].sched
+	sched.MustAfter(period, func(sim.Scheduler) {
+		t := sched.Now()
+		for _, c := range st.cells {
 			c.engine.SweepHistory(t)
 		}
-		n.scheduleSweep(period)
+		n.scheduleSweep(st, period)
 	})
 }
 
@@ -248,16 +282,13 @@ func (n *Network) Now() float64 { return n.now() }
 func (n *Network) Engine(id topology.CellID) *core.Engine { return n.cells[id].engine }
 
 // ActiveConnections returns the number of live connections system-wide.
-// In the async model this excludes hand-offs in flight between shards.
+// Under delayed signaling this excludes hand-offs in flight between cells.
 func (n *Network) ActiveConnections() int {
-	if n.shards != nil {
-		total := 0
-		for _, st := range n.shards {
-			total += len(st.conns)
-		}
-		return total
+	total := 0
+	for _, st := range n.tables {
+		total += len(st.conns)
 	}
-	return len(n.conns)
+	return total
 }
 
 // EventsFired returns the number of simulation events executed.
@@ -266,12 +297,12 @@ func (n *Network) EventsFired() uint64 { return n.kernel.Fired() }
 // scheduleNextArrival books the cell's next Poisson new-connection
 // request from the schedule.
 func (n *Network) scheduleNextArrival(c *cell) {
-	at, ok := traffic.NextArrival(n.rng, n.cfg.Schedule, n.now())
+	at, ok := traffic.NextArrival(c.rng, n.cfg.Schedule, c.sched.Now())
 	if !ok {
 		return // no load ever again
 	}
 	if _, err := c.sched.At(at, func(sim.Scheduler) {
-		class := n.cfg.Mix.Sample(n.rng)
+		class := n.cfg.Mix.Sample(c.rng)
 		min, max := class.Bandwidth, class.Bandwidth
 		if n.cfg.AdaptiveQoS.Enabled && class == traffic.Video {
 			min = n.cfg.AdaptiveQoS.VideoMinBUs
@@ -295,9 +326,11 @@ func serviceClass(class traffic.Class) core.ServiceClass {
 // request runs the admission test for a new connection needing at least
 // min and at most max BUs in cell c; nRet counts requests made so far by
 // this user (for the retry model). Admission — and reservation — is on
-// the minimum-QoS basis (§1).
+// the minimum-QoS basis (§1). Neighbor state comes through c.peers, so
+// under delayed signaling the test is just as local and immediate; only
+// its inputs are older.
 func (n *Network) request(c *cell, min, max int, svc core.ServiceClass, nRet int) {
-	now := n.now()
+	now := c.sched.Now()
 	d := c.engine.AdmitNewRequest(now, core.Request{Bandwidth: min, Class: svc}, c.peers)
 	c.counters.RecordAdmissionTest(d.BrCalcs)
 	admitted := d.Admitted
@@ -325,10 +358,10 @@ func (n *Network) request(c *cell, min, max int, svc core.ServiceClass, nRet int
 	c.hourly.RecordRequest(now, !admitted)
 	n.noteBr(c, now)
 	if admitted {
-		n.establish(c, min, max, svc, wpath, pledges)
+		n.establish(c, min, max, svc, wpath, pledges, now)
 		return
 	}
-	if n.cfg.Retry.ShouldRetry(n.rng, nRet) {
+	if n.cfg.Retry.ShouldRetry(c.rng, nRet) {
 		c.sched.MustAfter(n.cfg.Retry.WaitSeconds, func(sim.Scheduler) {
 			n.request(c, min, max, svc, nRet+1)
 		})
@@ -395,12 +428,14 @@ func (n *Network) releasePledges(conn *connection) {
 	conn.pledges = nil
 }
 
-// establish creates an admitted connection in cell c.
-func (n *Network) establish(c *cell, min, max int, svc core.ServiceClass, wpath wired.Path, pledges []topology.CellID) {
-	now := n.now()
-	n.nextID++
+// establish creates an admitted connection in cell c. Its ID is
+// cell<<32 | per-cell sequence: a function of the scenario alone, never
+// of the shard count or of the order concurrent shards reach this point.
+func (n *Network) establish(c *cell, min, max int, svc core.ServiceClass, wpath wired.Path, pledges []topology.CellID, now float64) {
+	c.connSeq++
+	id := core.ConnID(uint64(c.id)<<32 | (c.connSeq & 0xffffffff))
 	conn := &connection{
-		id:         n.nextID,
+		id:         id,
 		bw:         min,
 		min:        min,
 		max:        max,
@@ -408,20 +443,32 @@ func (n *Network) establish(c *cell, min, max int, svc core.ServiceClass, wpath 
 		cell:       c.id,
 		prevInCell: topology.Self,
 		enteredAt:  now,
-		diesAt:     now + traffic.Lifetime(n.rng, n.cfg.MeanLifetime),
-		path:       n.newPath(c.id),
+		diesAt:     now + traffic.Lifetime(c.rng, n.cfg.MeanLifetime),
 		wpath:      wpath,
 		pledges:    pledges,
+		rng:        n.rng,
 	}
-	n.conns[conn.id] = conn
+	if conn.rng == nil { // delayed signaling: a stream of its own
+		conn.rng = rand.New(rand.NewPCG(n.cfg.Seed, connStream(id)))
+	}
+	conn.path = n.newPath(conn.rng, c.id, now)
+	c.tab.conns[id] = conn
+	c.tab.births++
 	hop, ok := conn.path.NextHop()
-	if min == max {
-		c.engine.AddConnection(conn.id, core.ConnSpec{Min: min, Prev: topology.Self, Hint: n.hintFor(c.id, hop, ok), Class: svc}, now)
-	} else {
-		conn.bw = c.engine.AddConnection(conn.id, core.ConnSpec{Min: min, Max: max, Prev: topology.Self, Class: svc}, now)
-	}
-	n.noteBu(c, now)
+	n.addTo(c, conn, topology.Self, hop, ok, now)
 	n.scheduleDeparture(conn, hop, ok)
+}
+
+// addTo registers conn in cell c's engine, arrived from local index prev
+// with its next hop already drawn. Elastic connections (min < max) take
+// whatever the engine grants; only rigid ones carry the §7 direction hint.
+func (n *Network) addTo(c *cell, conn *connection, prev topology.LocalIndex, hop mobility.Hop, ok bool, now float64) {
+	spec := core.ConnSpec{Min: conn.min, Max: conn.max, Prev: prev, Class: conn.class}
+	if conn.min == conn.max {
+		spec.Hint = n.hintFor(c.id, hop, ok)
+	}
+	conn.bw = c.engine.AddConnection(conn.id, spec, now)
+	n.noteBu(c, now)
 }
 
 // hintFor converts a known upcoming hop into a §7 direction hint when
@@ -437,18 +484,18 @@ func (n *Network) hintFor(cur topology.CellID, hop mobility.Hop, ok bool) topolo
 	return li
 }
 
-// newPath mints a movement path honoring the schedule's current speed
-// range when the model supports it. A schedule that doesn't specify
-// speeds (zero range, e.g. a bare traffic.Constant{Lambda: …}) defers to
-// the model's own configured range.
-func (n *Network) newPath(start topology.CellID) mobility.Path {
+// newPath mints a movement path from rng, honoring the schedule's
+// current speed range when the model supports it. A schedule that
+// doesn't specify speeds (zero range, e.g. a bare
+// traffic.Constant{Lambda: …}) defers to the model's own configured range.
+func (n *Network) newPath(rng *rand.Rand, start topology.CellID, now float64) mobility.Path {
 	if sa, ok := n.cfg.Mobility.(mobility.SpeedAware); ok {
-		lo, hi := n.cfg.Schedule.Speed(n.now())
+		lo, hi := n.cfg.Schedule.Speed(now)
 		if hi > 0 {
-			return sa.NewPathWithSpeed(n.rng, start, mobility.SpeedRange{MinKmh: lo, MaxKmh: hi})
+			return sa.NewPathWithSpeed(rng, start, mobility.SpeedRange{MinKmh: lo, MaxKmh: hi})
 		}
 	}
-	return n.cfg.Mobility.NewPath(n.rng, start)
+	return n.cfg.Mobility.NewPath(rng, start)
 }
 
 // scheduleDeparture books the single next event for a connection that
@@ -457,41 +504,96 @@ func (n *Network) newPath(start topology.CellID) mobility.Path {
 // end. The hop has already been drawn from the path (the engine may
 // have consumed it as a direction hint).
 func (n *Network) scheduleDeparture(conn *connection, hop mobility.Hop, ok bool) {
-	now := n.now()
 	sched := n.cells[conn.cell].sched
+	now := sched.Now()
 	if ok && !math.IsInf(hop.Sojourn, 1) && now+hop.Sojourn < conn.diesAt {
-		sched.MustAfter(hop.Sojourn, func(sim.Scheduler) { n.onCrossing(conn.id, hop) })
+		sched.MustAfter(hop.Sojourn, func(sim.Scheduler) { n.onCrossing(conn, hop) })
 		return
 	}
-	sched.MustAfter(conn.diesAt-now, func(sim.Scheduler) { n.onLifetimeEnd(conn.id) })
+	// Under delayed signaling a connection can arrive from a hand-off
+	// with its lifetime already expired (it died in transit): the
+	// remaining lifetime clamps to zero and the completion fires at once.
+	sched.MustAfter(math.Max(conn.diesAt-now, 0), func(sim.Scheduler) { n.onLifetimeEnd(conn) })
+}
+
+// residence returns the cell conn's pending event fires in, after
+// checking that the connection is still tracked there: every teardown
+// leaves a connection without events, so a miss is a pipeline bug.
+func (n *Network) residence(conn *connection, event string) *cell {
+	c := n.cells[conn.cell]
+	if c.tab.conns[conn.id] != conn {
+		panic(fmt.Sprintf("cellnet: %s for dead connection %d", event, conn.id))
+	}
+	return c
 }
 
 // onCrossing processes a mobile reaching its cell boundary.
-func (n *Network) onCrossing(id core.ConnID, hop mobility.Hop) {
-	conn, ok := n.conns[id]
-	if !ok {
-		panic(fmt.Sprintf("cellnet: crossing for dead connection %d", id))
-	}
-	now := n.now()
-	from := n.cells[conn.cell]
-	tSoj := now - conn.enteredAt
-
+func (n *Network) onCrossing(conn *connection, hop mobility.Hop) {
+	from := n.residence(conn, "crossing")
+	now := from.sched.Now()
 	if hop.Next == topology.None {
 		// The mobile leaves the coverage area (open-line border).
-		from.engine.RemoveConnection(id)
-		n.reclaim(from, now)
 		from.counters.Exited++
-		n.releaseWired(conn)
-		n.releasePledges(conn)
-		delete(n.conns, id)
+		n.teardown(from, conn, now)
 		return
 	}
-
 	to := n.cells[hop.Next]
 	nextLocal, okLocal := n.cfg.Topology.LocalOf(from.id, to.id)
 	if !okLocal {
 		panic(fmt.Sprintf("cellnet: crossing %d→%d between non-neighbors", from.id, to.id))
 	}
+	// The departing cell observes the hand-off event (§3.1).
+	quad := predict.Quadruplet{Event: now, Prev: conn.prevInCell, Next: nextLocal, Sojourn: now - conn.enteredAt}
+
+	// The one place the two signaling models differ in kind. With instant
+	// signaling the destination is tested before the old cell lets go, and
+	// the old cell knows the outcome. With a delay it cannot: it releases
+	// and records now, the connection travels as a mailbox message, and
+	// the outcome is decided on arrival, one latency later.
+	if n.cfg.Sharding.Async() {
+		n.vacate(from, conn, now)
+		// The movement is always recorded: the remote admission outcome is
+		// unknowable here (validation rejects SkipDroppedDepartures).
+		from.engine.RecordDeparture(quad)
+		delete(from.tab.conns, conn.id)
+		from.tab.sentHO++
+		n.send(from, to.id, func(sim.Scheduler) {
+			arrival := to.sched.Now()
+			to.tab.recvHO++
+			admitted := n.admitHandOff(conn, to, arrival)
+			n.noteHandOff(to, arrival, admitted)
+			if !admitted {
+				to.tab.deaths++ // hand-off drop: the connection dies in transit
+				return
+			}
+			to.tab.conns[conn.id] = conn
+			n.enterCell(conn, from, to, arrival)
+		})
+		return
+	}
+
+	admitted := n.admitHandOff(conn, to, now)
+	// Whether a dropped hand-off still counts as a mobility observation
+	// is an ablation toggle; the default records it.
+	if admitted || !n.cfg.SkipDroppedDepartures {
+		from.engine.RecordDeparture(quad)
+	}
+	if !admitted && n.cfg.SoftHandOff.Enabled {
+		// §7 CDMA soft hand-off: hold both links for up to the overlap
+		// window; the hand-off resolves (and is counted) later.
+		deadline := math.Min(now+n.cfg.SoftHandOff.OverlapSeconds, conn.diesAt)
+		n.scheduleSoftRetry(conn, from, to, deadline)
+		return
+	}
+	n.resolveHandOff(conn, from, to, admitted, now)
+	if admitted {
+		n.enterCell(conn, from, to, now)
+	}
+}
+
+// admitHandOff tests whether cell to can take conn over, on the wireless
+// link and — when configured — the backbone.
+func (n *Network) admitHandOff(conn *connection, to *cell, now float64) bool {
 	// A MobSpec pledge at the destination converts into used bandwidth.
 	n.dropPledge(conn, to.id)
 	admitted := to.engine.AdmitHandOffRequest(now, core.Request{Bandwidth: conn.min, Class: conn.class}, to.peers).Admitted
@@ -510,36 +612,12 @@ func (n *Network) onCrossing(id core.ConnID, hop mobility.Hop) {
 			admitted = false
 		}
 	}
-
-	// The departing cell observes the hand-off event (§3.1). Whether a
-	// dropped hand-off still counts as a mobility observation is an
-	// ablation toggle; the default records it.
-	if admitted || !n.cfg.SkipDroppedDepartures {
-		from.engine.RecordDeparture(predict.Quadruplet{
-			Event: now, Prev: conn.prevInCell, Next: nextLocal, Sojourn: tSoj,
-		})
-	}
-
-	if !admitted && n.cfg.SoftHandOff.Enabled {
-		// §7 CDMA soft hand-off: hold both links for up to the overlap
-		// window; the hand-off resolves (and is counted) later.
-		deadline := math.Min(now+n.cfg.SoftHandOff.OverlapSeconds, conn.diesAt)
-		n.scheduleSoftRetry(conn, from, to, deadline)
-		return
-	}
-
-	n.resolveHandOff(conn, from, to, admitted)
-	if !admitted {
-		return
-	}
-	n.enterCell(conn, from, to)
+	return admitted
 }
 
-// resolveHandOff books a hand-off outcome: counters, the T_est
-// controller, traces, and teardown on a drop. The connection is removed
-// from its old cell either way.
-func (n *Network) resolveHandOff(conn *connection, from, to *cell, admitted bool) {
-	now := n.now()
+// noteHandOff books a hand-off outcome at the destination: counters, the
+// T_est controller (§4.2) and traces.
+func (n *Network) noteHandOff(to *cell, now float64, admitted bool) {
 	to.counters.RecordHandOff(!admitted)
 	to.hourly.RecordHandOff(now, !admitted)
 	to.engine.NoteHandOffArrival(now, !admitted, to.peers)
@@ -547,36 +625,45 @@ func (n *Network) resolveHandOff(conn *connection, from, to *cell, admitted bool
 		to.trace.Test.Append(now, to.engine.Test())
 		to.trace.PHD.Append(now, to.counters.PHD())
 	}
-	from.engine.RemoveConnection(conn.id)
-	n.reclaim(from, now)
-	if !admitted {
-		n.releaseWired(conn)
-		n.releasePledges(conn)
-		delete(n.conns, conn.id) // hand-off drop: the connection dies
+}
+
+// resolveHandOff books an instant-signaling hand-off outcome and removes
+// the connection from its old cell — for good on a drop.
+func (n *Network) resolveHandOff(conn *connection, from, to *cell, admitted bool, now float64) {
+	n.noteHandOff(to, now, admitted)
+	if admitted {
+		n.vacate(from, conn, now)
+	} else {
+		n.teardown(from, conn, now) // hand-off drop: the connection dies
 	}
 }
 
-// reclaim lets degraded adaptive-QoS connections grow back into freed
-// bandwidth, then refreshes the cell's usage average.
-func (n *Network) reclaim(c *cell, now float64) {
+// vacate takes conn out of cell c's engine. Degraded adaptive-QoS
+// connections then grow back into the freed bandwidth.
+func (n *Network) vacate(c *cell, conn *connection, now float64) {
+	c.engine.RemoveConnection(conn.id)
 	if n.cfg.AdaptiveQoS.Enabled {
 		c.engine.RedistributeFree()
 	}
 	n.noteBu(c, now)
 }
 
+// teardown ends a connection resident in cell c: it leaves the engine,
+// gives back its backbone path and pledges, and leaves its table.
+func (n *Network) teardown(c *cell, conn *connection, now float64) {
+	n.vacate(c, conn, now)
+	n.releaseWired(conn)
+	n.releasePledges(conn)
+	c.tab.deaths++
+	delete(c.tab.conns, conn.id)
+}
+
 // enterCell completes a successful hand-off: the connection joins the
 // new cell and its next departure is scheduled.
-func (n *Network) enterCell(conn *connection, from, to *cell) {
-	now := n.now()
+func (n *Network) enterCell(conn *connection, from, to *cell, now float64) {
 	prevLocal, _ := n.cfg.Topology.LocalOf(to.id, from.id)
 	nextHop, okNext := conn.path.NextHop()
-	if conn.min == conn.max {
-		to.engine.AddConnection(conn.id, core.ConnSpec{Min: conn.min, Prev: prevLocal, Hint: n.hintFor(to.id, nextHop, okNext), Class: conn.class}, now)
-	} else {
-		conn.bw = to.engine.AddConnection(conn.id, core.ConnSpec{Min: conn.min, Max: conn.max, Prev: prevLocal, Class: conn.class}, now)
-	}
-	n.noteBu(to, now)
+	n.addTo(to, conn, prevLocal, nextHop, okNext, now)
 	conn.cell = to.id
 	conn.prevInCell = prevLocal
 	conn.enteredAt = now
@@ -596,72 +683,43 @@ func (n *Network) enterCell(conn *connection, from, to *cell) {
 // hand-off. While pending, the connection keeps its old-cell bandwidth
 // (macrodiversity in the overlap region) and no other events exist for it.
 func (n *Network) scheduleSoftRetry(conn *connection, from, to *cell, deadline float64) {
-	now := n.now()
+	now := from.sched.Now()
 	next := math.Min(now+n.cfg.SoftHandOff.retryEvery(), deadline)
-	n.cells[conn.cell].sched.MustAfter(next-now, func(sim.Scheduler) {
-		n.onSoftRetry(conn.id, from, to, deadline)
+	from.sched.MustAfter(next-now, func(sim.Scheduler) {
+		n.onSoftRetry(conn, from, to, deadline)
 	})
 }
 
 // onSoftRetry re-tests a pending soft hand-off.
-func (n *Network) onSoftRetry(id core.ConnID, from, to *cell, deadline float64) {
-	conn, ok := n.conns[id]
-	if !ok {
-		panic(fmt.Sprintf("cellnet: soft retry for dead connection %d", id))
-	}
-	now := n.now()
+func (n *Network) onSoftRetry(conn *connection, from, to *cell, deadline float64) {
+	n.residence(conn, "soft retry")
+	now := from.sched.Now()
 	if now >= conn.diesAt {
 		// The call ended naturally while in the overlap region, still
 		// served by the old cell.
-		from.engine.RemoveConnection(id)
-		n.reclaim(from, now)
 		from.counters.Completed++
-		n.releaseWired(conn)
-		n.releasePledges(conn)
-		delete(n.conns, id)
+		n.teardown(from, conn, now)
 		return
 	}
-	// A MobSpec pledge at the destination converts into used bandwidth.
-	n.dropPledge(conn, to.id)
-	admitted := to.engine.AdmitHandOffRequest(now, core.Request{Bandwidth: conn.min, Class: conn.class}, to.peers).Admitted
-	if !admitted && n.cfg.AdaptiveQoS.Enabled {
-		admitted = to.engine.DowngradeToFit(conn.min)
-		n.noteBu(to, now)
-	}
-	if admitted && n.cfg.Backbone != nil {
-		if wp, wok := n.cfg.Backbone.HandOff(conn.wpath, to.id, conn.min); wok {
-			conn.wpath = wp
-		} else {
-			admitted = false
-		}
-	}
-	if admitted {
+	if n.admitHandOff(conn, to, now) {
 		n.softSaved++
-		n.resolveHandOff(conn, from, to, true)
-		n.enterCell(conn, from, to)
+		n.resolveHandOff(conn, from, to, true, now)
+		n.enterCell(conn, from, to, now)
 		return
 	}
 	if now >= deadline {
 		n.softExpired++
-		n.resolveHandOff(conn, from, to, false)
+		n.resolveHandOff(conn, from, to, false, now)
 		return
 	}
 	n.scheduleSoftRetry(conn, from, to, deadline)
 }
 
 // onLifetimeEnd completes a connection naturally.
-func (n *Network) onLifetimeEnd(id core.ConnID) {
-	conn, ok := n.conns[id]
-	if !ok {
-		panic(fmt.Sprintf("cellnet: lifetime end for dead connection %d", id))
-	}
-	c := n.cells[conn.cell]
-	c.engine.RemoveConnection(id)
-	n.reclaim(c, n.now())
+func (n *Network) onLifetimeEnd(conn *connection) {
+	c := n.residence(conn, "lifetime end")
 	c.counters.Completed++
-	n.releaseWired(conn)
-	n.releasePledges(conn)
-	delete(n.conns, id)
+	n.teardown(c, conn, c.sched.Now())
 }
 
 // releaseWired frees a connection's backbone reservation, if any (the

@@ -241,6 +241,37 @@ func TestResetStatsKeepsConnections(t *testing.T) {
 	}
 }
 
+// TestResetStatsClearsSoftAndFaultTallies: the soft hand-off and
+// injected-fault tallies live on the Network, not in the per-cell
+// counters, and must be discarded with the warm-up like them — a Result
+// mixing a measured-span Total with whole-run SoftSaved/PeerFaults would
+// be inconsistent.
+func TestResetStatsClearsSoftAndFaultTallies(t *testing.T) {
+	cfg := scenario(core.AC3, 300, 1.0, mobility.HighMobility, 14)
+	cfg.SoftHandOff = SoftHandOffConfig{Enabled: true, OverlapSeconds: 1}
+	cfg.Faults = FaultConfig{Enabled: true, Drop: 0.2}
+	n := MustNew(cfg)
+	warm := n.Run(1500)
+	if warm.SoftSaved == 0 || warm.SoftExpired == 0 || warm.PeerFaults == 0 {
+		t.Fatalf("warm-up left a tally at zero: saved %d, expired %d, faults %d",
+			warm.SoftSaved, warm.SoftExpired, warm.PeerFaults)
+	}
+	n.ResetStats()
+	if res := n.Snapshot(); res.SoftSaved != 0 || res.SoftExpired != 0 || res.PeerFaults != 0 {
+		t.Fatalf("tallies survived the reset: saved %d, expired %d, faults %d",
+			res.SoftSaved, res.SoftExpired, res.PeerFaults)
+	}
+	res := n.Run(3000)
+	if res.SoftSaved == 0 || res.SoftExpired == 0 || res.PeerFaults == 0 {
+		t.Fatalf("tallies stopped counting after the reset: saved %d, expired %d, faults %d",
+			res.SoftSaved, res.SoftExpired, res.PeerFaults)
+	}
+	if res.SoftSaved+res.SoftExpired > res.Total.HandOffs {
+		t.Fatalf("%d soft resolutions against %d hand-offs in the measured span",
+			res.SoftSaved+res.SoftExpired, res.Total.HandOffs)
+	}
+}
+
 func TestForwardOnlyLineBorderCell(t *testing.T) {
 	// Table 3 scenario: open line, all mobiles moving 0→9. Cell 0 never
 	// receives hand-offs; mobiles exit past cell 9.

@@ -78,11 +78,17 @@ func (n *Network) Run(end float64) *Result {
 // internal/runner uses this to check for cancellation between slices.
 func (n *Network) RunUntil(end float64) { n.kernel.RunUntil(end) }
 
-// ResetStats zeroes all counters, hourly buckets and time averages while
-// keeping connections, estimators and T_est state — used to discard a
-// warm-up period.
+// ResetStats zeroes all counters, hourly buckets, time averages, traces
+// and the soft hand-off and injected-fault tallies while keeping
+// connections, estimators and T_est state — used to discard a warm-up
+// period. The Result fields read from the engines and the backbone are
+// not reset; they count over the Network's lifetime: DegradedBrCalcs,
+// DegradedAdmissions, QoSDowngrades, QoSUpgrades and the Wired* totals.
+// Neither are the audit's birth/death and hand-off message tallies,
+// whose conservation law spans the whole run.
 func (n *Network) ResetStats() {
 	now := n.now()
+	n.softSaved, n.softExpired, n.peerFaults = 0, 0, 0
 	for _, c := range n.cells {
 		c.counters = stats.Counters{}
 		c.hourly = stats.Hourly{}
@@ -107,14 +113,10 @@ func (n *Network) ResetStats() {
 // invariant check runs first — regardless of event sampling — so no
 // Result is ever built from ledgers that would fail the audit.
 func (n *Network) Snapshot() *Result {
-	if n.cfg.Audit != nil {
-		if n.shards != nil {
-			n.auditAsyncNow(n.now())
-		} else {
-			n.auditNow()
-		}
-	}
 	now := n.now()
+	if n.cfg.Audit != nil {
+		n.auditNow(now)
+	}
 	res := &Result{
 		Duration: now,
 		Cells:    make([]CellResult, len(n.cells)),

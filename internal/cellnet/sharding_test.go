@@ -2,11 +2,13 @@ package cellnet
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"cellqos/internal/core"
 	"cellqos/internal/mobility"
 	"cellqos/internal/topology"
+	"cellqos/internal/wired"
 )
 
 // shardedScenario is scenario() with the kernel sharded. latency == 0 is
@@ -66,7 +68,7 @@ func TestAsyncConservation(t *testing.T) {
 	admitted := res.Total.Requested - res.Total.Blocked
 	accounted := res.Total.Completed + res.Total.Dropped + res.Total.Exited + uint64(n.ActiveConnections())
 	var inFlight uint64
-	for _, st := range n.shards {
+	for _, st := range n.tables {
 		inFlight += st.sentHO - st.recvHO
 	}
 	if admitted != accounted+inFlight {
@@ -95,17 +97,28 @@ func TestAsyncWarmupDegradation(t *testing.T) {
 // plane.
 func TestAsyncRejectsUnsupportedFeatures(t *testing.T) {
 	base := func() Config { return shardedScenario(core.AC3, 2, 0.5, 1) }
-	mut := map[string]func(*Config){
-		"mobspec":   func(c *Config) { c.Policy = core.MobSpec },
-		"soft":      func(c *Config) { c.SoftHandOff.Enabled = true; c.SoftHandOff.OverlapSeconds = 1 },
-		"faults":    func(c *Config) { c.Faults.Enabled = true; c.Faults.Drop = 0.1 },
-		"skipdrops": func(c *Config) { c.SkipDroppedDepartures = true },
+	// Each case names the word its rejection must carry, so a reordered
+	// switch cannot pass by rejecting a config for the wrong feature.
+	cases := []struct {
+		name, want string
+		mut        func(*Config)
+	}{
+		{"backbone", "backbone", func(c *Config) {
+			c.Backbone = wired.StarOfMSCs(c.Topology, 2, 1000, 5000, wired.FullReroute)
+		}},
+		{"mobspec", "mobility-specification", func(c *Config) { c.Policy = core.MobSpec }},
+		{"soft", "soft hand-off", func(c *Config) { c.SoftHandOff.Enabled = true; c.SoftHandOff.OverlapSeconds = 1 }},
+		{"faults", "fault injection", func(c *Config) { c.Faults.Enabled = true; c.Faults.Drop = 0.1 }},
+		{"skipdrops", "SkipDroppedDepartures", func(c *Config) { c.SkipDroppedDepartures = true }},
 	}
-	for name, m := range mut {
+	for _, tc := range cases {
 		cfg := base()
-		m(&cfg)
-		if _, err := New(cfg); err == nil {
-			t.Errorf("%s: async config unexpectedly validated", name)
+		tc.mut(&cfg)
+		_, err := New(cfg)
+		if err == nil {
+			t.Errorf("%s: async config unexpectedly validated", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: rejected for the wrong reason: %v (want mention of %q)", tc.name, err, tc.want)
 		}
 	}
 	// More shards than cells is invalid in any mode.
@@ -136,7 +149,7 @@ func TestPartitionBoundaryRouting(t *testing.T) {
 		t.Fatal("no hand-offs on hex grid")
 	}
 	var crossed uint64
-	for _, st := range n.shards {
+	for _, st := range n.tables {
 		crossed += st.sentHO
 	}
 	if crossed == 0 {
