@@ -54,17 +54,18 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# bench-json measures the admission fast path at full benchtime,
-# refreshes the "current" side of BENCH_admission.json, and fails on a
-# regression beyond 10% of the pinned baseline: the allocation profile
-# always, and — since this target assumes the machine that recorded the
-# baseline — mean ns/op and tail p99-ns/op as well (-check-time). CI's
-# bench-smoke runs the same gate without -check-time, so cross-machine
-# wall-clock noise cannot fail a build while an allocation regression
-# still does. Delete the file or pass -rebaseline to cmd/benchjson to
-# re-baseline deliberately.
+# bench-json measures the admission fast path and the estimator's write
+# path (predict's BenchmarkRecord, pinned at 0 allocs/op) at full
+# benchtime, refreshes the "current" side of BENCH_admission.json, and
+# fails on a regression beyond 10% of the pinned baseline: the
+# allocation profile always, and — since this target assumes the machine
+# that recorded the baseline — mean ns/op and tail p99-ns/op as well
+# (-check-time). CI's bench-smoke runs the same gate without
+# -check-time, so cross-machine wall-clock noise cannot fail a build
+# while an allocation regression still does. Delete the file or pass
+# -rebaseline to cmd/benchjson to re-baseline deliberately.
 bench-json:
-	$(GO) test -bench 'BenchmarkAdmitNew|BenchmarkOutgoingReservation' -benchmem -run '^$$' -count=1 ./internal/core/ \
+	$(GO) test -bench 'BenchmarkAdmitNew|BenchmarkOutgoingReservation|BenchmarkRecord' -benchmem -run '^$$' -count=1 ./internal/core/ ./internal/predict/ \
 		| $(GO) run ./cmd/benchjson -out BENCH_admission.json -check -check-time
 
 # bench-sim measures the sharded kernel on the 10,000-cell metro
@@ -110,6 +111,7 @@ arena-smoke:
 # targets individually with a longer -fuzztime for real hunting).
 fuzz:
 	$(GO) test -fuzz=FuzzPersistRoundTrip -fuzztime=30s ./internal/predict/
+	$(GO) test -fuzz=FuzzRecordUpkeep -fuzztime=30s ./internal/predict/
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/signaling/
 	$(GO) test -fuzz=FuzzIncrementalBr -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=30s ./internal/service/

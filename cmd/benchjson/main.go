@@ -4,10 +4,11 @@
 //
 // The file keeps two measurement sets. "baseline" is written the first
 // time the file is created and preserved by every later run, so it pins
-// the pre-optimization numbers the fast path is judged against;
-// "current" is refreshed on each invocation, and "speedup" is their
-// per-benchmark ns/op ratio. Delete the file (or pass -rebaseline) to
-// re-baseline deliberately.
+// the pre-optimization numbers the fast path is judged against (a
+// benchmark the baseline has not seen yet is pinned at its first
+// measurement); "current" is refreshed on each invocation, and
+// "speedup" is their per-benchmark ns/op ratio. Delete the file (or
+// pass -rebaseline) to re-baseline deliberately.
 //
 // Usage:
 //
@@ -87,8 +88,10 @@ func scaling(current map[string]result) map[string]float64 {
 
 // check gates the current results against the pinned baseline. The
 // allocation profile (B/op, allocs/op) is machine-independent and is
-// always checked; ns/op only when checkTime is set, since wall time
-// against a baseline from different hardware is noise, not signal.
+// always checked — a baseline of zero included: a benchmark pinned at
+// 0 allocs/op fails on its first allocation; ns/op only when checkTime
+// is set, since wall time against a baseline from different hardware is
+// noise, not signal (and a zero there means "not reported").
 func check(rep report, maxRegression float64, checkTime bool) error {
 	names := make([]string, 0, len(rep.Current))
 	for name := range rep.Current {
@@ -97,7 +100,10 @@ func check(rep report, maxRegression float64, checkTime bool) error {
 	sort.Strings(names)
 	var bad []string
 	worse := func(cur, base float64) bool {
-		return base > 0 && cur > base*(1+maxRegression)
+		return cur > base*(1+maxRegression)
+	}
+	slower := func(cur, base float64) bool {
+		return base > 0 && worse(cur, base)
 	}
 	for _, name := range names {
 		base, ok := rep.Baseline[name]
@@ -111,10 +117,10 @@ func check(rep report, maxRegression float64, checkTime bool) error {
 		if worse(cur.AllocsPerOp, base.AllocsPerOp) {
 			bad = append(bad, fmt.Sprintf("%s: %.0f allocs/op vs baseline %.0f", name, cur.AllocsPerOp, base.AllocsPerOp))
 		}
-		if checkTime && worse(cur.NsPerOp, base.NsPerOp) {
+		if checkTime && slower(cur.NsPerOp, base.NsPerOp) {
 			bad = append(bad, fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f", name, cur.NsPerOp, base.NsPerOp))
 		}
-		if checkTime && worse(cur.P99NsPerOp, base.P99NsPerOp) {
+		if checkTime && slower(cur.P99NsPerOp, base.P99NsPerOp) {
 			bad = append(bad, fmt.Sprintf("%s: %.0f p99-ns/op vs baseline %.0f", name, cur.P99NsPerOp, base.P99NsPerOp))
 		}
 	}
@@ -254,8 +260,13 @@ func run() error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if base, ok := rep.Baseline[name]; ok && rep.Current[name].NsPerOp > 0 {
-			rep.Speedup[name] = base.NsPerOp / rep.Current[name].NsPerOp
+		base, ok := rep.Baseline[name]
+		if !ok {
+			base = current[name]
+			rep.Baseline[name] = base
+		}
+		if current[name].NsPerOp > 0 {
+			rep.Speedup[name] = base.NsPerOp / current[name].NsPerOp
 		}
 	}
 	rep.Scaling = scaling(rep.Current)

@@ -678,8 +678,9 @@ func (e *Engine) eq5Remove(i, last int) {
 // without the rebuild a generation mismatch would otherwise force, when
 // the record provably cannot change any value the view serves. Two
 // facts gate adoption, both restricted to stationary estimation
-// (infinite T_int), where Record rebuilds the affected pair eagerly so
-// the observed generation is final:
+// (infinite T_int), where Record returns with the affected pair's index
+// current (updated in place, or rebuilt when it was not in step) so the
+// observed generation is final:
 //
 //   - A selection-invisible record (Estimator.Record returned false)
 //     leaves every estimator query bit-identical, so the whole view —

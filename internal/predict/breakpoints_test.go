@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -83,6 +84,88 @@ func TestAppendSojournBreakpoints(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("AppendSojournBreakpoints with a reused buffer allocated %v times per run", allocs)
+	}
+}
+
+// TestGroupMergeMatchesSort pins the sort-free group exports against the
+// definition they replaced: for a group of k pairs — k from 1 past any
+// plausible cell degree, some pairs emptied by eviction —
+// AppendSojournBreakpoints is slices.Sort of the pairs' concatenated
+// selections, AppendSelected is the same samples (sojourn, weight, next)
+// in ascending sojourn order, and both leave a non-empty dst prefix
+// alone.
+func TestGroupMergeMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewPCG(0x3E26E, 20))
+	for k := 1; k <= 20; k++ {
+		e := New(Config{Tint: math.Inf(1), NQuad: 12, Weights: []float64{0.7}})
+		// Pairs 3, 6, 9, ... are recorded first and evicted below, so
+		// they stay in the group with an empty selection.
+		event := 0.0
+		for _, empty := range []bool{true, false} {
+			for next := 1; next <= k; next++ {
+				if (next%3 == 0) != empty {
+					continue
+				}
+				for i := r.IntN(15); i >= 0; i-- {
+					e.Record(Quadruplet{Event: event, Prev: 1, Next: topology.LocalIndex(next), Sojourn: float64(r.IntN(9)) / 2})
+					event++
+				}
+			}
+			if empty {
+				e.EvictBefore(event)
+			}
+		}
+		var wantBP []float64
+		var wantSel []WeightedSample
+		for i, p := range e.group(1).pairs {
+			e.ensurePair(p, event)
+			wantBP = append(wantBP, p.sojSorted...)
+			for j, soj := range p.sojSorted {
+				w := p.wCum[j]
+				if j > 0 {
+					w -= p.wCum[j-1]
+				}
+				wantSel = append(wantSel, WeightedSample{Sojourn: soj, Weight: w, Next: e.group(1).nexts[i]})
+			}
+		}
+		slices.Sort(wantBP)
+		byAll := func(a, b WeightedSample) int {
+			return cmp.Or(cmp.Compare(a.Sojourn, b.Sojourn), cmp.Compare(a.Next, b.Next), cmp.Compare(a.Weight, b.Weight))
+		}
+		slices.SortFunc(wantSel, byAll)
+
+		gotBP := e.AppendSojournBreakpoints([]float64{99, -1}, event, 1)
+		if !slices.Equal(gotBP[:2], []float64{99, -1}) || !slices.Equal(gotBP[2:], wantBP) {
+			t.Fatalf("k=%d: breakpoints %v, want prefix [99 -1] then %v", k, gotBP, wantBP)
+		}
+		prefix := WeightedSample{Sojourn: 99, Weight: 3, Next: 7}
+		gotSel := e.AppendSelected([]WeightedSample{prefix}, event, 1)
+		if gotSel[0] != prefix {
+			t.Fatalf("k=%d: AppendSelected overwrote the dst prefix: %v", k, gotSel[0])
+		}
+		gotSel = gotSel[1:]
+		if !slices.IsSortedFunc(gotSel, func(a, b WeightedSample) int { return cmp.Compare(a.Sojourn, b.Sojourn) }) {
+			t.Fatalf("k=%d: AppendSelected not ascending in sojourn: %v", k, gotSel)
+		}
+		slices.SortFunc(gotSel, byAll) // ties between pairs come in no promised order
+		if !slices.Equal(gotSel, wantSel) {
+			t.Fatalf("k=%d: AppendSelected = %v, want %v", k, gotSel, wantSel)
+		}
+	}
+}
+
+// TestAppendSelectedAllocFree pins AppendSelected's documented promise.
+func TestAppendSelectedAllocFree(t *testing.T) {
+	e := stationary(100)
+	for i := 0; i < 300; i++ {
+		e.Record(Quadruplet{Event: float64(i), Prev: 1, Next: topology.LocalIndex(1 + i%3), Sojourn: float64(i * 7 % 40)})
+	}
+	buf := make([]WeightedSample, 0, 300)
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = e.AppendSelected(buf[:0], 300, 1)
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendSelected with a reused buffer allocated %v times per run", allocs)
 	}
 }
 

@@ -2,6 +2,7 @@ package predict
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"cellqos/internal/topology"
@@ -68,5 +69,29 @@ func FuzzPersistRoundTrip(f *testing.F) {
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatalf("canonical form not byte-stable: first %d bytes, second %d bytes", first.Len(), second.Len())
 		}
+	})
+}
+
+// FuzzRecordUpkeep fuzzes the in-place write path against its oracle:
+// the input is an op stream for upkeepDriver (Record, EvictBefore,
+// Reset, restore of a longer history, Merge, queries), and after every
+// step each current pair index must equal a fresh rebuildPair of the
+// same samples, bit for bit.
+func FuzzRecordUpkeep(f *testing.F) {
+	// Seeds: fill one pair past NQuad with duplicates; the same with a
+	// restore and two merges in the middle; with an eviction, a query
+	// and a Reset in the middle; records of the sojourn about to be
+	// evicted and of the current maximum.
+	fill := bytes.Repeat([]byte{1, 4}, 12)
+	f.Add(uint8(0), false, fill)
+	f.Add(uint8(1), true, append(append(slices.Clone(fill), 240, 250, 251), fill...))
+	f.Add(uint8(2), true, append(append(slices.Clone(fill), 205, 3, 2, 200, 220, 230), fill...))
+	f.Add(uint8(3), false, []byte{0, 0xC8, 1, 0xE8, 2, 0x28, 210, 1, 0, 0xC8})
+	f.Fuzz(func(t *testing.T, nq uint8, w07 bool, ops []byte) {
+		w0 := 1.0
+		if w07 {
+			w0 = 0.7
+		}
+		newUpkeepDriver(t, []int{1, 2, 7, 100}[nq%4], w0).run(ops)
 	})
 }

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"cellqos/internal/topology"
 )
@@ -76,6 +75,9 @@ func (c Config) Validate() error {
 		}
 	}
 	w := c.weights()
+	if len(w) < c.windows() {
+		return fmt.Errorf("predict: %d weights for %d windows (need w_0..w_NwinPeriods)", len(w), c.windows())
+	}
 	for n := 1; n < len(w); n++ {
 		if w[n] > w[n-1] {
 			return fmt.Errorf("predict: weights must be non-increasing, got %v", w)
@@ -89,16 +91,21 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// windows returns how many periodic windows selection indexes Weights
+// by: n = 0..NwinPeriods, window 0 alone when Tint is infinite.
+func (c Config) windows() int {
+	if math.IsInf(c.Tint, 1) {
+		return 1
+	}
+	return c.NwinPeriods + 1
+}
+
 // weights returns the effective weight vector (all ones when nil).
 func (c Config) weights() []float64 {
-	n := c.NwinPeriods
-	if math.IsInf(c.Tint, 1) {
-		n = 0
-	}
 	if c.Weights != nil {
 		return c.Weights
 	}
-	w := make([]float64, n+1)
+	w := make([]float64, c.windows())
 	for i := range w {
 		w[i] = 1
 	}
@@ -151,8 +158,10 @@ type pairData struct {
 	raw []sample // ordered by event time (simulation time is monotone)
 
 	// Index over the currently selected (windowed, weighted, capped)
-	// samples, rebuilt lazily: sojourn times ascending with aligned
-	// cumulative weights; wCum[i] = Σ weight of sojSorted[0..i].
+	// samples: sojourn times ascending with aligned cumulative weights;
+	// wCum[i] = Σ weight of sojSorted[0..i]. Built by rebuildPair on the
+	// first query after the pair went dirty; a stationary Record keeps a
+	// clean index current in place (replaceSelected).
 	sojSorted []float64
 	wCum      []float64
 
@@ -173,12 +182,11 @@ func (p *pairData) totalWeight() float64 {
 	return p.wCum[len(p.wCum)-1]
 }
 
-// weightAbove returns the selected weight with sojourn strictly greater
-// than x. The binary search is hand-rolled: this is the innermost loop of
-// every Eq. 4 evaluation and closure-based sort.Search shows up hot in
-// profiles.
-func (p *pairData) weightAbove(x float64) float64 {
-	s := p.sojSorted
+// firstAbove returns the first index in s (ascending) whose value is
+// strictly greater than x. The binary search is hand-rolled: this is the
+// innermost loop of every Eq. 4 evaluation and closure-based sort.Search
+// shows up hot in profiles.
+func firstAbove(s []float64, x float64) int {
 	lo, hi := 0, len(s)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -188,7 +196,14 @@ func (p *pairData) weightAbove(x float64) float64 {
 			hi = mid
 		}
 	}
-	// lo is the first index with sojourn > x.
+	return lo
+}
+
+// weightAbove returns the selected weight with sojourn strictly greater
+// than x.
+func (p *pairData) weightAbove(x float64) float64 {
+	s := p.sojSorted
+	lo := firstAbove(s, x)
 	if lo == 0 {
 		return p.totalWeight()
 	}
@@ -206,6 +221,33 @@ func (p *pairData) weightIn(lo, hi float64) float64 {
 	return p.weightAbove(lo) - p.weightAbove(hi)
 }
 
+// replaceSelected brings a stationary pair's index up to date with one
+// Record: the evicted sojourn (when the pair was full) leaves sojSorted,
+// the new one enters, and maxSoj follows the last element. The result is
+// bit-for-bit what rebuildPair would build from the new raw: the
+// selection is the multiset of raw's sojourns, so which of several equal
+// values is removed or where among them the new one lands cannot be
+// told apart, and with the single uniform weight w0 the prefix sums are
+// a function of position alone — wCum[i] is w0 added i+1 times, the same
+// repeated addition rebuildPair performs — so a full pair keeps its
+// table and a growing one appends the next term.
+func (p *pairData) replaceSelected(evicted float64, full bool, soj, w0 float64) {
+	s := p.sojSorted
+	if full {
+		i := firstAbove(s, evicted) - 1 // the last sojourn equal to evicted
+		copy(s[i:], s[i+1:])
+		s = s[:len(s)-1]
+	} else {
+		p.wCum = append(p.wCum, p.totalWeight()+w0)
+	}
+	j := firstAbove(s, soj)
+	s = append(s, 0)
+	copy(s[j+1:], s[j:])
+	s[j] = soj
+	p.sojSorted = s
+	p.maxSoj = s[len(s)-1]
+}
+
 // maxLocalIndex bounds the local indices an Estimator accepts. Cell
 // degrees are single digits; the bound only exists so the dense
 // per-index tables cannot be grown without limit by corrupt persisted
@@ -219,6 +261,15 @@ type prevGroup struct {
 	pairs  []*pairData
 	nexts  []topology.LocalIndex // aligned with pairs
 	byNext []*pairData           // dense by int(next); nil = pair never seen
+}
+
+// selected returns the number of selected samples across the group.
+func (g *prevGroup) selected() int {
+	n := 0
+	for _, p := range g.pairs {
+		n += len(p.sojSorted)
+	}
+	return n
 }
 
 // Estimator accumulates quadruplets and answers Eq. 4 queries for one cell.
@@ -243,7 +294,20 @@ type Estimator struct {
 	recorded  uint64 // total quadruplets ever recorded
 	evicted   uint64 // total quadruplets dropped from the cache
 	lastEvent float64
+
+	// rebuildPair's working storage, kept across calls so a rebuild
+	// allocates nothing once the buffers have grown to NQuad.
+	sel   []weightedSoj
+	cands []windowCand
 }
+
+// weightedSoj is one selected sample inside rebuildPair: a sojourn and
+// the weight of the window that selected it.
+type weightedSoj struct{ soj, w float64 }
+
+// windowCand is one in-window sample inside rebuildPair, with its
+// distance from the window's centre (the second-level priority).
+type windowCand struct{ dist, soj float64 }
 
 // New builds an Estimator; it panics on invalid config (programmer error).
 func New(cfg Config) *Estimator {
@@ -349,8 +413,11 @@ func (e *Estimator) Evicted() uint64 { return e.evicted }
 // times, not just sojourn values.
 //
 // To make the post-Record generation stable for such adoption, the
-// stationary path rebuilds the pair's selection eagerly (it is
-// query-time-independent); the generation a caller observes after
+// stationary path leaves the pair's selection current when it returns
+// (it is query-time-independent): an index already in step with the
+// cache is updated in place, anything else — a first record, a pair
+// left dirty by ReadFrom, Merge or EvictBefore, a restored pair longer
+// than N_quad — is rebuilt. The generation a caller observes after
 // Record is then final until the next mutation.
 func (e *Estimator) Record(q Quadruplet) bool {
 	if q.Sojourn < 0 || math.IsNaN(q.Sojourn) {
@@ -368,21 +435,29 @@ func (e *Estimator) Record(q Quadruplet) bool {
 		p = e.addPair(q.Prev, q.Next)
 	}
 	stationary := math.IsInf(e.cfg.Tint, 1)
-	visible := true
-	if stationary && len(p.raw) > 0 && len(p.raw) == e.cfg.NQuad && p.raw[0].sojourn == q.Sojourn {
-		// The append below evicts exactly p.raw[0]; trading it for an
-		// equal sojourn leaves the selected multiset unchanged.
-		visible = false
+	// A stationary selection is the pair's newest NQuad sojourns: the
+	// append below evicts exactly p.raw[0] from a full pair, and trading
+	// it for an equal sojourn leaves the selected multiset unchanged.
+	n := len(p.raw)
+	full := stationary && n == e.cfg.NQuad
+	evicted := 0.0
+	if full {
+		evicted = p.raw[0].sojourn
 	}
+	inStep := p.hasIndex && !p.dirty && len(p.sojSorted) == n && n <= e.cfg.NQuad
 	p.raw = append(p.raw, sample{event: q.Event, sojourn: q.Sojourn})
 	e.recorded++
 	e.prune(p, q.Event)
-	p.dirty = true
 	e.gen++
-	if stationary {
+	switch {
+	case !stationary:
+		p.dirty = true
+	case inStep:
+		p.replaceSelected(evicted, full, q.Sojourn, e.weights[0])
+	default:
 		e.rebuildPair(p, q.Event)
 	}
-	return visible
+	return !(full && evicted == q.Sojourn)
 }
 
 // prune applies the paper's cache-management rules to one pair at the
@@ -502,22 +577,17 @@ func (e *Estimator) rebuildPair(p *pairData, t0 float64) {
 	p.hasIndex = true
 	p.dirty = false
 	p.maxSoj = 0
-	type ws struct{ soj, w float64 }
-	var sel []ws
+	sel := e.sel[:0]
 	{
 		if math.IsInf(e.cfg.Tint, 1) {
 			// Single window, unit weight, newest-first priority; prune
 			// already capped raw at NQuad.
 			for _, s := range p.raw {
-				sel = append(sel, ws{s.sojourn, e.weights[0]})
+				sel = append(sel, weightedSoj{s.sojourn, e.weights[0]})
 			}
 		} else {
 			// Fill windows n = 0, 1, ... in priority order until NQuad.
-			type cand struct {
-				dist float64
-				soj  float64
-			}
-			var cands []cand
+			cands := e.cands
 			room := e.cfg.NQuad
 			for n := 0; n <= e.cfg.NwinPeriods && room > 0; n++ {
 				w := e.weights[n]
@@ -534,11 +604,11 @@ func (e *Estimator) rebuildPair(p *pairData, t0 float64) {
 					if s.event > t0 { // future events cannot exist, but guard
 						break
 					}
-					cands = append(cands, cand{dist: math.Abs(s.event - center), soj: s.sojourn})
+					cands = append(cands, windowCand{dist: math.Abs(s.event - center), soj: s.sojourn})
 				}
 				// Second-level priority: smaller |T_event − (t0 − n·T_day)|,
 				// i.e. closest to the same time-of-day, first.
-				slices.SortFunc(cands, func(a, b cand) int {
+				slices.SortFunc(cands, func(a, b windowCand) int {
 					switch {
 					case a.dist < b.dist:
 						return -1
@@ -552,14 +622,16 @@ func (e *Estimator) rebuildPair(p *pairData, t0 float64) {
 					if room == 0 {
 						break
 					}
-					sel = append(sel, ws{c.soj, w})
+					sel = append(sel, weightedSoj{c.soj, w})
 					room--
 				}
 			}
+			e.cands = cands
 		}
 	}
+	e.sel = sel
 	// Build the sorted sojourn index with cumulative weights.
-	slices.SortFunc(sel, func(a, b ws) int {
+	slices.SortFunc(sel, func(a, b weightedSoj) int {
 		switch {
 		case a.soj < b.soj:
 			return -1
@@ -733,17 +805,27 @@ func (e *Estimator) AppendSelected(dst []WeightedSample, t0 float64, prev topolo
 		return dst
 	}
 	start := len(dst)
+	dst = slices.Grow(dst, g.selected())
 	for i, p := range g.pairs {
+		// Merge the pair's ascending run into the ascending tail from
+		// the back, building each sample as it is placed.
 		next := g.nexts[i]
-		prevCum := 0.0
-		for j, soj := range p.sojSorted {
-			w := p.wCum[j] - prevCum
-			prevCum = p.wCum[j]
-			dst = append(dst, WeightedSample{Sojourn: soj, Weight: w, Next: next})
+		a := len(dst) - 1
+		dst = dst[:len(dst)+len(p.sojSorted)]
+		for b, k := len(p.sojSorted)-1, len(dst)-1; b >= 0; k-- {
+			if a >= start && dst[a].Sojourn > p.sojSorted[b] {
+				dst[k] = dst[a]
+				a--
+				continue
+			}
+			w := p.wCum[b]
+			if b > 0 {
+				w -= p.wCum[b-1]
+			}
+			dst[k] = WeightedSample{Sojourn: p.sojSorted[b], Weight: w, Next: next}
+			b--
 		}
 	}
-	tail := dst[start:]
-	sort.Slice(tail, func(a, b int) bool { return tail[a].Sojourn < tail[b].Sojourn })
 	return dst
 }
 
@@ -768,9 +850,10 @@ func (e *Estimator) EnsureCurrent(t0 float64) uint64 {
 }
 
 // AppendSojournBreakpoints appends the sojourn time of every currently
-// selected sample reachable from prev to dst, sorts the appended tail
-// ascending, and returns dst. These are the breakpoints of the
-// piecewise-constant Eq. 4 queries in their extant-sojourn argument:
+// selected sample reachable from prev to dst, ascending — the merge of
+// the group's per-pair runs, each already sorted — and returns dst.
+// These are the breakpoints of the piecewise-constant Eq. 4 queries in
+// their extant-sojourn argument:
 // SurvivorWeight, HandOffWeight and SojournProb from prev change value
 // only when the (clamped) extant sojourn crosses one of them, because
 // every query reduces to binary searches over the pairs' selected
@@ -785,9 +868,22 @@ func (e *Estimator) AppendSojournBreakpoints(dst []float64, t0 float64, prev top
 		return dst
 	}
 	start := len(dst)
+	dst = slices.Grow(dst, g.selected())
 	for _, p := range g.pairs {
-		dst = append(dst, p.sojSorted...)
+		// Merge the pair's run into the tail from the back: the tail's
+		// larger elements move up into the reserved space, and whatever
+		// of the tail is left when the run is used up is already in place.
+		a := len(dst) - 1
+		dst = dst[:len(dst)+len(p.sojSorted)]
+		for b, k := len(p.sojSorted)-1, len(dst)-1; b >= 0; k-- {
+			if a >= start && dst[a] > p.sojSorted[b] {
+				dst[k] = dst[a]
+				a--
+			} else {
+				dst[k] = p.sojSorted[b]
+				b--
+			}
+		}
 	}
-	slices.Sort(dst[start:])
 	return dst
 }

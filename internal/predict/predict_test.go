@@ -3,6 +3,7 @@ package predict
 import (
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -574,6 +575,45 @@ func TestGenerationEpochs(t *testing.T) {
 	}
 }
 
+// TestValidateWeightsLength: selection indexes Weights by window number,
+// so a slice shorter than the windows is a config error, not a panic on
+// the first query that reaches the missing window.
+func TestValidateWeightsLength(t *testing.T) {
+	daily := Config{Tint: 3600, Period: 86400, NwinPeriods: 2, NQuad: 10}
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		weights []float64
+		wantErr string
+	}{
+		{"windowed, too short", daily, []float64{1}, "1 weights for 3 windows"},
+		{"windowed, exact", daily, []float64{1, 1, 0.5}, ""},
+		{"windowed, nil means all ones", daily, nil, ""},
+		{"stationary, empty", StationaryConfig(), []float64{}, "0 weights for 1 windows"},
+		{"stationary, one", StationaryConfig(), []float64{0.7}, ""},
+		{"stationary, nil means all ones", StationaryConfig(), nil, ""},
+	} {
+		tc.cfg.Weights = tc.weights
+		err := tc.cfg.Validate()
+		if tc.wantErr == "" {
+			if err != nil {
+				t.Errorf("%s: Validate() = %v, want nil", tc.name, err)
+				continue
+			}
+			// The shape that used to panic: two records a day apart,
+			// then a query whose second window is populated.
+			e := New(tc.cfg)
+			e.Record(Quadruplet{Event: 1000, Prev: 1, Next: 2, Sojourn: 5})
+			e.Record(Quadruplet{Event: 1000 + 86400, Prev: 1, Next: 2, Sojourn: 9})
+			if got := e.SelectedCount(1000 + 86400); got != 2 {
+				t.Errorf("%s: %d samples selected, want 2", tc.name, got)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: Validate() = %v, want an error containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
 func TestRecordRejectsBadLocalIndex(t *testing.T) {
 	for _, q := range []Quadruplet{
 		{Event: 0, Prev: -1, Next: 2, Sojourn: 1},
@@ -629,9 +669,41 @@ func BenchmarkHandOffProbsInto(b *testing.B) {
 	_ = probs
 }
 
+// BenchmarkRecord measures the estimator's write path in steady state
+// (every pair full, so each Record evicts) over pseudo-random sojourns —
+// a constant sojourn would be the pre-sorted, selection-invisible best
+// case. "stationary" is one in-place index update; "daily" is a Record
+// under DailyConfig plus the query that pays for its windowed rebuild.
+// Both must report 0 allocs/op (BENCH_admission.json gates them).
 func BenchmarkRecord(b *testing.B) {
-	e := stationary(100)
-	for i := 0; i < b.N; i++ {
-		e.Record(Quadruplet{Event: float64(i), Prev: 1, Next: 2, Sojourn: 30})
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"stationary", StationaryConfig()},
+		{"daily", DailyConfig()},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := New(bc.cfg)
+			r := rand.New(rand.NewPCG(13, 0))
+			windowed := !math.IsInf(bc.cfg.Tint, 1)
+			event := 0.0
+			step := func() {
+				prev, next := topology.LocalIndex(r.IntN(3)), topology.LocalIndex(1+r.IntN(2))
+				e.Record(Quadruplet{Event: event, Prev: prev, Next: next, Sojourn: r.Float64() * 100})
+				if windowed {
+					e.HandOffWeight(event, prev, next, 20, 30)
+				}
+				event += 5 // 120 records per pair per hour: the n=0 window alone fills NQuad
+			}
+			for i := 0; i < 2000; i++ {
+				step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
 	}
 }
