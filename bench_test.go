@@ -146,7 +146,7 @@ func metroWorkload(shards int) cellnet.Config {
 	top := topology.Hex(100, 100, true)
 	cfg := cellnet.PaperBase()
 	cfg.Topology = top
-	cfg.Policy = core.AC3
+	cfg.Admission = core.MustPolicy("AC3")
 	cfg.Mix = traffic.Mix{VoiceRatio: 0.8}
 	cfg.Mobility = &mobility.HexWalk{Top: top, DiameterKm: 1, Speed: mobility.HighMobility, Persistence: 0.8}
 	cfg.Schedule = traffic.Constant{

@@ -97,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		faultDrop     = fs.Float64("fault-drop", 0, "probability each peer information exchange fails (0 = healthy signaling)")
 		faultFallback = fs.String("fault-fallback", "decay", "degradation policy for unreachable neighbors: decay|guard|zero")
 
-		shards     = fs.Int("shards", 0, "event-kernel shards (0/1 = single heap; >1 partitions the cells)")
+		shards     = fs.Int("shards", 0, "event-kernel shards; takes effect with -signaling-latency > 0 (instant signaling always runs on the single heap)")
 		sigLatency = fs.Float64("signaling-latency", 0, "one-way inter-BS signaling latency in seconds (0 = synchronous; >0 enables the async model)")
 		exchange   = fs.Float64("exchange-period", 0, "async model: peer state exchange period in seconds (default 1)")
 	)
@@ -132,9 +132,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Faults = cellnet.FaultConfig{Enabled: true, Drop: *faultDrop, Fallback: fb}
 	}
 
-	// The policy registry resolves names case-insensitively, so every
-	// spelling the old enum switch accepted still parses — and rivals
-	// registered by other packages are selectable with no CLI change.
+	// The policy registry resolves names case-insensitively (-policy ac3
+	// and -policy AC3 both parse), and rivals registered by other
+	// packages are selectable with no CLI change.
 	pol, err := core.PolicyByName(*policyName)
 	if err != nil {
 		return errf("%v", err)

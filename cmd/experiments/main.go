@@ -4,7 +4,7 @@
 //
 //	experiments -list
 //	experiments -run fig8 [-duration 20000] [-seed 1] [-loads 60,100,150,200,250,300]
-//	experiments -run all [-out results/] [-parallel 8] [-shards 4] [-timeout 10m] [-progress]
+//	experiments -run all [-out results/] [-parallel 8] [-timeout 10m] [-progress]
 //	experiments -run table2 -audit 64
 //
 // Each experiment prints its qualitative paper claim followed by the
@@ -54,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out        = fs.String("out", "", "directory to write CSV files into")
 		plotFlag   = fs.Bool("plot", false, "render figure experiments as terminal charts")
 		parallel   = fs.Int("parallel", 0, "scenario workers (0 = GOMAXPROCS); results are identical at any value")
-		shards     = fs.Int("shards", 0, "event-kernel shards per scenario (0/1 = single heap); results are identical at any value")
 		timeout    = fs.Duration("timeout", 0, "cancel in-flight sweeps after this wall time (0 = none)")
 		progress   = fs.Bool("progress", false, "report per-point progress on stderr")
 		auditEvery = fs.Int("audit", 0, "verify runtime invariants every Nth event (0 = off, 1 = every event)")
@@ -88,7 +87,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Days:          *days,
 		Seed:          *seed,
 		Parallel:      *parallel,
-		Shards:        *shards,
 		Context:       ctx,
 	}
 	if *auditEvery > 0 {

@@ -24,7 +24,7 @@ func buildNodes(top *topology.Topology) []*signaling.BSNode {
 	for i := range nodes {
 		n := signaling.NewBSNode(topology.CellID(i), top, core.Config{
 			Capacity:   100,
-			Policy:     core.AC3,
+			Admission:  core.MustPolicy("AC3"),
 			PHDTarget:  0.01,
 			TStart:     5,
 			Estimation: predict.StationaryConfig(),

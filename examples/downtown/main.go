@@ -30,10 +30,10 @@ func main() {
 	fmt.Println()
 
 	tb := stats.NewTable("policy", "PCB", "PHD", "Ncalc", "avgBr")
-	for _, policy := range []core.Policy{core.AC1, core.AC2, core.AC3} {
+	for _, policy := range []string{"AC1", "AC2", "AC3"} {
 		cfg := cellnet.PaperBase()
 		cfg.Topology = top
-		cfg.Policy = policy
+		cfg.Admission = core.MustPolicy(policy)
 		cfg.Mix = traffic.Mix{VoiceRatio: 0.8}
 		cfg.Mobility = &mobility.HexWalk{
 			Top: top, DiameterKm: 1,
@@ -52,7 +52,7 @@ func main() {
 			log.Fatal(err)
 		}
 		res := net.Run(8000)
-		tb.AddRowStrings(policy.String(),
+		tb.AddRowStrings(policy,
 			stats.FormatProb(res.PCB), stats.FormatProb(res.PHD),
 			fmt.Sprintf("%.2f", res.NCalc), fmt.Sprintf("%.1f", res.AvgBr))
 	}

@@ -21,11 +21,11 @@ import (
 	"cellqos/internal/traffic"
 )
 
-func run(policy core.Policy, reserve int) *cellnet.Result {
+func run(policy string, reserve int) *cellnet.Result {
 	top := topology.Line(10) // an open highway segment; cars exit at the end
 	cfg := cellnet.PaperBase()
 	cfg.Topology = top
-	cfg.Policy = policy
+	cfg.Admission = core.MustPolicy(policy)
 	cfg.StaticReserve = reserve
 	cfg.Estimation = predict.DailyConfig() // time-of-day windowed estimation
 	cfg.Mix = traffic.Mix{VoiceRatio: 0.8} // mostly voice, some video calls
@@ -50,8 +50,8 @@ func main() {
 	fmt.Println()
 
 	results := map[string]*cellnet.Result{
-		"static G=10": run(core.Static, 10),
-		"AC3":         run(core.AC3, 0),
+		"static G=10": run("static", 10),
+		"AC3":         run("AC3", 0),
 	}
 
 	for _, name := range []string{"static G=10", "AC3"} {

@@ -21,7 +21,7 @@ func main() {
 	top := topology.Ring(10)
 	cfg := cellnet.PaperBase() // capacity 100, P_HD target 0.01, T_start 1 s
 	cfg.Topology = top
-	cfg.Policy = core.AC3
+	cfg.Admission = core.MustPolicy("AC3")
 	cfg.Mix = traffic.Mix{VoiceRatio: 1.0}
 	cfg.Mobility = &mobility.Linear{Top: top, DiameterKm: 1, Speed: mobility.HighMobility}
 

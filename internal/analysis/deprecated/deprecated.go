@@ -56,14 +56,6 @@ var registry = []registryEntry{
 		pkgPath: "cellqos/internal/core", receiver: "Engine", name: "AddElasticConnection",
 		advice: "use AddConnection(id, ConnSpec{Min: min, Max: max, Prev: prev}, now)",
 	},
-	{
-		pkgPath: "cellqos/internal/core", receiver: "Policy", name: "Admission",
-		advice: "use MustPolicy(name) / PolicyByName(name) and set Config.Admission",
-	},
-	{
-		pkgPath: "cellqos/internal/core", receiver: "Policy", name: "Adaptive",
-		advice: "use MustPolicy(name).Traits().Adaptive",
-	},
 }
 
 func run(pass *analysis.Pass) (any, error) {

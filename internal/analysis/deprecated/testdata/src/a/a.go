@@ -47,16 +47,3 @@ func fineCaller() int {
 func allowEscapeHatch(e *core.Engine, id core.ConnID) {
 	e.AddConnectionWithHint(id, 1, 1, 0, 2) //cellqos:allow deprecated fixture: migration staged in next commit
 }
-
-// enumDispatch reproduces the pre-registry caller shape: resolving and
-// interrogating a Policy enum value directly.
-func enumDispatch(p core.Policy) bool {
-	pol := p.Admission() // want `call to deprecated Policy\.Admission: use MustPolicy\(name\) / PolicyByName\(name\) and set Config\.Admission`
-	_ = pol
-	return p.Adaptive() // want `call to deprecated Policy\.Adaptive: use MustPolicy\(name\)\.Traits\(\)\.Adaptive`
-}
-
-// registryDispatch is the post-fix form and must not be flagged.
-func registryDispatch() bool {
-	return core.MustPolicy("AC3").Traits().Adaptive
-}

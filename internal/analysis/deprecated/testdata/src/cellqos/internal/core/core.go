@@ -38,27 +38,3 @@ func (e *Engine) AddConnectionWithHint(id ConnID, bw int, prev LocalIndex, now f
 func (e *Engine) AddElasticConnection(id ConnID, min, max int, prev LocalIndex, now float64) int {
 	return e.AddConnection(id, ConnSpec{Min: min, Max: max, Prev: prev}, now)
 }
-
-// Policy mirrors the retired admission-policy enum during its
-// grace period.
-type Policy int
-
-// PolicyTraits mirrors the capability flags.
-type PolicyTraits struct{ Adaptive bool }
-
-// AdmissionPolicy mirrors the pluggable interface.
-type AdmissionPolicy interface{ Traits() PolicyTraits }
-
-// Admission resolves the enum to its registered implementation.
-//
-// Deprecated: look the policy up by name with MustPolicy / PolicyByName
-// and set Config.Admission.
-func (p Policy) Admission() AdmissionPolicy { return nil }
-
-// Adaptive reports whether the enum value names an adaptive scheme.
-//
-// Deprecated: use MustPolicy(name).Traits().Adaptive.
-func (p Policy) Adaptive() bool { return false }
-
-// MustPolicy mirrors the registry lookup.
-func MustPolicy(name string) AdmissionPolicy { return nil }

@@ -15,9 +15,9 @@
 //     (AtBarrier hooks) or between runs. Shard.Send is the one legal
 //     cross-shard channel from inside an event.
 //
-// Serial-mode tests that deliberately exploit the single-goroutine
-// guarantee annotate the site with //cellqos:allow shardsafe and a
-// justification.
+// A site that is safe for a reason the analyzer cannot see (a test that
+// asserts the lookahead panic, a literal time chosen against a literal
+// window) carries //cellqos:allow shardsafe and a justification.
 package shardsafe
 
 import (

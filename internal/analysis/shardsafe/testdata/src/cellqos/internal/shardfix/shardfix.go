@@ -87,10 +87,10 @@ func eventDecl(s sim.Scheduler) {
 
 var pinnedKernel *shard.Kernel
 
-// eventExcused documents a serial-mode-only handler with the escape
-// hatch.
+// eventExcused documents a handler that only ever runs on a one-shard
+// kernel with the escape hatch.
 func eventExcused(k *shard.Kernel, sh *shard.Shard) {
 	sh.MustAfter(1, func(s sim.Scheduler) {
-		_ = k.Fired() //cellqos:allow shardsafe fixture: serial-mode single-goroutine read
+		_ = k.Fired() //cellqos:allow shardsafe fixture: one-shard kernel, no other shard mid-window
 	})
 }

@@ -177,7 +177,7 @@ func TestFailf(t *testing.T) {
 func restoredEngine(t *testing.T, lastEvent float64) *core.Engine {
 	t.Helper()
 	cfg := core.Config{
-		Capacity: 100, Degree: 2, Policy: core.AC3, PHDTarget: 0.01, TStart: 1,
+		Capacity: 100, Degree: 2, Admission: core.MustPolicy("AC3"), PHDTarget: 0.01, TStart: 1,
 		Estimation: predict.StationaryConfig(),
 	}
 	src := core.NewEngine(cfg)
@@ -201,7 +201,7 @@ func TestHistoryPassesOnCleanRestore(t *testing.T) {
 	var ck Checker
 	ck.History("cell 0", 100, restoredEngine(t, 90))
 	// An engine without an estimator trivially passes too.
-	ck.History("cell 1", 100, core.NewEngine(core.Config{Capacity: 10, Degree: 1, Policy: core.None}))
+	ck.History("cell 1", 100, core.NewEngine(core.Config{Capacity: 10, Degree: 1, Admission: core.MustPolicy("none")}))
 }
 
 func TestHistoryRejectsFutureClock(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cellqos/internal/audit"
-	"cellqos/internal/core"
 	"cellqos/internal/mobility"
 	"cellqos/internal/wired"
 )
@@ -63,7 +62,7 @@ func anyLiveConn(n *Network) *connection {
 // while the network still tracks it is exactly the class of bug the
 // audit exists for — the next check trips connection-lifecycle.
 func TestAuditCatchesEngineLeak(t *testing.T) {
-	n := warmNetwork(t, scenario(core.AC3, 200, 1.0, mobility.HighMobility, 81))
+	n := warmNetwork(t, scenario("AC3", 200, 1.0, mobility.HighMobility, 81))
 	conn := anyLiveConn(n)
 	n.cells[conn.cell].engine.RemoveConnection(conn.id)
 	v := wantAuditViolation(t, "connection-lifecycle", func() { n.Snapshot() })
@@ -77,22 +76,18 @@ func TestAuditCatchesEngineLeak(t *testing.T) {
 // flight. A connection that vanishes from its engine and its table
 // together leaves every other ledger consistent; only the tallies notice.
 func TestAuditCatchesLifecycleTallyDrift(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		cfg := scenario(core.AC3, 200, 1.0, mobility.HighMobility, 89)
-		cfg.Sharding.Shards = shards
-		n := warmNetwork(t, cfg)
-		conn := anyLiveConn(n)
-		c := n.cells[conn.cell]
-		c.engine.RemoveConnection(conn.id)
-		delete(c.tab.conns, conn.id)
-		wantAuditViolation(t, "handoff-conservation", func() { n.Snapshot() })
-	}
+	n := warmNetwork(t, scenario("AC3", 200, 1.0, mobility.HighMobility, 89))
+	conn := anyLiveConn(n)
+	c := n.cells[conn.cell]
+	c.engine.RemoveConnection(conn.id)
+	delete(c.tab.conns, conn.id)
+	wantAuditViolation(t, "handoff-conservation", func() { n.Snapshot() })
 }
 
 // TestAuditCatchesPledgeCorruption: a pledge not backed by any live
 // connection (the signature of a rollback bug) trips pledge-conservation.
 func TestAuditCatchesPledgeCorruption(t *testing.T) {
-	n := warmNetwork(t, scenario(core.AC3, 200, 1.0, mobility.HighMobility, 82))
+	n := warmNetwork(t, scenario("AC3", 200, 1.0, mobility.HighMobility, 82))
 	if !n.cells[4].engine.Pledge(1) {
 		t.Fatal("seeding pledge failed")
 	}
@@ -105,7 +100,7 @@ func TestAuditCatchesPledgeCorruption(t *testing.T) {
 // TestAuditCatchesCounterCorruption: Blocked running ahead of Requested
 // would print P_CB > 1 in Table 2; the audit refuses to build the Result.
 func TestAuditCatchesCounterCorruption(t *testing.T) {
-	n := warmNetwork(t, scenario(core.AC3, 200, 1.0, mobility.HighMobility, 83))
+	n := warmNetwork(t, scenario("AC3", 200, 1.0, mobility.HighMobility, 83))
 	n.cells[2].counters.Blocked = n.cells[2].counters.Requested + 1
 	wantAuditViolation(t, "counter-consistency", func() { n.Snapshot() })
 }
@@ -113,7 +108,7 @@ func TestAuditCatchesCounterCorruption(t *testing.T) {
 // TestAuditCatchesWiredLeak: an extra backbone reservation with no
 // owning path trips wired-conservation.
 func TestAuditCatchesWiredLeak(t *testing.T) {
-	cfg := scenario(core.AC3, 150, 1.0, mobility.HighMobility, 84)
+	cfg := scenario("AC3", 150, 1.0, mobility.HighMobility, 84)
 	cfg.Backbone = wired.StarOfMSCs(cfg.Topology, 2, 1000, 5000, wired.FullReroute)
 	n := warmNetwork(t, cfg)
 	conn := anyLiveConn(n)
@@ -130,7 +125,7 @@ func TestAuditCatchesWiredLeak(t *testing.T) {
 // is caught by the event-boundary hook during the next slice, not only
 // at Snapshot.
 func TestAuditCatchesMidRunCorruption(t *testing.T) {
-	n := warmNetwork(t, scenario(core.AC3, 200, 1.0, mobility.HighMobility, 85))
+	n := warmNetwork(t, scenario("AC3", 200, 1.0, mobility.HighMobility, 85))
 	if !n.cells[0].engine.Pledge(3) {
 		t.Fatal("seeding pledge failed")
 	}
@@ -140,7 +135,7 @@ func TestAuditCatchesMidRunCorruption(t *testing.T) {
 // TestAuditDoesNotPerturbResults: auditing is read-only — a run with the
 // checker attached produces byte-for-byte the counters of a run without.
 func TestAuditDoesNotPerturbResults(t *testing.T) {
-	audited := scenario(core.AC3, 200, 0.8, mobility.HighMobility, 86)
+	audited := scenario("AC3", 200, 0.8, mobility.HighMobility, 86)
 	plain := audited
 	plain.Audit = nil
 	a := MustNew(audited).Run(1500)
@@ -153,7 +148,7 @@ func TestAuditDoesNotPerturbResults(t *testing.T) {
 // TestAuditSampledStillChecksSnapshot: with sparse event sampling the
 // Snapshot-time check still runs in full and catches corruption.
 func TestAuditSampledStillChecksSnapshot(t *testing.T) {
-	cfg := scenario(core.AC3, 200, 1.0, mobility.HighMobility, 87)
+	cfg := scenario("AC3", 200, 1.0, mobility.HighMobility, 87)
 	cfg.Audit = &audit.Checker{EveryN: 1 << 30} // effectively never at events
 	n := warmNetwork(t, cfg)
 	if !n.cells[1].engine.Pledge(2) {
@@ -169,7 +164,7 @@ func TestAuditSampledStillChecksSnapshot(t *testing.T) {
 // blocked left its pledges held forever. With auditing on, the leak
 // would trip pledge-conservation at the next event.
 func TestMobSpecBackboneBlockRollsBackPledges(t *testing.T) {
-	cfg := scenario(core.MobSpec, 250, 1.0, mobility.HighMobility, 88)
+	cfg := scenario("mob-spec", 250, 1.0, mobility.HighMobility, 88)
 	cfg.MobSpecHorizon = 2
 	// Starved BS uplinks: plenty of wireless room, frequent wired blocks.
 	cfg.Backbone = wired.StarOfMSCs(cfg.Topology, 2, 10, 5000, wired.FullReroute)

@@ -3,12 +3,11 @@ package cellnet
 import (
 	"testing"
 
-	"cellqos/internal/core"
 	"cellqos/internal/mobility"
 )
 
 // benchRun measures end-to-end simulation throughput for a policy.
-func benchRun(b *testing.B, policy core.Policy, load float64) {
+func benchRun(b *testing.B, policy string, load float64) {
 	b.Helper()
 	b.ReportAllocs()
 	var events uint64
@@ -22,17 +21,17 @@ func benchRun(b *testing.B, policy core.Policy, load float64) {
 	b.ReportMetric(float64(events)/float64(b.N), "events/run")
 }
 
-func BenchmarkRunStatic(b *testing.B) { benchRun(b, core.Static, 200) }
-func BenchmarkRunAC1(b *testing.B)    { benchRun(b, core.AC1, 200) }
-func BenchmarkRunAC2(b *testing.B)    { benchRun(b, core.AC2, 200) }
-func BenchmarkRunAC3(b *testing.B)    { benchRun(b, core.AC3, 200) }
+func BenchmarkRunStatic(b *testing.B) { benchRun(b, "static", 200) }
+func BenchmarkRunAC1(b *testing.B)    { benchRun(b, "AC1", 200) }
+func BenchmarkRunAC2(b *testing.B)    { benchRun(b, "AC2", 200) }
+func BenchmarkRunAC3(b *testing.B)    { benchRun(b, "AC3", 200) }
 
-func BenchmarkRunAC3Overloaded(b *testing.B) { benchRun(b, core.AC3, 300) }
+func BenchmarkRunAC3Overloaded(b *testing.B) { benchRun(b, "AC3", 300) }
 
 func BenchmarkRunAC3AllFeatures(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfg := scenario(core.AC3, 250, 0.6, mobility.HighMobility, uint64(i+1))
+		cfg := scenario("AC3", 250, 0.6, mobility.HighMobility, uint64(i+1))
 		cfg.AdaptiveQoS = AdaptiveQoSConfig{Enabled: true, VideoMinBUs: 2}
 		cfg.SoftHandOff = SoftHandOffConfig{Enabled: true, OverlapSeconds: 4}
 		cfg.DirectionHints = true

@@ -23,15 +23,10 @@ type Config struct {
 	Topology *topology.Topology
 	// Capacity is each cell's wireless link capacity in BUs (A6: 100).
 	Capacity int
-	// Policy is the admission-control scheme under test, named by the
-	// legacy enum. Ignored when Admission is non-nil.
-	Policy core.Policy
-	// Admission, when non-nil, selects the admission-control scheme
-	// directly as a core.AdmissionPolicy (typically obtained from
-	// core.PolicyByName). It takes precedence over Policy, which then
-	// only serves old callers and flag spellings.
+	// Admission is the admission-control scheme under test (typically
+	// core.MustPolicy or core.PolicyByName). Required.
 	Admission core.AdmissionPolicy
-	// StaticReserve is G for the Static policy.
+	// StaticReserve is G for the "static" policy.
 	StaticReserve int
 	// PHDTarget is P_HD,target (0.01 in the paper).
 	PHDTarget float64
@@ -43,7 +38,7 @@ type Config struct {
 	Estimation predict.Config
 	// Calendar optionally routes weekday/weekend patterns.
 	Calendar predict.Calendar
-	// ExpDwellMean and ExpDwellWindow parameterize the core.ExpDwell
+	// ExpDwellMean and ExpDwellWindow parameterize the "exp-dwell"
 	// baseline (assumed mean dwell τ and fixed estimation window T).
 	ExpDwellMean   float64
 	ExpDwellWindow float64
@@ -70,7 +65,7 @@ type Config struct {
 	// and the full 4 BUs — cells downgrade them to absorb hand-offs and
 	// upgrade them when bandwidth frees; reservation uses minimum QoS.
 	AdaptiveQoS AdaptiveQoSConfig
-	// MobSpecHorizon sizes the core.MobSpec baseline's mobility
+	// MobSpecHorizon sizes the "mob-spec" baseline's mobility
 	// specification: a new connection pledges its bandwidth in every
 	// cell within this many hops (default 2). Ignored by other policies.
 	MobSpecHorizon int
@@ -112,23 +107,23 @@ type Config struct {
 	TraceCells []topology.CellID
 	// TraceMinGap thins trace series (seconds between kept points).
 	TraceMinGap float64
-	// Sharding partitions one run's cells across event-kernel shards
-	// (internal/sim/shard) for metro-scale runs. The zero value — one
-	// shard, zero latency — is the classic single-heap simulation.
+	// Sharding selects the signaling model and, under delayed signaling,
+	// partitions the run's cells across event-kernel shards
+	// (internal/sim/shard) for metro-scale runs. The zero value — instant
+	// signaling — is the classic single-heap simulation.
 	Sharding ShardingConfig
 }
 
-// ShardingConfig selects the event kernel and the signaling model the
-// one cellnet event pipeline runs under: instant (zero latency, the
-// default) or, with a positive latency, the delayed model that makes
-// genuinely parallel execution deterministic.
+// ShardingConfig selects the signaling model the one cellnet event
+// pipeline runs under, and with it the event kernel: instant (zero
+// latency, the default) on the single-heap sim.Simulator, or, with a
+// positive latency, the delayed model that makes genuinely parallel
+// execution deterministic, on the windowed shard.Kernel.
 type ShardingConfig struct {
-	// Shards is the number of kernel shards; 0 and 1 both mean the
-	// single-heap sim.Simulator. With SignalingLatency == 0, shards > 1
-	// selects the serial (time, shard, seq) merge: cells are
-	// partitioned across per-shard heaps but events still interleave
-	// one at a time, so classic synchronous semantics — and the golden
-	// corpus — are preserved at any shard count.
+	// Shards is the number of kernel shards under delayed signaling (0
+	// means 1). Instant signaling needs one total event order, so it
+	// always runs on the single heap and its results are independent of
+	// this field by construction.
 	Shards int
 	// SignalingLatency, when positive, runs the pipeline under the
 	// delayed (asynchronous) signaling model: every cross-cell
@@ -154,9 +149,10 @@ type ShardingConfig struct {
 // Async reports whether the asynchronous signaling model is selected.
 func (s ShardingConfig) Async() bool { return s.SignalingLatency > 0 }
 
-// NumShards returns the effective shard count (≥ 1).
+// NumShards returns the effective shard count (≥ 1): Shards under
+// delayed signaling, 1 under instant signaling.
 func (s ShardingConfig) NumShards() int {
-	if s.Shards < 1 {
+	if !s.Async() || s.Shards < 1 {
 		return 1
 	}
 	return s.Shards
@@ -310,6 +306,9 @@ func (c Config) Validate() error {
 	if c.Sharding.NumShards() > c.Topology.NumCells() {
 		return fmt.Errorf("cellnet: %d shards for %d cells", c.Sharding.NumShards(), c.Topology.NumCells())
 	}
+	if err := c.engineConfig(0).Validate(); err != nil {
+		return err
+	}
 	if c.Sharding.Async() {
 		// The asynchronous model owns every cross-cell interaction; the
 		// extensions below reach across cells synchronously (multi-hop
@@ -319,7 +318,7 @@ func (c Config) Validate() error {
 		switch {
 		case c.Backbone != nil:
 			return fmt.Errorf("cellnet: wired backbone unsupported with async sharding")
-		case c.admissionTraits().MobSpec:
+		case c.Admission.Traits().MobSpec:
 			return fmt.Errorf("cellnet: mobility-specification policies unsupported with async sharding")
 		case c.SoftHandOff.Enabled:
 			return fmt.Errorf("cellnet: soft hand-off unsupported with async sharding")
@@ -329,24 +328,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("cellnet: SkipDroppedDepartures unsupported with async sharding")
 		}
 	}
-	engCfg := c.engineConfig(0)
-	return engCfg.Validate()
-}
-
-// admissionPolicy resolves the scheme under test: the explicit Admission
-// value when set, the legacy Policy enum otherwise. May return nil for an
-// invalid enum; Validate rejects such configs before any engine is built.
-func (c Config) admissionPolicy() core.AdmissionPolicy {
-	return core.ResolvePolicy(c.Admission, c.Policy)
-}
-
-// admissionTraits returns the resolved policy's behavioral traits, or the
-// zero traits when the config names no valid policy.
-func (c Config) admissionTraits() core.PolicyTraits {
-	if pol := c.admissionPolicy(); pol != nil {
-		return pol.Traits()
-	}
-	return core.PolicyTraits{}
+	return nil
 }
 
 // engineConfig derives the per-cell engine configuration.
@@ -354,7 +336,6 @@ func (c Config) engineConfig(id topology.CellID) core.Config {
 	return core.Config{
 		Capacity:       c.Capacity,
 		Degree:         c.Topology.Degree(id),
-		Policy:         c.Policy,
 		Admission:      c.Admission,
 		StaticReserve:  c.StaticReserve,
 		PHDTarget:      c.PHDTarget,

@@ -85,22 +85,20 @@ type connection struct {
 // between Networks is the mutable Backbone pointer, which New claims via
 // wired.Backbone.Attach.
 //
-// With Config.Sharding the cells are partitioned across the shards of an
-// internal/sim/shard kernel. At zero signaling latency the shards merge
-// serially — same semantics, same goldens. At positive latency the same
-// event pipeline runs under the delayed signaling model (see
-// network_async.go) and the shards execute concurrently; each shard then
-// only ever touches the cells and connections it owns, and
-// Run/RunUntil/Snapshot remain single-goroutine entry points.
+// With a positive Config.Sharding.SignalingLatency the same event
+// pipeline runs under the delayed signaling model (see network_async.go):
+// the cells are partitioned across the shards of an internal/sim/shard
+// kernel and the shards execute concurrently; each shard then only ever
+// touches the cells and connections it owns, and Run/RunUntil/Snapshot
+// remain single-goroutine entry points.
 type Network struct {
 	cfg    Config
 	traits core.PolicyTraits // resolved admission-policy traits
 	kernel sim.Kernel
-	shk    *shard.Kernel       // non-nil when Sharding selects the sharded kernel
+	shk    *shard.Kernel       // non-nil under delayed signaling
 	part   *topology.Partition // cell→shard ownership (nil with the single-heap kernel)
 	// tables are the connection ownership tables: one per kernel shard
-	// under delayed signaling, a single one for the whole run otherwise
-	// (serial execution makes sharing it across shards safe).
+	// under delayed signaling, a single one for the whole run otherwise.
 	tables []*shardState
 	rng    *rand.Rand // shared stream (nil under delayed signaling)
 	cells  []*cell
@@ -133,9 +131,9 @@ type Network struct {
 }
 
 // now returns the kernel clock, for the entry points that run between
-// events (Snapshot, ResetStats, Now). Event code reads its cell's shard
-// clock instead: the same value in the single heap and the serial merge,
-// the only valid one while shards execute concurrently.
+// events (Snapshot, ResetStats, Now). Event code reads its cell's
+// scheduler clock instead: the same value in the single heap, the only
+// valid one while shards execute concurrently.
 func (n *Network) now() float64 { return n.kernel.Now() }
 
 // New builds a network from a validated config.
@@ -148,7 +146,7 @@ func New(cfg Config) (*Network, error) {
 			return nil, err
 		}
 	}
-	n := &Network{cfg: cfg, traits: cfg.admissionTraits()}
+	n := &Network{cfg: cfg, traits: cfg.Admission.Traits()}
 	async := cfg.Sharding.Async()
 	if !async {
 		n.rng = rand.New(rand.NewPCG(cfg.Seed, 0x9e3779b97f4a7c15))
@@ -156,13 +154,12 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Faults.Enabled {
 		n.faultRng = rand.New(rand.NewPCG(cfg.Seed, 0xfa17_fa17_fa17_fa17))
 	}
-	// Pick the event kernel. One shard at zero latency keeps the classic
-	// single-heap Simulator; otherwise the cells are partitioned across a
-	// sharded kernel — merged serially at zero latency (same semantics),
-	// windowed in parallel under the delayed signaling model.
+	// Pick the event kernel from the signaling model alone: instant
+	// signaling needs one total order (the single-heap Simulator);
+	// delayed signaling partitions the cells across the windowed kernel.
 	nshards := cfg.Sharding.NumShards()
 	var single *sim.Simulator
-	if nshards == 1 && !async {
+	if !async {
 		single = sim.New()
 		n.kernel = single
 	} else {
@@ -170,11 +167,7 @@ func New(cfg Config) (*Network, error) {
 		n.shk = shard.New(shard.Config{Shards: nshards, Lookahead: cfg.Sharding.SignalingLatency})
 		n.kernel = n.shk
 	}
-	ntables := 1
-	if async {
-		ntables = nshards
-	}
-	n.tables = make([]*shardState, ntables)
+	n.tables = make([]*shardState, nshards)
 	for s := range n.tables {
 		n.tables[s] = &shardState{idx: s, conns: make(map[core.ConnID]*connection)}
 	}
@@ -183,17 +176,14 @@ func New(cfg Config) (*Network, error) {
 	for i := 0; i < num; i++ {
 		id := topology.CellID(i)
 		c := &cell{id: id, engine: core.NewEngine(cfg.engineConfig(id))}
-		if single != nil {
-			c.sched = single
-		} else {
-			c.sched = n.shk.Shard(n.part.ShardOf(id))
-		}
 		if async {
+			c.sched = n.shk.Shard(n.part.ShardOf(id))
 			c.tab = n.tables[n.part.ShardOf(id)]
 			c.peers = &mirrorPeers{c: c}
 			c.rng = rand.New(rand.NewPCG(cfg.Seed, cellStream(id)))
 			c.mirror = make([]mirrorEntry, cfg.Topology.Degree(id)+1)
 		} else {
+			c.sched = single
 			c.tab = n.tables[0]
 			c.peers = &memPeers{n: n, c: c}
 			c.rng = n.rng
@@ -242,9 +232,9 @@ func New(cfg Config) (*Network, error) {
 			// Invariant auditing at event boundaries: every event's state
 			// mutations are complete when the hook fires, so any ledger
 			// drift is pinned to the event that introduced it.
-			n.kernel.AfterEvent(func() {
-				if cfg.Audit.Sample(n.kernel.Fired()) {
-					n.auditNow(n.now())
+			single.AfterEvent(func() {
+				if cfg.Audit.Sample(single.Fired()) {
+					n.auditNow(single.Now())
 				}
 			})
 		}
@@ -253,8 +243,8 @@ func New(cfg Config) (*Network, error) {
 }
 
 // scheduleSweep books the recurring §3.1 cache-deletion pass over one
-// table's cells, on the kernel shard of its first cell: all of them under
-// serial execution, one shard's own cells when shards run concurrently.
+// table's cells, on the scheduler of its first cell: every cell on the
+// single heap, one shard's own cells when shards run concurrently.
 func (n *Network) scheduleSweep(st *shardState, period float64) {
 	sched := st.cells[0].sched
 	sched.MustAfter(period, func(sim.Scheduler) {

@@ -1,6 +1,7 @@
 package cellnet
 
 import (
+	"strings"
 	"testing"
 
 	"cellqos/internal/audit"
@@ -18,11 +19,11 @@ import (
 var testAudit = &audit.Checker{EveryN: 32}
 
 // scenario builds a paper-style 10-cell ring config.
-func scenario(policy core.Policy, load, rvo float64, sr mobility.SpeedRange, seed uint64) Config {
+func scenario(policy string, load, rvo float64, sr mobility.SpeedRange, seed uint64) Config {
 	top := topology.Ring(10)
 	cfg := PaperBase()
 	cfg.Topology = top
-	cfg.Policy = policy
+	cfg.Admission = core.MustPolicy(policy)
 	cfg.Mix = traffic.Mix{VoiceRatio: rvo}
 	cfg.Mobility = &mobility.Linear{Top: top, DiameterKm: 1, Speed: sr}
 	cfg.Schedule = traffic.Constant{
@@ -35,7 +36,7 @@ func scenario(policy core.Policy, load, rvo float64, sr mobility.SpeedRange, see
 }
 
 func TestSmokeRunAC3(t *testing.T) {
-	n := MustNew(scenario(core.AC3, 150, 1.0, mobility.HighMobility, 1))
+	n := MustNew(scenario("AC3", 150, 1.0, mobility.HighMobility, 1))
 	res := n.Run(2000)
 	if res.Total.Requested == 0 {
 		t.Fatal("no connection requests generated")
@@ -57,7 +58,7 @@ func TestSmokeRunAC3(t *testing.T) {
 }
 
 func TestConnectionConservation(t *testing.T) {
-	n := MustNew(scenario(core.AC3, 200, 0.8, mobility.HighMobility, 2))
+	n := MustNew(scenario("AC3", 200, 0.8, mobility.HighMobility, 2))
 	res := n.Run(3000)
 	admitted := res.Total.Requested - res.Total.Blocked
 	accounted := res.Total.Completed + res.Total.Dropped + res.Total.Exited + uint64(n.ActiveConnections())
@@ -72,22 +73,22 @@ func TestConnectionConservation(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a := MustNew(scenario(core.AC3, 150, 0.8, mobility.HighMobility, 7)).Run(1500)
-	b := MustNew(scenario(core.AC3, 150, 0.8, mobility.HighMobility, 7)).Run(1500)
+	a := MustNew(scenario("AC3", 150, 0.8, mobility.HighMobility, 7)).Run(1500)
+	b := MustNew(scenario("AC3", 150, 0.8, mobility.HighMobility, 7)).Run(1500)
 	if a.Total != b.Total {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", a.Total, b.Total)
 	}
 	if a.PCB != b.PCB || a.PHD != b.PHD || a.NCalc != b.NCalc {
 		t.Fatal("same seed produced different probabilities")
 	}
-	c := MustNew(scenario(core.AC3, 150, 0.8, mobility.HighMobility, 8)).Run(1500)
+	c := MustNew(scenario("AC3", 150, 0.8, mobility.HighMobility, 8)).Run(1500)
 	if a.Total == c.Total {
 		t.Fatal("different seeds produced identical totals (suspicious)")
 	}
 }
 
 func TestZeroLoadProducesNothing(t *testing.T) {
-	cfg := scenario(core.AC3, 0, 1.0, mobility.HighMobility, 3)
+	cfg := scenario("AC3", 0, 1.0, mobility.HighMobility, 3)
 	n := MustNew(cfg)
 	res := n.Run(1000)
 	if res.Total.Requested != 0 || res.Total.HandOffs != 0 {
@@ -96,7 +97,7 @@ func TestZeroLoadProducesNothing(t *testing.T) {
 }
 
 func TestStationaryMobilesNeverHandOff(t *testing.T) {
-	cfg := scenario(core.AC3, 100, 1.0, mobility.HighMobility, 4)
+	cfg := scenario("AC3", 100, 1.0, mobility.HighMobility, 4)
 	cfg.Mobility = mobility.Stationary{}
 	n := MustNew(cfg)
 	res := n.Run(2000)
@@ -114,7 +115,7 @@ func TestStationaryMobilesNeverHandOff(t *testing.T) {
 }
 
 func TestOverloadBlocks(t *testing.T) {
-	n := MustNew(scenario(core.AC3, 300, 1.0, mobility.HighMobility, 5))
+	n := MustNew(scenario("AC3", 300, 1.0, mobility.HighMobility, 5))
 	res := n.Run(2000)
 	if res.PCB < 0.3 {
 		t.Fatalf("PCB at load 300 = %v, expected heavy blocking", res.PCB)
@@ -127,7 +128,7 @@ func TestOverloadBlocks(t *testing.T) {
 }
 
 func TestAC3MeetsTargetUnderOverload(t *testing.T) {
-	n := MustNew(scenario(core.AC3, 300, 1.0, mobility.HighMobility, 6))
+	n := MustNew(scenario("AC3", 300, 1.0, mobility.HighMobility, 6))
 	res := n.Run(4000)
 	// The paper's design goal: P_HD ≤ 0.01 (we allow measurement noise
 	// headroom on a short run; the full experiments use long runs).
@@ -141,7 +142,7 @@ func TestAC3MeetsTargetUnderOverload(t *testing.T) {
 
 func TestStaticUnderReservesForVideo(t *testing.T) {
 	// Paper Fig. 7: G=10 violates the target for R_vo = 0.5 under load.
-	cfg := scenario(core.Static, 300, 0.5, mobility.HighMobility, 7)
+	cfg := scenario("static", 300, 0.5, mobility.HighMobility, 7)
 	cfg.StaticReserve = 10
 	res := MustNew(cfg).Run(4000)
 	if res.PHD <= 0.01 {
@@ -150,9 +151,9 @@ func TestStaticUnderReservesForVideo(t *testing.T) {
 }
 
 func TestStaticZeroEqualsNone(t *testing.T) {
-	cfgS := scenario(core.Static, 200, 1.0, mobility.HighMobility, 8)
+	cfgS := scenario("static", 200, 1.0, mobility.HighMobility, 8)
 	cfgS.StaticReserve = 0
-	cfgN := scenario(core.None, 200, 1.0, mobility.HighMobility, 8)
+	cfgN := scenario("none", 200, 1.0, mobility.HighMobility, 8)
 	a := MustNew(cfgS).Run(1500)
 	b := MustNew(cfgN).Run(1500)
 	if a.Total != b.Total {
@@ -164,12 +165,12 @@ func TestNCalcPerPolicy(t *testing.T) {
 	// AC1 always performs exactly 1 B_r calculation per admission test;
 	// AC2 exactly 3 on a ring (2 neighbors + self); AC3 in [1, 3].
 	for _, tc := range []struct {
-		policy   core.Policy
+		policy   string
 		min, max float64
 	}{
-		{core.AC1, 1, 1},
-		{core.AC2, 3, 3},
-		{core.AC3, 1, 3},
+		{"AC1", 1, 1},
+		{"AC2", 3, 3},
+		{"AC3", 1, 3},
 	} {
 		n := MustNew(scenario(tc.policy, 200, 1.0, mobility.HighMobility, 9))
 		res := n.Run(1000)
@@ -180,8 +181,8 @@ func TestNCalcPerPolicy(t *testing.T) {
 }
 
 func TestAC3NCalcRisesWithLoad(t *testing.T) {
-	lo := MustNew(scenario(core.AC3, 60, 1.0, mobility.HighMobility, 10)).Run(2000)
-	hi := MustNew(scenario(core.AC3, 300, 1.0, mobility.HighMobility, 10)).Run(2000)
+	lo := MustNew(scenario("AC3", 60, 1.0, mobility.HighMobility, 10)).Run(2000)
+	hi := MustNew(scenario("AC3", 300, 1.0, mobility.HighMobility, 10)).Run(2000)
 	if !(hi.NCalc > lo.NCalc) {
 		t.Fatalf("AC3 NCalc low-load %v !< high-load %v (Fig. 13 shape)", lo.NCalc, hi.NCalc)
 	}
@@ -191,7 +192,7 @@ func TestAC3NCalcRisesWithLoad(t *testing.T) {
 }
 
 func TestTracesRecorded(t *testing.T) {
-	cfg := scenario(core.AC3, 300, 1.0, mobility.HighMobility, 11)
+	cfg := scenario("AC3", 300, 1.0, mobility.HighMobility, 11)
 	cfg.TraceCells = []topology.CellID{4, 5}
 	n := MustNew(cfg)
 	res := n.Run(1500)
@@ -210,7 +211,7 @@ func TestTracesRecorded(t *testing.T) {
 }
 
 func TestRetriesIncreaseActualLoad(t *testing.T) {
-	base := scenario(core.AC3, 300, 1.0, mobility.HighMobility, 12)
+	base := scenario("AC3", 300, 1.0, mobility.HighMobility, 12)
 	with := base
 	with.Retry = traffic.PaperRetry
 	a := MustNew(base).Run(1500)
@@ -221,7 +222,7 @@ func TestRetriesIncreaseActualLoad(t *testing.T) {
 }
 
 func TestResetStatsKeepsConnections(t *testing.T) {
-	n := MustNew(scenario(core.AC3, 150, 1.0, mobility.HighMobility, 13))
+	n := MustNew(scenario("AC3", 150, 1.0, mobility.HighMobility, 13))
 	n.Run(1000)
 	active := n.ActiveConnections()
 	if active == 0 {
@@ -247,7 +248,7 @@ func TestResetStatsKeepsConnections(t *testing.T) {
 // mixing a measured-span Total with whole-run SoftSaved/PeerFaults would
 // be inconsistent.
 func TestResetStatsClearsSoftAndFaultTallies(t *testing.T) {
-	cfg := scenario(core.AC3, 300, 1.0, mobility.HighMobility, 14)
+	cfg := scenario("AC3", 300, 1.0, mobility.HighMobility, 14)
 	cfg.SoftHandOff = SoftHandOffConfig{Enabled: true, OverlapSeconds: 1}
 	cfg.Faults = FaultConfig{Enabled: true, Drop: 0.2}
 	n := MustNew(cfg)
@@ -278,7 +279,7 @@ func TestForwardOnlyLineBorderCell(t *testing.T) {
 	top := topology.Line(10)
 	cfg := PaperBase()
 	cfg.Topology = top
-	cfg.Policy = core.AC3
+	cfg.Admission = core.MustPolicy("AC3")
 	cfg.Mix = traffic.Mix{VoiceRatio: 1}
 	cfg.Mobility = &mobility.Linear{Top: top, DiameterKm: 1, Speed: mobility.HighMobility, Direction: mobility.ForwardOnly}
 	cfg.Schedule = traffic.Constant{Lambda: traffic.RateForLoad(200, cfg.Mix, cfg.MeanLifetime), MinKmh: 80, MaxKmh: 120}
@@ -300,7 +301,7 @@ func TestForwardOnlyLineBorderCell(t *testing.T) {
 }
 
 func TestHourlyBucketsSumToTotals(t *testing.T) {
-	n := MustNew(scenario(core.AC3, 150, 0.8, mobility.LowMobility, 15))
+	n := MustNew(scenario("AC3", 150, 0.8, mobility.LowMobility, 15))
 	res := n.Run(3 * 3600)
 	var req, blk, ho, dr uint64
 	for _, h := range res.Hourly {
@@ -319,7 +320,7 @@ func TestHexNetworkRuns(t *testing.T) {
 	top := topology.Hex(4, 4, true)
 	cfg := PaperBase()
 	cfg.Topology = top
-	cfg.Policy = core.AC3
+	cfg.Admission = core.MustPolicy("AC3")
 	cfg.Mix = traffic.Mix{VoiceRatio: 0.8}
 	cfg.Mobility = &mobility.HexWalk{Top: top, DiameterKm: 1, Speed: mobility.HighMobility, Persistence: 0.8}
 	cfg.Schedule = traffic.Constant{Lambda: traffic.RateForLoad(150, cfg.Mix, cfg.MeanLifetime), MinKmh: 80, MaxKmh: 120}
@@ -338,7 +339,7 @@ func TestTimeVaryingScheduleRuns(t *testing.T) {
 	top := topology.Ring(10)
 	cfg := PaperBase()
 	cfg.Topology = top
-	cfg.Policy = core.AC3
+	cfg.Admission = core.MustPolicy("AC3")
 	cfg.Estimation = predict.DailyConfig()
 	cfg.Mix = traffic.Mix{VoiceRatio: 1}
 	cfg.Mobility = &mobility.Linear{Top: top, DiameterKm: 1, Speed: mobility.HighMobility}
@@ -362,7 +363,7 @@ func TestTimeVaryingScheduleRuns(t *testing.T) {
 // per-cell capacity, connection conservation, and hand-off/drop
 // accounting consistency.
 func TestPropertyRunInvariants(t *testing.T) {
-	policies := []core.Policy{core.AC1, core.AC2, core.AC3, core.Static, core.None}
+	policies := []string{"AC1", "AC2", "AC3", "static", "none"}
 	for seed := uint64(1); seed <= 5; seed++ {
 		policy := policies[int(seed)%len(policies)]
 		rvo := []float64{1.0, 0.8, 0.5}[int(seed)%3]
@@ -396,7 +397,7 @@ func TestPropertyRunInvariants(t *testing.T) {
 			if c.Br < 0 {
 				t.Fatalf("seed %d: negative Br %v", seed, c.Br)
 			}
-			if core.MustPolicy(policy.String()).Traits().Adaptive && c.Test < 1 {
+			if core.MustPolicy(policy).Traits().Adaptive && c.Test < 1 {
 				t.Fatalf("seed %d: Test %v below floor", seed, c.Test)
 			}
 		}
@@ -406,7 +407,7 @@ func TestPropertyRunInvariants(t *testing.T) {
 func TestBackboneIntegration(t *testing.T) {
 	// Ample backbone: behaves like the wireless-only run, but every live
 	// connection holds a wired path; on teardown nothing leaks.
-	cfg := scenario(core.AC3, 150, 1.0, mobility.HighMobility, 31)
+	cfg := scenario("AC3", 150, 1.0, mobility.HighMobility, 31)
 	cfg.Backbone = wired.StarOfMSCs(cfg.Topology, 2, 1000, 5000, wired.FullReroute)
 	n := MustNew(cfg)
 	res := n.Run(1500)
@@ -429,7 +430,7 @@ func TestBackboneIntegration(t *testing.T) {
 func TestBackboneConstrainedBlocksAndDrops(t *testing.T) {
 	// A starved backbone becomes the bottleneck: wired blocks and wired
 	// drops appear, and conservation still holds.
-	cfg := scenario(core.None, 200, 1.0, mobility.HighMobility, 32)
+	cfg := scenario("none", 200, 1.0, mobility.HighMobility, 32)
 	cfg.Backbone = wired.StarOfMSCs(cfg.Topology, 2, 40, 100, wired.FullReroute)
 	n := MustNew(cfg)
 	res := n.Run(1500)
@@ -459,7 +460,7 @@ func TestBackboneConstrainedBlocksAndDrops(t *testing.T) {
 }
 
 func TestBackboneAnchorExtend(t *testing.T) {
-	cfg := scenario(core.AC3, 100, 1.0, mobility.HighMobility, 33)
+	cfg := scenario("AC3", 100, 1.0, mobility.HighMobility, 33)
 	cfg.Backbone = wired.MeshOfBSs(cfg.Topology, 2000, 2000, wired.AnchorExtend)
 	n := MustNew(cfg)
 	res := n.Run(1000)
@@ -478,7 +479,7 @@ func TestBackboneAnchorExtend(t *testing.T) {
 }
 
 func TestBackboneCellCountValidation(t *testing.T) {
-	cfg := scenario(core.AC3, 100, 1.0, mobility.HighMobility, 34)
+	cfg := scenario("AC3", 100, 1.0, mobility.HighMobility, 34)
 	cfg.Backbone = wired.StarOfMSCs(topology.Ring(4), 1, 100, 100, wired.FullReroute)
 	if cfg.Validate() == nil {
 		t.Fatal("undersized backbone accepted")
@@ -488,7 +489,7 @@ func TestBackboneCellCountValidation(t *testing.T) {
 func TestDirectionHintsRun(t *testing.T) {
 	// §7 extension smoke test: with route-guidance hints enabled the
 	// system still meets the target and remains conservation-consistent.
-	cfg := scenario(core.AC3, 200, 1.0, mobility.HighMobility, 21)
+	cfg := scenario("AC3", 200, 1.0, mobility.HighMobility, 21)
 	cfg.DirectionHints = true
 	n := MustNew(cfg)
 	res := n.Run(2500)
@@ -511,11 +512,11 @@ func TestMobSpecBaseline(t *testing.T) {
 	// at the price of heavy blocking (the paper's "usually excessive"
 	// critique). Partial specs are exercised by the baseline-mobspec
 	// experiment and fail in both directions.
-	spec := scenario(core.MobSpec, 200, 1.0, mobility.HighMobility, 51)
+	spec := scenario("mob-spec", 200, 1.0, mobility.HighMobility, 51)
 	spec.MobSpecHorizon = 5
 	ns := MustNew(spec)
 	rs := ns.Run(2500)
-	ac3 := MustNew(scenario(core.AC3, 200, 1.0, mobility.HighMobility, 51)).Run(2500)
+	ac3 := MustNew(scenario("AC3", 200, 1.0, mobility.HighMobility, 51)).Run(2500)
 
 	if rs.PHD != 0 {
 		t.Fatalf("full-spec MobSpec PHD = %v, want exactly 0", rs.PHD)
@@ -540,7 +541,7 @@ func TestMobSpecBaseline(t *testing.T) {
 }
 
 func TestMobSpecPledgesReleasedOnDrain(t *testing.T) {
-	cfg := scenario(core.MobSpec, 150, 1.0, mobility.HighMobility, 52)
+	cfg := scenario("mob-spec", 150, 1.0, mobility.HighMobility, 52)
 	cfg.MobSpecHorizon = 2
 	n := MustNew(cfg)
 	n.Run(800)
@@ -560,7 +561,7 @@ func TestMobSpecPledgesReleasedOnDrain(t *testing.T) {
 func TestAdaptiveQoSAbsorbsHandOffs(t *testing.T) {
 	// §1 integration: degradable video slashes drops and blocking at the
 	// cost of reduced quality under load.
-	base := scenario(core.AC3, 300, 0.5, mobility.HighMobility, 61)
+	base := scenario("AC3", 300, 0.5, mobility.HighMobility, 61)
 	adaptive := base
 	adaptive.AdaptiveQoS = AdaptiveQoSConfig{Enabled: true, VideoMinBUs: 1}
 	a := MustNew(base).Run(2500)
@@ -596,8 +597,8 @@ func TestAdaptiveQoSAbsorbsHandOffs(t *testing.T) {
 func TestAdaptiveQoSDisabledUnchanged(t *testing.T) {
 	// The elastic plumbing must not disturb rigid runs: with adaptive
 	// QoS off, results equal the pre-feature behavior deterministically.
-	a := MustNew(scenario(core.AC3, 150, 0.8, mobility.HighMobility, 62)).Run(1200)
-	cfg := scenario(core.AC3, 150, 0.8, mobility.HighMobility, 62)
+	a := MustNew(scenario("AC3", 150, 0.8, mobility.HighMobility, 62)).Run(1200)
+	cfg := scenario("AC3", 150, 0.8, mobility.HighMobility, 62)
 	cfg.AdaptiveQoS = AdaptiveQoSConfig{} // explicitly zero
 	b := MustNew(cfg).Run(1200)
 	if a.Total != b.Total {
@@ -609,7 +610,7 @@ func TestAdaptiveQoSDisabledUnchanged(t *testing.T) {
 }
 
 func TestAdaptiveQoSValidation(t *testing.T) {
-	cfg := scenario(core.AC3, 100, 0.5, mobility.HighMobility, 63)
+	cfg := scenario("AC3", 100, 0.5, mobility.HighMobility, 63)
 	cfg.AdaptiveQoS = AdaptiveQoSConfig{Enabled: true, VideoMinBUs: 0}
 	if cfg.Validate() == nil {
 		t.Fatal("VideoMinBUs=0 accepted")
@@ -623,7 +624,7 @@ func TestAdaptiveQoSValidation(t *testing.T) {
 func TestSoftHandOffReducesDrops(t *testing.T) {
 	// §7 CDMA extension: an overlap window converts some would-be drops
 	// into deferred completions, so P_HD falls for the same workload.
-	base := scenario(core.None, 300, 1.0, mobility.HighMobility, 41)
+	base := scenario("none", 300, 1.0, mobility.HighMobility, 41)
 	soft := base
 	soft.SoftHandOff = SoftHandOffConfig{Enabled: true, OverlapSeconds: 5}
 	a := MustNew(base).Run(2500)
@@ -650,7 +651,7 @@ func TestSoftHandOffReducesDrops(t *testing.T) {
 }
 
 func TestSoftHandOffValidation(t *testing.T) {
-	cfg := scenario(core.AC3, 100, 1.0, mobility.HighMobility, 42)
+	cfg := scenario("AC3", 100, 1.0, mobility.HighMobility, 42)
 	cfg.SoftHandOff = SoftHandOffConfig{Enabled: true, OverlapSeconds: 0}
 	if cfg.Validate() == nil {
 		t.Fatal("zero overlap accepted")
@@ -658,7 +659,7 @@ func TestSoftHandOffValidation(t *testing.T) {
 }
 
 func TestSoftCapacityMarginAdmitsMoreHandOffs(t *testing.T) {
-	base := scenario(core.None, 300, 0.5, mobility.HighMobility, 43)
+	base := scenario("none", 300, 0.5, mobility.HighMobility, 43)
 	margin := base
 	margin.HandOffMargin = 8
 	a := MustNew(base).Run(2000)
@@ -679,7 +680,7 @@ func TestDailySweepKeepsCacheBounded(t *testing.T) {
 	top := topology.Ring(5)
 	cfg := PaperBase()
 	cfg.Topology = top
-	cfg.Policy = core.AC3
+	cfg.Admission = core.MustPolicy("AC3")
 	// A compressed "day" keeps the test fast: windows of ±600 s repeating
 	// every 7200 s, so the horizon (1·7200 + 600) passes within the run.
 	cfg.Estimation = predict.Config{
@@ -711,7 +712,7 @@ func TestEverythingEnabledInteraction(t *testing.T) {
 	top := topology.Ring(10)
 	cfg := PaperBase()
 	cfg.Topology = top
-	cfg.Policy = core.AC3
+	cfg.Admission = core.MustPolicy("AC3")
 	cfg.Estimation = predict.DailyConfig()
 	cfg.Mix = traffic.Mix{VoiceRatio: 0.6}
 	cfg.Mobility = &mobility.Linear{Top: top, DiameterKm: 1, Speed: mobility.HighMobility}
@@ -756,7 +757,7 @@ func TestEverythingEnabledInteraction(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	good := scenario(core.AC3, 100, 1.0, mobility.HighMobility, 1)
+	good := scenario("AC3", 100, 1.0, mobility.HighMobility, 1)
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
@@ -784,5 +785,21 @@ func TestConfigValidation(t *testing.T) {
 	bad.TraceCells = []topology.CellID{99}
 	if bad.Validate() == nil {
 		t.Fatal("out-of-range trace cell accepted")
+	}
+	// No default scheme, under either signaling model: the error lists
+	// the names a config could have chosen.
+	for _, latency := range []float64{0, 0.5} {
+		bad = good
+		bad.Admission = nil
+		bad.Sharding.SignalingLatency = latency
+		err := bad.Validate()
+		if err == nil {
+			t.Fatalf("nil Admission accepted (latency %v)", latency)
+		}
+		for _, name := range core.PolicyNames() {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("nil-Admission error %q does not list %q", err, name)
+			}
+		}
 	}
 }

@@ -7,14 +7,15 @@ import (
 
 	"cellqos/internal/core"
 	"cellqos/internal/mobility"
+	"cellqos/internal/sim"
 	"cellqos/internal/topology"
 	"cellqos/internal/wired"
 )
 
-// shardedScenario is scenario() with the kernel sharded. latency == 0 is
-// the compat mode (serial merge, legacy RNG); latency > 0 the async
-// signaling model.
-func shardedScenario(policy core.Policy, shards int, latency float64, seed uint64) Config {
+// shardedScenario is scenario() with a Sharding config: latency > 0
+// selects the async signaling model on the sharded kernel, latency == 0
+// stays on the single heap whatever the shard count.
+func shardedScenario(policy string, shards int, latency float64, seed uint64) Config {
 	cfg := scenario(policy, 150, 0.8, mobility.HighMobility, seed)
 	cfg.Sharding = ShardingConfig{Shards: shards, SignalingLatency: latency, ExchangePeriod: 5}
 	return cfg
@@ -27,17 +28,18 @@ func stripTraces(r *Result) *Result {
 	return r
 }
 
-// TestCompatShardedMatchesSingleHeap: at zero signaling latency the
-// sharded kernel is a serial merge consuming the shared RNG in global
-// event order, so every statistic must match the single-heap reference
-// byte for byte at any shard count.
-func TestCompatShardedMatchesSingleHeap(t *testing.T) {
-	ref := stripTraces(MustNew(scenario(core.AC3, 150, 0.8, mobility.HighMobility, 7)).Run(1500))
-	for _, shards := range []int{2, 5, 10} {
-		got := stripTraces(MustNew(shardedScenario(core.AC3, shards, 0, 7)).Run(1500))
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("shards=%d diverged from single-heap reference:\n got %+v\nwant %+v", shards, got, ref)
-		}
+// TestInstantSignalingIgnoresShardCount: instant signaling needs one
+// total event order, so a shard count without a signaling latency selects
+// nothing — the run stays on the single heap and every statistic equals
+// the unsharded run's.
+func TestInstantSignalingIgnoresShardCount(t *testing.T) {
+	ref := stripTraces(MustNew(shardedScenario("AC3", 0, 0, 7)).Run(1500))
+	n := MustNew(shardedScenario("AC3", 8, 0, 7))
+	if _, ok := n.kernel.(*sim.Simulator); !ok {
+		t.Fatalf("Shards: 8 at zero latency runs on %T, want *sim.Simulator", n.kernel)
+	}
+	if got := stripTraces(n.Run(1500)); !reflect.DeepEqual(got, ref) {
+		t.Fatalf("Shards: 8 at zero latency diverged from Shards: 0:\n got %+v\nwant %+v", got, ref)
 	}
 }
 
@@ -47,12 +49,12 @@ func TestCompatShardedMatchesSingleHeap(t *testing.T) {
 // count produce identical Results, including a repeat run at the same
 // shard count.
 func TestAsyncShardCountInvariance(t *testing.T) {
-	ref := stripTraces(MustNew(shardedScenario(core.AC3, 1, 0.5, 7)).Run(1500))
+	ref := stripTraces(MustNew(shardedScenario("AC3", 1, 0.5, 7)).Run(1500))
 	if ref.Total.Requested == 0 || ref.Total.HandOffs == 0 {
 		t.Fatalf("async reference run generated no traffic: %+v", ref.Total)
 	}
 	for _, shards := range []int{1, 2, 3, 5} {
-		got := stripTraces(MustNew(shardedScenario(core.AC3, shards, 0.5, 7)).Run(1500))
+		got := stripTraces(MustNew(shardedScenario("AC3", shards, 0.5, 7)).Run(1500))
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("async shards=%d diverged from 1-shard async run:\n got %+v\nwant %+v", shards, got, ref)
 		}
@@ -63,7 +65,7 @@ func TestAsyncShardCountInvariance(t *testing.T) {
 // accounted for, modulo hand-offs still in flight between shards when
 // the run stops (the barrier audit checks the same law continuously).
 func TestAsyncConservation(t *testing.T) {
-	n := MustNew(shardedScenario(core.AC3, 3, 0.5, 2))
+	n := MustNew(shardedScenario("AC3", 3, 0.5, 2))
 	res := n.Run(2000)
 	admitted := res.Total.Requested - res.Total.Blocked
 	accounted := res.Total.Completed + res.Total.Dropped + res.Total.Exited + uint64(n.ActiveConnections())
@@ -83,7 +85,7 @@ func TestAsyncConservation(t *testing.T) {
 // admission tests must fall back (neighbor state unknown) rather than
 // fail — the degradation counters record that window.
 func TestAsyncWarmupDegradation(t *testing.T) {
-	res := MustNew(shardedScenario(core.AC2, 2, 0.5, 3)).Run(1500)
+	res := MustNew(shardedScenario("AC2", 2, 0.5, 3)).Run(1500)
 	if res.DegradedBrCalcs == 0 {
 		t.Fatal("async warmup produced no degraded B_r calculations; mirror should start cold")
 	}
@@ -96,7 +98,7 @@ func TestAsyncWarmupDegradation(t *testing.T) {
 // that require synchronous cross-cell state cannot run under the async
 // plane.
 func TestAsyncRejectsUnsupportedFeatures(t *testing.T) {
-	base := func() Config { return shardedScenario(core.AC3, 2, 0.5, 1) }
+	base := func() Config { return shardedScenario("AC3", 2, 0.5, 1) }
 	// Each case names the word its rejection must carry, so a reordered
 	// switch cannot pass by rejecting a config for the wrong feature.
 	cases := []struct {
@@ -106,7 +108,7 @@ func TestAsyncRejectsUnsupportedFeatures(t *testing.T) {
 		{"backbone", "backbone", func(c *Config) {
 			c.Backbone = wired.StarOfMSCs(c.Topology, 2, 1000, 5000, wired.FullReroute)
 		}},
-		{"mobspec", "mobility-specification", func(c *Config) { c.Policy = core.MobSpec }},
+		{"mobspec", "mobility-specification", func(c *Config) { c.Admission = core.MustPolicy("mob-spec") }},
 		{"soft", "soft hand-off", func(c *Config) { c.SoftHandOff.Enabled = true; c.SoftHandOff.OverlapSeconds = 1 }},
 		{"faults", "fault injection", func(c *Config) { c.Faults.Enabled = true; c.Faults.Drop = 0.1 }},
 		{"skipdrops", "SkipDroppedDepartures", func(c *Config) { c.SkipDroppedDepartures = true }},
@@ -121,7 +123,7 @@ func TestAsyncRejectsUnsupportedFeatures(t *testing.T) {
 			t.Errorf("%s: rejected for the wrong reason: %v (want mention of %q)", tc.name, err, tc.want)
 		}
 	}
-	// More shards than cells is invalid in any mode.
+	// More shards than cells cannot be partitioned.
 	cfg := base()
 	cfg.Sharding.Shards = 11
 	if _, err := New(cfg); err == nil {
@@ -139,7 +141,7 @@ func TestAsyncRejectsUnsupportedFeatures(t *testing.T) {
 // hand-offs cross row-aligned shard boundaries in both directions.
 func TestPartitionBoundaryRouting(t *testing.T) {
 	top := topology.Hex(6, 6, true)
-	cfg := scenario(core.AC3, 150, 0.8, mobility.HighMobility, 5)
+	cfg := scenario("AC3", 150, 0.8, mobility.HighMobility, 5)
 	cfg.Topology = top
 	cfg.Mobility = &mobility.HexWalk{Top: top, DiameterKm: 1, Speed: mobility.HighMobility, Persistence: 0.8}
 	cfg.Sharding = ShardingConfig{Shards: 3, SignalingLatency: 0.5, ExchangePeriod: 5}

@@ -11,10 +11,10 @@ import (
 func TestScheduleWithoutSpeedsUsesModelRange(t *testing.T) {
 	// A bare Constant{Lambda} (no speed fields) must not freeze mobiles:
 	// the mobility model's own range applies.
-	top := scenario(core.AC3, 0, 1, mobility.HighMobility, 0).Topology
+	top := scenario("AC3", 0, 1, mobility.HighMobility, 0).Topology
 	cfg := PaperBase()
 	cfg.Topology = top
-	cfg.Policy = core.AC3
+	cfg.Admission = core.MustPolicy("AC3")
 	cfg.Mix = traffic.Mix{VoiceRatio: 1}
 	cfg.Mobility = &mobility.Linear{Top: top, DiameterKm: 1, Speed: mobility.HighMobility}
 	cfg.Schedule = traffic.Constant{Lambda: traffic.RateForLoad(150, cfg.Mix, cfg.MeanLifetime)}

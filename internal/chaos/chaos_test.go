@@ -32,7 +32,7 @@ import (
 func engineConfig() core.Config {
 	return core.Config{
 		Capacity:   100,
-		Policy:     core.AC1,
+		Admission:  core.MustPolicy("AC1"),
 		PHDTarget:  0.01,
 		TStart:     1,
 		Estimation: predict.StationaryConfig(),

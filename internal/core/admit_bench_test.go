@@ -89,11 +89,11 @@ func benchAddConn(e *core.Engine, id core.ConnID, bw int, prev topology.LocalInd
 // connections per cell and every estimator loaded with 40 quadruplets
 // for each (prev, next) pair — sojourns spread over [5, 125) so Eq. 4
 // denominators stay populated across the extant-sojourn range.
-func newBenchCluster(pol core.Policy, connsPerCell int) *benchCluster {
+func newBenchCluster(policy string, connsPerCell int) *benchCluster {
 	cfg := core.Config{
 		Capacity:   2*connsPerCell + 64,
 		Degree:     benchDegree,
-		Policy:     pol,
+		Admission:  core.MustPolicy(policy),
 		PHDTarget:  0.01,
 		TStart:     4,
 		Estimation: predict.StationaryConfig(),
@@ -137,7 +137,7 @@ func newBenchCluster(pol core.Policy, connsPerCell int) *benchCluster {
 // allocations to the steady state. cmd/benchjson gates the metric with
 // the other time-based numbers under -check-time.
 func benchmarkAdmitNew(b *testing.B, connsPerCell int) {
-	cl := newBenchCluster(core.AC1, connsPerCell)
+	cl := newBenchCluster("AC1", connsPerCell)
 	now := benchStart
 	nextID := core.ConnID(1) << 40
 	var live [benchCells][]core.ConnID
@@ -186,7 +186,7 @@ func BenchmarkAdmitNew(b *testing.B) {
 // produces. This is the steady-state estimator-query layer, which must
 // run allocation-free.
 func BenchmarkOutgoingReservation(b *testing.B) {
-	cl := newBenchCluster(core.AC1, 256)
+	cl := newBenchCluster("AC1", 256)
 	e := cl.engines[0]
 	b.ReportAllocs()
 	b.ResetTimer()

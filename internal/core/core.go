@@ -14,79 +14,12 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 
 	"cellqos/internal/predict"
 	"cellqos/internal/topology"
 )
-
-// Policy selects the admission-control scheme (paper Table 1).
-type Policy int
-
-const (
-	// AC1 checks only the current cell: admit iff
-	// B_u + b_new ≤ C − B_r, with B_r freshly computed.
-	AC1 Policy = iota
-	// AC2 additionally requires every adjacent cell to recompute its own
-	// B_r and have room to reserve it fully.
-	AC2
-	// AC3 is the hybrid: only adjacent cells that appear unable to
-	// reserve their previous target (B_u,i + B_r,i^prev > C_i) recompute
-	// and participate.
-	AC3
-	// Static reserves a fixed G BUs permanently (the mid-80s guard-
-	// channel baseline the paper compares against).
-	Static
-	// None performs no reservation at all: admit iff B_u + b_new ≤ C.
-	None
-	// MobSpec is a Talukdar/Badrinath/Acharya-style baseline (the paper's
-	// §6, ref. [14]): each admitted connection pledges its bandwidth in
-	// every cell of its declared mobility specification for its whole
-	// lifetime, so its hand-offs can never be dropped inside the spec.
-	// The paper criticizes the approach as "usually excessive"; the
-	// pledge fan-out is orchestrated by the network layer (the engine
-	// contributes the per-cell pledge pool and the admission arithmetic).
-	MobSpec
-	// ExpDwell is a Naghshineh–Schwartz-style baseline (the paper's §6,
-	// ref. [10]): it reserves for expected hand-offs like AC1 but models
-	// mobility analytically instead of from history — every connection's
-	// remaining dwell is assumed exponential with mean ExpDwellMean, and
-	// its direction uniform over the cell's neighbors, over a fixed
-	// estimation window ExpDwellWindow. The paper criticizes exactly
-	// these assumptions (§6): no direction prediction, impractical
-	// exponential sojourns, and no adaptation.
-	ExpDwell
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case AC1:
-		return "AC1"
-	case AC2:
-		return "AC2"
-	case AC3:
-		return "AC3"
-	case Static:
-		return "static"
-	case None:
-		return "none"
-	case MobSpec:
-		return "mob-spec"
-	case ExpDwell:
-		return "exp-dwell"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
-// Adaptive reports whether the policy runs the predictive reservation
-// machinery (estimator + T_est controller).
-//
-// Deprecated: ask the policy itself — Traits().Adaptive on the value
-// from PolicyByName / Config.Admission; the enum survives only as a
-// config shim for one release.
-func (p Policy) Adaptive() bool { return p == AC1 || p == AC2 || p == AC3 }
 
 // ConnID identifies a connection within the whole system.
 type ConnID uint64
@@ -115,12 +48,8 @@ type Config struct {
 	Capacity int
 	// Degree is the number of adjacent cells.
 	Degree int
-	// Policy is the legacy admission-control selector; it is consulted
-	// only when Admission is nil.
-	Policy Policy
-	// Admission is the admission-control scheme as a first-class
-	// implementation (PolicyByName, or a custom AdmissionPolicy). When
-	// nil, the legacy Policy enum value selects the scheme.
+	// Admission is the admission-control scheme: a registry policy
+	// (MustPolicy, PolicyByName) or a custom AdmissionPolicy. Required.
 	Admission AdmissionPolicy
 	// StaticReserve is G, the permanent reservation of the Static policy.
 	StaticReserve int
@@ -162,9 +91,10 @@ type Config struct {
 
 // Validate checks config invariants.
 func (c Config) Validate() error {
-	pol := ResolvePolicy(c.Admission, c.Policy)
+	pol := c.Admission
 	if pol == nil {
-		return fmt.Errorf("core: unknown policy %v", c.Policy)
+		return fmt.Errorf("core: no admission policy set (registered: %s)",
+			strings.Join(PolicyNames(), ", "))
 	}
 	if c.Capacity <= 0 {
 		return fmt.Errorf("core: capacity must be positive, got %d", c.Capacity)
@@ -264,14 +194,25 @@ type Decision struct {
 
 // Engine is the per-cell QoS brain: connection table, hand-off
 // estimator, T_est controller, reservation computation, and admission
-// tests. It is not safe for concurrent use; the owning BS serializes.
+// tests.
+//
+// Concurrency contract: one admission per engine at a time. The owning
+// BS serializes AdmitNew/AdmitNewRequest/AdmitHandOffRequest, and holds
+// that serialization across the AddConnection that commits a positive
+// decision, or two admissions could both pass the test on the same free
+// bandwidth. Config.Lock guards the engine's state against *other*
+// engines' queries (OutgoingReservation, Snapshot-style accessors,
+// RecomputeReservation arriving through Peers) and against the owner's
+// own RecordDeparture/RemoveConnection; it does not make a second
+// concurrent admission safe. Without a Lock the engine is confined to
+// one goroutine.
 type Engine struct {
 	cfg    Config
 	pol    AdmissionPolicy // resolved (and per-cell instantiated) scheme
 	traits PolicyTraits    // pol.Traits(), cached
-	// ctx is the reusable decision context: admission entry points are
-	// serialized by the owning BS, and reuse keeps the hot path
-	// allocation-free despite the interface indirection.
+	// ctx is the reusable decision context: one admission runs at a time
+	// (the Engine contract), and reuse keeps the hot path allocation-free
+	// despite the interface indirection.
 	ctx PolicyContext
 	lk  sync.Locker // optional; see Config.Lock
 	// Connections live in a slice (stable, deterministic iteration order
@@ -314,7 +255,7 @@ func NewEngine(cfg Config) *Engine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	pol := ResolvePolicy(cfg.Admission, cfg.Policy)
+	pol := cfg.Admission
 	if cs, ok := pol.(CellStater); ok {
 		// Per-cell mutable state: this engine dispatches to its own
 		// instance, never the shared registry value.
@@ -913,8 +854,10 @@ func (e *Engine) AdmitNew(now float64, bw int, peers Peers) Decision {
 }
 
 // AdmitNewRequest dispatches a new-call admission to the policy. The
-// decision context is reused across calls (admission entry points are
-// serialized by the owning BS), keeping the hot path allocation-free.
+// decision context is reused across calls, keeping the hot path
+// allocation-free — hence the Engine contract: one admission at a time,
+// serialized by the caller (not by Config.Lock) through the
+// AddConnection that commits a positive decision.
 func (e *Engine) AdmitNewRequest(now float64, req Request, peers Peers) Decision {
 	if req.Bandwidth <= 0 {
 		panic(fmt.Sprintf("core: non-positive bandwidth %d", req.Bandwidth))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"cellqos/internal/predict"
@@ -54,11 +55,11 @@ func (f *fakePeers) MaxSojourn(li topology.LocalIndex, now float64) (float64, bo
 	return f.maxSoj[li], true
 }
 
-func adaptiveConfig(p Policy) Config {
+func adaptiveConfig(policy string) Config {
 	return Config{
 		Capacity:   100,
 		Degree:     2,
-		Policy:     p,
+		Admission:  MustPolicy(policy),
 		PHDTarget:  0.01,
 		TStart:     1,
 		Estimation: predict.StationaryConfig(),
@@ -66,7 +67,7 @@ func adaptiveConfig(p Policy) Config {
 }
 
 func TestEngineBandwidthAccounting(t *testing.T) {
-	e := NewEngine(adaptiveConfig(AC1))
+	e := NewEngine(adaptiveConfig("AC1"))
 	e.AddConnection(1, ConnSpec{Min: 4, Prev: topology.Self}, 0)
 	e.AddConnection(2, ConnSpec{Min: 1, Prev: 1}, 10)
 	if e.UsedBandwidth() != 5 || e.ConnectionCount() != 2 {
@@ -86,7 +87,7 @@ func TestEngineBandwidthAccounting(t *testing.T) {
 }
 
 func TestEngineDuplicateConnPanics(t *testing.T) {
-	e := NewEngine(adaptiveConfig(AC1))
+	e := NewEngine(adaptiveConfig("AC1"))
 	e.AddConnection(1, ConnSpec{Min: 1, Prev: topology.Self}, 0)
 	defer func() {
 		if recover() == nil {
@@ -97,7 +98,7 @@ func TestEngineDuplicateConnPanics(t *testing.T) {
 }
 
 func TestEngineOverCapacityPanics(t *testing.T) {
-	e := NewEngine(adaptiveConfig(AC1))
+	e := NewEngine(adaptiveConfig("AC1"))
 	e.AddConnection(1, ConnSpec{Min: 100, Prev: topology.Self}, 0)
 	defer func() {
 		if recover() == nil {
@@ -108,7 +109,7 @@ func TestEngineOverCapacityPanics(t *testing.T) {
 }
 
 func TestEngineRemoveUnknownPanics(t *testing.T) {
-	e := NewEngine(adaptiveConfig(AC1))
+	e := NewEngine(adaptiveConfig("AC1"))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("RemoveConnection(99) did not panic")
@@ -118,7 +119,7 @@ func TestEngineRemoveUnknownPanics(t *testing.T) {
 }
 
 func TestStaticAdmission(t *testing.T) {
-	cfg := Config{Capacity: 100, Degree: 2, Policy: Static, StaticReserve: 10}
+	cfg := Config{Capacity: 100, Degree: 2, Admission: MustPolicy("static"), StaticReserve: 10}
 	e := NewEngine(cfg)
 	e.AddConnection(1, ConnSpec{Min: 86, Prev: topology.Self}, 0)
 	// 86 + 4 = 90 ≤ 100 − 10: admitted.
@@ -142,7 +143,7 @@ func TestStaticAdmission(t *testing.T) {
 }
 
 func TestNonePolicyAdmission(t *testing.T) {
-	e := NewEngine(Config{Capacity: 10, Degree: 1, Policy: None})
+	e := NewEngine(Config{Capacity: 10, Degree: 1, Admission: MustPolicy("none")})
 	e.AddConnection(1, ConnSpec{Min: 9, Prev: topology.Self}, 0)
 	if d := e.AdmitNew(0, 1, nil); !d.Admitted {
 		t.Fatal("None policy must admit up to capacity")
@@ -153,7 +154,7 @@ func TestNonePolicyAdmission(t *testing.T) {
 }
 
 func TestOutgoingReservationEq5(t *testing.T) {
-	e := NewEngine(adaptiveConfig(AC1))
+	e := NewEngine(adaptiveConfig("AC1"))
 	// History: from prev 1, mobiles hand off to next 2 after 30 s (3
 	// observations) or to next 1 after 60 s (1 observation).
 	for i := 0; i < 3; i++ {
@@ -183,7 +184,7 @@ func TestOutgoingReservationEq5(t *testing.T) {
 }
 
 func TestOutgoingReservationMultipleConnections(t *testing.T) {
-	e := NewEngine(adaptiveConfig(AC1))
+	e := NewEngine(adaptiveConfig("AC1"))
 	e.RecordDeparture(predict.Quadruplet{Event: 0, Prev: topology.Self, Next: 1, Sojourn: 50})
 	e.AddConnection(1, ConnSpec{Min: 1, Prev: topology.Self}, 100) // extSoj 20 at t=120
 	e.AddConnection(2, ConnSpec{Min: 4, Prev: topology.Self}, 110) // extSoj 10 at t=120
@@ -194,7 +195,7 @@ func TestOutgoingReservationMultipleConnections(t *testing.T) {
 }
 
 func TestComputeTargetReservationEq6(t *testing.T) {
-	e := NewEngine(adaptiveConfig(AC1))
+	e := NewEngine(adaptiveConfig("AC1"))
 	p := &fakePeers{outgoing: map[topology.LocalIndex]float64{1: 2.5, 2: 1.5}}
 	br := e.ComputeTargetReservation(0, p)
 	if br != 4 {
@@ -212,7 +213,7 @@ func TestComputeTargetReservationEq6(t *testing.T) {
 }
 
 func TestAC1Admission(t *testing.T) {
-	e := NewEngine(adaptiveConfig(AC1))
+	e := NewEngine(adaptiveConfig("AC1"))
 	e.AddConnection(1, ConnSpec{Min: 90, Prev: topology.Self}, 0)
 	p := &fakePeers{outgoing: map[topology.LocalIndex]float64{1: 3, 2: 3}} // B_r = 6
 	// 90 + 4 = 94 ≤ 100 − 6: admitted, exactly at the boundary.
@@ -227,7 +228,7 @@ func TestAC1Admission(t *testing.T) {
 }
 
 func TestAC2Admission(t *testing.T) {
-	e := NewEngine(adaptiveConfig(AC2))
+	e := NewEngine(adaptiveConfig("AC2"))
 	p := &fakePeers{
 		outgoing: map[topology.LocalIndex]float64{1: 1, 2: 1}, // own B_r = 2
 		used:     map[topology.LocalIndex]int{1: 50, 2: 80},
@@ -252,7 +253,7 @@ func TestAC2Admission(t *testing.T) {
 }
 
 func TestAC3SkipsHealthyNeighbors(t *testing.T) {
-	e := NewEngine(adaptiveConfig(AC3))
+	e := NewEngine(adaptiveConfig("AC3"))
 	p := &fakePeers{
 		outgoing: map[topology.LocalIndex]float64{1: 1, 2: 1},
 		used:     map[topology.LocalIndex]int{1: 50, 2: 80},
@@ -270,7 +271,7 @@ func TestAC3SkipsHealthyNeighbors(t *testing.T) {
 }
 
 func TestAC3RecomputesSuspectNeighbor(t *testing.T) {
-	e := NewEngine(adaptiveConfig(AC3))
+	e := NewEngine(adaptiveConfig("AC3"))
 	p := &fakePeers{
 		outgoing: map[topology.LocalIndex]float64{1: 1, 2: 1},
 		used:     map[topology.LocalIndex]int{1: 50, 2: 95},
@@ -298,7 +299,7 @@ func TestAC3RecomputesSuspectNeighbor(t *testing.T) {
 }
 
 func TestNoteHandOffArrivalDrivesController(t *testing.T) {
-	e := NewEngine(adaptiveConfig(AC1))
+	e := NewEngine(adaptiveConfig("AC1"))
 	p := &fakePeers{maxSoj: map[topology.LocalIndex]float64{1: 40, 2: 70}}
 	e.NoteHandOffArrival(0, true, p)
 	e.NoteHandOffArrival(0, true, p)
@@ -308,7 +309,7 @@ func TestNoteHandOffArrivalDrivesController(t *testing.T) {
 }
 
 func TestNoteHandOffArrivalNoEstimationDataUncapped(t *testing.T) {
-	e := NewEngine(adaptiveConfig(AC1))
+	e := NewEngine(adaptiveConfig("AC1"))
 	p := &fakePeers{maxSoj: map[topology.LocalIndex]float64{1: 0, 2: 0}}
 	for i := 0; i < 10; i++ {
 		e.NoteHandOffArrival(0, true, p)
@@ -319,7 +320,7 @@ func TestNoteHandOffArrivalNoEstimationDataUncapped(t *testing.T) {
 }
 
 func TestNoteHandOffNonAdaptiveNoop(t *testing.T) {
-	e := NewEngine(Config{Capacity: 10, Degree: 1, Policy: Static, StaticReserve: 1})
+	e := NewEngine(Config{Capacity: 10, Degree: 1, Admission: MustPolicy("static"), StaticReserve: 1})
 	e.NoteHandOffArrival(0, true, nil) // must not panic
 	if e.Test() != 0 {
 		t.Fatalf("static Test = %v, want 0", e.Test())
@@ -332,25 +333,36 @@ func TestEngineConfigValidation(t *testing.T) {
 		cfg  Config
 		ok   bool
 	}{
-		{"valid AC3", adaptiveConfig(AC3), true},
-		{"zero capacity", Config{Capacity: 0, Degree: 1, Policy: None}, false},
-		{"zero degree", Config{Capacity: 10, Degree: 0, Policy: None}, false},
-		{"static reserve over capacity", Config{Capacity: 10, Degree: 1, Policy: Static, StaticReserve: 11}, false},
-		{"adaptive bad target", Config{Capacity: 10, Degree: 1, Policy: AC1, PHDTarget: 0, TStart: 1, Estimation: predict.StationaryConfig()}, false},
-		{"adaptive bad estimation", Config{Capacity: 10, Degree: 1, Policy: AC1, PHDTarget: 0.01, TStart: 1, Estimation: predict.Config{}}, false},
-		{"static valid", Config{Capacity: 10, Degree: 1, Policy: Static, StaticReserve: 10}, true},
+		{"valid AC3", adaptiveConfig("AC3"), true},
+		{"zero capacity", Config{Capacity: 0, Degree: 1, Admission: MustPolicy("none")}, false},
+		{"zero degree", Config{Capacity: 10, Degree: 0, Admission: MustPolicy("none")}, false},
+		{"static reserve over capacity", Config{Capacity: 10, Degree: 1, Admission: MustPolicy("static"), StaticReserve: 11}, false},
+		{"adaptive bad target", Config{Capacity: 10, Degree: 1, Admission: MustPolicy("AC1"), PHDTarget: 0, TStart: 1, Estimation: predict.StationaryConfig()}, false},
+		{"adaptive bad estimation", Config{Capacity: 10, Degree: 1, Admission: MustPolicy("AC1"), PHDTarget: 0.01, TStart: 1, Estimation: predict.Config{}}, false},
+		{"static valid", Config{Capacity: 10, Degree: 1, Admission: MustPolicy("static"), StaticReserve: 10}, true},
 	}
 	for _, c := range cases {
 		if err := c.cfg.Validate(); (err == nil) != c.ok {
 			t.Errorf("%s: Validate = %v, want ok=%v", c.name, err, c.ok)
 		}
 	}
+	// No default scheme: a config that names none is rejected, and the
+	// error lists what it could have named.
+	err := Config{Capacity: 10, Degree: 1}.Validate()
+	if err == nil {
+		t.Fatal("nil Admission validated")
+	}
+	for _, name := range PolicyNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("nil-Admission error %q does not list %q", err, name)
+		}
+	}
 }
 
 func TestPolicyStrings(t *testing.T) {
-	for p, want := range map[Policy]string{AC1: "AC1", AC2: "AC2", AC3: "AC3", Static: "static", None: "none"} {
-		if p.String() != want {
-			t.Errorf("%d.String() = %q", p, p.String())
+	for _, want := range []string{"AC1", "AC2", "AC3", "static", "none", "mob-spec", "exp-dwell"} {
+		if got := MustPolicy(want).Name(); got != want {
+			t.Errorf("MustPolicy(%q).Name() = %q", want, got)
 		}
 	}
 	if !MustPolicy("AC3").Traits().Adaptive || MustPolicy("static").Traits().Adaptive || MustPolicy("none").Traits().Adaptive {
@@ -359,7 +371,7 @@ func TestPolicyStrings(t *testing.T) {
 }
 
 func TestDirectionHintConcentratesReservation(t *testing.T) {
-	e := NewEngine(adaptiveConfig(AC1))
+	e := NewEngine(adaptiveConfig("AC1"))
 	// History from prev 1: half the mobiles went to 1, half to 2, all
 	// with 30 s sojourns.
 	e.RecordDeparture(predict.Quadruplet{Event: 0, Prev: 1, Next: 1, Sojourn: 30})
@@ -388,7 +400,7 @@ func TestDirectionHintConcentratesReservation(t *testing.T) {
 }
 
 func TestDirectionHintFallbackToMarginal(t *testing.T) {
-	e := NewEngine(adaptiveConfig(AC1))
+	e := NewEngine(adaptiveConfig("AC1"))
 	// No samples for pair (prev=1 → next=2), but prev-1 mobiles are known
 	// to dwell ~30 s (they all went to next 1): the sojourn estimate
 	// falls back to the marginal.
@@ -400,7 +412,7 @@ func TestDirectionHintFallbackToMarginal(t *testing.T) {
 }
 
 func TestDirectionHintOutOfRangePanics(t *testing.T) {
-	e := NewEngine(adaptiveConfig(AC1))
+	e := NewEngine(adaptiveConfig("AC1"))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("hint 9 on degree-2 cell did not panic")
@@ -412,7 +424,7 @@ func TestDirectionHintOutOfRangePanics(t *testing.T) {
 func TestExpDwellOutgoingReservation(t *testing.T) {
 	// τ = 36 s, window T = 36 s: P(leave) = 1 − e^(−1) ≈ 0.632, split
 	// uniformly over 2 neighbors.
-	cfg := Config{Capacity: 100, Degree: 2, Policy: ExpDwell, ExpDwellMean: 36, ExpDwellWindow: 36}
+	cfg := Config{Capacity: 100, Degree: 2, Admission: MustPolicy("exp-dwell"), ExpDwellMean: 36, ExpDwellWindow: 36}
 	e := NewEngine(cfg)
 	e.AddConnection(1, ConnSpec{Min: 10, Prev: topology.Self}, 0)
 	want := 10 * (1 - math.Exp(-1)) / 2
@@ -429,7 +441,7 @@ func TestExpDwellOutgoingReservation(t *testing.T) {
 }
 
 func TestExpDwellAdmission(t *testing.T) {
-	cfg := Config{Capacity: 100, Degree: 2, Policy: ExpDwell, ExpDwellMean: 36, ExpDwellWindow: 36}
+	cfg := Config{Capacity: 100, Degree: 2, Admission: MustPolicy("exp-dwell"), ExpDwellMean: 36, ExpDwellWindow: 36}
 	e := NewEngine(cfg)
 	e.AddConnection(1, ConnSpec{Min: 90, Prev: topology.Self}, 0)
 	p := &fakePeers{outgoing: map[topology.LocalIndex]float64{1: 3, 2: 3}}
@@ -447,14 +459,14 @@ func TestExpDwellAdmission(t *testing.T) {
 }
 
 func TestExpDwellValidation(t *testing.T) {
-	bad := Config{Capacity: 100, Degree: 2, Policy: ExpDwell}
+	bad := Config{Capacity: 100, Degree: 2, Admission: MustPolicy("exp-dwell")}
 	if bad.Validate() == nil {
 		t.Fatal("ExpDwell without parameters validated")
 	}
 }
 
 func TestPledgeAccounting(t *testing.T) {
-	e := NewEngine(Config{Capacity: 10, Degree: 2, Policy: MobSpec})
+	e := NewEngine(Config{Capacity: 10, Degree: 2, Admission: MustPolicy("mob-spec")})
 	if !e.Pledge(6) {
 		t.Fatal("pledge refused on empty cell")
 	}
@@ -485,7 +497,7 @@ func TestPledgeAccounting(t *testing.T) {
 }
 
 func TestPledgeRefusedWhenFull(t *testing.T) {
-	e := NewEngine(Config{Capacity: 10, Degree: 1, Policy: MobSpec})
+	e := NewEngine(Config{Capacity: 10, Degree: 1, Admission: MustPolicy("mob-spec")})
 	e.AddConnection(1, ConnSpec{Min: 8, Prev: topology.Self}, 0)
 	if e.Pledge(3) {
 		t.Fatal("over-capacity pledge accepted")
@@ -496,7 +508,7 @@ func TestPledgeRefusedWhenFull(t *testing.T) {
 }
 
 func TestOverUnpledgePanics(t *testing.T) {
-	e := NewEngine(Config{Capacity: 10, Degree: 1, Policy: MobSpec})
+	e := NewEngine(Config{Capacity: 10, Degree: 1, Admission: MustPolicy("mob-spec")})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("over-unpledge did not panic")
@@ -506,7 +518,7 @@ func TestOverUnpledgePanics(t *testing.T) {
 }
 
 func TestEngineMaxSojourn(t *testing.T) {
-	e := NewEngine(adaptiveConfig(AC1))
+	e := NewEngine(adaptiveConfig("AC1"))
 	if e.MaxSojourn(0) != 0 {
 		t.Fatal("empty estimator MaxSojourn != 0")
 	}

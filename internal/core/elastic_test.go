@@ -8,7 +8,7 @@ import (
 )
 
 func TestElasticGrantClampsToRoom(t *testing.T) {
-	e := NewEngine(Config{Capacity: 10, Degree: 1, Policy: None})
+	e := NewEngine(Config{Capacity: 10, Degree: 1, Admission: MustPolicy("none")})
 	e.AddConnection(1, ConnSpec{Min: 7, Prev: topology.Self}, 0)
 	grant := e.AddConnection(2, ConnSpec{Min: 1, Max: 4, Prev: topology.Self}, 0)
 	if grant != 3 {
@@ -20,14 +20,14 @@ func TestElasticGrantClampsToRoom(t *testing.T) {
 }
 
 func TestElasticGrantFullWhenRoom(t *testing.T) {
-	e := NewEngine(Config{Capacity: 10, Degree: 1, Policy: None})
+	e := NewEngine(Config{Capacity: 10, Degree: 1, Admission: MustPolicy("none")})
 	if grant := e.AddConnection(1, ConnSpec{Min: 1, Max: 4, Prev: topology.Self}, 0); grant != 4 {
 		t.Fatalf("grant = %d, want 4", grant)
 	}
 }
 
 func TestElasticMinOverCapacityPanics(t *testing.T) {
-	e := NewEngine(Config{Capacity: 10, Degree: 1, Policy: None})
+	e := NewEngine(Config{Capacity: 10, Degree: 1, Admission: MustPolicy("none")})
 	e.AddConnection(1, ConnSpec{Min: 10, Prev: topology.Self}, 0)
 	defer func() {
 		if recover() == nil {
@@ -38,7 +38,7 @@ func TestElasticMinOverCapacityPanics(t *testing.T) {
 }
 
 func TestDowngradeToFit(t *testing.T) {
-	e := NewEngine(Config{Capacity: 10, Degree: 1, Policy: None})
+	e := NewEngine(Config{Capacity: 10, Degree: 1, Admission: MustPolicy("none")})
 	e.AddConnection(1, ConnSpec{Min: 1, Max: 4, Prev: topology.Self}, 0) // granted 4
 	e.AddConnection(2, ConnSpec{Min: 2, Max: 6, Prev: topology.Self}, 0) // granted 6
 	// A 4-BU hand-off needs 4 BUs: degrade 10 → 6.
@@ -62,7 +62,7 @@ func TestDowngradeToFit(t *testing.T) {
 }
 
 func TestDowngradeAllOrNothing(t *testing.T) {
-	e := NewEngine(Config{Capacity: 10, Degree: 1, Policy: None})
+	e := NewEngine(Config{Capacity: 10, Degree: 1, Admission: MustPolicy("none")})
 	e.AddConnection(1, ConnSpec{Min: 3, Max: 4, Prev: topology.Self}, 0) // 1 reclaimable
 	e.AddConnection(2, ConnSpec{Min: 6, Prev: topology.Self}, 0)
 	before := e.UsedBandwidth()
@@ -75,7 +75,7 @@ func TestDowngradeAllOrNothing(t *testing.T) {
 }
 
 func TestDowngradeNoopWhenFits(t *testing.T) {
-	e := NewEngine(Config{Capacity: 10, Degree: 1, Policy: None})
+	e := NewEngine(Config{Capacity: 10, Degree: 1, Admission: MustPolicy("none")})
 	e.AddConnection(1, ConnSpec{Min: 1, Max: 4, Prev: topology.Self}, 0)
 	if !e.DowngradeToFit(2) {
 		t.Fatal("fit refused")
@@ -89,9 +89,9 @@ func TestDowngradeNoopWhenFits(t *testing.T) {
 }
 
 func TestRedistributeFreeRespectsReservation(t *testing.T) {
-	e := NewEngine(adaptiveConfig(AC1))
+	e := NewEngine(adaptiveConfig("AC1"))
 	e.AddConnection(1, ConnSpec{Min: 1, Max: 40, Prev: topology.Self}, 0) // granted 40
-	e.DowngradeToFit(99)                               // short = 40+99−100 = 39 → degrade to the 1-BU minimum
+	e.DowngradeToFit(99)                                                  // short = 40+99−100 = 39 → degrade to the 1-BU minimum
 	if e.UsedBandwidth() != 1 {
 		t.Fatalf("setup: used = %d, want 1", e.UsedBandwidth())
 	}
@@ -114,7 +114,7 @@ func TestRedistributeFreeRespectsReservation(t *testing.T) {
 func TestElasticReservationUsesMinQoS(t *testing.T) {
 	// §1: "bandwidth reservation is made on the basis of the minimum QoS
 	// of each connection".
-	e := NewEngine(adaptiveConfig(AC1))
+	e := NewEngine(adaptiveConfig("AC1"))
 	e.RecordDeparture(predict.Quadruplet{Event: 0, Prev: topology.Self, Next: 1, Sojourn: 50})
 	e.AddConnection(1, ConnSpec{Min: 1, Max: 4, Prev: topology.Self}, 10) // granted 4, min 1
 	if got := e.OutgoingReservation(20, 1, 100); got != 1 {
@@ -123,7 +123,7 @@ func TestElasticReservationUsesMinQoS(t *testing.T) {
 }
 
 func TestElasticRemoveFreesCurrentGrant(t *testing.T) {
-	e := NewEngine(Config{Capacity: 10, Degree: 1, Policy: None})
+	e := NewEngine(Config{Capacity: 10, Degree: 1, Admission: MustPolicy("none")})
 	e.AddConnection(1, ConnSpec{Min: 2, Max: 8, Prev: topology.Self}, 0)
 	e.RemoveConnection(1)
 	if e.UsedBandwidth() != 0 {

@@ -46,7 +46,7 @@ func TestPropertyEq5Incremental(t *testing.T) {
 func runEq5Ops(t *testing.T, estCfg predict.Config, seed uint64) {
 	t.Helper()
 	cfg := Config{
-		Capacity: 200, Degree: 4, Policy: AC1,
+		Capacity: 200, Degree: 4, Admission: MustPolicy("AC1"),
 		PHDTarget: 0.01, TStart: 1, Estimation: estCfg,
 	}
 	e := NewEngine(cfg)

@@ -12,7 +12,7 @@ import (
 // records and equal-sojourn replacements become selection-invisible.
 func adoptConfig() Config {
 	return Config{
-		Capacity: 100, Degree: 2, Policy: AC1,
+		Capacity: 100, Degree: 2, Admission: MustPolicy("AC1"),
 		PHDTarget: 0.01, TStart: 1,
 		Estimation: predict.Config{Tint: math.Inf(1), NQuad: 2},
 	}

@@ -12,7 +12,7 @@ import (
 // Eq. 5 sums are non-trivial in both directions, plus a few live
 // connections.
 func seedEq5Engine() *Engine {
-	e := NewEngine(adaptiveConfig(AC1))
+	e := NewEngine(adaptiveConfig("AC1"))
 	e.RecordDeparture(predict.Quadruplet{Event: 0, Prev: topology.Self, Next: 1, Sojourn: 20})
 	e.RecordDeparture(predict.Quadruplet{Event: 1, Prev: topology.Self, Next: 2, Sojourn: 40})
 	e.RecordDeparture(predict.Quadruplet{Event: 2, Prev: 1, Next: 2, Sojourn: 30})

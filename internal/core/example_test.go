@@ -51,7 +51,7 @@ func ExampleEngine_AdmitNew() {
 	top := topology.Line(3)
 	cfg := core.Config{
 		Capacity:   100,
-		Policy:     core.AC3,
+		Admission:  core.MustPolicy("AC3"),
 		PHDTarget:  0.01,
 		TStart:     30, // a warmed-up estimation window for the example
 		Estimation: predict.StationaryConfig(),

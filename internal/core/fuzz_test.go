@@ -26,7 +26,7 @@ func FuzzIncrementalBr(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const degree = 4
 		cfg := Config{
-			Capacity: 120, Degree: degree, Policy: AC1,
+			Capacity: 120, Degree: degree, Admission: MustPolicy("AC1"),
 			PHDTarget: 0.01, TStart: 1,
 			Estimation: predict.Config{Tint: 40, Period: 200, NwinPeriods: 1, NQuad: 30, RebuildEvery: 5},
 		}

@@ -11,7 +11,7 @@ import (
 
 func adaptiveEngine() *Engine {
 	return NewEngine(Config{
-		Capacity: 100, Degree: 2, Policy: AC3, PHDTarget: 0.01, TStart: 1,
+		Capacity: 100, Degree: 2, Admission: MustPolicy("AC3"), PHDTarget: 0.01, TStart: 1,
 		Estimation: predict.StationaryConfig(),
 	})
 }
@@ -97,7 +97,7 @@ func TestHistoryRestoreMerge(t *testing.T) {
 // TestHistoryNonAdaptiveEngine: a policy without an estimator writes an
 // empty (but valid) stream and restores it as a no-op.
 func TestHistoryNonAdaptiveEngine(t *testing.T) {
-	e := NewEngine(Config{Capacity: 10, Degree: 1, Policy: None})
+	e := NewEngine(Config{Capacity: 10, Degree: 1, Admission: MustPolicy("none")})
 	var buf bytes.Buffer
 	if _, err := e.WriteHistory(&buf); err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestHistoryNonAdaptiveEngine(t *testing.T) {
 	if buf.Len() != 2 {
 		t.Fatalf("non-adaptive stream is %d bytes, want the 2-byte class count", buf.Len())
 	}
-	if _, err := NewEngine(Config{Capacity: 10, Degree: 1, Policy: None}).RestoreHistory(&buf, false); err != nil {
+	if _, err := NewEngine(Config{Capacity: 10, Degree: 1, Admission: MustPolicy("none")}).RestoreHistory(&buf, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.HistoryLastEvent(); got != 0 {
@@ -118,7 +118,7 @@ func TestHistoryNonAdaptiveEngine(t *testing.T) {
 func TestHistoryClassCountMismatch(t *testing.T) {
 	var adaptive bytes.Buffer
 	adaptiveEngine().WriteHistory(&adaptive)
-	plain := NewEngine(Config{Capacity: 10, Degree: 1, Policy: None})
+	plain := NewEngine(Config{Capacity: 10, Degree: 1, Admission: MustPolicy("none")})
 	if _, err := plain.RestoreHistory(&adaptive, false); err == nil {
 		t.Fatal("adaptive checkpoint accepted by non-adaptive engine")
 	}

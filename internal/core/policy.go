@@ -36,7 +36,7 @@ type Request struct {
 }
 
 // PolicyTraits declares what machinery a policy needs from its engine
-// and network. The wiring layers branch on traits instead of enum
+// and network. The wiring layers branch on traits instead of policy
 // identity, so a policy added tomorrow composes with sharding, async
 // signaling and the estimator without touching them.
 type PolicyTraits struct {
@@ -125,7 +125,9 @@ type PolicyValidator interface {
 
 // PolicyContext exposes the engine primitives an admission decision may
 // consult. One context is reused per engine (the admission hot path is
-// allocation-free), so policies must not retain it past the decision.
+// allocation-free), so policies must not retain it past the decision,
+// and an engine runs one admission at a time (see Engine): Config.Lock
+// guards state against other engines' queries, not a second admission.
 type PolicyContext struct {
 	// Now is the decision time in simulation seconds.
 	Now float64
@@ -258,55 +260,12 @@ func PolicyNames() []string {
 	return names
 }
 
-// ResolvePolicy returns the explicit policy when non-nil, else the
-// implementation of the legacy enum value (nil for an out-of-range
-// enum). Config consumers resolve through it so configs may set either
-// field during the enum's deprecation window.
-func ResolvePolicy(explicit AdmissionPolicy, legacy Policy) AdmissionPolicy {
-	if explicit != nil {
-		return explicit
-	}
-	return policyFromEnum(legacy)
-}
-
-// Admission returns the AdmissionPolicy implementation of the enum
-// value.
-//
-// Deprecated: the Policy enum survives only as a config shim for one
-// release; obtain policies from PolicyByName (or set Config.Admission
-// directly) instead.
-func (p Policy) Admission() AdmissionPolicy { return policyFromEnum(p) }
-
-// policyFromEnum maps the legacy enum to the registry singletons.
-func policyFromEnum(p Policy) AdmissionPolicy {
-	switch p {
-	case AC1:
-		return ac1Singleton
-	case AC2:
-		return ac2Singleton
-	case AC3:
-		return ac3Singleton
-	case Static:
-		return staticSingleton
-	case None:
-		return noneSingleton
-	case MobSpec:
-		return mobSpecSingleton
-	case ExpDwell:
-		return expDwellSingleton
-	default:
-		return nil
-	}
-}
-
 // ---------------------------------------------------------------------
-// Built-in schemes (paper Table 1 and §6 baselines). Each admission
-// body is the verbatim port of the pre-interface enum switch case, so
-// the golden corpus pins them byte-identical across the redesign.
+// Built-in schemes (paper Table 1 and §6 baselines).
 
 // handOffRoomDecision is the shared hand-off test of every built-in:
-// the pre-interface engines admitted hand-offs on the base capacity
-// check alone, whatever the policy.
+// hand-offs are admitted on the base capacity check alone, whatever the
+// policy.
 func handOffRoomDecision(ctx *PolicyContext) Decision {
 	return Decision{Admitted: ctx.HandOffRoom()}
 }
@@ -322,17 +281,21 @@ func decideReservedNew(ctx *PolicyContext) Decision {
 	}
 }
 
+// ac1Policy ("AC1") checks only the current cell: admit iff
+// B_u + b_new ≤ C − B_r, with B_r freshly computed.
 type ac1Policy struct{}
 
-func (ac1Policy) Name() string        { return "AC1" }
-func (ac1Policy) Traits() PolicyTraits { return PolicyTraits{Adaptive: true, UsesPeers: true} }
+func (ac1Policy) Name() string                              { return "AC1" }
+func (ac1Policy) Traits() PolicyTraits                      { return PolicyTraits{Adaptive: true, UsesPeers: true} }
 func (ac1Policy) DecideNew(ctx *PolicyContext) Decision     { return decideReservedNew(ctx) }
 func (ac1Policy) DecideHandOff(ctx *PolicyContext) Decision { return handOffRoomDecision(ctx) }
 
+// ac2Policy ("AC2") additionally requires every adjacent cell to
+// recompute its own B_r and have room to reserve it fully.
 type ac2Policy struct{}
 
-func (ac2Policy) Name() string        { return "AC2" }
-func (ac2Policy) Traits() PolicyTraits { return PolicyTraits{Adaptive: true, UsesPeers: true} }
+func (ac2Policy) Name() string                              { return "AC2" }
+func (ac2Policy) Traits() PolicyTraits                      { return PolicyTraits{Adaptive: true, UsesPeers: true} }
 func (ac2Policy) DecideHandOff(ctx *PolicyContext) Decision { return handOffRoomDecision(ctx) }
 
 func (ac2Policy) DecideNew(ctx *PolicyContext) Decision {
@@ -365,10 +328,13 @@ func (ac2Policy) DecideNew(ctx *PolicyContext) Decision {
 	return Decision{Admitted: ok, BrCalcs: calcs, Degraded: degraded}
 }
 
+// ac3Policy ("AC3") is the hybrid: only adjacent cells that appear
+// unable to reserve their previous target (B_u,i + B_r,i^prev > C_i)
+// recompute and participate.
 type ac3Policy struct{}
 
-func (ac3Policy) Name() string        { return "AC3" }
-func (ac3Policy) Traits() PolicyTraits { return PolicyTraits{Adaptive: true, UsesPeers: true} }
+func (ac3Policy) Name() string                              { return "AC3" }
+func (ac3Policy) Traits() PolicyTraits                      { return PolicyTraits{Adaptive: true, UsesPeers: true} }
 func (ac3Policy) DecideHandOff(ctx *PolicyContext) Decision { return handOffRoomDecision(ctx) }
 
 func (ac3Policy) DecideNew(ctx *PolicyContext) Decision {
@@ -406,9 +372,11 @@ func (ac3Policy) DecideNew(ctx *PolicyContext) Decision {
 	return Decision{Admitted: ok, BrCalcs: calcs, Degraded: degraded}
 }
 
+// staticPolicy ("static") reserves a fixed G BUs permanently (the
+// mid-80s guard-channel baseline the paper compares against).
 type staticPolicy struct{}
 
-func (staticPolicy) Name() string        { return "static" }
+func (staticPolicy) Name() string         { return "static" }
 func (staticPolicy) Traits() PolicyTraits { return PolicyTraits{} }
 
 func (staticPolicy) DecideNew(ctx *PolicyContext) Decision {
@@ -426,9 +394,11 @@ func (staticPolicy) ValidateConfig(cfg Config) error {
 	return nil
 }
 
+// nonePolicy ("none") performs no reservation at all: admit iff
+// B_u + b_new ≤ C.
 type nonePolicy struct{}
 
-func (nonePolicy) Name() string        { return "none" }
+func (nonePolicy) Name() string         { return "none" }
 func (nonePolicy) Traits() PolicyTraits { return PolicyTraits{} }
 
 func (nonePolicy) DecideNew(ctx *PolicyContext) Decision {
@@ -439,9 +409,16 @@ func (nonePolicy) DecideHandOff(ctx *PolicyContext) Decision { return handOffRoo
 
 func (nonePolicy) FixedReservation(Config) float64 { return 0 }
 
+// mobSpecPolicy ("mob-spec") is a Talukdar/Badrinath/Acharya-style
+// baseline (the paper's §6, ref. [14]): each admitted connection pledges
+// its bandwidth in every cell of its declared mobility specification for
+// its whole lifetime, so its hand-offs can never be dropped inside the
+// spec. The paper criticizes the approach as "usually excessive"; the
+// pledge fan-out is orchestrated by the network layer (the engine
+// contributes the per-cell pledge pool and the admission arithmetic).
 type mobSpecPolicy struct{}
 
-func (mobSpecPolicy) Name() string        { return "mob-spec" }
+func (mobSpecPolicy) Name() string         { return "mob-spec" }
 func (mobSpecPolicy) Traits() PolicyTraits { return PolicyTraits{MobSpec: true} }
 
 func (mobSpecPolicy) DecideNew(ctx *PolicyContext) Decision {
@@ -452,10 +429,18 @@ func (mobSpecPolicy) DecideNew(ctx *PolicyContext) Decision {
 
 func (mobSpecPolicy) DecideHandOff(ctx *PolicyContext) Decision { return handOffRoomDecision(ctx) }
 
+// expDwellPolicy ("exp-dwell") is a Naghshineh–Schwartz-style baseline
+// (the paper's §6, ref. [10]): it reserves for expected hand-offs like
+// AC1 but models mobility analytically instead of from history — every
+// connection's remaining dwell is assumed exponential with mean
+// ExpDwellMean, and its direction uniform over the cell's neighbors, over
+// a fixed estimation window ExpDwellWindow. The paper criticizes exactly
+// these assumptions (§6): no direction prediction, impractical
+// exponential sojourns, and no adaptation.
 type expDwellPolicy struct{}
 
-func (expDwellPolicy) Name() string        { return "exp-dwell" }
-func (expDwellPolicy) Traits() PolicyTraits { return PolicyTraits{UsesPeers: true} }
+func (expDwellPolicy) Name() string                              { return "exp-dwell" }
+func (expDwellPolicy) Traits() PolicyTraits                      { return PolicyTraits{UsesPeers: true} }
 func (expDwellPolicy) DecideNew(ctx *PolicyContext) Decision     { return decideReservedNew(ctx) }
 func (expDwellPolicy) DecideHandOff(ctx *PolicyContext) Decision { return handOffRoomDecision(ctx) }
 
@@ -478,22 +463,12 @@ func (expDwellPolicy) ValidateConfig(cfg Config) error {
 	return nil
 }
 
-var (
-	ac1Singleton      AdmissionPolicy = ac1Policy{}
-	ac2Singleton      AdmissionPolicy = ac2Policy{}
-	ac3Singleton      AdmissionPolicy = ac3Policy{}
-	staticSingleton   AdmissionPolicy = staticPolicy{}
-	noneSingleton     AdmissionPolicy = nonePolicy{}
-	mobSpecSingleton  AdmissionPolicy = mobSpecPolicy{}
-	expDwellSingleton AdmissionPolicy = expDwellPolicy{}
-)
-
 func init() {
-	RegisterPolicy("AC1", func() AdmissionPolicy { return ac1Singleton })
-	RegisterPolicy("AC2", func() AdmissionPolicy { return ac2Singleton })
-	RegisterPolicy("AC3", func() AdmissionPolicy { return ac3Singleton })
-	RegisterPolicy("static", func() AdmissionPolicy { return staticSingleton })
-	RegisterPolicy("none", func() AdmissionPolicy { return noneSingleton })
-	RegisterPolicy("mob-spec", func() AdmissionPolicy { return mobSpecSingleton })
-	RegisterPolicy("exp-dwell", func() AdmissionPolicy { return expDwellSingleton })
+	RegisterPolicy("AC1", func() AdmissionPolicy { return ac1Policy{} })
+	RegisterPolicy("AC2", func() AdmissionPolicy { return ac2Policy{} })
+	RegisterPolicy("AC3", func() AdmissionPolicy { return ac3Policy{} })
+	RegisterPolicy("static", func() AdmissionPolicy { return staticPolicy{} })
+	RegisterPolicy("none", func() AdmissionPolicy { return nonePolicy{} })
+	RegisterPolicy("mob-spec", func() AdmissionPolicy { return mobSpecPolicy{} })
+	RegisterPolicy("exp-dwell", func() AdmissionPolicy { return expDwellPolicy{} })
 }

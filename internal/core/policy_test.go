@@ -9,29 +9,26 @@ import (
 	"cellqos/internal/topology"
 )
 
-// TestPolicyNameRoundTrip pins the registry to the enum's spellings:
-// every legacy Policy value resolves by its String() name to an
-// implementation reporting that same name, so configs and CLI flags
-// written against the enum era keep meaning the same scheme.
+// TestPolicyNameRoundTrip checks every registered policy resolves by
+// name, case-insensitively, to an implementation reporting that name
+// (TestPolicyStrings pins the built-ins' exact report spellings).
 func TestPolicyNameRoundTrip(t *testing.T) {
-	for _, p := range []Policy{AC1, AC2, AC3, Static, None, MobSpec, ExpDwell} {
-		pol, err := PolicyByName(p.String())
+	for _, key := range PolicyNames() {
+		pol, err := PolicyByName(key)
 		if err != nil {
-			t.Errorf("PolicyByName(%q): %v", p.String(), err)
+			t.Errorf("PolicyByName(%q): %v", key, err)
 			continue
 		}
-		if pol.Name() != p.String() {
-			t.Errorf("PolicyByName(%q).Name() = %q", p.String(), pol.Name())
+		if strings.ToLower(pol.Name()) != key {
+			t.Errorf("PolicyByName(%q).Name() = %q", key, pol.Name())
 		}
-		// The registry is case-insensitive: the CLI's historical
-		// lowercase spellings keep parsing.
-		lower, err := PolicyByName(strings.ToLower(p.String()))
+		upper, err := PolicyByName(strings.ToUpper(key))
 		if err != nil {
-			t.Errorf("PolicyByName(lower %q): %v", p.String(), err)
+			t.Errorf("PolicyByName(upper %q): %v", key, err)
 			continue
 		}
-		if lower.Name() != pol.Name() {
-			t.Errorf("case-insensitive lookup of %q resolved %q", p.String(), lower.Name())
+		if upper.Name() != pol.Name() {
+			t.Errorf("case-insensitive lookup of %q resolved %q", key, upper.Name())
 		}
 	}
 }
@@ -54,7 +51,7 @@ func TestPolicyByNameUnknown(t *testing.T) {
 	}
 }
 
-// TestPolicyNamesComplete pins the full roster: the six enum-era
+// TestPolicyNamesComplete pins the full roster: the seven paper-era
 // schemes plus the three rivals.
 func TestPolicyNamesComplete(t *testing.T) {
 	got := PolicyNames()
@@ -72,22 +69,6 @@ func TestPolicyNamesComplete(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("PolicyNames() = %v, want %v", got, want)
 		}
-	}
-}
-
-// TestResolvePolicy covers the deprecation-window precedence rule: an
-// explicit AdmissionPolicy wins over the legacy enum, the enum resolves
-// when no explicit policy is set, and an out-of-range enum yields nil.
-func TestResolvePolicy(t *testing.T) {
-	explicit := MustPolicy("static")
-	if got := ResolvePolicy(explicit, AC3); got != explicit {
-		t.Fatal("explicit policy did not take precedence over enum")
-	}
-	if got := ResolvePolicy(nil, AC3); got == nil || got.Name() != "AC3" {
-		t.Fatalf("legacy enum resolved to %v", got)
-	}
-	if got := ResolvePolicy(nil, Policy(99)); got != nil {
-		t.Fatalf("out-of-range enum resolved to %v", got)
 	}
 }
 

@@ -36,9 +36,9 @@ func TestPropertyEngineRandomOps(t *testing.T) {
 		name string
 		cfg  core.Config
 	}{
-		{"none-with-margin", core.Config{Capacity: 60, Degree: 3, Policy: core.None, HandOffMargin: 6}},
+		{"none-with-margin", core.Config{Capacity: 60, Degree: 3, Admission: core.MustPolicy("none"), HandOffMargin: 6}},
 		{"ac1-adaptive", core.Config{
-			Capacity: 60, Degree: 3, Policy: core.AC1,
+			Capacity: 60, Degree: 3, Admission: core.MustPolicy("AC1"),
 			PHDTarget: 0.01, TStart: 1, Estimation: predict.StationaryConfig(),
 		}},
 	}
@@ -100,7 +100,7 @@ func runEngineOps(t *testing.T, cfg core.Config, r *rand.Rand) {
 		case 0, 1: // rigid add, gated by the hand-off admission test
 			bw := 1 + r.IntN(8)
 			if e.AdmitHandOff(bw) {
-				e.AddConnection(nextID, core.ConnSpec{Min: bw, Prev: topology.LocalIndex(1+r.IntN(cfg.Degree))}, now)
+				e.AddConnection(nextID, core.ConnSpec{Min: bw, Prev: topology.LocalIndex(1 + r.IntN(cfg.Degree))}, now)
 				model[nextID] = rng{bw, bw}
 				nextID++
 			}

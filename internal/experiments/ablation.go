@@ -33,7 +33,7 @@ func AblationStep(opt Options) (*Report, error) {
 	var scens []runner.Scenario
 	for _, step := range steps {
 		for _, load := range overloadLoads {
-			cfg := stationaryConfig(core.AC3, load, 1.0, true, opt.Seed)
+			cfg := stationaryConfig("AC3", load, 1.0, true, opt.Seed)
 			cfg.Step = step
 			s := scenario(fmt.Sprintf("%s/%s/load%g", rep.ID, step, load), cfg, opt.Duration)
 			// The adjustment count lives in the per-cell controllers, which
@@ -85,7 +85,7 @@ func AblationNQuad(opt Options) (*Report, error) {
 	nquads := []int{10, 25, 100, 400}
 	res, err := variantSweep(opt, rep.ID, len(nquads), overloadLoads,
 		func(v int, load float64) cellnet.Config {
-			cfg := stationaryConfig(core.AC3, load, 1.0, true, opt.Seed)
+			cfg := stationaryConfig("AC3", load, 1.0, true, opt.Seed)
 			cfg.Estimation.NQuad = nquads[v]
 			return cfg
 		})
@@ -136,9 +136,9 @@ func BaselineExpDwell(opt Options) (*Report, error) {
 	res, err := variantSweep(opt, rep.ID, len(variants), overloadLoads,
 		func(v int, load float64) cellnet.Config {
 			if variants[v].name == "AC3" {
-				return stationaryConfig(core.AC3, load, 1.0, true, opt.Seed)
+				return stationaryConfig("AC3", load, 1.0, true, opt.Seed)
 			}
-			cfg := stationaryConfig(core.ExpDwell, load, 1.0, true, opt.Seed)
+			cfg := stationaryConfig("exp-dwell", load, 1.0, true, opt.Seed)
 			cfg.ExpDwellMean = variants[v].tau
 			cfg.ExpDwellWindow = variants[v].window
 			return cfg
@@ -177,9 +177,9 @@ func BaselineMobSpec(opt Options) (*Report, error) {
 	res, err := variantSweep(opt, rep.ID, len(horizons), overloadLoads,
 		func(v int, load float64) cellnet.Config {
 			if horizons[v] == 0 {
-				return stationaryConfig(core.AC3, load, 1.0, true, opt.Seed)
+				return stationaryConfig("AC3", load, 1.0, true, opt.Seed)
 			}
-			cfg := stationaryConfig(core.MobSpec, load, 1.0, true, opt.Seed)
+			cfg := stationaryConfig("mob-spec", load, 1.0, true, opt.Seed)
 			cfg.MobSpecHorizon = horizons[v]
 			return cfg
 		})
@@ -222,7 +222,7 @@ func ExtensionHints(opt Options) (*Report, error) {
 			top := topology.Hex(4, 4, true)
 			cfg := cellnet.PaperBase()
 			cfg.Topology = top
-			cfg.Policy = core.AC3
+			cfg.Admission = core.MustPolicy("AC3")
 			cfg.Mix = traffic.Mix{VoiceRatio: 1.0}
 			cfg.Mobility = &mobility.HexWalk{
 				Top: top, DiameterKm: 1, Speed: mobility.HighMobility, Persistence: 0.5,
@@ -278,7 +278,7 @@ func ExtensionWired(opt Options) (*Report, error) {
 	}
 	scens := make([]runner.Scenario, len(variants))
 	for i, v := range variants {
-		cfg := stationaryConfig(core.AC3, 200, 1.0, true, opt.Seed)
+		cfg := stationaryConfig("AC3", 200, 1.0, true, opt.Seed)
 		interCap, upCap := 4000, 4000
 		if v.tight {
 			interCap, upCap = 60, 60
@@ -335,7 +335,7 @@ func ExtensionCDMA(opt Options) (*Report, error) {
 	loads := []float64{200, 300}
 	res, err := variantSweep(opt, rep.ID, len(variants), loads,
 		func(v int, load float64) cellnet.Config {
-			cfg := stationaryConfig(core.AC3, load, 0.5, true, opt.Seed)
+			cfg := stationaryConfig("AC3", load, 0.5, true, opt.Seed)
 			cfg.HandOffMargin = variants[v].margin
 			if variants[v].overlap > 0 {
 				cfg.SoftHandOff = cellnet.SoftHandOffConfig{Enabled: true, OverlapSeconds: variants[v].overlap}
@@ -380,7 +380,7 @@ func IntegrationAdaptiveQoS(opt Options) (*Report, error) {
 	loads := []float64{200, 300}
 	res, err := variantSweep(opt, rep.ID, len(variants), loads,
 		func(v int, load float64) cellnet.Config {
-			cfg := stationaryConfig(core.AC3, load, 0.5, true, opt.Seed)
+			cfg := stationaryConfig("AC3", load, 0.5, true, opt.Seed)
 			if variants[v].min > 0 {
 				cfg.AdaptiveQoS = cellnet.AdaptiveQoSConfig{Enabled: true, VideoMinBUs: variants[v].min}
 			}
@@ -417,7 +417,7 @@ func AblationDropped(opt Options) (*Report, error) {
 	skips := []bool{false, true}
 	res, err := variantSweep(opt, rep.ID, len(skips), overloadLoads,
 		func(v int, load float64) cellnet.Config {
-			cfg := stationaryConfig(core.AC3, load, 1.0, true, opt.Seed)
+			cfg := stationaryConfig("AC3", load, 1.0, true, opt.Seed)
 			cfg.SkipDroppedDepartures = skips[v]
 			return cfg
 		})

@@ -62,11 +62,6 @@ type Options struct {
 	// every scenario of every sweep (cellnet.Config.Audit). The checker
 	// is stateless, so sharing one across parallel workers is safe.
 	Audit *audit.Checker
-	// Shards, when > 1, runs every scenario that does not set its own
-	// sharding on a sharded kernel (cellnet.ShardingConfig.Shards) in
-	// the zero-latency compat mode. Like Parallel, it never changes
-	// results: Report.Bytes is byte-identical at any shard count.
-	Shards int
 }
 
 // withDefaults fills in zero fields.
@@ -172,13 +167,6 @@ func runAll(opt Options, scens []runner.Scenario) ([]runner.PointResult, error) 
 	if opt.Audit != nil {
 		for i := range scens {
 			scens[i].Config.Audit = opt.Audit
-		}
-	}
-	if opt.Shards > 1 {
-		for i := range scens {
-			if scens[i].Config.Sharding.Shards == 0 {
-				scens[i].Config.Sharding.Shards = opt.Shards
-			}
 		}
 	}
 	r := &runner.Runner{Parallel: opt.Parallel, Sink: opt.Sink}
@@ -292,11 +280,11 @@ func speedRange(high bool) mobility.SpeedRange {
 // 1-km cells, constant Poisson load, bidirectional constant-speed
 // mobiles. Each call mints a fresh Config, so the returned value is safe
 // to run as its own Network ("one Network per goroutine").
-func stationaryConfig(policy core.Policy, load, rvo float64, high bool, seed uint64) cellnet.Config {
+func stationaryConfig(policy string, load, rvo float64, high bool, seed uint64) cellnet.Config {
 	top := topology.Ring(10)
 	cfg := cellnet.PaperBase()
 	cfg.Topology = top
-	cfg.Policy = policy
+	cfg.Admission = core.MustPolicy(policy)
 	cfg.Mix = traffic.Mix{VoiceRatio: rvo}
 	sr := speedRange(high)
 	cfg.Mobility = &mobility.Linear{Top: top, DiameterKm: 1, Speed: sr}

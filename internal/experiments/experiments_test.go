@@ -258,34 +258,6 @@ func TestCanceledContextAborts(t *testing.T) {
 	}
 }
 
-// TestReportDeterministicAcrossShards extends the worker guarantee to
-// the sharded kernel: with Options.Shards the scenarios run on a
-// partitioned event kernel (zero-latency compat mode), and the
-// serialized Report must stay byte-identical at any shard count.
-func TestReportDeterministicAcrossShards(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment sweep")
-	}
-	opt := quickOpt()
-	ref, err := Fig7(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Bytes()
-	for _, shards := range []int{2, 3, 8} {
-		opt := quickOpt()
-		opt.Shards = shards
-		rep, err := Fig7(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := rep.Bytes(); !bytes.Equal(got, want) {
-			t.Fatalf("report differs between shards=1 and shards=%d:\n--- shards=1 ---\n%s\n--- shards=%d ---\n%s",
-				shards, want, shards, got)
-		}
-	}
-}
-
 // TestMetroShardedDeterministic: the async metro experiment — which
 // itself compares shard counts 1/2/8 and embeds an invariance verdict —
 // serializes identically across two full executions.

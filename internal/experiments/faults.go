@@ -43,7 +43,7 @@ func ExtensionFaults(opt Options) (*Report, error) {
 	loads := []float64{200, 300}
 	res, err := variantSweep(opt, rep.ID, len(variants), loads,
 		func(v int, load float64) cellnet.Config {
-			cfg := stationaryConfig(core.AC3, load, 0.5, true, opt.Seed)
+			cfg := stationaryConfig("AC3", load, 0.5, true, opt.Seed)
 			if variants[v].drop > 0 {
 				cfg.Faults = cellnet.FaultConfig{
 					Enabled:  true,

@@ -26,7 +26,7 @@ func metroConfig(shards int, seed uint64) cellnet.Config {
 	top := topology.Hex(8, 8, true)
 	cfg := cellnet.PaperBase()
 	cfg.Topology = top
-	cfg.Policy = core.AC3
+	cfg.Admission = core.MustPolicy("AC3")
 	cfg.Mix = traffic.Mix{VoiceRatio: 0.8}
 	cfg.Mobility = &mobility.HexWalk{Top: top, DiameterKm: 1, Speed: mobility.HighMobility, Persistence: 0.8}
 	cfg.Schedule = traffic.Constant{

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cellqos/internal/cellnet"
-	"cellqos/internal/core"
 	"cellqos/internal/plot"
 	"cellqos/internal/stats"
 )
@@ -50,7 +49,7 @@ func Fig7(opt Options) (*Report, error) {
 	}
 	res, err := loadGrid(opt, rep.ID, len(mobilityGroups), len(stationaryRvos),
 		func(g, s int, load float64) cellnet.Config {
-			cfg := stationaryConfig(core.Static, load, stationaryRvos[s], mobilityGroups[g], opt.Seed)
+			cfg := stationaryConfig("static", load, stationaryRvos[s], mobilityGroups[g], opt.Seed)
 			cfg.StaticReserve = 10
 			return cfg
 		})
@@ -74,7 +73,7 @@ func Fig8(opt Options) (*Report, error) {
 	}
 	res, err := loadGrid(opt, rep.ID, len(mobilityGroups), len(stationaryRvos),
 		func(g, s int, load float64) cellnet.Config {
-			return stationaryConfig(core.AC3, load, stationaryRvos[s], mobilityGroups[g], opt.Seed)
+			return stationaryConfig("AC3", load, stationaryRvos[s], mobilityGroups[g], opt.Seed)
 		})
 	if err != nil {
 		return nil, err
@@ -96,7 +95,7 @@ func Fig9(opt Options) (*Report, error) {
 	}
 	res, err := loadGrid(opt, rep.ID, len(mobilityGroups), len(stationaryRvos),
 		func(g, s int, load float64) cellnet.Config {
-			return stationaryConfig(core.AC3, load, stationaryRvos[s], mobilityGroups[g], opt.Seed)
+			return stationaryConfig("AC3", load, stationaryRvos[s], mobilityGroups[g], opt.Seed)
 		})
 	if err != nil {
 		return nil, err
@@ -123,7 +122,7 @@ func Fig9(opt Options) (*Report, error) {
 }
 
 // comparedPolicies is the Fig. 12/13 admission-scheme comparison set.
-var comparedPolicies = []core.Policy{core.AC1, core.AC2, core.AC3}
+var comparedPolicies = []string{"AC1", "AC2", "AC3"}
 
 // Fig12 regenerates Figure 12: P_CB and P_HD versus load for AC1, AC2
 // and AC3 under high mobility, for R_vo = 1.0 and 0.5.
@@ -151,9 +150,9 @@ func Fig12(opt Options) (*Report, error) {
 		for s, policy := range comparedPolicies {
 			for li, load := range loads {
 				r := res[g][s][li]
-				tb.AddRowStrings(fmtF(load), policy.String(), stats.FormatProb(r.PCB), stats.FormatProb(r.PHD))
-				sc.add("PCB "+policy.String(), load, r.PCB)
-				sc.add("PHD "+policy.String(), load, r.PHD)
+				tb.AddRowStrings(fmtF(load), policy, stats.FormatProb(r.PCB), stats.FormatProb(r.PHD))
+				sc.add("PCB "+policy, load, r.PCB)
+				sc.add("PHD "+policy, load, r.PHD)
 			}
 		}
 		label := fmt.Sprintf("(Rvo = %.1f)", rvo)
@@ -188,8 +187,8 @@ func Fig13(opt Options) (*Report, error) {
 		for s, policy := range comparedPolicies {
 			for li, load := range loads {
 				r := res[g][s][li]
-				tb.AddRowStrings(fmtF(load), policy.String(), fmt.Sprintf("%.3f", r.NCalc))
-				sc.add(policy.String(), load, r.NCalc)
+				tb.AddRowStrings(fmtF(load), policy, fmt.Sprintf("%.3f", r.NCalc))
+				sc.add(policy, load, r.NCalc)
 			}
 		}
 		label := fmt.Sprintf("(%s user mobility)", mobilityName(high))

@@ -35,13 +35,13 @@ func Fig14(opt Options) (*Report, error) {
 			"L_o when blocking is high.",
 	}
 
-	policies := []core.Policy{core.AC1, core.AC2, core.AC3}
+	policies := []string{"AC1", "AC2", "AC3"}
 	top := topology.Ring(10)
 	scens := make([]runner.Scenario, len(policies))
 	for i, policy := range policies {
 		cfg := cellnet.PaperBase()
 		cfg.Topology = top
-		cfg.Policy = policy
+		cfg.Admission = core.MustPolicy(policy)
 		cfg.Estimation = predict.DailyConfig()
 		cfg.Mix = mix
 		cfg.Mobility = &mobility.Linear{Top: top, DiameterKm: 1, Speed: mobility.HighMobility}
@@ -68,10 +68,10 @@ func Fig14(opt Options) (*Report, error) {
 		res := results[pi]
 		for h := 0; h < hours && h < len(res.Hourly); h++ {
 			hc := res.Hourly[h]
-			probTb.AddRowStrings(fmt.Sprintf("%d", h), policy.String(),
+			probTb.AddRowStrings(fmt.Sprintf("%d", h), policy,
 				stats.FormatProb(hc.PCB()), stats.FormatProb(hc.PHD()))
-			sc.add("PCB "+policy.String(), float64(h), hc.PCB())
-			sc.add("PHD "+policy.String(), float64(h), hc.PHD())
+			sc.add("PCB "+policy, float64(h), hc.PCB())
+			sc.add("PHD "+policy, float64(h), hc.PHD())
 			// L_a = request rate per cell × E[b] × mean lifetime (Eq. 7 on
 			// the measured request stream, retries included).
 			reqRate := float64(hc.Requested) / traffic.SecondsPerHour / float64(top.NumCells())

@@ -17,7 +17,7 @@ import (
 // R_vo = 1.0, high mobility, tracing cells <5> and <6> (IDs 4 and 5)
 // from the cold start.
 func tracedRun(key string, opt Options) (*cellnet.Result, error) {
-	cfg := stationaryConfig(core.AC3, 300, 1.0, true, opt.Seed)
+	cfg := stationaryConfig("AC3", 300, 1.0, true, opt.Seed)
 	cfg.TraceCells = []topology.CellID{4, 5}
 	return runOne(opt, scenario(key, cfg, opt.TraceDuration))
 }
@@ -122,7 +122,7 @@ func Table2(opt Options) (*Report, error) {
 			"starved cells. AC3 is balanced: similar P_CB everywhere and P_HD ≤ 0.01 " +
 			"in every cell.",
 	}
-	policies := []core.Policy{core.AC1, core.AC3}
+	policies := []string{"AC1", "AC3"}
 	scens := make([]runner.Scenario, len(policies))
 	for i, policy := range policies {
 		scens[i] = scenario(fmt.Sprintf("table2/%s", policy),
@@ -154,13 +154,13 @@ func Table3(opt Options) (*Report, error) {
 			"every-other-cell pattern with over-target P_HD. AC3 blocks some new " +
 			"connections in <1> and balances the line while meeting the target.",
 	}
-	policies := []core.Policy{core.AC1, core.AC3}
+	policies := []string{"AC1", "AC3"}
 	scens := make([]runner.Scenario, len(policies))
 	for i, policy := range policies {
 		top := topology.Line(10)
 		cfg := cellnet.PaperBase()
 		cfg.Topology = top
-		cfg.Policy = policy
+		cfg.Admission = core.MustPolicy(policy)
 		cfg.Mix = traffic.Mix{VoiceRatio: 1.0}
 		cfg.Mobility = &mobility.Linear{
 			Top: top, DiameterKm: 1,

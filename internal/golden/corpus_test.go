@@ -1,7 +1,6 @@
 package golden
 
 import (
-	"fmt"
 	"testing"
 
 	"cellqos/internal/audit"
@@ -44,36 +43,6 @@ func TestGoldenCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			Check(t, e.ID, rep.Bytes())
-		})
-	}
-}
-
-// TestGoldenCorpusSharded re-runs the whole corpus on a sharded event
-// kernel (zero-latency compat mode) and compares against the same
-// golden files: partitioning the kernel must not move a single byte of
-// any Report at any shard count. Shards=1 is TestGoldenCorpus itself.
-func TestGoldenCorpusSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden corpus regenerates every experiment per shard count")
-	}
-	if Updating() {
-		t.Skip("golden files are written by TestGoldenCorpus")
-	}
-	for _, shards := range []int{2, 8} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			for _, e := range experiments.All() {
-				e := e
-				t.Run(e.ID, func(t *testing.T) {
-					opt := corpusOpt()
-					opt.Shards = shards
-					rep, err := e.Run(opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					Check(t, e.ID, rep.Bytes())
-				})
-			}
 		})
 	}
 }

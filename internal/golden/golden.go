@@ -26,9 +26,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files from current output instead of comparing")
 
-// Updating reports whether -update was requested.
-func Updating() bool { return *update }
-
 // Path returns the canonical location of a named golden file, relative
 // to the test's working directory (the package directory under go test).
 func Path(name string) string { return filepath.Join("testdata", "golden", name+".golden") }

@@ -20,7 +20,7 @@ func testConfig(load float64, seed uint64) cellnet.Config {
 	top := topology.Ring(6)
 	cfg := cellnet.PaperBase()
 	cfg.Topology = top
-	cfg.Policy = core.AC3
+	cfg.Admission = core.MustPolicy("AC3")
 	cfg.Mix = traffic.Mix{VoiceRatio: 1.0}
 	cfg.Mobility = &mobility.Linear{Top: top, DiameterKm: 1, Speed: mobility.HighMobility}
 	cfg.Schedule = traffic.Constant{Lambda: traffic.RateForLoad(load, cfg.Mix, cfg.MeanLifetime), MinKmh: 80, MaxKmh: 120}

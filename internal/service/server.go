@@ -1,9 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -154,6 +154,12 @@ type Server struct {
 
 	nextID core.ConnID // loop goroutine only
 
+	// admit serializes admissions per cell (indexed like cfg.Cells): an
+	// engine takes one admission at a time, and decide → commit must be
+	// one step or two workers could both pass the test on a nearly full
+	// cell. Workers therefore parallelize across cells only.
+	admit []sync.Mutex
+
 	callsMu sync.Mutex
 	calls   []activeCall // expiry-ordered: holds are constant, so FIFO
 
@@ -192,6 +198,7 @@ func New(cfg Config) *Server {
 		drainer: NewDrainer(),
 		rng:     rand.New(rand.NewPCG(cfg.Seed, 0x6265)),
 		mix:     traffic.Mix{VoiceRatio: 0.8},
+		admit:   make([]sync.Mutex, len(cfg.Cells)),
 	}
 }
 
@@ -252,7 +259,7 @@ func (s *Server) Restore() (RestoreInfo, error) {
 // snapshotPayload serializes every cell's history: a cell count
 // followed by the cells' self-delimiting WriteHistory streams.
 func (s *Server) snapshotPayload() ([]byte, error) {
-	var buf payloadBuffer
+	var buf bytes.Buffer
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(s.cfg.Cells)))
 	buf.Write(hdr[:])
@@ -261,15 +268,7 @@ func (s *Server) snapshotPayload() ([]byte, error) {
 			return nil, fmt.Errorf("service: checkpoint cell %d: %w", i, err)
 		}
 	}
-	return buf.b, nil
-}
-
-// payloadBuffer is a minimal append-only io.Writer.
-type payloadBuffer struct{ b []byte }
-
-func (p *payloadBuffer) Write(d []byte) (int, error) {
-	p.b = append(p.b, d...)
-	return len(d), nil
+	return buf.Bytes(), nil
 }
 
 // restorePayload decodes a snapshotPayload into the cells' engines.
@@ -280,28 +279,16 @@ func (s *Server) restorePayload(payload []byte) error {
 	if n := binary.BigEndian.Uint32(payload); int(n) != len(s.cfg.Cells) {
 		return fmt.Errorf("service: checkpoint holds %d cells, server hosts %d", n, len(s.cfg.Cells))
 	}
-	r := &payloadReader{b: payload[4:]}
+	r := bytes.NewReader(payload[4:])
 	for i, c := range s.cfg.Cells {
 		if _, err := c.Engine.RestoreHistory(r, false); err != nil {
 			return fmt.Errorf("service: restore cell %d: %w", i, err)
 		}
 	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("service: %d trailing bytes after the last cell's history", len(r.b))
+	if r.Len() != 0 {
+		return fmt.Errorf("service: %d trailing bytes after the last cell's history", r.Len())
 	}
 	return nil
-}
-
-// payloadReader is a minimal consuming io.Reader over a byte slice.
-type payloadReader struct{ b []byte }
-
-func (p *payloadReader) Read(d []byte) (int, error) {
-	if len(p.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(d, p.b)
-	p.b = p.b[n:]
-	return n, nil
 }
 
 // Serve drives the admission loop for budget events (0 = until stop),
@@ -435,7 +422,12 @@ func (s *Server) newCall(t float64) {
 	cell := s.cfg.Cells[ci]
 	job := func() {
 		defer s.drainer.Exit()
+		s.admit[ci].Lock()
 		d := cell.Engine.AdmitNew(t, bw, cell.Peers)
+		if d.Admitted {
+			cell.Engine.AddConnection(id, core.ConnSpec{Min: bw, Prev: topology.Self}, t)
+		}
+		s.admit[ci].Unlock()
 		s.brCalcs.Add(uint64(d.BrCalcs))
 		if d.Degraded {
 			s.degraded.Add(1)
@@ -444,7 +436,6 @@ func (s *Server) newCall(t float64) {
 			s.blocked.Add(1)
 			return
 		}
-		cell.Engine.AddConnection(id, core.ConnSpec{Min: bw, Prev: topology.Self}, t)
 		s.admitted.Add(1)
 		s.callsMu.Lock()
 		s.calls = append(s.calls, activeCall{id: id, cell: ci, expire: t + s.cfg.CallHold})

@@ -12,6 +12,7 @@ import (
 	"cellqos/internal/predict"
 	"cellqos/internal/testleak"
 	"cellqos/internal/topology"
+	"cellqos/internal/traffic"
 )
 
 // meshCells builds a 4-cell ring of AC3 engines with a stationary
@@ -22,7 +23,7 @@ import (
 func meshCells(nquad int) []Cell {
 	return NewMeshCells(topology.Ring(4), func(id topology.CellID, degree int) *core.Engine {
 		return core.NewEngine(core.Config{
-			Capacity: 100, Degree: degree, Policy: core.AC3,
+			Capacity: 100, Degree: degree, Admission: core.MustPolicy("AC3"),
 			PHDTarget: 0.01, TStart: 1,
 			Estimation: predict.Config{Tint: math.Inf(1), NQuad: nquad},
 			Lock:       &sync.Mutex{},
@@ -127,6 +128,45 @@ func TestServeWorkersDrainCleanly(t *testing.T) {
 	}
 	if rep.Offered != 500 {
 		t.Fatalf("offered = %d, want 500", rep.Offered)
+	}
+}
+
+// TestServeWorkersNearCapacity: four workers admitting into two small
+// cells that stay nearly full. An engine takes one admission at a time,
+// and decide and commit must be one step: two workers that both pass the
+// test on the last free BUs would over-commit the cell (AddConnection
+// panics "over capacity"), and the engine's reusable decision context is
+// not shareable either — run under -race.
+func TestServeWorkersNearCapacity(t *testing.T) {
+	defer testleak.Check(t)()
+	cells := NewMeshCells(topology.Line(2), func(id topology.CellID, degree int) *core.Engine {
+		return core.NewEngine(core.Config{
+			Capacity: 12, Degree: degree, Admission: core.MustPolicy("AC3"),
+			PHDTarget: 0.01, TStart: 1,
+			Estimation: predict.Config{Tint: math.Inf(1), NQuad: 32},
+			Lock:       &sync.Mutex{},
+		})
+	})
+	srv := New(Config{
+		Cells:        cells,
+		Time:         NewStepSource(0, 1),
+		Workers:      4,
+		Seed:         11,
+		NewCallEvery: 2,
+		CallHold:     40, // ≈ 10 calls of mostly 4 BUs offered to each 12-BU cell at any time
+		Audit:        true,
+	})
+	srv.mix = traffic.Mix{VoiceRatio: 0.2}
+	rep := srv.Serve(8000, nil)
+	if rep.ExitCode != ExitClean {
+		t.Fatalf("exit = %d (err %q), want clean", rep.ExitCode, rep.Err)
+	}
+	if rep.Offered != rep.Admitted+rep.Blocked+rep.Shed {
+		t.Fatalf("conservation: offered %d != admitted %d + blocked %d + shed %d",
+			rep.Offered, rep.Admitted, rep.Blocked, rep.Shed)
+	}
+	if rep.Admitted == 0 || rep.Blocked == 0 {
+		t.Fatalf("cells not held near capacity: admitted %d, blocked %d", rep.Admitted, rep.Blocked)
 	}
 }
 

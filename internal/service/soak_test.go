@@ -64,7 +64,7 @@ func newSoakDeployment(top *topology.Topology, rung faults.Config, seed uint64) 
 	d := &soakDeployment{nodes: make([]*signaling.BSNode, top.NumCells())}
 	for i := range d.nodes {
 		d.nodes[i] = signaling.NewBSNode(topology.CellID(i), top, core.Config{
-			Capacity: 100, Policy: core.AC3, PHDTarget: 0.01, TStart: 1,
+			Capacity: 100, Admission: core.MustPolicy("AC3"), PHDTarget: 0.01, TStart: 1,
 			Estimation: predict.Config{Tint: math.Inf(1), NQuad: 16},
 		})
 		// Bounded retries: under frame loss a peer query must fail fast

@@ -151,7 +151,7 @@ func resilienceNode(t *testing.T, handler Handler) (*BSNode, *Peer) {
 	t.Helper()
 	top := topology.Line(2)
 	n := NewBSNode(1, top, core.Config{
-		Capacity: 100, Policy: core.AC1, PHDTarget: 0.01, TStart: 1,
+		Capacity: 100, Admission: core.MustPolicy("AC1"), PHDTarget: 0.01, TStart: 1,
 		Estimation: predict.StationaryConfig(),
 	})
 	c1, c2 := net.Pipe()
@@ -243,7 +243,7 @@ func TestReconnectHookRestoresLink(t *testing.T) {
 	top := topology.Line(2)
 	mk := func(id topology.CellID) *BSNode {
 		return NewBSNode(id, top, core.Config{
-			Capacity: 100, Policy: core.AC1, PHDTarget: 0.01, TStart: 1,
+			Capacity: 100, Admission: core.MustPolicy("AC1"), PHDTarget: 0.01, TStart: 1,
 			Estimation: predict.StationaryConfig(),
 		})
 	}

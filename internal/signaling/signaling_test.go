@@ -232,13 +232,13 @@ func TestPeerStats(t *testing.T) {
 //
 // At now=10 with T_est=1 the Eq. 4 window is (10, 11]: both connections
 // hand off into cell 1 with probability 1, so node 1's B_r = 5.
-func threeNodeLine(t *testing.T, policy core.Policy) []*BSNode {
+func threeNodeLine(t *testing.T, policy string) []*BSNode {
 	t.Helper()
 	top := topology.Line(3)
 	mk := func(id topology.CellID) *BSNode {
 		return NewBSNode(id, top, core.Config{
 			Capacity:   100,
-			Policy:     policy,
+			Admission:  core.MustPolicy(policy),
 			PHDTarget:  0.01,
 			TStart:     1,
 			Estimation: predict.StationaryConfig(),
@@ -256,7 +256,7 @@ func threeNodeLine(t *testing.T, policy core.Policy) []*BSNode {
 
 func TestMeshDistributedReservation(t *testing.T) {
 	defer testleak.Check(t)()
-	nodes := threeNodeLine(t, core.AC1)
+	nodes := threeNodeLine(t, "AC1")
 	ConnectMesh(nodes)
 	defer func() {
 		for _, n := range nodes {
@@ -273,7 +273,7 @@ func TestMeshDistributedAC2Admission(t *testing.T) {
 	// AC2 at node 1 makes both neighbors recompute their own B_r, which
 	// fans back into node 1 — the reentrancy that the lock discipline
 	// must survive.
-	nodes := threeNodeLine(t, core.AC2)
+	nodes := threeNodeLine(t, "AC2")
 	ConnectMesh(nodes)
 	defer func() {
 		for _, n := range nodes {
@@ -301,7 +301,7 @@ func TestMeshDistributedAC2Admission(t *testing.T) {
 
 func TestStarDistributedAC2Admission(t *testing.T) {
 	defer testleak.Check(t)()
-	nodes := threeNodeLine(t, core.AC2)
+	nodes := threeNodeLine(t, "AC2")
 	msc := NewMSC()
 	ConnectStar(msc, nodes)
 	defer msc.Close()
@@ -328,7 +328,7 @@ func TestStarCostsMoreMessagesThanMesh(t *testing.T) {
 	// The same workload should move more frames in a star (every query
 	// crosses two links) than in a mesh (one link).
 	run := func(star bool) uint64 {
-		nodes := threeNodeLine(t, core.AC1)
+		nodes := threeNodeLine(t, "AC1")
 		var msc *MSC
 		if star {
 			msc = NewMSC()
@@ -371,7 +371,7 @@ func TestStarCostsMoreMessagesThanMesh(t *testing.T) {
 }
 
 func TestRemotePeersConservativeDefaultsAfterClose(t *testing.T) {
-	nodes := threeNodeLine(t, core.AC1)
+	nodes := threeNodeLine(t, "AC1")
 	ConnectMesh(nodes)
 	for _, n := range nodes {
 		n.Close() // kill all links
@@ -400,7 +400,7 @@ func TestTCPLoopbackQuery(t *testing.T) {
 	top := topology.Line(2)
 	mk := func(id topology.CellID) *BSNode {
 		return NewBSNode(id, top, core.Config{
-			Capacity: 100, Policy: core.AC1, PHDTarget: 0.01, TStart: 1,
+			Capacity: 100, Admission: core.MustPolicy("AC1"), PHDTarget: 0.01, TStart: 1,
 			Estimation: predict.StationaryConfig(),
 		})
 	}

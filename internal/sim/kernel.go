@@ -16,8 +16,8 @@ package sim
 //     concrete kernel, and in-run scheduling goes through the event's
 //     own Scheduler argument.
 //
-// Simulator implements both and remains the shards=1 reference
-// implementation; the golden corpus is defined by its event order.
+// Simulator implements both; it is the serial kernel, and the golden
+// corpus is defined by its event order.
 
 // Scheduler books events on a kernel. Implementations are confined to
 // the goroutine currently running the owning shard's events (or, before
@@ -39,7 +39,11 @@ type Scheduler interface {
 	Stop()
 }
 
-// Kernel is the run-control surface of a discrete-event kernel.
+// Kernel is the run-control surface of a discrete-event kernel. Audit
+// hooks are not part of it because the two kernels offer different
+// instants: Simulator.AfterEvent fires at every event boundary,
+// shard.Kernel.AtBarrier at every window barrier (events run
+// concurrently there, so no global event boundary exists).
 type Kernel interface {
 	// Now returns the current virtual time in seconds.
 	Now() float64
@@ -53,11 +57,6 @@ type Kernel interface {
 	// Pending returns the number of scheduled, not-yet-fired,
 	// not-canceled events.
 	Pending() int
-	// AfterEvent registers fn to run after every fired event, at the
-	// event boundary. Kernels that execute events concurrently do not
-	// support a per-event global hook and panic; they expose a barrier
-	// hook instead (shard.Kernel.AtBarrier).
-	AfterEvent(fn func())
 }
 
 var (

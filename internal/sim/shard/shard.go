@@ -1,30 +1,19 @@
-// Package shard provides a multi-heap discrete-event kernel that
+// Package shard provides the parallel discrete-event kernel: it
 // partitions a simulation into S shards, each with its own event queue,
-// clock, and sequence counter, behind the same sim.Kernel surface as the
-// single-heap sim.Simulator.
+// clock, and sequence counter, and runs them concurrently under
+// conservative windows. (The serial kernel — one total order on one
+// goroutine — is sim.Simulator; DESIGN.md §13 says why there are two.)
 //
-// Events are totally ordered by (time, shard, seq): time first, then the
-// owning shard's index, then the shard-local FIFO sequence number. The
-// kernel executes that order in one of two modes, chosen by Lookahead:
-//
-//   - Serial merge (Lookahead == 0). One goroutine repeatedly pops the
-//     globally minimal (time, shard, seq) event across all shard heaps.
-//     Events may use any shard's Scheduler, and the per-event AfterEvent
-//     hook is supported. This is the compatibility mode: with zero
-//     lookahead no shard may run ahead of another, so the merge degenerates
-//     to serial execution — deterministic, but no parallelism.
-//
-//   - Conservative windows (Lookahead L > 0). Virtual time is cut into
-//     windows of length L on a fixed grid. Within a window every shard
-//     runs its own events concurrently, one goroutine per shard; shards
-//     may only touch their own state and scheduler. Cross-shard effects
-//     travel as timestamped messages via Shard.Send, which must target a
-//     time at or beyond the window end — the conservative guarantee that
-//     no shard ever receives an event earlier than a time it has already
-//     passed. Outboxes are merged at the window barrier in (time, key)
-//     order, with a caller-supplied key that must not depend on the shard
-//     count, making delivery order — and hence the whole run — identical
-//     at any shard count and any goroutine interleaving.
+// Virtual time is cut into windows of length Lookahead on a fixed grid.
+// Within a window every shard runs its own events concurrently, one
+// goroutine per shard; shards may only touch their own state and
+// scheduler. Cross-shard effects travel as timestamped messages via
+// Shard.Send, which must target a time at or beyond the window end — the
+// conservative guarantee that no shard ever receives an event earlier
+// than a time it has already passed. Outboxes are merged at the window
+// barrier in (time, key) order, with a caller-supplied key that must not
+// depend on the shard count, making delivery order — and hence the whole
+// run — identical at any shard count and any goroutine interleaving.
 //
 // The model layer (internal/cellnet) guarantees byte-identical Reports
 // across shard counts by (a) giving every cell and connection its own
@@ -47,10 +36,8 @@ import (
 type Config struct {
 	// Shards is the number of event heaps (≥ 1).
 	Shards int
-	// Lookahead is the conservative window length in seconds. Zero
-	// selects serial merged execution; positive values select windowed
-	// parallel execution and must be a lower bound on the model's
-	// cross-shard signaling latency.
+	// Lookahead is the conservative window length in seconds (> 0): a
+	// lower bound on the model's cross-shard signaling latency.
 	Lookahead float64
 }
 
@@ -64,16 +51,15 @@ type message struct {
 // Shard is one partition's scheduling surface. It implements
 // sim.Scheduler; event callbacks running on the shard receive it as
 // their Scheduler argument. Outside a window (before Run, between
-// RunUntil calls, or in serial mode) any shard may be used from the
-// coordinating goroutine; during a parallel window a Shard must only be
-// used by events executing on it.
+// RunUntil calls) any shard may be used from the coordinating goroutine;
+// during a window a Shard must only be used by events executing on it.
 type Shard struct {
 	k      *Kernel
 	idx    int
 	now    float64
 	queue  *sim.EventQueue
 	fired  uint64
-	outbox []outMsg // windowed mode: sends buffered until the barrier
+	outbox []outMsg // sends buffered until the barrier
 }
 
 type outMsg struct {
@@ -81,7 +67,7 @@ type outMsg struct {
 	m   message
 }
 
-// Kernel is a sharded discrete-event kernel. It implements sim.Kernel.
+// Kernel is the sharded discrete-event kernel. It implements sim.Kernel.
 // The coordinating goroutine owns Run/RunUntil; per-shard goroutines
 // exist only inside a window.
 type Kernel struct {
@@ -90,7 +76,6 @@ type Kernel struct {
 	barrier   float64 // clock of the coordinating goroutine
 	running   bool
 	stopped   atomic.Bool
-	afterEv   func()
 	atBarrier func(now float64)
 }
 
@@ -102,8 +87,8 @@ func New(cfg Config) *Kernel {
 	if cfg.Shards < 1 {
 		panic("shard: need at least one shard")
 	}
-	if cfg.Lookahead < 0 || math.IsNaN(cfg.Lookahead) {
-		panic("shard: negative lookahead")
+	if !(cfg.Lookahead > 0) {
+		panic(fmt.Sprintf("shard: lookahead must be positive, got %v (zero-latency models run on sim.Simulator)", cfg.Lookahead))
 	}
 	k := &Kernel{cfg: cfg, shards: make([]*Shard, cfg.Shards)}
 	for i := range k.shards {
@@ -115,18 +100,17 @@ func New(cfg Config) *Kernel {
 // NumShards returns the configured shard count.
 func (k *Kernel) NumShards() int { return k.cfg.Shards }
 
-// Lookahead returns the conservative window length (0 = serial mode).
+// Lookahead returns the conservative window length.
 func (k *Kernel) Lookahead() float64 { return k.cfg.Lookahead }
 
 // Shard returns shard i's scheduling surface.
 func (k *Kernel) Shard(i int) *Shard { return k.shards[i] }
 
-// Now returns the coordinating clock: the last window barrier in
-// windowed mode, the merged event clock in serial mode.
+// Now returns the coordinating clock: the last window barrier.
 func (k *Kernel) Now() float64 { return k.barrier }
 
 // Fired returns the total number of events executed across all shards.
-// It must not be called from inside a parallel window.
+// It must not be called from inside a window.
 func (k *Kernel) Fired() uint64 {
 	var n uint64
 	for _, sh := range k.shards {
@@ -136,7 +120,7 @@ func (k *Kernel) Fired() uint64 {
 }
 
 // Pending returns scheduled, not-yet-fired, not-canceled events across
-// all shards. It must not be called from inside a parallel window.
+// all shards. It must not be called from inside a window.
 func (k *Kernel) Pending() int {
 	n := 0
 	for _, sh := range k.shards {
@@ -155,16 +139,6 @@ func (k *Kernel) CanceledRetained() int {
 	return n
 }
 
-// AfterEvent registers a per-event hook. Only the serial merge supports
-// it; in windowed mode events fire concurrently and there is no global
-// event boundary, so this panics — use AtBarrier instead.
-func (k *Kernel) AfterEvent(fn func()) {
-	if k.cfg.Lookahead > 0 && fn != nil {
-		panic("shard: AfterEvent unsupported in windowed mode; use AtBarrier")
-	}
-	k.afterEv = fn
-}
-
 // AtBarrier registers fn to run on the coordinating goroutine at every
 // window barrier, after the window's events have executed and its
 // cross-shard messages have been delivered to the target queues (but not
@@ -172,8 +146,8 @@ func (k *Kernel) AfterEvent(fn func()) {
 // audits hang here.
 func (k *Kernel) AtBarrier(fn func(now float64)) { k.atBarrier = fn }
 
-// Stop requests the run loop to halt: immediately after the current
-// event in serial mode, at the next window barrier in windowed mode.
+// Stop requests the run loop to halt at the next window barrier (each
+// shard stops after its current event).
 func (k *Kernel) Stop() { k.stopped.Store(true) }
 
 // Run fires events until every shard's queue drains or Stop is called.
@@ -185,6 +159,8 @@ func (k *Kernel) Run() float64 { return k.run(math.Inf(1), false) }
 // messages at the same barriers as a single call.
 func (k *Kernel) RunUntil(end float64) float64 { return k.run(end, true) }
 
+// run executes fixed-grid conservative windows, one goroutine per shard
+// inside each window.
 func (k *Kernel) run(end float64, bounded bool) float64 {
 	if k.running {
 		panic("shard: nested Run")
@@ -200,63 +176,6 @@ func (k *Kernel) run(end float64, bounded bool) float64 {
 		}
 	}()
 	k.stopped.Store(false)
-	if k.cfg.Lookahead == 0 {
-		return k.runSerial(end, bounded)
-	}
-	return k.runWindowed(end, bounded)
-}
-
-// runSerial executes the global (time, shard, seq) order one event at a
-// time on the coordinating goroutine.
-func (k *Kernel) runSerial(end float64, bounded bool) float64 {
-	for !k.stopped.Load() {
-		best := -1
-		var bestAt float64
-		for i, sh := range k.shards {
-			at, _, ok := sh.queue.PeekTime()
-			if !ok {
-				continue
-			}
-			// Total order (time, shard, seq): strictly earlier time
-			// wins; at equal times the lower shard index wins (strict
-			// <, first hit sticks); seq orders events within a shard,
-			// which the per-shard heap already guarantees.
-			if best == -1 || at < bestAt {
-				best, bestAt = i, at
-			}
-		}
-		if best == -1 || (bounded && bestAt > end) {
-			break
-		}
-		sh := k.shards[best]
-		at, _, fn, _ := sh.queue.Pop()
-		if at < sh.now {
-			panic("shard: time went backwards")
-		}
-		// Advance every shard clock together: serial mode has a single
-		// merged clock, and an event may schedule onto any shard.
-		k.barrier = at
-		for _, s := range k.shards {
-			s.now = at
-		}
-		sh.fired++
-		fn(sh)
-		if k.afterEv != nil {
-			k.afterEv()
-		}
-	}
-	if !k.stopped.Load() && bounded && k.barrier < end {
-		k.barrier = end
-		for _, sh := range k.shards {
-			sh.now = end
-		}
-	}
-	return k.barrier
-}
-
-// runWindowed executes fixed-grid conservative windows, one goroutine
-// per shard inside each window.
-func (k *Kernel) runWindowed(end float64, bounded bool) float64 {
 	L := k.cfg.Lookahead
 	for !k.stopped.Load() {
 		if bounded && k.barrier >= end {
@@ -395,14 +314,13 @@ func (sh *Shard) Cancel(h sim.Handle) bool {
 // Stop requests the kernel to halt (see Kernel.Stop).
 func (sh *Shard) Stop() { sh.k.Stop() }
 
-// Send books fn on shard dst at time at. In windowed mode the message is
-// buffered and delivered at the current window's barrier; at must lie at
-// or beyond the window end (uniform-latency models satisfy this by
-// construction: a message sent at t ≥ windowStart with latency ≥
-// lookahead arrives at t+latency ≥ windowEnd). key orders same-time
-// deliveries and must be unique per (at, dst) and independent of the
-// shard count — internal/cellnet packs (source cell ID, per-cell message
-// sequence). In serial mode the message is scheduled immediately.
+// Send books fn on shard dst at time at. The message is buffered and
+// delivered at the current window's barrier; at must lie at or beyond
+// the window end (uniform-latency models satisfy this by construction: a
+// message sent at t ≥ windowStart with latency ≥ lookahead arrives at
+// t+latency ≥ windowEnd). key orders same-time deliveries and must be
+// unique per (at, dst) and independent of the shard count —
+// internal/cellnet packs (source cell ID, per-cell message sequence).
 //
 // Send is the only legal way for one shard's event to affect another
 // shard.
@@ -412,13 +330,6 @@ func (sh *Shard) Send(dst int, at float64, key uint64, fn sim.Event) {
 	}
 	if math.IsNaN(at) {
 		panic("shard: NaN message time")
-	}
-	if sh.k.cfg.Lookahead == 0 {
-		if at < sh.now {
-			panic(fmt.Sprintf("shard: Send into the past: at=%v now=%v", at, sh.now))
-		}
-		sh.k.shards[dst].queue.Schedule(at, fn)
-		return
 	}
 	// The conservative guarantee: the destination may already have
 	// executed up to the current window's end, so the message must not

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,37 +13,10 @@ import (
 	"cellqos/internal/testleak"
 )
 
-// TestTieBreakTimeShardSeq pins the kernel's total order at identical
-// timestamps: shard index first, then per-shard FIFO seq — regardless of
-// the interleaving of the scheduling calls.
-func TestTieBreakTimeShardSeq(t *testing.T) {
-	k := New(Config{Shards: 3})
-	var got []string
-	// Schedule in an order deliberately scrambled across shards: the
-	// j-th event booked on shard s is tagged "s/j".
-	order := []int{2, 0, 1, 1, 2, 0, 0, 2, 1}
-	count := map[int]int{}
-	for _, s := range order {
-		s, j := s, count[s]
-		count[s]++
-		k.Shard(s).MustAfter(7, func(sim.Scheduler) {
-			got = append(got, fmt.Sprintf("%d/%d", s, j))
-		})
-	}
-	// A strictly earlier event on the highest shard must still fire first.
-	k.Shard(2).MustAfter(1, func(sim.Scheduler) {
-		got = append(got, "early")
-	})
-	k.Run()
-	want := []string{"early", "0/0", "0/1", "0/2", "1/0", "1/1", "1/2", "2/0", "2/1", "2/2"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("(time, shard, seq) order violated:\n got %v\nwant %v", got, want)
-	}
-}
-
-func TestSerialMatchesSimulatorSingleShard(t *testing.T) {
-	// A 1-shard serial kernel must reproduce the reference Simulator's
-	// firing order exactly for a random workload.
+func TestSingleShardMatchesSimulator(t *testing.T) {
+	// Inside a shard the kernel is a plain (time, seq) heap: a 1-shard
+	// kernel must reproduce the serial Simulator's firing order exactly
+	// for a random workload.
 	rng := rand.New(rand.NewPCG(42, 7))
 	type ev struct{ at float64 }
 	var evs []ev
@@ -59,37 +33,36 @@ func TestSerialMatchesSimulatorSingleShard(t *testing.T) {
 	}
 	ref := sim.New()
 	want := run(ref, ref.Run)
-	k := New(Config{Shards: 1})
+	k := New(Config{Shards: 1, Lookahead: 1})
 	got := run(k.Shard(0), k.Run)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("1-shard serial kernel diverged from Simulator")
+		t.Fatal("1-shard kernel diverged from Simulator")
 	}
 }
 
-func TestSerialCrossShardScheduling(t *testing.T) {
-	k := New(Config{Shards: 2})
-	var got []string
-	k.Shard(0).MustAfter(1, func(s sim.Scheduler) {
-		got = append(got, "a@0")
-		// Serial mode allows scheduling onto another shard directly.
-		k.Shard(1).MustAfter(1, func(s sim.Scheduler) { //cellqos:allow shardsafe serial mode runs single-goroutine, so the cross-shard window rule does not apply
-			got = append(got, "b@1")
-		})
-	})
-	end := k.Run()
-	if want := []string{"a@0", "b@1"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	if end != 2 {
-		t.Fatalf("final clock %v, want 2", end)
-	}
+func TestNewRejectsNonPositiveLookahead(t *testing.T) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("New accepted a zero lookahead")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "lookahead") {
+			t.Fatalf("panic %q does not name the lookahead", msg)
+		}
+	}()
+	New(Config{Shards: 2})
 }
 
-func TestSerialRunUntilSemantics(t *testing.T) {
-	k := New(Config{Shards: 2})
+func TestRunUntilSemantics(t *testing.T) {
+	k := New(Config{Shards: 2, Lookahead: 1})
+	var mu sync.Mutex
 	var fired []float64
 	for i, at := range []float64{1, 2, 3, 4, 5} {
-		k.Shard(i%2).MustAfter(at, func(s sim.Scheduler) { fired = append(fired, s.Now()) })
+		k.Shard(i%2).MustAfter(at, func(s sim.Scheduler) {
+			mu.Lock()
+			fired = append(fired, s.Now())
+			mu.Unlock()
+		})
 	}
 	if end := k.RunUntil(3); end != 3 {
 		t.Fatalf("RunUntil returned %v, want 3", end)
@@ -225,30 +198,8 @@ func TestAtBarrierQuiescentAndOrdered(t *testing.T) {
 	}
 }
 
-func TestAfterEventPanicsInWindowedMode(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AfterEvent in windowed mode did not panic")
-		}
-	}()
-	New(Config{Shards: 2, Lookahead: 1}).AfterEvent(func() {})
-}
-
-func TestAfterEventSerialMode(t *testing.T) {
-	k := New(Config{Shards: 2})
-	events, hooks := 0, 0
-	k.AfterEvent(func() { hooks++ })
-	for i := 0; i < 5; i++ {
-		k.Shard(i%2).MustAfter(float64(i+1), func(sim.Scheduler) { events++ })
-	}
-	k.Run()
-	if events != 5 || hooks != 5 {
-		t.Fatalf("events=%d hooks=%d, want 5/5", events, hooks)
-	}
-}
-
 func TestCancelAndTeardownCompaction(t *testing.T) {
-	k := New(Config{Shards: 2})
+	k := New(Config{Shards: 2, Lookahead: 1})
 	fired := false
 	h := k.Shard(1).MustAfter(50, func(sim.Scheduler) { fired = true })
 	if !k.Shard(1).Cancel(h) {

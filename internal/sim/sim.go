@@ -6,9 +6,10 @@
 // fixed random seed. The kernel knows nothing about cellular networks:
 // higher layers (internal/cellnet, internal/traffic) schedule closures.
 //
-// Simulator is the single-heap reference kernel; internal/sim/shard
-// provides a multi-heap kernel behind the same Kernel/Scheduler
-// interfaces for sharded metro-scale runs.
+// Simulator is the serial kernel: one heap, one total order, one
+// goroutine. internal/sim/shard provides the parallel kernel
+// (conservative windows across goroutines) behind the same
+// Kernel/Scheduler interfaces for sharded metro-scale runs.
 package sim
 
 import (
