@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-update-baseline race bench bench-json bench-sim perf-test perf golden arena arena-smoke fuzz chaos soak soak-smoke verify
+.PHONY: build test vet lint race bench bench-json bench-sim perf-test perf golden arena arena-smoke fuzz chaos soak soak-smoke verify
 
 build:
 	$(GO) build ./...
@@ -12,32 +12,21 @@ vet:
 	$(GO) vet ./...
 
 # lint is the full static-analysis gate: stock go vet and gofmt -l
-# (testdata fixtures excluded; any file it names fails), then the nine
+# (testdata fixtures excluded; any file it names fails), then the eight
 # repo-specific analyzers (see the DESIGN.md §12 table) swept
-# module-wide in one standalone process — the lint-baseline.json
-# ratchet needs every finding in one place to fingerprint them (known
-# findings are suppressed, new ones fail, stale entries are advisory) —
-# then staticcheck and govulncheck when installed (CI pins and installs
-# both; locally they are optional extras). The cellqos-vet binary also
-# still speaks the vet -vettool protocol for incremental per-package
-# runs: `go vet -vettool=$(abspath bin/cellqos-vet) ./...`.
+# module-wide in one process — any finding fails, and the only way to
+# accept one is a justified //cellqos:allow at the site — then
+# staticcheck and govulncheck when installed (CI pins and installs
+# both; locally they are optional extras).
 lint: vet
 	@unformatted=$$(gofmt -l . | grep -v '/testdata/'); if [ -n "$$unformatted" ]; then \
 		echo "lint: gofmt -l names:"; echo "$$unformatted"; exit 1; fi
 	$(GO) build -o bin/cellqos-vet ./cmd/cellqos-vet
-	bin/cellqos-vet -baseline lint-baseline.json ./...
+	bin/cellqos-vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "lint: staticcheck not installed; skipping (CI runs it)"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 		else echo "lint: govulncheck not installed; skipping (CI runs it)"; fi
-
-# lint-update-baseline rewrites lint-baseline.json from the current
-# findings. Use it only to deliberately accept a finding the team has
-# reviewed (or to drop stale entries after fixing one); the diff of the
-# baseline file is the review artifact.
-lint-update-baseline:
-	$(GO) build -o bin/cellqos-vet ./cmd/cellqos-vet
-	bin/cellqos-vet -baseline lint-baseline.json -update-baseline ./...
 
 # race exercises the scenario runner's worker pool and the engine
 # property test under the race detector; -short skips the long sweeps

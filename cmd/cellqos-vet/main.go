@@ -1,223 +1,46 @@
-// Command cellqos-vet is the multichecker for the repo's custom
+// Command cellqos-vet sweeps packages with the repo's custom
 // go/analysis suite (internal/analysis/suite): nodeterm, maporderflow,
-// peervalue, deprecated, genepoch, policycontract, shardsafe,
-// crashorder and allowstale — the machine-checked forms of the
-// determinism, degradation, API, policy-contract and crash-ordering
-// invariants DESIGN.md §12 documents.
+// peervalue, genepoch, policycontract, shardsafe, crashorder and
+// allowstale — the machine-checked forms of the determinism,
+// degradation, policy-contract and crash-ordering invariants DESIGN.md
+// §12 documents.
 //
-// It runs in two modes:
+//	cellqos-vet [packages]
 //
-//   - vettool: `go vet -vettool=$(pwd)/bin/cellqos-vet ./...` — the go
-//     command drives it per package through the unitchecker protocol
-//     (a JSON .cfg file naming sources and export data), giving
-//     incremental caching for free. The protocol (-V=full
-//     fingerprinting, -flags discovery, the Config schema) is
-//     reimplemented here on the standard library because x/tools is
-//     unavailable in the hermetic build.
-//
-//   - standalone: `cellqos-vet [-tests=false] [-json] [-baseline file]
-//     [patterns...]` — loads packages itself via `go list -export`
-//     (internal/analysis.Load) and sweeps them in one process. This is
-//     what `make lint` uses (the baseline ratchet needs the whole
-//     module's findings in one process), plus the suite's repo-wide
-//     regression test and ad-hoc runs.
-//
-// With -baseline, findings fingerprinted in the file are suppressed
-// and only new ones fail the run; stale entries (fingerprints no
-// longer reported) are advisory on stderr. -update-baseline rewrites
-// the file from the current findings (`make lint-update-baseline`).
-// Fingerprints hash analyzer, category, root-relative file, message
-// and an occurrence index — no line numbers, so gofmt-only moves do
-// not churn the baseline.
+// The patterns (default ./...) are resolved in the current directory
+// with `go list -export` (internal/analysis.Load), test variants
+// included, and every matched package is analyzed in one process. That
+// is the only way to drive the suite from the command line — `make
+// lint`, CI and `cd bench && go run cellqos/cmd/cellqos-vet ./...` all
+// use it — and there are no flags. Findings print vet-style on stderr,
+// one `file:line:col: message [analyzer]` line each.
 //
 // Exit status: 0 clean, 1 operational error, 2 diagnostics reported.
-// Diagnostics honor the //cellqos:allow escape hatch (see DESIGN.md
-// §12 for the annotation policy).
+// The only way to accept a finding is a justified //cellqos:allow
+// annotation at the site (see DESIGN.md §12 for the annotation policy),
+// which the allowstale analyzer audits.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"cellqos/internal/analysis"
 	"cellqos/internal/analysis/suite"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(".", os.Args[1:], os.Stderr))
 }
 
-func run(args []string) int {
-	// The go command probes its vettool before the first real run:
-	// `-V=full` for the build-cache fingerprint, `-flags` for the
-	// tool's flag schema. Both must answer on stdout and exit 0.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		return printVersion()
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		return printFlags()
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return unitcheck(args[0])
-	}
-	return standalone(args)
-}
-
-// printVersion implements -V=full: "<name> version devel buildID=<sum>"
-// so the go command can fingerprint the tool binary for vet caching.
-func printVersion() int {
-	name := filepath.Base(os.Args[0])
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("%s version devel buildID=%x\n", name, h.Sum(nil))
-	return 0
-}
-
-// printFlags implements -flags: the JSON flag schema the go command
-// reads to validate pass-through vet flags.
-func printFlags() int {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var out []jsonFlag
-	for _, a := range suite.Analyzers() {
-		out = append(out, jsonFlag{Name: a.Name, Bool: true, Usage: "enable only " + a.Name + ": " + a.Doc})
-	}
-	data, err := json.Marshal(out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	os.Stdout.Write(data)
-	fmt.Println()
-	return 0
-}
-
-// vetConfig is the unitchecker protocol's per-package configuration,
-// field-compatible with the JSON the go command writes for
-// golang.org/x/tools/go/analysis/unitchecker.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// unitcheck analyzes the one package described by a .cfg file.
-func unitcheck(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cellqos-vet: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "cellqos-vet: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// This suite exports no facts, but the go command expects the vetx
-	// output file to exist to cache the result.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "cellqos-vet: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0 // facts-only pass for a dependency: nothing to do
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintf(os.Stderr, "cellqos-vet: %v\n", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	imp := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
-		if real, ok := cfg.ImportMap[path]; ok {
-			path = real
-		}
-		exp, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(exp)
-	})
-	info := analysis.NewTypesInfo()
-	tconf := types.Config{Importer: imp, GoVersion: cfg.GoVersion}
-	tpkg, err := tconf.Check(cleanImportPath(cfg.ImportPath), fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "cellqos-vet: typecheck %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-	pkg := &analysis.Package{Path: tpkg.Path(), Fset: fset, Files: files, Types: tpkg, TypesInfo: info}
-	findings, err := analysis.RunAnalyzers([]*analysis.Package{pkg}, suite.Analyzers())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cellqos-vet: %v\n", err)
-		return 1
-	}
-	return report(findings)
-}
-
-// cleanImportPath strips go list's test-variant suffix.
-func cleanImportPath(ip string) string {
-	if i := strings.Index(ip, " ["); i >= 0 {
-		return ip[:i]
-	}
-	return ip
-}
-
-// standalone loads packages with the internal loader and sweeps them.
-func standalone(args []string) int {
+// run sweeps the packages args name below dir and prints the findings
+// to stderr.
+func run(dir string, args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cellqos-vet", flag.ContinueOnError)
-	tests := fs.Bool("tests", true, "also analyze _test.go files (test-augmented package variants)")
-	dir := fs.String("dir", ".", "module directory to resolve patterns in")
-	jsonOut := fs.Bool("json", false, "emit findings as JSON instead of vet-style lines")
-	baselinePath := fs.String("baseline", "", "suppress findings fingerprinted in this baseline file; fail only on new ones")
-	update := fs.Bool("update-baseline", false, "rewrite the -baseline file from the current findings and exit 0")
+	fs.SetOutput(stderr)
+	fs.Usage = func() { fmt.Fprintln(stderr, "usage: cellqos-vet [packages]") }
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
@@ -225,107 +48,18 @@ func standalone(args []string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	root, err := filepath.Abs(*dir)
+	pkgs, err := analysis.Load(dir, patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cellqos-vet: %v\n", err)
-		return 1
-	}
-	pkgs, err := analysis.Load(*dir, *tests, patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cellqos-vet: %v\n", err)
+		fmt.Fprintf(stderr, "cellqos-vet: %v\n", err)
 		return 1
 	}
 	findings, err := analysis.RunAnalyzers(pkgs, suite.Analyzers())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cellqos-vet: %v\n", err)
+		fmt.Fprintf(stderr, "cellqos-vet: %v\n", err)
 		return 1
 	}
-
-	if *update {
-		if *baselinePath == "" {
-			fmt.Fprintln(os.Stderr, "cellqos-vet: -update-baseline requires -baseline <file>")
-			return 1
-		}
-		b := analysis.NewBaseline(findings, root)
-		if err := b.Write(*baselinePath); err != nil {
-			fmt.Fprintf(os.Stderr, "cellqos-vet: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "cellqos-vet: wrote %s (%d findings)\n", *baselinePath, len(b.Findings))
-		return 0
-	}
-	if *baselinePath != "" {
-		b, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cellqos-vet: %v\n", err)
-			return 1
-		}
-		fresh, known, stale := b.Filter(findings, root)
-		if len(known) > 0 {
-			fmt.Fprintf(os.Stderr, "cellqos-vet: %d finding(s) suppressed by baseline %s\n", len(known), *baselinePath)
-		}
-		for _, e := range stale {
-			fmt.Fprintf(os.Stderr, "cellqos-vet: stale baseline entry %s (%s at %s:%d): finding no longer reported — run `make lint-update-baseline`\n",
-				e.Fingerprint, e.Analyzer, e.File, e.Line)
-		}
-		findings = fresh
-	}
-
-	if *jsonOut {
-		if err := emitJSON(os.Stdout, findings, root); err != nil {
-			fmt.Fprintf(os.Stderr, "cellqos-vet: %v\n", err)
-			return 1
-		}
-		if len(findings) > 0 {
-			return 2
-		}
-		return 0
-	}
-	return report(findings)
-}
-
-// jsonFinding is the machine-readable finding schema (`-json`). File is
-// module-root-relative with forward slashes, and the fingerprint is the
-// same position-independent hash `-baseline` files store, so CI
-// artifacts diff cleanly against baselines and across gofmt-only moves.
-type jsonFinding struct {
-	Analyzer    string `json:"analyzer"`
-	Category    string `json:"category"`
-	File        string `json:"file"`
-	Line        int    `json:"line"`
-	Column      int    `json:"column"`
-	EndLine     int    `json:"endLine,omitempty"`
-	EndColumn   int    `json:"endColumn,omitempty"`
-	Message     string `json:"message"`
-	Fingerprint string `json:"fingerprint"`
-}
-
-// emitJSON writes the findings as an indented JSON array.
-func emitJSON(w io.Writer, findings []analysis.Finding, root string) error {
-	prints := analysis.Fingerprints(findings, root)
-	out := make([]jsonFinding, 0, len(findings))
-	for i, f := range findings {
-		out = append(out, jsonFinding{
-			Analyzer:    f.Analyzer,
-			Category:    f.Category,
-			File:        analysis.RelFile(root, f.Posn.Filename),
-			Line:        f.Posn.Line,
-			Column:      f.Posn.Column,
-			EndLine:     f.End.Line,
-			EndColumn:   f.End.Column,
-			Message:     f.Message,
-			Fingerprint: prints[i],
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	return enc.Encode(out)
-}
-
-// report prints findings vet-style to stderr; exit 2 if any.
-func report(findings []analysis.Finding) int {
 	for _, f := range findings {
-		fmt.Fprintf(os.Stderr, "%s\n", f)
+		fmt.Fprintf(stderr, "%s\n", f)
 	}
 	if len(findings) > 0 {
 		return 2

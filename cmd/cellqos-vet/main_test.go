@@ -1,65 +1,65 @@
 package main
 
 import (
-	"encoding/json"
-	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
-
-	"cellqos/internal/analysis"
 )
 
-// TestEmitJSON pins the machine-readable schema: lower-case field
-// names, root-relative slash paths, end positions, and fingerprints
-// that match the baseline layer's.
-func TestEmitJSON(t *testing.T) {
-	findings := []analysis.Finding{
-		{
-			Analyzer: "shardsafe",
-			Category: "lookahead",
-			Posn:     token.Position{Filename: "/repo/internal/sim/a.go", Line: 10, Column: 3},
-			End:      token.Position{Filename: "/repo/internal/sim/a.go", Line: 10, Column: 20},
-			Message:  "Send time is not provably now+lookahead",
-		},
-		{
-			Analyzer: "crashorder",
-			Category: "writefile",
-			Posn:     token.Position{Filename: "/repo/internal/service/b.go", Line: 4, Column: 1},
-			Message:  "os.WriteFile onto a checkpoint path",
-		},
-	}
-	var sb strings.Builder
-	if err := emitJSON(&sb, findings, "/repo"); err != nil {
+// writeModule lays out a throw-away module named cellqos (the module
+// path nodeterm's wall-clock rule keys on) with one package, stdlib
+// imports only.
+func writeModule(t *testing.T, src string) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "p"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	var got []jsonFinding
-	if err := json.Unmarshal([]byte(sb.String()), &got); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, sb.String())
-	}
-	if len(got) != 2 {
-		t.Fatalf("got %d findings, want 2", len(got))
-	}
-	want := jsonFinding{
-		Analyzer:    "shardsafe",
-		Category:    "lookahead",
-		File:        "internal/sim/a.go",
-		Line:        10,
-		Column:      3,
-		EndLine:     10,
-		EndColumn:   20,
-		Message:     "Send time is not provably now+lookahead",
-		Fingerprint: analysis.Fingerprint("shardsafe", "lookahead", "internal/sim/a.go", "Send time is not provably now+lookahead", 0),
-	}
-	if got[0] != want {
-		t.Errorf("finding[0] = %+v, want %+v", got[0], want)
-	}
-	if got[1].EndLine != 0 || got[1].EndColumn != 0 {
-		t.Errorf("finding[1] has end position %d:%d, want omitted", got[1].EndLine, got[1].EndColumn)
-	}
-	// The raw JSON must use the lower-case keys CI tooling greps for.
-	for _, key := range []string{`"analyzer"`, `"category"`, `"file"`, `"fingerprint"`, `"endLine"`} {
-		if !strings.Contains(sb.String(), key) {
-			t.Errorf("JSON output missing key %s:\n%s", key, sb.String())
+	for name, body := range map[string]string{"go.mod": "module cellqos\n\ngo 1.22\n", "p/p.go": src} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
+	return dir
+}
+
+// TestRun drives the one code path the command has, end to end: load,
+// analyze, print, exit status.
+func TestRun(t *testing.T) {
+	clean := "package p\n\nfunc Add(a, b int) int { return a + b }\n"
+	wallClock := "package p\n\nimport \"time\"\n\nfunc Stamp() time.Time {\n\treturn time.Now()\n}\n"
+
+	t.Run("clean", func(t *testing.T) {
+		var stderr strings.Builder
+		if code := run(writeModule(t, clean), nil, &stderr); code != 0 || stderr.Len() != 0 {
+			t.Fatalf("exit %d, stderr %q; want 0 and no output", code, stderr.String())
+		}
+	})
+	t.Run("finding", func(t *testing.T) {
+		var stderr strings.Builder
+		code := run(writeModule(t, wallClock), []string{"./..."}, &stderr)
+		if code != 2 {
+			t.Fatalf("exit %d, stderr %q; want 2", code, stderr.String())
+		}
+		line := regexp.MustCompile(`^\S*p\.go:6:9: time\.Now is wall clock.* \[nodeterm\]\n$`)
+		if !line.MatchString(stderr.String()) {
+			t.Fatalf("stderr = %q, want exactly one file:line:col: message [nodeterm] line", stderr.String())
+		}
+	})
+	t.Run("unloadable", func(t *testing.T) {
+		var stderr strings.Builder
+		code := run(writeModule(t, clean), []string{"./nosuchdir"}, &stderr)
+		if code != 1 || !strings.HasPrefix(stderr.String(), "cellqos-vet: ") {
+			t.Fatalf("exit %d, stderr %q; want 1 and a cellqos-vet: error", code, stderr.String())
+		}
+	})
+	t.Run("no flags", func(t *testing.T) {
+		var stderr strings.Builder
+		code := run(writeModule(t, clean), []string{"-json"}, &stderr)
+		if code != 1 || !strings.Contains(stderr.String(), "usage: cellqos-vet [packages]") {
+			t.Fatalf("exit %d, stderr %q; want 1 and the usage line", code, stderr.String())
+		}
+	})
 }

@@ -1,9 +1,9 @@
 // Package analysis is a minimal, dependency-free reimplementation of
 // the golang.org/x/tools/go/analysis vocabulary (Analyzer, Pass,
 // Diagnostic) plus the cellqos-specific pieces shared by every
-// analyzer: the //cellqos:allow suppression index, the allow-staleness
-// ledger behind the allowstale analyzer, the baseline fingerprints
-// behind `cellqos-vet -baseline`, and the repo-wide runner.
+// analyzer: the //cellqos:allow suppression index — the one way to
+// accept a finding — the allow-staleness ledger behind the allowstale
+// analyzer, and the repo-wide runner.
 //
 // The hermetic build environment bakes in only the Go toolchain — no
 // module proxy, no vendored x/tools — so the framework is written
@@ -13,10 +13,10 @@
 // analyzer ports by changing one import line.
 //
 // Analyzers live in subpackages (nodeterm, maporderflow, peervalue,
-// deprecated, genepoch, policycontract, shardsafe, crashorder,
-// allowstale — see suite.Analyzers for the full set) and are driven
-// either by cmd/cellqos-vet (standalone or as a `go vet -vettool`) or
-// by the analysistest fixture harness. Shared dataflow and callgraph
+// genepoch, policycontract, shardsafe, crashorder, allowstale — see
+// suite.Analyzers for the full set) and are driven either by
+// cmd/cellqos-vet, which sweeps whole packages loaded by Load, or by
+// the analysistest fixture harness. Shared dataflow and callgraph
 // helpers live in the flow subpackage.
 package analysis
 
@@ -59,39 +59,18 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// ReportRangef reports a formatted diagnostic spanning a node, tagged
-// with a per-check category (stable across message rewording — the
-// baseline fingerprints hash it).
-func (p *Pass) ReportRangef(rng ast.Node, category, format string, args ...any) {
-	p.Report(Diagnostic{
-		Pos:      rng.Pos(),
-		End:      rng.End(),
-		Category: category,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
 // A Diagnostic is one finding within the package under analysis.
 type Diagnostic struct {
-	Pos token.Pos
-	// End is the exclusive end of the offending range; NoPos when the
-	// analyzer only knows a point.
-	End token.Pos
-	// Category names the sub-check within the analyzer ("lookahead",
-	// "renameorder", ...). Empty defaults to the analyzer name.
-	Category string
-	Message  string
+	Pos     token.Pos
+	Message string
 }
 
 // A Finding is a resolved diagnostic: position turned into a
 // token.Position and tagged with the analyzer that produced it.
 type Finding struct {
 	Analyzer string
-	Category string
 	Posn     token.Position
-	// End is the resolved end position (zero Position when unknown).
-	End     token.Position
-	Message string
+	Message  string
 }
 
 func (f Finding) String() string {
@@ -242,39 +221,35 @@ func (idx *AllowIndex) Suppressed(fset *token.FileSet, analyzer string, pos toke
 
 // staleFindings turns the usage ledger into allowstale diagnostics for
 // one package: directives that suppressed nothing any executed analyzer
-// reported, and directives missing their mandatory justification. A
-// name the executed set does not contain is skipped — a fixture run of
-// one analyzer must not condemn annotations for the other eight — so
-// staleness is only judged by drivers running the full suite.
+// reported, directives naming no analyzer of the run (a misspelling, or
+// an analyzer since deleted, would otherwise pass forever), and
+// directives missing their mandatory justification. Both real drivers
+// run the whole suite, so "the run" is every analyzer there is; a
+// fixture run of one analyzer leaves allowstale out and is not audited.
 // Findings are themselves suppressible: a trailing directive that also
 // names allowstale covers its own line.
 func (idx *AllowIndex) staleFindings(fset *token.FileSet, executed map[string]bool) []Finding {
 	var out []Finding
-	emit := func(pos token.Pos, category, msg string) {
+	emit := func(pos token.Pos, msg string) {
 		if idx.Suppressed(fset, AllowStaleName, pos) {
 			return
 		}
-		out = append(out, Finding{
-			Analyzer: AllowStaleName,
-			Category: category,
-			Posn:     fset.Position(pos),
-			Message:  msg,
-		})
+		out = append(out, Finding{Analyzer: AllowStaleName, Posn: fset.Position(pos), Message: msg})
 	}
 	for _, d := range idx.directives {
 		if !d.justified {
-			emit(d.pos, "justification",
-				"//cellqos:allow without a justification: state why the rule does not apply (DESIGN.md §12 makes the reason mandatory)")
+			emit(d.pos, "//cellqos:allow without a justification: state why the rule does not apply (DESIGN.md §12 makes the reason mandatory)")
 		}
 		for _, n := range d.names {
-			if n.used {
-				continue
+			switch {
+			case n.used:
+			case n.name != "all" && !executed[n.name]:
+				emit(d.pos, fmt.Sprintf(
+					"//cellqos:allow %s names no analyzer of this run: a misspelled or deleted name suppresses nothing — fix the name or delete the annotation", n.name))
+			default:
+				emit(d.pos, fmt.Sprintf(
+					"//cellqos:allow %s suppresses no diagnostic: the finding it excused is gone — delete the annotation to keep the escape-hatch ledger honest", n.name))
 			}
-			if n.name != "all" && !executed[n.name] {
-				continue
-			}
-			emit(d.pos, "stale", fmt.Sprintf(
-				"//cellqos:allow %s suppresses no diagnostic: the finding it excused is gone — delete the annotation to keep the escape-hatch ledger honest", n.name))
 		}
 	}
 	return out
@@ -286,8 +261,9 @@ func (idx *AllowIndex) staleFindings(fset *token.FileSet, executed map[string]bo
 //
 // When the set includes the allowstale analyzer (by name), the driver
 // additionally audits each package's //cellqos:allow directives after
-// the other analyzers ran: an annotation that suppressed nothing, or
-// one missing its justification, becomes an allowstale finding.
+// the other analyzers ran: an annotation that suppressed nothing, one
+// naming no analyzer of the run, or one missing its justification
+// becomes an allowstale finding.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	executed := map[string]bool{}
 	auditAllows := false
@@ -313,20 +289,11 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 				if idx.Suppressed(pkg.Fset, name, d.Pos) {
 					return
 				}
-				category := d.Category
-				if category == "" {
-					category = name
-				}
-				f := Finding{
+				findings = append(findings, Finding{
 					Analyzer: name,
-					Category: category,
 					Posn:     pkg.Fset.Position(d.Pos),
 					Message:  d.Message,
-				}
-				if d.End.IsValid() {
-					f.End = pkg.Fset.Position(d.End)
-				}
-				findings = append(findings, f)
+				})
 			}
 			if _, err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.Path, err)

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -165,7 +166,7 @@ func TestAllowStaleLedger(t *testing.T) {
 
 var a = 1 //cellqos:allow toy suppressed on purpose
 var b = 2 //cellqos:allow quiet stale: the quiet analyzer reports nothing
-var c = 3 //cellqos:allow notrun an analyzer outside the executed set
+var c = 3 //cellqos:allow notrun names no analyzer of the run
 var d = 4 //cellqos:allow toy
 `
 	fset, files := parseOne(t, src)
@@ -176,31 +177,35 @@ var d = 4 //cellqos:allow toy
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	for _, f := range findings {
-		got = append(got, f.Analyzer+"/"+f.Category+"@"+f.Posn.String()[strings.Index(f.Posn.String(), ":")+1:])
-	}
 	// Expected, position-sorted:
-	//   line 4: quiet's directive is stale (quiet ran and reported nothing);
-	//           var b itself (the quiet annotation does not name toy)
-	//   line 5: var c (notrun does not name toy); NO stale finding for
-	//           notrun — it is outside the executed set
+	//   line 4: var b itself (the quiet annotation does not name toy);
+	//           quiet's directive is stale (quiet ran and reported nothing)
+	//   line 5: var c (notrun does not name toy); notrun is no analyzer
+	//           of the run — a misspelled or deleted name is a finding
 	//   line 6: toy suppressed var d, but the directive lacks a justification
-	want := []string{
-		"toy/toy@4:5",
-		"allowstale/stale@4:11",
-		"toy/toy@5:5",
-		"allowstale/justification@6:11",
+	want := []struct{ analyzer, at, message string }{
+		{"toy", "4:5", "var b"},
+		{AllowStaleName, "4:11", "quiet suppresses no diagnostic"},
+		{"toy", "5:5", "var c"},
+		{AllowStaleName, "5:11", "notrun names no analyzer of this run"},
+		{AllowStaleName, "6:11", "without a justification"},
 	}
-	if strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Errorf("findings = %v\nwant     %v\nfull: %v", got, want, findings)
+	if len(findings) != len(want) {
+		t.Fatalf("findings = %v, want %d of them", findings, len(want))
+	}
+	for i, w := range want {
+		f := findings[i]
+		at := fmt.Sprintf("%d:%d", f.Posn.Line, f.Posn.Column)
+		if f.Analyzer != w.analyzer || at != w.at || !strings.Contains(f.Message, w.message) {
+			t.Errorf("findings[%d] = %s, want [%s] at %s containing %q", i, f, w.analyzer, w.at, w.message)
+		}
 	}
 }
 
 func TestAllowStaleSingleAnalyzerRunsAreExempt(t *testing.T) {
 	// Without allowstale in the executed set, stale directives are not
 	// judged: a fixture run of one analyzer must not condemn
-	// annotations addressed to the other eight.
+	// annotations addressed to the other seven.
 	src := `package p
 
 var a = 1 //cellqos:allow quiet would be stale under the full suite
@@ -231,42 +236,5 @@ var a = 1 //cellqos:allow quiet,allowstale grandfathered during the staged clean
 	}
 	if len(findings) != 0 {
 		t.Errorf("findings = %v, want none: naming allowstale in the directive self-suppresses", findings)
-	}
-}
-
-func TestDiagnosticCategoryAndEnd(t *testing.T) {
-	src := `package p
-
-var long = 1
-`
-	fset, files := parseOne(t, src)
-	a := &Analyzer{
-		Name: "spans",
-		Doc:  "report the var with a range and category",
-		Run: func(pass *Pass) (any, error) {
-			for _, f := range pass.Files {
-				for _, d := range f.Decls {
-					if gd, ok := d.(*ast.GenDecl); ok {
-						pass.ReportRangef(gd, "decl", "whole decl")
-					}
-				}
-			}
-			return nil, nil
-		},
-	}
-	pkg := &Package{Path: "p", Fset: fset, Files: files}
-	findings, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 1 {
-		t.Fatalf("findings = %v, want 1", findings)
-	}
-	f := findings[0]
-	if f.Category != "decl" {
-		t.Errorf("Category = %q, want decl", f.Category)
-	}
-	if f.End.Line != 3 || f.End.Column <= f.Posn.Column {
-		t.Errorf("End = %v, want same-line end past start column %d", f.End, f.Posn.Column)
 	}
 }

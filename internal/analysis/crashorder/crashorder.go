@@ -108,7 +108,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		switch {
 		case name == "WriteFile" && len(call.Args) >= 1:
 			if checkpointPathy(pass, src, call.Args[0]) {
-				pass.ReportRangef(call, "writefile",
+				pass.Reportf(call.Pos(),
 					"os.WriteFile onto a checkpoint path replaces the live artifact in place: a crash mid-write leaves a torn file — go through Checkpointer.Save's tmp→fsync→rename sequence")
 			}
 		case name == "Rename" && len(call.Args) >= 2:
@@ -116,11 +116,11 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				return true
 			}
 			if !syncBefore(call) {
-				pass.ReportRangef(call, "order",
+				pass.Reportf(call.Pos(),
 					"checkpoint commit rename is not preceded by a Sync in this function: without the temp-file fsync the rename can commit data blocks that never reached disk")
 			}
 			if !syncAfter(call) {
-				pass.ReportRangef(call, "order",
+				pass.Reportf(call.Pos(),
 					"checkpoint commit rename is not followed by a Sync in this function: without the directory fsync a power cut can forget the rename itself")
 			}
 		}

@@ -19,7 +19,7 @@
 //
 // Everything here is intra-package and intra-procedural by design: the
 // analyzers trade whole-program precision for byte-stable, dependency-
-// free checks that run per package under the vettool protocol.
+// free checks that see one package at a time.
 package flow
 
 import (

@@ -44,23 +44,18 @@ type listPackage struct {
 }
 
 // Load enumerates the packages matching patterns below dir with
-// `go list -export -json -deps`, then parses and typechecks each
+// `go list -export -json -deps -test`, then parses and typechecks each
 // matched module package from source, resolving every dependency
 // (standard library included) through the gc export data the go
 // command just produced. It is fully offline: no module proxy, no
 // x/tools — only the baked-in toolchain and its build cache.
 //
-// With tests set, `go list -test` is used and each package's
-// test-augmented variant replaces the plain variant (its file set is a
-// superset), so _test.go helpers are analyzed too; external _test
-// packages are loaded as their own packages. Synthetic ".test" main
-// packages are skipped.
-func Load(dir string, tests bool, patterns ...string) ([]*Package, error) {
-	args := []string{"list", "-export", "-json", "-deps"}
-	if tests {
-		args = append(args, "-test")
-	}
-	args = append(args, patterns...)
+// Each package's test-augmented variant replaces the plain variant (its
+// file set is a superset), so _test.go helpers are analyzed too;
+// external _test packages are loaded as their own packages. Synthetic
+// ".test" main packages are skipped.
+func Load(dir string, patterns ...string) ([]*Package, error) {
+	args := append([]string{"list", "-export", "-json", "-deps", "-test"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer

@@ -4,8 +4,12 @@
 // closed on it — never assume silence means "contributes nothing" or
 // "infinitely healthy". PR 3 deleted the old +Inf/MaxInt32 "no answer"
 // sentinels in favor of the ok bool plus the core.PeerValue validator;
-// this analyzer flags both ways of regressing: discarding the ok
-// result, and resurrecting a comparison against the deleted sentinels.
+// this analyzer flags both ways of regressing: discarding the ok result
+// — of a Peers query or of core.PeerValue itself — and resurrecting a
+// comparison against the deleted sentinels. It runs module-wide, so the
+// one rule covers the engine's own reads, the Peers implementations and
+// every AdmissionPolicy's decision path (the DESIGN.md §16 degraded-peer
+// obligation).
 package peervalue
 
 import (
@@ -14,15 +18,16 @@ import (
 	"go/types"
 
 	"cellqos/internal/analysis"
+	"cellqos/internal/analysis/flow"
 )
 
-// Analyzer reports Peers results used without their ok bool and
-// comparisons against the deleted +Inf/MaxInt32 sentinels.
+// Analyzer reports Peers and PeerValue results used without their ok
+// bool and comparisons against the deleted +Inf/MaxInt32 sentinels.
 var Analyzer = &analysis.Analyzer{
 	Name: "peervalue",
-	Doc: "flag core.Peers results whose ok bool is discarded (use PeerValue " +
-		"or branch on ok) and equality comparisons against the deleted " +
-		"+Inf/MaxInt32 unreachable-neighbor sentinels",
+	Doc: "flag core.Peers and core.PeerValue results whose ok bool is " +
+		"discarded (branch on ok) and equality comparisons against the " +
+		"deleted +Inf/MaxInt32 unreachable-neighbor sentinels",
 	Run: run,
 }
 
@@ -42,9 +47,11 @@ func run(pass *analysis.Pass) (any, error) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ExprStmt:
-				if call, ok := n.X.(*ast.CallExpr); ok && isPeersCall(pass, call) {
-					pass.Reportf(call.Pos(),
-						"result of %s discarded: a degraded neighbor reports ok=false and the caller must fail closed (wrap in core.PeerValue or branch on ok)", calleeName(call))
+				if call, ok := n.X.(*ast.CallExpr); ok {
+					if name, ok := peerOKCall(pass, call); ok {
+						pass.Reportf(call.Pos(),
+							"result of %s discarded: a degraded neighbor reports ok=false and the caller must fail closed (wrap in core.PeerValue or branch on ok)", name)
+					}
 				}
 			case *ast.AssignStmt:
 				checkAssign(pass, n)
@@ -57,13 +64,18 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// checkAssign flags `v, _ := peers.X(...)` — a blanked ok bool.
+// checkAssign flags `v, _ := peers.X(...)` and
+// `v, _ := core.PeerValue(...)` — a blanked ok bool.
 func checkAssign(pass *analysis.Pass, assign *ast.AssignStmt) {
 	if len(assign.Rhs) != 1 {
 		return
 	}
 	call, ok := assign.Rhs[0].(*ast.CallExpr)
-	if !ok || !isPeersCall(pass, call) {
+	if !ok {
+		return
+	}
+	name, ok := peerOKCall(pass, call)
+	if !ok {
 		return
 	}
 	last, ok := assign.Lhs[len(assign.Lhs)-1].(*ast.Ident)
@@ -71,30 +83,32 @@ func checkAssign(pass *analysis.Pass, assign *ast.AssignStmt) {
 		return
 	}
 	pass.Reportf(assign.Pos(),
-		"ok result of %s blanked: a degraded neighbor reports ok=false and the caller must fail closed (wrap in core.PeerValue or branch on ok)", calleeName(call))
+		"ok result of %s blanked: a degraded neighbor reports ok=false and the caller must fail closed (wrap in core.PeerValue or branch on ok)", name)
 }
 
-// isPeersCall reports whether call invokes a Peers-shaped method: one
-// of the interface's method names with a trailing bool result.
-func isPeersCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !peersMethods[sel.Sel.Name] {
-		return false
+// peerOKCall classifies a call whose trailing bool carries the
+// degraded-peer contract: a Peers-shaped method (one of the interface's
+// method names), or the function core.PeerValue, whose ok is the same
+// signal after validation.
+func peerOKCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
+	fn := flow.Callee(pass.TypesInfo, call)
+	if fn == nil {
+		return "", false
 	}
-	selection := pass.TypesInfo.Selections[sel]
-	if selection == nil || selection.Kind() != types.MethodVal {
-		return false
-	}
-	sig, ok := selection.Type().(*types.Signature)
-	if !ok {
-		return false
+	sig := fn.Type().(*types.Signature)
+	if sig.Recv() != nil {
+		if !peersMethods[fn.Name()] {
+			return "", false
+		}
+	} else if fn.Name() != "PeerValue" || fn.Pkg() == nil || !flow.PathMatches(fn.Pkg().Path(), "internal/core") {
+		return "", false
 	}
 	res := sig.Results()
 	if res.Len() < 2 {
-		return false
+		return "", false
 	}
 	b, ok := res.At(res.Len() - 1).Type().(*types.Basic)
-	return ok && b.Kind() == types.Bool
+	return fn.Name(), ok && b.Kind() == types.Bool
 }
 
 // checkSentinel flags ==/!= comparisons against math.Inf(...) or
@@ -146,11 +160,4 @@ func isMathPkg(pass *analysis.Pass, e ast.Expr) bool {
 	}
 	pkg, ok := pass.TypesInfo.Uses[id].(*types.PkgName)
 	return ok && pkg.Imported().Path() == "math"
-}
-
-func calleeName(call *ast.CallExpr) string {
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		return sel.Sel.Name
-	}
-	return "the Peers call"
 }

@@ -1,10 +1,14 @@
-// Package a is the peervalue fixture: Peers-shaped calls whose ok
-// bool is discarded, and comparisons against the deleted
+// Package a is the peervalue fixture: Peers-shaped and core.PeerValue
+// calls whose ok bool is discarded, and comparisons against the deleted
 // +Inf/MaxInt32 unreachable-neighbor sentinels, next to the approved
 // PeerValue/ok idioms.
 package a
 
-import "math"
+import (
+	"math"
+
+	"cellqos/internal/core"
+)
 
 // LocalIndex mirrors topology.LocalIndex.
 type LocalIndex int
@@ -15,14 +19,6 @@ type Peers interface {
 	Snapshot(li LocalIndex) (used, capacity int, lastBr float64, ok bool)
 	RecomputeReservation(li LocalIndex, now float64) (used, capacity int, br float64, ok bool)
 	MaxSojourn(li LocalIndex, now float64) (tSojMax float64, ok bool)
-}
-
-// PeerValue mirrors core.PeerValue.
-func PeerValue(v float64, ok bool) (float64, bool) {
-	if !ok || math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-		return 0, false
-	}
-	return v, true
 }
 
 // blankedOk reproduces the pre-PR-3 shape: the degraded signal thrown
@@ -54,7 +50,26 @@ func checkedOk(p Peers, li LocalIndex, now, test float64) float64 {
 // wrapped passes the answer straight through the validator: the
 // approved chained form.
 func wrapped(p Peers, li LocalIndex, now float64) (float64, bool) {
-	return PeerValue(p.MaxSojourn(li, now))
+	return core.PeerValue(p.MaxSojourn(li, now))
+}
+
+// blankedValidator runs the answer through the validator and then
+// throws the verdict away: the same fail-open one call later.
+func blankedValidator(p Peers, li LocalIndex, now float64) float64 {
+	w, _ := core.PeerValue(p.MaxSojourn(li, now)) // want `ok result of PeerValue blanked`
+	return w
+}
+
+// discardedValidator validates and ignores both results.
+func discardedValidator(p Peers, li LocalIndex, now, test float64) {
+	core.PeerValue(p.OutgoingReservation(li, now, test)) // want `result of PeerValue discarded`
+}
+
+// checkedValidator is the compliant chained form: verdict consumed,
+// fail closed.
+func checkedValidator(p Peers, li LocalIndex, now, test float64) bool {
+	v, ok := core.PeerValue(p.OutgoingReservation(li, now, test))
+	return ok && v < 1
 }
 
 // infSentinel resurrects the deleted "+Inf = unreachable" encoding.

@@ -8,9 +8,6 @@
 //   - shallowclone: CloneCellState must build a fresh instance (a
 //     composite literal of the policy type) and never return the
 //     receiver — a shallow hand-back aliases the prototype's state;
-//   - okflow: inside DecideNew/DecideHandOff (and the helpers they
-//     reach), every Peers/PeerValue read must consume its ok bool —
-//     fail closed, per the degraded-peer obligation;
 //   - entropy: no wall clock (time.Now/Since) or global RNG inside the
 //     decision path — policies must be deterministic given the seeded
 //     streams;
@@ -20,6 +17,10 @@
 //   - registry: RegisterPolicy is called from init only, with a
 //     literal, package-unique (case-insensitive) name, so the registry
 //     contents never depend on call timing or computed strings.
+//
+// The contract's degraded-peer clause — every Peers/PeerValue read
+// consumes its ok bool — is not checked here: the peervalue analyzer
+// enforces it module-wide, decision paths included.
 //
 // The analyzer activates only where core.AdmissionPolicy is visible
 // (the package itself or a direct importer); everywhere else it is
@@ -41,9 +42,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "policycontract",
 	Doc: "enforce the DESIGN.md §16 AdmissionPolicy contract: per-cell mutable " +
 		"state requires CellStater with a deep CloneCellState, decision methods " +
-		"consume every Peers/PeerValue ok bool and stay free of wall clock, " +
-		"global rand, and map ranging, and RegisterPolicy runs only from init " +
-		"with a literal unique name",
+		"stay free of wall clock, global rand, and map ranging, and " +
+		"RegisterPolicy runs only from init with a literal unique name",
 	Run: run,
 }
 
@@ -68,10 +68,6 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-func report(pass *analysis.Pass, rng ast.Node, category, format string, args ...any) {
-	pass.ReportRangef(rng, category, format, args...)
-}
-
 // ---------------------------------------------------------------------
 // cellstate + shallowclone
 
@@ -81,7 +77,7 @@ func checkCellState(pass *analysis.Pass, impl *types.Named, methods map[string]*
 	node, method := firstReceiverMutation(pass, methods)
 	isStater := stater != nil && flow.Implements(impl, stater)
 	if node != nil && !isStater {
-		report(pass, node, "cellstate",
+		pass.Reportf(node.Pos(),
 			"policy %s mutates receiver state in %s but does not implement CellStater: without CloneCellState one registry value is shared by every cell (DESIGN.md §16)",
 			impl.Obj().Name(), method)
 	}
@@ -111,7 +107,7 @@ func checkCellState(pass *analysis.Pass, impl *types.Named, methods map[string]*
 		}
 		for _, res := range ret.Results {
 			if id, ok := ast.Unparen(res).(*ast.Ident); ok && recv != nil && pass.TypesInfo.Uses[id] == recv {
-				report(pass, ret, "shallowclone",
+				pass.Reportf(ret.Pos(),
 					"CloneCellState of %s returns its receiver: the clone aliases the prototype's mutable state — build a fresh %s literal instead",
 					impl.Obj().Name(), impl.Obj().Name())
 			}
@@ -119,7 +115,7 @@ func checkCellState(pass *analysis.Pass, impl *types.Named, methods map[string]*
 		return true
 	})
 	if !fresh {
-		report(pass, clone.Name, "shallowclone",
+		pass.Reportf(clone.Name.Pos(),
 			"CloneCellState of %s never constructs a fresh %s: a deep per-cell clone must build a new composite literal copying the knobs and resetting mutable fields",
 			impl.Obj().Name(), impl.Obj().Name())
 	}
@@ -202,7 +198,7 @@ func namedBase(t types.Type) *types.TypeName {
 }
 
 // ---------------------------------------------------------------------
-// okflow + entropy + maprange over the decision path
+// entropy + maprange over the decision path
 
 // checkDecisionPath scans DecideNew and DecideHandOff plus every
 // package-local helper they reach — plain functions, or methods on the
@@ -238,7 +234,7 @@ func scanDecisionFunc(pass *analysis.Pass, fd *ast.FuncDecl, policy string) {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
 			if name, ok := flow.WallClock(pass.TypesInfo, n); ok {
-				report(pass, n, "entropy",
+				pass.Reportf(n.Pos(),
 					"%s on the decision path of policy %s: decisions must depend only on simulation state, never the wall clock", name, policy)
 			}
 			if kind, ok := flow.GlobalRand(pass.TypesInfo, n); ok {
@@ -246,86 +242,17 @@ func scanDecisionFunc(pass *analysis.Pass, fd *ast.FuncDecl, policy string) {
 				if kind != "v1" {
 					what = "global rand." + kind
 				}
-				report(pass, n, "entropy",
+				pass.Reportf(n.Pos(),
 					"%s on the decision path of policy %s: draw from the run's seeded PCG streams, never ambient entropy", what, policy)
 			}
 		case *ast.RangeStmt:
 			if _, ok := pass.TypesInfo.TypeOf(n.X).Underlying().(*types.Map); ok {
-				report(pass, n, "maprange",
+				pass.Reportf(n.Pos(),
 					"map range on the decision path of policy %s: iteration order is randomized and poisons byte-determinism — iterate sorted keys", policy)
 			}
-		case *ast.ExprStmt:
-			if call, ok := n.X.(*ast.CallExpr); ok {
-				if name, ok := okCarrierCall(pass, call); ok {
-					report(pass, call, "okflow",
-						"result of %s discarded on the decision path of policy %s: a degraded neighbor reports ok=false and the policy must fail closed", name, policy)
-				}
-			}
-		case *ast.AssignStmt:
-			checkBlankedOK(pass, n, policy)
 		}
 		return true
 	})
-}
-
-// checkBlankedOK flags `v, _ := peers.X(...)` / `v, _ := PeerValue(...)`.
-func checkBlankedOK(pass *analysis.Pass, assign *ast.AssignStmt, policy string) {
-	if len(assign.Rhs) != 1 {
-		return
-	}
-	call, ok := assign.Rhs[0].(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	name, ok := okCarrierCall(pass, call)
-	if !ok {
-		return
-	}
-	last, ok := assign.Lhs[len(assign.Lhs)-1].(*ast.Ident)
-	if !ok || last.Name != "_" {
-		return
-	}
-	report(pass, assign, "okflow",
-		"ok result of %s blanked on the decision path of policy %s: a degraded neighbor reports ok=false and the policy must fail closed", name, policy)
-}
-
-// peersMethods mirrors the core.Peers interface; matching is by name
-// plus trailing-bool signature, as in the peervalue analyzer.
-var peersMethods = map[string]bool{
-	"OutgoingReservation":  true,
-	"Snapshot":             true,
-	"RecomputeReservation": true,
-	"MaxSojourn":           true,
-}
-
-// okCarrierCall classifies a call whose trailing bool carries the
-// degraded-peer contract: a Peers-shaped method, or core.PeerValue.
-func okCarrierCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && peersMethods[sel.Sel.Name] {
-		if selection := pass.TypesInfo.Selections[sel]; selection != nil && selection.Kind() == types.MethodVal {
-			if trailingBool(selection.Type()) {
-				return sel.Sel.Name, true
-			}
-		}
-	}
-	if fn := flow.Callee(pass.TypesInfo, call); fn != nil && fn.Name() == "PeerValue" &&
-		fn.Pkg() != nil && flow.PathMatches(fn.Pkg().Path(), corePath) && trailingBool(fn.Type()) {
-		return "PeerValue", true
-	}
-	return "", false
-}
-
-func trailingBool(t types.Type) bool {
-	sig, ok := t.(*types.Signature)
-	if !ok {
-		return false
-	}
-	res := sig.Results()
-	if res.Len() < 2 {
-		return false
-	}
-	b, ok := res.At(res.Len() - 1).Type().(*types.Basic)
-	return ok && b.Kind() == types.Bool
 }
 
 // ---------------------------------------------------------------------
@@ -353,7 +280,7 @@ func checkRegistry(pass *analysis.Pass, ix *flow.Index) {
 					return true
 				}
 				if !inInit {
-					report(pass, call, "registry",
+					pass.Reportf(call.Pos(),
 						"RegisterPolicy called from %s: the registry is populated from init only, so PolicyNames never depends on call timing", fd.Name.Name)
 				}
 				if len(call.Args) == 0 {
@@ -361,13 +288,13 @@ func checkRegistry(pass *analysis.Pass, ix *flow.Index) {
 				}
 				lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit)
 				if !ok || lit.Kind != token.STRING {
-					report(pass, call.Args[0], "registry",
+					pass.Reportf(call.Args[0].Pos(),
 						"RegisterPolicy name is not a string literal: computed names defeat the duplicate check and static greps of the roster")
 					return true
 				}
 				key := strings.ToLower(strings.Trim(lit.Value, "`\""))
 				if seen[key] {
-					report(pass, call.Args[0], "registry",
+					pass.Reportf(call.Args[0].Pos(),
 						"duplicate policy registration %s in this package: RegisterPolicy panics at run time on the second call", lit.Value)
 				}
 				seen[key] = true

@@ -113,8 +113,12 @@ func jitteredRoom(ctx *core.PolicyContext) bool {
 }
 
 // ---------------------------------------------------------------------
-// okflow: Peers/PeerValue reads with the degraded signal thrown away,
-// next to the compliant branch-on-ok idiom.
+// Not this analyzer's rule: Peers/PeerValue reads with the degraded
+// signal thrown away, next to the compliant branch-on-ok idiom. The
+// peervalue analyzer owns the ok-bool rule module-wide (its fixture
+// carries the want for each of these shapes), so policycontract must
+// stay silent on every line here — one diagnostic per violation, not
+// two.
 
 type deafPolicy struct{}
 
@@ -123,13 +127,13 @@ func (deafPolicy) Traits() core.PolicyTraits { return core.PolicyTraits{UsesPeer
 
 func (deafPolicy) DecideNew(ctx *core.PolicyContext) core.Decision {
 	peers := ctx.Peers()
-	peers.RecomputeReservation(0, ctx.Now)             // want `result of RecomputeReservation discarded on the decision path of policy deafPolicy`
-	v, _ := peers.OutgoingReservation(0, ctx.Now, 1.0) // want `ok result of OutgoingReservation blanked on the decision path of policy deafPolicy`
+	peers.RecomputeReservation(0, ctx.Now)
+	v, _ := peers.OutgoingReservation(0, ctx.Now, 1.0)
 	return core.Decision{Admitted: v < 1}
 }
 
 func (deafPolicy) DecideHandOff(ctx *core.PolicyContext) core.Decision {
-	w, _ := core.PeerValue(ctx.Peers().MaxSojourn(0, ctx.Now)) // want `ok result of PeerValue blanked on the decision path of policy deafPolicy`
+	w, _ := core.PeerValue(ctx.Peers().MaxSojourn(0, ctx.Now))
 	return core.Decision{Admitted: w > 0}
 }
 

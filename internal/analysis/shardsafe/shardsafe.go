@@ -118,7 +118,7 @@ func checkSend(pass *analysis.Pass, sources func() map[types.Object][]ast.Expr, 
 	if provenConservative(pass, sources(), at) {
 		return
 	}
-	pass.ReportRangef(call, "lookahead",
+	pass.Reportf(call.Pos(),
 		"Send time %s is not provably now+lookahead: book messages at Now() plus a latency/lookahead term, or the send panics on executions that cross a window boundary",
 		types.ExprString(at))
 }
@@ -200,7 +200,7 @@ func checkWindowRead(pass *analysis.Pass, call *ast.CallExpr) {
 	if !flow.ReceiverNamed(selection, shardPath, "Kernel") {
 		return
 	}
-	pass.ReportRangef(call, "window",
+	pass.Reportf(call.Pos(),
 		"Kernel.%s inside an event handler: other shards are mid-window here — read cross-shard state from an AtBarrier hook or between runs, and cross-shard effects go through Shard.Send", name)
 }
 

@@ -1,14 +1,12 @@
 // Package suite registers the full cellqos-vet analyzer set. It is the
-// single source of truth consumed by cmd/cellqos-vet (standalone and
-// vettool modes) and by the repo-wide sweep test that keeps `make
-// lint` green.
+// single source of truth consumed by cmd/cellqos-vet and by the
+// repo-wide sweep test that keeps `make lint` green.
 package suite
 
 import (
 	"cellqos/internal/analysis"
 	"cellqos/internal/analysis/allowstale"
 	"cellqos/internal/analysis/crashorder"
-	"cellqos/internal/analysis/deprecated"
 	"cellqos/internal/analysis/genepoch"
 	"cellqos/internal/analysis/maporderflow"
 	"cellqos/internal/analysis/nodeterm"
@@ -17,14 +15,13 @@ import (
 	"cellqos/internal/analysis/shardsafe"
 )
 
-// Analyzers returns the nine cellqos invariant analyzers in stable
+// Analyzers returns the eight cellqos invariant analyzers in stable
 // order. allowstale runs last by convention — it audits the
 // //cellqos:allow ledger the others populate, though the driver
 // enforces that ordering itself regardless of position here.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		crashorder.Analyzer,
-		deprecated.Analyzer,
 		genepoch.Analyzer,
 		maporderflow.Analyzer,
 		nodeterm.Analyzer,

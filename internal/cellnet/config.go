@@ -105,8 +105,6 @@ type Config struct {
 	// TraceCells lists cells whose T_est, B_r and cumulative P_HD are
 	// recorded over time (Figs. 10–11).
 	TraceCells []topology.CellID
-	// TraceMinGap thins trace series (seconds between kept points).
-	TraceMinGap float64
 	// Sharding selects the signaling model and, under delayed signaling,
 	// partitions the run's cells across event-kernel shards
 	// (internal/sim/shard) for metro-scale runs. The zero value — instant
@@ -232,10 +230,11 @@ type SoftHandOffConfig struct {
 	// OverlapSeconds is how long the mobile can hold both links (paper's
 	// "communicate via two adjacent BSs simultaneously for a while").
 	OverlapSeconds float64
-	// RetryInterval is how often the pending hand-off re-tests the new
-	// cell (default 0.5 s).
-	RetryInterval float64
 }
+
+// softHandOffRetry is how often, in seconds, a pending soft hand-off
+// re-tests the new cell.
+const softHandOffRetry = 0.5
 
 // Validate checks soft hand-off invariants.
 func (s SoftHandOffConfig) Validate() error {
@@ -245,18 +244,7 @@ func (s SoftHandOffConfig) Validate() error {
 	if s.OverlapSeconds <= 0 {
 		return fmt.Errorf("cellnet: soft hand-off needs positive overlap, got %v", s.OverlapSeconds)
 	}
-	if s.RetryInterval < 0 {
-		return fmt.Errorf("cellnet: negative soft hand-off retry interval")
-	}
 	return nil
-}
-
-// retryEvery returns the effective polling interval.
-func (s SoftHandOffConfig) retryEvery() float64 {
-	if s.RetryInterval > 0 {
-		return s.RetryInterval
-	}
-	return 0.5
 }
 
 // Validate checks scenario invariants.

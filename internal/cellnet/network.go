@@ -194,12 +194,7 @@ func New(cfg Config) (*Network, error) {
 		n.cells[i] = c
 	}
 	for _, id := range cfg.TraceCells {
-		gap := cfg.TraceMinGap
-		n.cells[id].trace = &Trace{
-			Test: stats.Series{MinGap: gap},
-			Br:   stats.Series{MinGap: gap},
-			PHD:  stats.Series{MinGap: gap},
-		}
+		n.cells[id].trace = &Trace{}
 	}
 	// Initial events, per table: arrivals in ascending cell ID, then the
 	// sweep, then the exchange round. The order fixes the heap sequence
@@ -674,7 +669,7 @@ func (n *Network) enterCell(conn *connection, from, to *cell, now float64) {
 // (macrodiversity in the overlap region) and no other events exist for it.
 func (n *Network) scheduleSoftRetry(conn *connection, from, to *cell, deadline float64) {
 	now := from.sched.Now()
-	next := math.Min(now+n.cfg.SoftHandOff.retryEvery(), deadline)
+	next := math.Min(now+softHandOffRetry, deadline)
 	from.sched.MustAfter(next-now, func(sim.Scheduler) {
 		n.onSoftRetry(conn, from, to, deadline)
 	})

@@ -101,9 +101,7 @@ func (n *Network) ResetStats() {
 		c.buTW.Set(now, bu)
 		c.degTW.Set(now, float64(c.engine.DegradedBandwidth()))
 		if c.trace != nil {
-			c.trace.Test = stats.Series{MinGap: n.cfg.TraceMinGap}
-			c.trace.Br = stats.Series{MinGap: n.cfg.TraceMinGap}
-			c.trace.PHD = stats.Series{MinGap: n.cfg.TraceMinGap}
+			*c.trace = Trace{}
 		}
 	}
 }

@@ -141,11 +141,13 @@ func (c Config) Validate() error {
 //
 // Degraded-value contract: ok=true additionally promises a finite,
 // non-negative value. Implementations need not police that themselves —
-// the engine passes every float answer through PeerValue, which demotes
-// NaN, ±Inf and negative values (e.g. a corrupt frame decoding to a
-// sentinel) to ok=false. Both the in-memory (internal/cellnet) and the
-// signaling (internal/signaling) implementations are judged by that one
-// helper, so their semantics cannot drift.
+// every reader, the engine (Eqs. 5–6, T_soj,max) and the admission
+// policies that query neighbors directly (AC2, AC3, any rival that
+// copies them) alike, passes each float answer through PeerValue, which
+// demotes NaN, ±Inf and negative values (e.g. a corrupt frame decoding
+// to a sentinel) to ok=false. Both the in-memory (internal/cellnet) and
+// the signaling (internal/signaling) implementations are judged by that
+// one helper, so their semantics cannot drift.
 type Peers interface {
 	// OutgoingReservation asks neighbor li to evaluate Eq. 5 toward this
 	// cell: the expected bandwidth of its connections that will hand off

@@ -208,3 +208,89 @@ func TestAC1DegradedStillDecides(t *testing.T) {
 		t.Fatalf("DegradedAdmissions = %d, want 1", got)
 	}
 }
+
+// badFloatPeers is a full neighborhood (used 100/100, honest B_r = 5)
+// whose links deliver bad in place of the float of Snapshot and/or
+// RecomputeReservation, ok still true — a corrupt signaling frame. It
+// counts the direct neighbor reads so the test can tell which policies
+// make any.
+type badFloatPeers struct {
+	bad                     float64
+	inSnapshot, inRecompute bool
+	snapshots, recomputes   int
+}
+
+func (p *badFloatPeers) float(corrupt bool) float64 {
+	if corrupt {
+		return p.bad
+	}
+	return 5
+}
+
+func (p *badFloatPeers) OutgoingReservation(topology.LocalIndex, float64, float64) (float64, bool) {
+	return 0, true
+}
+
+func (p *badFloatPeers) Snapshot(topology.LocalIndex) (int, int, float64, bool) {
+	p.snapshots++
+	return 100, 100, p.float(p.inSnapshot), true
+}
+
+func (p *badFloatPeers) RecomputeReservation(topology.LocalIndex, float64) (int, int, float64, bool) {
+	p.recomputes++
+	return 100, 100, p.float(p.inRecompute), true
+}
+
+func (p *badFloatPeers) MaxSojourn(topology.LocalIndex, float64) (float64, bool) { return 0, true }
+
+// TestNeighborFloatsFailClosed pins the degraded-value contract on the
+// policy side: every registered policy that reads neighbors directly
+// (Snapshot / RecomputeReservation — AC2 and AC3 among the built-ins)
+// must treat a non-finite or negative B_r arriving with ok=true as an
+// unreachable neighbor. Against neighbors that honestly block the call,
+// a corrupt float may never make the decision more permissive.
+func TestNeighborFloatsFailClosed(t *testing.T) {
+	decide := func(pol string, p *badFloatPeers) Decision {
+		cfg := adaptiveConfig(pol)
+		cfg.ExpDwellMean, cfg.ExpDwellWindow = 60, 10 // so every registered policy validates
+		return NewEngine(cfg).AdmitNew(1, 1, p)
+	}
+	checked := 0
+	for _, pol := range PolicyNames() {
+		honestPeers := &badFloatPeers{}
+		honest := decide(pol, honestPeers)
+		if honestPeers.snapshots+honestPeers.recomputes == 0 {
+			continue // decides without reading neighbors directly
+		}
+		checked++
+		if honest.Admitted {
+			t.Fatalf("%s admits against honest full neighbors: the scenario no longer blocks", pol)
+		}
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -50} {
+			for _, site := range []struct {
+				name                    string
+				inSnapshot, inRecompute bool
+			}{
+				{"snapshot", true, false},
+				{"recompute", false, true},
+				{"both", true, true},
+			} {
+				p := &badFloatPeers{bad: bad, inSnapshot: site.inSnapshot, inRecompute: site.inRecompute}
+				d := decide(pol, p)
+				if d.Admitted {
+					t.Errorf("%s admitted with B_r = %v in %s where honest neighbors block: %+v", pol, bad, site.name, d)
+				}
+				// A rejected snapshot the policy replaced by a valid
+				// fresh recompute leaves the decision on verified data
+				// only; every other rejected value must be flagged.
+				replaced := !site.inRecompute && p.recomputes > 0
+				if !replaced && !d.Degraded {
+					t.Errorf("%s not flagged degraded with B_r = %v in %s: %+v", pol, bad, site.name, d)
+				}
+			}
+		}
+	}
+	if checked < 2 {
+		t.Fatalf("only %d policies read neighbors directly; AC2 and AC3 must be among them", checked)
+	}
+}

@@ -59,11 +59,12 @@ type PolicyTraits struct {
 // deterministic functions of the context and their own per-cell state —
 // no wall clock, no global RNG — so simulations stay reproducible.
 //
-// Degraded-peer obligation: a policy that consults peers must treat a
-// failed peer answer (ok=false, or a value rejected by PeerValue) as
-// unknown — fail closed (deny, reserve conservatively) and report
-// Decision.Degraded — never as "contributes nothing". The built-in
-// AC2/AC3 implementations are the reference behavior.
+// Degraded-peer obligation: a policy that consults peers passes every
+// float they return through PeerValue and treats a failed answer
+// (ok=false, or a value PeerValue rejects) as unknown — fail closed
+// (deny, reserve conservatively) and report Decision.Degraded — never
+// as "contributes nothing". The built-in AC2/AC3 implementations are
+// the reference behavior.
 //
 // Optional extension interfaces: CellStater (per-cell mutable state),
 // HandOffObserver (feedback from hand-off outcomes),
@@ -306,7 +307,7 @@ func (ac2Policy) DecideNew(ctx *PolicyContext) Decision {
 	for li := topology.LocalIndex(1); int(li) <= ctx.Degree(); li++ {
 		used, cap_, nbr, okCall := peers.RecomputeReservation(li, ctx.Now)
 		calcs++
-		if !okCall {
+		if nbr, okCall = PeerValue(nbr, okCall); !okCall {
 			// Unknown neighbor state: conservatively assume it cannot
 			// reserve its target — protect P_HD at the cost of P_CB.
 			degraded = true
@@ -344,7 +345,7 @@ func (ac3Policy) DecideNew(ctx *PolicyContext) Decision {
 	peers := ctx.Peers()
 	for li := topology.LocalIndex(1); int(li) <= ctx.Degree(); li++ {
 		used, cap_, lastBr, okSnap := peers.Snapshot(li)
-		if okSnap && float64(used)+lastBr <= float64(cap_) {
+		if lastBr, okSnap = PeerValue(lastBr, okSnap); okSnap && float64(used)+lastBr <= float64(cap_) {
 			continue // neighbor appears able to reserve its target
 		}
 		// The neighbor appears unable — or its health is unknown
@@ -352,7 +353,7 @@ func (ac3Policy) DecideNew(ctx *PolicyContext) Decision {
 		// recompute and prove it has room.
 		usedNew, capNew, nbr, okRe := peers.RecomputeReservation(li, ctx.Now)
 		calcs++
-		if !okRe {
+		if nbr, okRe = PeerValue(nbr, okRe); !okRe {
 			degraded = true
 			ok = false
 			continue

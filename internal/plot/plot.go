@@ -50,9 +50,6 @@ func (c *Chart) Add(name string, x, y []float64) {
 	c.series = append(c.series, Series{Name: name, X: x, Y: y})
 }
 
-// SeriesCount returns the number of series added.
-func (c *Chart) SeriesCount() int { return len(c.series) }
-
 func (c *Chart) dims() (w, h int) {
 	w, h = c.Width, c.Height
 	if w <= 0 {

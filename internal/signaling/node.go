@@ -34,12 +34,6 @@ type CallPolicy struct {
 	JitterSeed uint64
 }
 
-// DefaultCallPolicy is a sane starting point for faulty links: 3 attempts
-// with a 50 ms deadline each and 5 ms base backoff.
-func DefaultCallPolicy() CallPolicy {
-	return CallPolicy{Timeout: 50 * time.Millisecond, MaxAttempts: 3, Backoff: 5 * time.Millisecond}
-}
-
 // attempts normalizes MaxAttempts.
 func (cp CallPolicy) attempts() int {
 	if cp.MaxAttempts < 1 {

@@ -58,10 +58,6 @@ func NewEventQueue() *EventQueue {
 // Len returns the number of pending, not-canceled events.
 func (q *EventQueue) Len() int { return len(q.heap) - q.canceled }
 
-// LastSeq returns the most recently assigned sequence number (0 before
-// the first Schedule).
-func (q *EventQueue) LastSeq() uint64 { return q.seq }
-
 // Schedule books fn at time t and returns its sequence number. It panics
 // if t is NaN; callers enforce their own "not in the past" rule because
 // only they know the clock.

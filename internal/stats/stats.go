@@ -122,22 +122,13 @@ func (w *TimeWeighted) Mean(now float64) float64 {
 	return (w.integral + w.value*(now-w.last)) / (now - w.start)
 }
 
-// Series is an append-only (time, value) trace with optional thinning:
-// points closer than MinGap seconds to the previous kept point are
-// dropped (the final point of a burst is what plots need anyway).
+// Series is an append-only (time, value) trace.
 type Series struct {
-	MinGap float64
-	T, V   []float64
+	T, V []float64
 }
 
-// Append adds a point, honoring MinGap thinning.
+// Append adds a point.
 func (s *Series) Append(t, v float64) {
-	if n := len(s.T); n > 0 && s.MinGap > 0 && t-s.T[n-1] < s.MinGap {
-		// Within the gap: replace the last point so the trace ends on the
-		// most recent value.
-		s.T[n-1], s.V[n-1] = t, v
-		return
-	}
 	s.T = append(s.T, t)
 	s.V = append(s.V, v)
 }

@@ -101,20 +101,6 @@ func TestSeriesAppend(t *testing.T) {
 	}
 }
 
-func TestSeriesThinning(t *testing.T) {
-	s := Series{MinGap: 10}
-	s.Append(0, 1)
-	s.Append(3, 2)  // within gap: replaces
-	s.Append(9, 3)  // within gap: replaces
-	s.Append(20, 4) // new point
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
-	}
-	if ti, v := s.At(0); ti != 9 || v != 3 {
-		t.Fatalf("thinned point = %v,%v, want last of burst (9,3)", ti, v)
-	}
-}
-
 func TestSeriesValueAt(t *testing.T) {
 	var s Series
 	s.Append(10, 1)
