@@ -46,18 +46,21 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# bench-json measures the admission fast path and the estimator's write
-# path (predict's BenchmarkRecord, pinned at 0 allocs/op) at full
+# bench-json measures the admission fast path, the estimator's write
+# path (predict's BenchmarkRecord, pinned at 0 allocs/op) and one
+# signaled decision (signaling's BenchmarkAdmitSignaled: AC3 on a hex
+# pipe mesh, pinned on allocations and frames/op, never on time) at full
 # benchtime, refreshes the "current" side of BENCH_admission.json, and
 # fails on a regression beyond 10% of the pinned baseline: the
-# allocation profile always, and — since this target assumes the machine
-# that recorded the baseline — mean ns/op and tail p99-ns/op as well
-# (-check-time). CI's bench-smoke runs the same gate without
-# -check-time, so cross-machine wall-clock noise cannot fail a build
-# while an allocation regression still does. Delete the file or pass
-# -rebaseline to cmd/benchjson to re-baseline deliberately.
+# allocation profile and frame count always, and — since this target
+# assumes the machine that recorded the baseline — mean ns/op and tail
+# p99-ns/op of the in-process benchmarks as well (-check-time). CI's
+# bench-smoke runs the same gate without -check-time, so cross-machine
+# wall-clock noise cannot fail a build while an allocation regression
+# still does. Delete the file or pass -rebaseline to cmd/benchjson to
+# re-baseline deliberately.
 bench-json:
-	$(GO) test -bench 'BenchmarkAdmitNew|BenchmarkOutgoingReservation|BenchmarkRecord' -benchmem -run '^$$' -count=1 ./internal/core/ ./internal/predict/ \
+	$(GO) test -bench 'BenchmarkAdmitNew|BenchmarkOutgoingReservation|BenchmarkRecord|BenchmarkAdmitSignaled' -benchmem -run '^$$' -count=1 ./internal/core/ ./internal/predict/ ./internal/signaling/ \
 		| $(GO) run ./cmd/benchjson -out BENCH_admission.json -check -check-time
 
 # bench-sim measures the sharded kernel on the 10,000-cell metro

@@ -20,13 +20,13 @@
 // way).
 //
 // With -check the tool also gates: a current allocation profile
-// (B/op, allocs/op) more than -max-regression worse than the pinned
-// baseline fails, as does — with -check-time, for runs on the machine
-// that recorded the baseline — a ns/op regression. -min-scaling fails
-// when the best shards=N scaling falls short of the requested factor,
-// capped by the cores the host actually has (a single-core machine
-// cannot exhibit parallel speedup, so the gate adjusts rather than
-// demanding the impossible).
+// (B/op, allocs/op) or frames/op count more than -max-regression worse
+// than the pinned baseline fails, as does — with -check-time, for runs
+// on the machine that recorded the baseline — a ns/op regression.
+// -min-scaling fails when the best shards=N scaling falls short of the
+// requested factor, capped by the cores the host actually has (a
+// single-core machine cannot exhibit parallel speedup, so the gate
+// adjusts rather than demanding the impossible).
 package main
 
 import (
@@ -46,13 +46,18 @@ import (
 // result is one parsed benchmark line. P99NsPerOp carries the custom
 // "p99-ns/op" metric the admission benchmark reports (zero when the
 // benchmark doesn't emit it); like ns/op it is machine-dependent, so it
-// is only gated under -check-time.
+// is only gated under -check-time. FramesPerOp is the signaling
+// benchmark's "frames/op": protocol frames per admission decision, a
+// count like the allocation profile and gated with it. A benchmark
+// that reports it crosses a transport, where wall time is goroutine
+// scheduling, so its ns/op is recorded but never gated.
 type result struct {
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	P99NsPerOp  float64 `json:"p99_ns_per_op,omitempty"`
+	FramesPerOp float64 `json:"frames_per_op,omitempty"`
 }
 
 // report is the serialized artifact.
@@ -116,6 +121,12 @@ func check(rep report, maxRegression float64, checkTime bool) error {
 		}
 		if worse(cur.AllocsPerOp, base.AllocsPerOp) {
 			bad = append(bad, fmt.Sprintf("%s: %.0f allocs/op vs baseline %.0f", name, cur.AllocsPerOp, base.AllocsPerOp))
+		}
+		if worse(cur.FramesPerOp, base.FramesPerOp) {
+			bad = append(bad, fmt.Sprintf("%s: %.2f frames/op vs baseline %.2f", name, cur.FramesPerOp, base.FramesPerOp))
+		}
+		if cur.FramesPerOp > 0 {
+			continue // crosses a transport: counts are gated, time is not
 		}
 		if checkTime && slower(cur.NsPerOp, base.NsPerOp) {
 			bad = append(bad, fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f", name, cur.NsPerOp, base.NsPerOp))
@@ -209,6 +220,8 @@ func parse(r io.Reader) (map[string]result, []string, error) {
 				res.AllocsPerOp = v
 			case "p99-ns/op":
 				res.P99NsPerOp = v
+			case "frames/op":
+				res.FramesPerOp = v
 			}
 		}
 		results[gomaxprocsSuffix.ReplaceAllString(f[0], "")] = res

@@ -38,9 +38,11 @@ import (
 	"math/rand/v2"
 	"net"
 	"os"
+	"sort"
 	"time"
 
 	"cellqos/internal/audit"
+	"cellqos/internal/clock"
 	"cellqos/internal/core"
 	"cellqos/internal/faults"
 	"cellqos/internal/predict"
@@ -201,10 +203,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	admitted, blocked := 0, 0
 	var calcs int
+	wall := clock.Wall{}
+	lat := make([]time.Duration, 0, *requests)
+	framesBefore, bytesBefore := wireTraffic(nodes, links, mscLinks)
 	for i := 0; i < *requests; i++ {
 		n := nodes[rng.IntN(len(nodes))]
 		bw := mix.Sample(rng).Bandwidth
+		t0 := wall.Now()
 		d := n.Engine().AdmitNew(100+float64(i)*0.1, bw, n.Peers())
+		lat = append(lat, wall.Since(t0))
 		calcs += d.BrCalcs
 		if d.Admitted {
 			admitted++
@@ -215,24 +222,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	totalFrames, totalBytes := wireTraffic(nodes, links, mscLinks)
 	fmt.Fprintf(stdout, "admission requests: %d admitted, %d blocked (Ncalc avg %.2f)\n",
 		admitted, blocked, float64(calcs)/float64(*requests))
+	if *requests > 0 {
+		// The wire cost of the paper's Fig. 13 quantity: what one
+		// admission test sends, and how long the caller waits for it.
+		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+		fmt.Fprintf(stdout, "per admission test: %.2f frames, %.0f bytes on the wire; decision wall p50 %s, p99 %s\n",
+			float64(totalFrames-framesBefore)/float64(*requests),
+			float64(totalBytes-bytesBefore)/float64(*requests),
+			lat[len(lat)/2], lat[len(lat)*99/100])
+	}
 
 	tb := stats.NewTable("Cell", "Bu", "Br", "frames-sent")
-	var totalFrames uint64
 	for ci, n := range nodes {
 		frames := uint64(0)
 		for _, p := range links[n] {
 			frames += p.Stats().Sent.Load()
 		}
-		totalFrames += frames
 		tb.AddRowStrings(fmt.Sprintf("%d", ci+1),
 			fmt.Sprintf("%d", n.Engine().UsedBandwidth()),
 			fmt.Sprintf("%.2f", n.Engine().LastTargetReservation()),
 			fmt.Sprintf("%d", frames))
-	}
-	for _, p := range mscLinks {
-		totalFrames += p.Stats().Sent.Load()
 	}
 	fmt.Fprintln(stdout)
 	fmt.Fprint(stdout, tb.String())
@@ -276,6 +288,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "audit: %d base-station ledgers verified clean\n", len(nodes))
 	}
 	return 0
+}
+
+// wireTraffic totals the frames and bytes sent so far on every link of
+// the deployment: each BS's links and, in a star, the MSC's.
+func wireTraffic(nodes []*signaling.BSNode, links map[*signaling.BSNode][]*signaling.Peer, mscLinks []*signaling.Peer) (frames, bytes uint64) {
+	add := func(p *signaling.Peer) {
+		frames += p.Stats().Sent.Load()
+		bytes += p.Stats().BytesSent.Load()
+	}
+	for _, n := range nodes {
+		for _, p := range links[n] {
+			add(p)
+		}
+	}
+	for _, p := range mscLinks {
+		add(p)
+	}
+	return frames, bytes
 }
 
 // auditNodes runs the invariant checker over every node's ledger,

@@ -17,6 +17,8 @@ func TestSmokeMesh(t *testing.T) {
 	for _, frag := range []string{
 		"wired 4 base stations over TCP (mesh)",
 		"admission requests:",
+		"per admission test:",
+		"bytes on the wire; decision wall p50",
 		"total protocol frames sent:",
 		"audit: 4 base-station ledgers verified clean",
 	} {

@@ -498,3 +498,119 @@ func TestChaosMeshLossySoak(t *testing.T) {
 	checkLedgers(t, nodes, 10)
 	closeAll(nodes)
 }
+
+// serialPeers hides core.Prefetcher from the engine, which then asks
+// the neighbors query by query — the path every decision took before
+// the in-flight gather, and the reference for what it must decide.
+type serialPeers struct{ core.Peers }
+
+// TestChaosAC3DarkNeighborsWaitOnce partitions k of a cell's six
+// neighbors and runs one AC3 admission. The gather puts every
+// neighbor's query on the wire together, so the k dark ones wait out
+// their deadline side by side and the admission takes one CallPolicy
+// budget whatever k is; query by query it takes k. Accounting is exact:
+// per dark neighbor one timeout and two failed logical queries (the
+// gather, then AC3's recompute against the now-open breaker) where the
+// serial path has three (snapshot, recompute, Eq. 5 term), and the
+// decision, N_calc, degraded flag and held B_r equal the serial path's.
+func TestChaosAC3DarkNeighborsWaitOnce(t *testing.T) {
+	defer testleak.Check(t)()
+	top := topology.Hex(3, 3, true)
+	const timeout = 150 * time.Millisecond
+	wall := clock.Wall{}
+
+	type outcome struct {
+		healthy, dark core.Decision
+		br            float64
+		took          time.Duration
+		remoteErrs    uint64
+	}
+	run := func(t *testing.T, k int, serial bool) outcome {
+		cfg := engineConfig()
+		cfg.Admission = core.MustPolicy("AC3")
+		nodes := make([]*signaling.BSNode, top.NumCells())
+		for i := range nodes {
+			nodes[i] = signaling.NewBSNode(topology.CellID(i), top, cfg)
+		}
+		seedRing(nodes)
+		links := connectMeshFaulty(nodes, top, func(a, b topology.CellID) faults.Config { return faults.Config{} })
+		defer closeAll(nodes)
+		for _, n := range nodes {
+			n.SetCallPolicy(signaling.CallPolicy{Timeout: timeout, MaxAttempts: 1})
+			n.SetBreakerConfig(1, time.Hour)
+		}
+		node := nodes[0]
+		peers := node.Peers()
+		if serial {
+			peers = serialPeers{peers}
+		}
+		var o outcome
+		// A healthy admission first, so the decay fallback has a
+		// last-known Eq. 5 value to hold for each neighbor.
+		o.healthy = node.Engine().AdmitNew(10, 1, peers)
+		healthyBr := node.Engine().LastTargetReservation()
+		if healthyBr == 0 {
+			t.Fatal("healthy B_r is zero — seeding broken")
+		}
+		// Local index 4 (west) is the neighbor whose connection hands
+		// off into cell 0, so its fallback term is the one that counts.
+		dark := make([]signaling.NodeID, k)
+		for i := range dark {
+			nb, _ := top.FromLocal(0, topology.LocalIndex(4+i))
+			dark[i] = signaling.NodeID(nb)
+			links[fmt.Sprintf("%d->0", nb)].Partition() // its replies to cell 0 vanish
+		}
+		start := wall.Now()
+		o.dark = node.Engine().AdmitNew(10, 1, peers)
+		o.took = wall.Since(start)
+		o.br = node.Engine().LastTargetReservation()
+		o.remoteErrs = node.RemoteErrors()
+
+		if math.Abs(o.br-healthyBr) > 1e-12 {
+			t.Errorf("B_r with %d dark neighbors = %v, want held at %v", k, o.br, healthyBr)
+		}
+		for _, nb := range dark {
+			link := node.Link(nb)
+			if got := link.Stats().Timeouts.Load(); got != 1 {
+				t.Errorf("link to dark cell %d: %d timeouts, want 1 (later queries fail fast)", nb, got)
+			}
+			if got := link.Breaker().Opens(); got != 1 {
+				t.Errorf("link to dark cell %d: breaker opened %d times, want 1", nb, got)
+			}
+		}
+		if got := node.Engine().DegradedAdmissions(); got != 1 {
+			t.Errorf("DegradedAdmissions = %d, want 1", got)
+		}
+		checkLedgers(t, nodes, 10)
+		return o
+	}
+
+	for k := 1; k <= 3; k++ {
+		k := k
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			got, ref := run(t, k, false), run(t, k, true)
+			want := core.Decision{Admitted: false, BrCalcs: k + 1, Degraded: true}
+			if got.dark != want || ref.dark != want {
+				t.Errorf("decision in flight %+v, query by query %+v, want both %+v", got.dark, ref.dark, want)
+			}
+			if got.healthy != ref.healthy || got.healthy.Degraded {
+				t.Errorf("healthy decision in flight %+v, query by query %+v", got.healthy, ref.healthy)
+			}
+			if got.br != ref.br {
+				t.Errorf("held B_r in flight %v, query by query %v", got.br, ref.br)
+			}
+			if got.remoteErrs != uint64(2*k) || ref.remoteErrs != uint64(3*k) {
+				t.Errorf("RemoteErrors in flight %d, query by query %d, want %d and %d", got.remoteErrs, ref.remoteErrs, 2*k, 3*k)
+			}
+			// One budget, not k: under two deadlines whatever k is.
+			// Query by query each dark neighbor's snapshot waits out its
+			// own deadline in turn.
+			if got.took >= 2*timeout {
+				t.Errorf("admission with %d dark neighbors took %v, want under %v (one %v budget plus slack)", k, got.took, 2*timeout, timeout)
+			}
+			if ref.took < time.Duration(k)*timeout {
+				t.Errorf("query by query took %v, under %d deadlines — the scenario no longer waits per neighbor", ref.took, k)
+			}
+		})
+	}
+}

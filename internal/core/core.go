@@ -148,6 +148,10 @@ func (c Config) Validate() error {
 // to a sentinel) to ok=false. Both the in-memory (internal/cellnet) and
 // the signaling (internal/signaling) implementations are judged by that
 // one helper, so their semantics cannot drift.
+//
+// An implementation whose queries each cost a round trip may also
+// implement Prefetcher; the engine then gathers once per admission test
+// instead of asking neighbor by neighbor, query by query.
 type Peers interface {
 	// OutgoingReservation asks neighbor li to evaluate Eq. 5 toward this
 	// cell: the expected bandwidth of its connections that will hand off
@@ -163,6 +167,27 @@ type Peers interface {
 	// MaxSojourn returns neighbor li's current T_soj,max (the largest
 	// sojourn in its hand-off estimation functions).
 	MaxSojourn(li topology.LocalIndex, now float64) (tSojMax float64, ok bool)
+}
+
+// Prefetcher is an optional capability of a Peers value whose queries
+// cost a round trip each (internal/signaling): it can gather what an
+// admission test will ask of every neighbor in one exchange per
+// neighbor, all of them in flight together. AdmitNewRequest (policies
+// with UsesPeers) and ComputeTargetReservation discover it by type
+// assertion on their peers argument; the in-process implementations do
+// not have it and pay one failed assertion.
+//
+// Prefetch returns a view valid for one admission test or one Eq. 6
+// evaluation on the calling goroutine — never stored on the engine,
+// which is re-entered while it waits on neighbors. The view answers
+// OutgoingReservation(li, now, test) for exactly the given (now, test)
+// and the first Snapshot(li) of each neighbor from what it gathered,
+// and passes every other query to the underlying Peers. A neighbor
+// that could not be reached answers ok=false to both. The view does
+// not itself implement Prefetcher, so handing it on to
+// ComputeTargetReservation does not gather again.
+type Prefetcher interface {
+	Prefetch(now, test float64) Peers
 }
 
 // PeerValue validates one Peers float answer against the degraded-value
@@ -208,6 +233,12 @@ type Decision struct {
 // own RecordDeparture/RemoveConnection; it does not make a second
 // concurrent admission safe. Without a Lock the engine is confined to
 // one goroutine.
+//
+// ComputeTargetReservation, by contrast, is re-entered: while the
+// owner's admission waits on its neighbors, their RecomputeReservation
+// queries run it on this engine from other goroutines. Whatever one
+// call gathers from the neighbors (a Prefetcher's view included) lives
+// on that call's stack, never on the engine.
 type Engine struct {
 	cfg    Config
 	pol    AdmissionPolicy // resolved (and per-cell instantiated) scheme
@@ -308,6 +339,16 @@ func (e *Engine) UsedBandwidth() int {
 	e.lock()
 	defer e.unlock()
 	return e.used
+}
+
+// Snapshot returns what Peers.Snapshot reports of this cell — used
+// bandwidth, capacity and B_r^prev — read under one acquisition of the
+// lock, so a concurrent admission cannot slip between the reads and
+// hand the asker a (used, B_r^prev) pair that never existed.
+func (e *Engine) Snapshot() (used, capacity int, lastBr float64) {
+	e.lock()
+	defer e.unlock()
+	return e.used, e.cfg.Capacity, e.lastBr
 }
 
 // PledgedBandwidth returns bandwidth pledged to expected visitors
@@ -761,19 +802,30 @@ func (e *Engine) OutgoingReservation(now float64, toward topology.LocalIndex, te
 	return sum
 }
 
+// window returns the estimation window Eq. 6 is evaluated over: T_est,
+// or the fixed window of the ExpDwell baseline.
+func (e *Engine) window() float64 {
+	if e.tc == nil {
+		return e.cfg.ExpDwellWindow
+	}
+	e.lock()
+	defer e.unlock()
+	return e.tc.Test()
+}
+
 // ComputeTargetReservation evaluates Eq. 6: B_r = Σ_{i∈A} B_{i,this},
 // asking each neighbor for its Eq. 5 contribution within this cell's
 // current T_est. It updates B_r^prev and counts one B_r calculation.
-// Non-adaptive policies return their fixed reservation.
+// Non-adaptive policies return their fixed reservation. When peers is a
+// Prefetcher the terms are gathered in one exchange first; the sum
+// still runs in local-index order over the same values.
 func (e *Engine) ComputeTargetReservation(now float64, peers Peers) float64 {
 	if f, ok := e.pol.(FixedReservationPolicy); ok {
 		return f.FixedReservation(e.cfg)
 	}
-	test := e.cfg.ExpDwellWindow // fixed window for the ExpDwell baseline
-	if e.tc != nil {
-		e.lock()
-		test = e.tc.Test()
-		e.unlock()
+	test := e.window()
+	if pf, ok := peers.(Prefetcher); ok {
+		peers = pf.Prefetch(now, test)
 	}
 	// Fan out to the neighbors without holding the local lock.
 	br := 0.0
@@ -863,6 +915,13 @@ func (e *Engine) AdmitNew(now float64, bw int, peers Peers) Decision {
 func (e *Engine) AdmitNewRequest(now float64, req Request, peers Peers) Decision {
 	if req.Bandwidth <= 0 {
 		panic(fmt.Sprintf("core: non-positive bandwidth %d", req.Bandwidth))
+	}
+	if e.traits.UsesPeers {
+		// Gather before the policy asks: AC3's snapshots come first and
+		// ride on the same replies as Eq. 6's terms.
+		if pf, ok := peers.(Prefetcher); ok {
+			peers = pf.Prefetch(now, e.window())
+		}
 	}
 	e.ctx = PolicyContext{Now: now, Bandwidth: req.Bandwidth, Class: req.Class, engine: e, peers: peers}
 	return e.finishDecision(e.pol.DecideNew(&e.ctx))

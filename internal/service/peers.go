@@ -64,7 +64,8 @@ func (m *MeshPeers) OutgoingReservation(li topology.LocalIndex, now, test float6
 // Snapshot implements core.Peers.
 func (m *MeshPeers) Snapshot(li topology.LocalIndex) (int, int, float64, bool) {
 	nb, _, _ := m.neighbor(li)
-	return nb.UsedBandwidth(), nb.Capacity(), nb.LastTargetReservation(), true
+	used, capacity, lastBr := nb.Snapshot()
+	return used, capacity, lastBr, true
 }
 
 // RecomputeReservation implements core.Peers: the neighbor recomputes

@@ -28,10 +28,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	// bit-flipped, and a frame with trailing garbage.
 	f.Add(encode(Message{Type: MsgOutgoing, Seq: 1, From: 3, To: 7, Now: 12.5, Test: 4}))
 	f.Add(encode(Message{Type: MsgSnapshot, Seq: 2, U1: 40, U2: 100, F1: 5.25}))
+	f.Add(encode(Message{Type: MsgOutgoing.Response(), Seq: 7, F1: 3.5, U1: 80, U2: 100, F2: 5.25}))
 	f.Add(encode(Message{Type: MsgRecompute, Seq: 3, Now: 99}))
 	f.Add(encode(Message{Type: MsgMaxSojourn.Response(), Seq: 4, F1: math.Inf(1)}))
 	f.Add(encode(Message{Type: MsgError, Seq: 5, U1: 2}))
-	f.Add(encode(Message{Type: MsgOutgoing, F1: math.NaN(), Now: math.Inf(-1)}))
+	f.Add(encode(Message{Type: MsgOutgoing, F1: math.NaN(), Now: math.Inf(-1), F2: math.Inf(1)}))
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 	f.Add(make([]byte, frameSize))

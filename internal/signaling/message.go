@@ -36,7 +36,9 @@ const RespBit MsgType = 0x80
 const (
 	// MsgOutgoing asks the destination BS to evaluate Eq. 5 toward the
 	// sender: the expected hand-off bandwidth into the sender's cell
-	// within Test seconds. Response carries the value in F1.
+	// within Test seconds. Response carries the value in F1 and, riding
+	// along, the responder's snapshot — U1 (used), U2 (capacity), F2
+	// (last B_r) — so an admission test that needs both asks once.
 	MsgOutgoing MsgType = iota + 1
 	// MsgSnapshot asks for (used bandwidth, capacity, last B_r) without
 	// recomputation. Response: U1, U2, F1.
@@ -101,10 +103,12 @@ type Message struct {
 	F1   float64 // primary float result
 	U1   uint32  // used bandwidth / error code
 	U2   uint32  // capacity
+	F2   float64 // last B_r riding on a MsgOutgoing response
 }
 
-// frameSize is the wire size of an encoded message.
-const frameSize = 1 + 4 + 4 + 4 + 8 + 8 + 8 + 4 + 4
+// frameSize is the wire size of an encoded message. The hello carries
+// no version, so every node of a deployment runs one build.
+const frameSize = 1 + 4 + 4 + 4 + 8 + 8 + 8 + 4 + 4 + 8
 
 // maxFrame guards against corrupt length prefixes in future variable-
 // length versions; with fixed frames it documents the invariant.
@@ -122,6 +126,7 @@ func Encode(w io.Writer, m Message) error {
 	binary.BigEndian.PutUint64(buf[29:], math.Float64bits(m.F1))
 	binary.BigEndian.PutUint32(buf[37:], m.U1)
 	binary.BigEndian.PutUint32(buf[41:], m.U2)
+	binary.BigEndian.PutUint64(buf[45:], math.Float64bits(m.F2))
 	_, err := w.Write(buf[:])
 	return err
 }
@@ -142,6 +147,7 @@ func Decode(r io.Reader) (Message, error) {
 		F1:   math.Float64frombits(binary.BigEndian.Uint64(buf[29:])),
 		U1:   binary.BigEndian.Uint32(buf[37:]),
 		U2:   binary.BigEndian.Uint32(buf[41:]),
+		F2:   math.Float64frombits(binary.BigEndian.Uint64(buf[45:])),
 	}
 	if m.Type == 0 {
 		return Message{}, fmt.Errorf("signaling: zero message type")

@@ -96,10 +96,24 @@ func ConnectStar(msc *MSC, nodes []*BSNode) {
 
 // DialTCP connects to addr and sends the hello for node self. The caller
 // then Attaches the returned conn to its node.
+//
+// The connection closes abortively (SO_LINGER 0: a reset, not a FIN
+// exchange). A link has no graceful shutdown to protect — Close fails
+// whatever is pending on both sides — and a reset from either end leaves
+// no TIME_WAIT socket at the other: a node that is restarted, or
+// re-dials a flapping link through the reconnect hook, does not pile
+// them up on the acceptor's port (DESIGN.md §10.1 measures what a few
+// thousand of those cost the next listener).
 func DialTCP(addr string, self NodeID) (net.Conn, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
+	}
+	if tc, ok := conn.(*net.TCPConn); ok {
+		if err := tc.SetLinger(0); err != nil {
+			conn.Close()
+			return nil, fmt.Errorf("signaling: dial: %w", err)
+		}
 	}
 	var hello [4]byte
 	binary.BigEndian.PutUint32(hello[:], uint32(self))

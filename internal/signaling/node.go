@@ -264,7 +264,10 @@ func (n *BSNode) linkFor(nb NodeID) *Peer {
 	return n.Attach(id, conn)
 }
 
-// handle answers one incoming request against the local engine.
+// handle answers one incoming request against the local engine. Every
+// (used, capacity, B_r) triple is one Engine.Snapshot — one acquisition
+// of the node lock — so the node's own admission cannot move used or
+// B_r^prev between the reads.
 func (n *BSNode) handle(req Message) Message {
 	switch req.Type {
 	case MsgOutgoing:
@@ -273,20 +276,16 @@ func (n *BSNode) handle(req Message) Message {
 		if !ok {
 			return Message{Type: MsgError, U1: 2}
 		}
-		return Message{F1: n.engine.OutgoingReservation(req.Now, toward, req.Test)}
+		out := n.engine.OutgoingReservation(req.Now, toward, req.Test)
+		used, capacity, lastBr := n.engine.Snapshot()
+		return Message{F1: out, U1: uint32(used), U2: uint32(capacity), F2: lastBr}
 	case MsgSnapshot:
-		return Message{
-			U1: uint32(n.engine.UsedBandwidth()),
-			U2: uint32(n.engine.Capacity()),
-			F1: n.engine.LastTargetReservation(),
-		}
+		used, capacity, lastBr := n.engine.Snapshot()
+		return Message{U1: uint32(used), U2: uint32(capacity), F1: lastBr}
 	case MsgRecompute:
 		br := n.engine.ComputeTargetReservation(req.Now, n.Peers())
-		return Message{
-			U1: uint32(n.engine.UsedBandwidth()),
-			U2: uint32(n.engine.Capacity()),
-			F1: br,
-		}
+		used, capacity, _ := n.engine.Snapshot()
+		return Message{U1: uint32(used), U2: uint32(capacity), F1: br}
 	case MsgMaxSojourn:
 		return Message{F1: n.engine.MaxSojourn(req.Now)}
 	default:
@@ -303,40 +302,78 @@ func (n *BSNode) Peers() core.Peers { return remotePeers{n} }
 // retry budget; the engine then applies its explicit degradation policy
 // (core.Fallback) instead of this layer smuggling in sentinel values —
 // the old +Inf MaxSojourn and "infinitely healthy" MaxInt32 snapshots.
+//
+// It also implements core.Prefetcher: an admission test's MsgOutgoing
+// queries go to all neighbors at once and their replies carry the
+// snapshots too (see Prefetch).
 type remotePeers struct{ n *BSNode }
 
-func (r remotePeers) call(li topology.LocalIndex, req Message) (Message, bool) {
+// addressed stamps req with this node as sender and neighbor li as
+// destination.
+func (r remotePeers) addressed(li topology.LocalIndex, req Message) Message {
 	nb, ok := r.n.top.FromLocal(r.n.id, li)
 	if !ok {
 		panic(fmt.Sprintf("signaling: bad local index %d at cell %d", li, r.n.id))
 	}
 	req.From = NodeID(r.n.id)
 	req.To = NodeID(nb)
-	pol := r.n.callPolicy()
-	for attempt := 0; attempt < pol.attempts(); attempt++ {
-		if attempt > 0 {
-			r.n.backoffSleep(pol, attempt)
-		}
-		link := r.n.linkFor(req.To)
-		if link == nil {
-			continue
-		}
-		if attempt > 0 {
-			link.Stats().Retries.Add(1)
-		}
-		if !link.Allow() {
-			// Breaker open: fail fast; the cooldown probe will test the
-			// link, not this call.
-			continue
-		}
-		resp, err := link.CallTimeout(req, pol.Timeout)
-		link.Record(err == nil)
-		if err == nil {
-			return resp, true
-		}
+	return req
+}
+
+// begin makes attempt number `attempt` (0-based) of one logical query:
+// it backs off first when this is a retry, resolves the link, asks its
+// breaker and puts the request on the wire. The zero InFlight means
+// nothing went out — no link, breaker open (fail fast: the cooldown
+// probe will test the link, not this call) or a failed send.
+func (r remotePeers) begin(req Message, pol CallPolicy, attempt int) InFlight {
+	if attempt > 0 {
+		r.n.backoffSleep(pol, attempt)
 	}
-	r.n.remoteErrs.Add(1)
-	return Message{}, false
+	link := r.n.linkFor(req.To)
+	if link == nil {
+		return InFlight{}
+	}
+	if attempt > 0 {
+		link.Stats().Retries.Add(1)
+	}
+	if !link.Allow() {
+		return InFlight{}
+	}
+	c, err := link.Start(req, pol.Timeout)
+	if err != nil {
+		link.Record(false)
+	}
+	return c
+}
+
+// finish is the retry loop of one logical query whose first attempt c
+// has already begun: it waits for the attempt in flight, feeds the
+// link's breaker, and on failure begins the next attempt until the
+// policy's budget is spent — one exhausted budget is one RemoteErrors.
+func (r remotePeers) finish(req Message, pol CallPolicy, c InFlight) (Message, bool) {
+	attempt := 0
+	for {
+		if c.p != nil {
+			resp, err := c.Wait()
+			c.p.Record(err == nil)
+			if err == nil {
+				return resp, true
+			}
+		}
+		attempt++
+		if attempt >= pol.attempts() {
+			r.n.remoteErrs.Add(1)
+			return Message{}, false
+		}
+		c = r.begin(req, pol, attempt)
+	}
+}
+
+// call runs one logical query of neighbor li to completion.
+func (r remotePeers) call(li topology.LocalIndex, req Message) (Message, bool) {
+	req = r.addressed(li, req)
+	pol := r.n.callPolicy()
+	return r.finish(req, pol, r.begin(req, pol, 0))
 }
 
 // OutgoingReservation implements core.Peers.
@@ -375,4 +412,70 @@ func (r remotePeers) MaxSojourn(li topology.LocalIndex, now float64) (float64, b
 		return 0, false
 	}
 	return resp.F1, true
+}
+
+// prefetched is the per-call view Prefetch returns: what every neighbor
+// answered to one MsgOutgoing at (now, test), over the serial per-call
+// path for everything else.
+type prefetched struct {
+	core.Peers // the wire; only the four Peers methods are promoted, not Prefetch
+	now, test  float64
+	got        []gathered // by local index − 1
+}
+
+// gathered is one neighbor's reply; ok=false means its whole retry
+// budget failed, and neither answer may be used.
+type gathered struct {
+	out            float64
+	used, capacity int
+	lastBr         float64
+	ok             bool
+	snapshotRead   bool // the piggybacked snapshot answers once
+}
+
+// Prefetch implements core.Prefetcher. The first attempt of every
+// neighbor's MsgOutgoing goes out back to back, each under the node's
+// CallPolicy and its link's breaker exactly as a lone call's would, and
+// each deadline running from its own send; then the replies are
+// collected in local-index order, a failed first attempt continuing
+// with the rest of its retry budget. A decision therefore costs one
+// round trip rather than one per query per neighbor, and dark neighbors
+// wait out their first deadline together.
+func (r remotePeers) Prefetch(now, test float64) core.Peers {
+	deg := r.n.top.Degree(r.n.id)
+	v := &prefetched{Peers: r, now: now, test: test, got: make([]gathered, deg)}
+	pol := r.n.callPolicy()
+	req := Message{Type: MsgOutgoing, Now: now, Test: test}
+	calls := make([]InFlight, deg)
+	for i := range calls {
+		calls[i] = r.begin(r.addressed(topology.LocalIndex(i+1), req), pol, 0)
+	}
+	for i, c := range calls {
+		if resp, ok := r.finish(r.addressed(topology.LocalIndex(i+1), req), pol, c); ok {
+			v.got[i] = gathered{out: resp.F1, used: int(resp.U1), capacity: int(resp.U2), lastBr: resp.F2, ok: true}
+		}
+	}
+	return v
+}
+
+// OutgoingReservation answers from the gathered replies at the view's
+// own (now, test); any other key is a fresh query.
+func (v *prefetched) OutgoingReservation(li topology.LocalIndex, now, test float64) (float64, bool) {
+	i := int(li) - 1
+	if now != v.now || test != v.test || i < 0 || i >= len(v.got) {
+		return v.Peers.OutgoingReservation(li, now, test)
+	}
+	return v.got[i].out, v.got[i].ok
+}
+
+// Snapshot answers each neighbor's first query from the gathered reply;
+// a caller that asks again wants a fresh reading and gets one.
+func (v *prefetched) Snapshot(li topology.LocalIndex) (int, int, float64, bool) {
+	i := int(li) - 1
+	if i < 0 || i >= len(v.got) || v.got[i].snapshotRead {
+		return v.Peers.Snapshot(li)
+	}
+	g := &v.got[i]
+	g.snapshotRead = true
+	return g.used, g.capacity, g.lastBr, g.ok
 }

@@ -2,9 +2,11 @@ package signaling
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"net"
 	"sync"
+	"syscall"
 	"testing"
 	"testing/quick"
 	"time"
@@ -19,7 +21,7 @@ import (
 func TestCodecRoundTrip(t *testing.T) {
 	m := Message{
 		Type: MsgOutgoing, Seq: 42, From: 3, To: 7,
-		Now: 123.456, Test: 9, F1: -1.5, U1: 100, U2: 200,
+		Now: 123.456, Test: 9, F1: -1.5, U1: 100, U2: 200, F2: 6.25,
 	}
 	var buf bytes.Buffer
 	if err := Encode(&buf, m); err != nil {
@@ -55,13 +57,13 @@ func TestCodecShortFrame(t *testing.T) {
 
 // Property: arbitrary messages survive encode/decode.
 func TestPropertyCodecRoundTrip(t *testing.T) {
-	f := func(typ uint8, seq uint32, from, to uint32, now, test, f1 float64, u1, u2 uint32) bool {
+	f := func(typ uint8, seq uint32, from, to uint32, now, test, f1, f2 float64, u1, u2 uint32) bool {
 		if typ == 0 {
 			typ = 1
 		}
 		m := Message{
 			Type: MsgType(typ), Seq: seq, From: NodeID(from), To: NodeID(to),
-			Now: now, Test: test, F1: f1, U1: u1, U2: u2,
+			Now: now, Test: test, F1: f1, U1: u1, U2: u2, F2: f2,
 		}
 		var buf bytes.Buffer
 		if err := Encode(&buf, m); err != nil {
@@ -77,7 +79,7 @@ func TestPropertyCodecRoundTrip(t *testing.T) {
 		}
 		return got.Type == m.Type && got.Seq == m.Seq && got.From == m.From &&
 			got.To == m.To && eq(got.Now, m.Now) && eq(got.Test, m.Test) &&
-			eq(got.F1, m.F1) && got.U1 == m.U1 && got.U2 == m.U2
+			eq(got.F1, m.F1) && got.U1 == m.U1 && got.U2 == m.U2 && eq(got.F2, m.F2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -446,6 +448,58 @@ func TestTCPLoopbackQuery(t *testing.T) {
 	got, ok := n1.Peers().OutgoingReservation(1, 10, 5)
 	if !ok || math.Abs(got-4) > 1e-12 {
 		t.Fatalf("TCP OutgoingReservation = %v,%v, want 4,true", got, ok)
+	}
+}
+
+// TestDialTCPClosesByReset: a dialed link closes abortively, so the
+// acceptor's socket is torn down at once instead of lingering in
+// TIME_WAIT on its port, and the acceptor's pump reports the reset as an
+// ordinary peer close.
+func TestDialTCPClosesByReset(t *testing.T) {
+	defer testleak.Check(t)()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := DialTCP(ln.Addr().String(), NodeID(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AcceptHello(accepted); err != nil {
+		t.Fatal(err)
+	}
+	acceptor := NewPeer(accepted, nil)
+	defer acceptor.Close()
+	conn.Close()
+	select {
+	case <-acceptor.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("acceptor never saw the dialer's close")
+	}
+	if _, err := acceptor.Call(Message{Type: MsgSnapshot}); !errors.Is(err, ErrPeerClosed) {
+		t.Fatalf("Call after the dialer's reset = %v, want ErrPeerClosed", err)
+	}
+	// The reset, not a FIN: a raw read on a second connection shows it.
+	conn, err = DialTCP(ln.Addr().String(), NodeID(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted, err = ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer accepted.Close()
+	if _, err := AcceptHello(accepted); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	if _, err := accepted.Read(make([]byte, 1)); !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("read after the dialer's close = %v, want ECONNRESET", err)
 	}
 }
 
