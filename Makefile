@@ -47,11 +47,13 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 # bench-json measures the admission fast path, the estimator's write
-# path (predict's BenchmarkRecord, pinned at 0 allocs/op) and one
-# signaled decision (signaling's BenchmarkAdmitSignaled: AC3 on a hex
-# pipe mesh, pinned on allocations and frames/op, never on time) at full
-# benchtime, refreshes the "current" side of BENCH_admission.json, and
-# fails on a regression beyond 10% of the pinned baseline: the
+# path (predict's BenchmarkRecord, pinned at 0 allocs/op), one signaled
+# decision (signaling's BenchmarkAdmitSignaled: AC3 on a hex pipe mesh,
+# pinned on allocations and frames/op, never on time) and the event
+# kernel's steady state (sim's BenchmarkChurn at 1k and 100k pending
+# events and BenchmarkCancel, pinned at 0 allocs/op) at full benchtime,
+# refreshes the "current" side of BENCH_admission.json, and fails on a
+# regression beyond 10% of the pinned baseline: the
 # allocation profile and frame count always, and — since this target
 # assumes the machine that recorded the baseline — mean ns/op and tail
 # p99-ns/op of the in-process benchmarks as well (-check-time). CI's
@@ -60,7 +62,7 @@ bench:
 # still does. Delete the file or pass -rebaseline to cmd/benchjson to
 # re-baseline deliberately.
 bench-json:
-	$(GO) test -bench 'BenchmarkAdmitNew|BenchmarkOutgoingReservation|BenchmarkRecord|BenchmarkAdmitSignaled' -benchmem -run '^$$' -count=1 ./internal/core/ ./internal/predict/ ./internal/signaling/ \
+	$(GO) test -bench 'BenchmarkAdmitNew|BenchmarkOutgoingReservation|BenchmarkRecord|BenchmarkAdmitSignaled|BenchmarkChurn|BenchmarkCancel' -benchmem -run '^$$' -count=1 ./internal/core/ ./internal/predict/ ./internal/signaling/ ./internal/sim/ \
 		| $(GO) run ./cmd/benchjson -out BENCH_admission.json -check -check-time
 
 # bench-sim measures the sharded kernel on the 10,000-cell metro
@@ -110,6 +112,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/signaling/
 	$(GO) test -fuzz=FuzzIncrementalBr -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=30s ./internal/service/
+	$(GO) test -fuzz=FuzzEventQueue -fuzztime=30s ./internal/sim/
 
 # soak-smoke is the CI-sized service soak: one full pass up the
 # internal/faults chaos ladder of crash-and-restart checkpoint cycles,

@@ -49,6 +49,9 @@ type cell struct {
 	// shared stream (Network.rng) under instant signaling.
 	rng     *rand.Rand
 	connSeq uint64 // per-cell connection counter (IDs: cell<<32 | seq)
+	// arrive is the cell's new-connection request event, built once in New:
+	// a cell has one pending arrival at a time, and rebooks this closure.
+	arrive sim.Event
 
 	// Delayed-signaling state (Config.Sharding.Async); nil/zero otherwise.
 	mirror []mirrorEntry // last known neighbor state, by local index (entry 0 unused)
@@ -73,6 +76,18 @@ type connection struct {
 	// shards, so the draws must follow it, not a cell or the run. Under
 	// instant signaling it is the run's one shared stream.
 	rng *rand.Rand
+
+	// A connection has exactly one pending kernel event at a time — its
+	// next boundary crossing (toward hop) or its lifetime end — so it
+	// carries one event closure for life, built in establish, instead of
+	// allocating one per booking. pending is set while that event is
+	// booked; scheduleDeparture panics on a second booking. The closure
+	// captures only the Network and the connection, never a scheduler:
+	// under delayed signaling the connection migrates between shards.
+	event    sim.Event
+	hop      mobility.Hop
+	crossing bool
+	pending  bool
 }
 
 // Network is a runnable cellular-network simulation.
@@ -188,6 +203,7 @@ func New(cfg Config) (*Network, error) {
 			c.peers = &memPeers{n: n, c: c}
 			c.rng = n.rng
 		}
+		c.arrive = func(sim.Scheduler) { n.onArrival(c) }
 		c.tab.cells = append(c.tab.cells, c)
 		c.brTW.Set(0, c.engine.LastTargetReservation())
 		c.buTW.Set(0, 0)
@@ -286,17 +302,21 @@ func (n *Network) scheduleNextArrival(c *cell) {
 	if !ok {
 		return // no load ever again
 	}
-	if _, err := c.sched.At(at, func(sim.Scheduler) {
-		class := n.cfg.Mix.Sample(c.rng)
-		min, max := class.Bandwidth, class.Bandwidth
-		if n.cfg.AdaptiveQoS.Enabled && class == traffic.Video {
-			min = n.cfg.AdaptiveQoS.VideoMinBUs
-		}
-		n.request(c, min, max, serviceClass(class), 1)
-		n.scheduleNextArrival(c)
-	}); err != nil {
+	if _, err := c.sched.At(at, c.arrive); err != nil {
 		panic(err)
 	}
+}
+
+// onArrival draws a new-connection request in cell c, runs its admission
+// test and books the cell's next arrival.
+func (n *Network) onArrival(c *cell) {
+	class := n.cfg.Mix.Sample(c.rng)
+	min, max := class.Bandwidth, class.Bandwidth
+	if n.cfg.AdaptiveQoS.Enabled && class == traffic.Video {
+		min = n.cfg.AdaptiveQoS.VideoMinBUs
+	}
+	n.request(c, min, max, serviceClass(class), 1)
+	n.scheduleNextArrival(c)
 }
 
 // serviceClass maps the traffic mix onto admission service classes:
@@ -436,6 +456,14 @@ func (n *Network) establish(c *cell, min, max int, svc core.ServiceClass, wpath 
 	if conn.rng == nil { // delayed signaling: a stream of its own
 		conn.rng = rand.New(rand.NewPCG(n.cfg.Seed, connStream(id)))
 	}
+	conn.event = func(sim.Scheduler) {
+		conn.pending = false
+		if conn.crossing {
+			n.onCrossing(conn, conn.hop)
+		} else {
+			n.onLifetimeEnd(conn)
+		}
+	}
 	conn.path = n.newPath(conn.rng, c.id, now)
 	c.tab.conns[id] = conn
 	c.tab.births++
@@ -489,16 +517,22 @@ func (n *Network) newPath(rng *rand.Rand, start topology.CellID, now float64) mo
 // end. The hop has already been drawn from the path (the engine may
 // have consumed it as a direction hint).
 func (n *Network) scheduleDeparture(conn *connection, hop mobility.Hop, ok bool) {
+	if conn.pending {
+		panic(fmt.Sprintf("cellnet: second pending event for connection %d", conn.id))
+	}
+	conn.pending = true
 	sched := n.cells[conn.cell].sched
 	now := sched.Now()
-	if ok && !math.IsInf(hop.Sojourn, 1) && now+hop.Sojourn < conn.diesAt {
-		sched.MustAfter(hop.Sojourn, func(sim.Scheduler) { n.onCrossing(conn, hop) })
+	conn.crossing = ok && !math.IsInf(hop.Sojourn, 1) && now+hop.Sojourn < conn.diesAt
+	if conn.crossing {
+		conn.hop = hop
+		sched.MustAfter(hop.Sojourn, conn.event)
 		return
 	}
 	// Under delayed signaling a connection can arrive from a hand-off
 	// with its lifetime already expired (it died in transit): the
 	// remaining lifetime clamps to zero and the completion fires at once.
-	sched.MustAfter(math.Max(conn.diesAt-now, 0), func(sim.Scheduler) { n.onLifetimeEnd(conn) })
+	sched.MustAfter(math.Max(conn.diesAt-now, 0), conn.event)
 }
 
 // residence returns the cell conn's pending event fires in, after

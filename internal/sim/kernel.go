@@ -31,9 +31,9 @@ type Scheduler interface {
 	After(d float64, fn Event) (Handle, error)
 	// MustAfter is After for delays known to be non-negative.
 	MustAfter(d float64, fn Event) Handle
-	// Cancel prevents a scheduled event from firing; it reports whether
-	// the event was still pending. Handles are only valid on the
-	// Scheduler that issued them.
+	// Cancel prevents a scheduled event from firing and releases its
+	// callback; it reports whether the event was still pending. Handles
+	// are only valid on the Scheduler that issued them.
 	Cancel(h Handle) bool
 	// Stop aborts the run loop after the current event returns.
 	Stop()
@@ -63,11 +63,3 @@ var (
 	_ Scheduler = (*Simulator)(nil)
 	_ Kernel    = (*Simulator)(nil)
 )
-
-// NewHandle wraps a kernel-implementation sequence number in a Handle.
-// It exists for kernel implementations outside this package
-// (internal/sim/shard); simulation models never mint handles.
-func NewHandle(seq uint64) Handle { return Handle{seq: seq} }
-
-// Seq exposes the handle's sequence number for kernel implementations.
-func (h Handle) Seq() uint64 { return h.seq }

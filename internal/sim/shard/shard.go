@@ -23,9 +23,10 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -77,6 +78,7 @@ type Kernel struct {
 	running   bool
 	stopped   atomic.Bool
 	atBarrier func(now float64)
+	merge     []outMsg // deliver's scratch, kept across windows
 }
 
 var _ sim.Kernel = (*Kernel)(nil)
@@ -234,7 +236,7 @@ func (k *Kernel) runWindow(windowEnd float64) {
 // goroutine interleaving (outboxes are only read after the window joins)
 // and shard count (keys must not encode shard identity).
 func (k *Kernel) deliver(windowEnd float64) {
-	var all []outMsg
+	all := k.merge[:0]
 	for _, sh := range k.shards {
 		all = append(all, sh.outbox...)
 		sh.outbox = sh.outbox[:0]
@@ -242,26 +244,27 @@ func (k *Kernel) deliver(windowEnd float64) {
 	if len(all) == 0 {
 		return
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].m.at != all[j].m.at {
-			return all[i].m.at < all[j].m.at
+	slices.SortStableFunc(all, func(a, b outMsg) int {
+		if c := cmp.Compare(a.m.at, b.m.at); c != 0 {
+			return c
 		}
-		return all[i].m.key < all[j].m.key
+		return cmp.Compare(a.m.key, b.m.key)
 	})
 	for _, om := range all {
 		k.shards[om.dst].queue.Schedule(om.m.at, om.m.fn)
 	}
+	clear(all) // the scratch must not keep delivered callbacks alive
+	k.merge = all[:0]
 }
 
 // runTo fires this shard's events with timestamps ≤ end and leaves the
 // shard clock at end.
 func (sh *Shard) runTo(end float64) {
 	for !sh.k.stopped.Load() {
-		at, _, ok := sh.queue.PeekTime()
-		if !ok || at > end {
+		at, _, fn, ok := sh.queue.PopUntil(end)
+		if !ok {
 			break
 		}
-		at, _, fn, _ := sh.queue.Pop()
 		if at < sh.now {
 			panic("shard: time went backwards")
 		}
@@ -285,7 +288,7 @@ func (sh *Shard) At(t float64, fn sim.Event) (sim.Handle, error) {
 	if t < sh.now {
 		return sim.Handle{}, fmt.Errorf("%w: t=%v now=%v", sim.ErrPastEvent, t, sh.now)
 	}
-	return sim.NewHandle(sh.queue.Schedule(t, fn)), nil
+	return sh.queue.Schedule(t, fn), nil
 }
 
 // After schedules fn on this shard d seconds from now.
@@ -304,12 +307,7 @@ func (sh *Shard) MustAfter(d float64, fn sim.Event) sim.Handle {
 
 // Cancel prevents one of this shard's scheduled events from firing, in
 // O(1). Handles from other shards are not valid here.
-func (sh *Shard) Cancel(h sim.Handle) bool {
-	if !h.Valid() {
-		return false
-	}
-	return sh.queue.Cancel(h.Seq())
-}
+func (sh *Shard) Cancel(h sim.Handle) bool { return sh.queue.Cancel(h) }
 
 // Stop requests the kernel to halt (see Kernel.Stop).
 func (sh *Shard) Stop() { sh.k.Stop() }

@@ -236,3 +236,35 @@ func TestStopWindowedAtBarrier(t *testing.T) {
 		t.Fatal("Stop did not halt the windowed run")
 	}
 }
+
+func TestNilEventPanicsAtBooking(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "sim: nil event" {
+			t.Fatalf("Shard.At(1, nil) panic = %v, want sim: nil event", r)
+		}
+	}()
+	New(Config{Shards: 1, Lookahead: 1}).Shard(0).At(1, nil)
+}
+
+// Steady state on a warmed shard allocates nothing: a fired event that
+// books its successor reuses a queue slot, and a mailbox message reuses
+// the outbox and the kernel's merge scratch.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	k := New(Config{Shards: 1, Lookahead: 1})
+	sh := k.Shard(0)
+	var key uint64
+	var local, mailed sim.Event
+	local = func(s sim.Scheduler) { s.MustAfter(0.7, local) }
+	mailed = func(s sim.Scheduler) {
+		key++
+		s.(*Shard).Send(0, s.Now()+k.Lookahead(), key, mailed)
+	}
+	for i := 0; i < 64; i++ {
+		sh.MustAfter(float64(i)/64, local)
+		sh.MustAfter(float64(i)/64, mailed)
+	}
+	k.RunUntil(20)
+	if avg := testing.AllocsPerRun(20, func() { k.RunUntil(k.Now() + 5) }); avg != 0 {
+		t.Fatalf("%v allocations per 5 s on a warmed shard, want 0", avg)
+	}
+}

@@ -15,16 +15,21 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Event is a callback fired at a virtual time. The callback receives the
 // scheduler that is executing it so it can book follow-up events.
 type Event func(s Scheduler)
 
-// Handle identifies a scheduled event so it can be canceled. The zero
-// Handle is invalid.
+// Handle identifies a scheduled event so it can be canceled: the event's
+// sequence number and the queue slot it was booked into. It is valid only
+// on the scheduler that issued it (every queue numbers from 1), and only
+// the sequence number tells it from a later event reusing the slot. The
+// zero Handle is invalid: sequence number 0 is never issued.
 type Handle struct {
-	seq uint64
+	seq  uint64
+	slot uint32
 }
 
 // Valid reports whether h refers to an event that was actually scheduled.
@@ -63,14 +68,14 @@ func (s *Simulator) CanceledRetained() int { return s.queue.CanceledRetained() }
 // ErrPastEvent is returned by At when an event is scheduled before Now.
 var ErrPastEvent = errors.New("sim: event scheduled in the past")
 
-// At schedules fn to run at absolute time t. It panics if t is NaN and
-// returns ErrPastEvent if t precedes the current clock; t == Now is
-// allowed (the event fires after already-queued events at the same time).
+// At schedules fn to run at absolute time t. It panics if t is NaN or fn
+// is nil and returns ErrPastEvent if t precedes the current clock; t == Now
+// is allowed (the event fires after already-queued events at the same time).
 func (s *Simulator) At(t float64, fn Event) (Handle, error) {
 	if t < s.now {
 		return Handle{}, fmt.Errorf("%w: t=%v now=%v", ErrPastEvent, t, s.now)
 	}
-	return Handle{seq: s.queue.Schedule(t, fn)}, nil
+	return s.queue.Schedule(t, fn), nil
 }
 
 // After schedules fn to run d seconds from now. Negative d is an error.
@@ -87,15 +92,10 @@ func (s *Simulator) MustAfter(d float64, fn Event) Handle {
 	return h
 }
 
-// Cancel prevents a scheduled event from firing in O(1). It reports
-// whether the event was still pending. Canceling an already-fired,
-// already-canceled, or invalid handle returns false.
-func (s *Simulator) Cancel(h Handle) bool {
-	if !h.Valid() {
-		return false
-	}
-	return s.queue.Cancel(h.seq)
-}
+// Cancel prevents a scheduled event from firing in O(1) and releases its
+// callback. It reports whether the event was still pending. Canceling an
+// already-fired, already-canceled, or invalid handle returns false.
+func (s *Simulator) Cancel(h Handle) bool { return s.queue.Cancel(h) }
 
 // Stop aborts the run loop after the current event returns. It may be
 // called from within an event callback.
@@ -108,62 +108,48 @@ func (s *Simulator) Stop() { s.stopped = true }
 // the hook; when no hook is set the kernel pays only a nil check.
 func (s *Simulator) AfterEvent(fn func()) { s.afterEvent = fn }
 
-// step fires the earliest pending event. It reports false when the queue
-// is empty.
-func (s *Simulator) step() bool {
-	at, _, fn, ok := s.queue.Pop()
-	if !ok {
-		return false
-	}
-	if at < s.now {
-		panic("sim: time went backwards")
-	}
-	s.now = at
-	s.fired++
-	fn(s)
-	if s.afterEvent != nil {
-		s.afterEvent()
-	}
-	return true
-}
-
-// Run fires events until the queue drains or Stop is called. It returns
-// the final clock value. Canceled-but-unfired events are compacted away
-// at teardown so a stopped run does not retain their memory.
-func (s *Simulator) Run() float64 {
-	if s.running {
-		panic("sim: nested Run")
-	}
-	s.running = true
-	defer func() { s.running = false }()
-	defer s.queue.Compact()
-	s.stopped = false
-	for !s.stopped && s.step() {
-	}
-	return s.now
-}
-
-// RunUntil fires events with timestamps ≤ end, then sets the clock to end
-// and returns. Events scheduled after end remain queued; canceled events
-// are compacted away at teardown.
-func (s *Simulator) RunUntil(end float64) float64 {
+// run fires the events due by end, earliest first, until none is left or
+// Stop is called. Canceled-but-unfired events are compacted away at
+// teardown, so a stopped run does not retain their memory.
+func (s *Simulator) run(end float64) {
 	if s.running {
 		panic("sim: nested Run")
 	}
 	if end < s.now {
-		return s.now
+		return
 	}
 	s.running = true
 	defer func() { s.running = false }()
 	defer s.queue.Compact()
 	s.stopped = false
 	for !s.stopped {
-		next, _, ok := s.queue.PeekTime()
-		if !ok || next > end {
+		at, _, fn, ok := s.queue.PopUntil(end)
+		if !ok {
 			break
 		}
-		s.step()
+		if at < s.now {
+			panic("sim: time went backwards")
+		}
+		s.now = at
+		s.fired++
+		fn(s)
+		if s.afterEvent != nil {
+			s.afterEvent()
+		}
 	}
+}
+
+// Run fires events until the queue drains or Stop is called. It returns
+// the final clock value.
+func (s *Simulator) Run() float64 {
+	s.run(math.Inf(1))
+	return s.now
+}
+
+// RunUntil fires events with timestamps ≤ end, then sets the clock to end
+// and returns. Events scheduled after end remain queued.
+func (s *Simulator) RunUntil(end float64) float64 {
+	s.run(end)
 	if !s.stopped && s.now < end {
 		s.now = end
 	}
