@@ -51,7 +51,10 @@ bench:
 # decision (signaling's BenchmarkAdmitSignaled: AC3 on a hex pipe mesh,
 # pinned on allocations and frames/op, never on time) and the event
 # kernel's steady state (sim's BenchmarkChurn at 1k and 100k pending
-# events and BenchmarkCancel, pinned at 0 allocs/op) at full benchtime,
+# events, BenchmarkCancel and sim/shard's BenchmarkBarrier at 64 and
+# 60,000 messages per barrier, all pinned at 0 allocs/op; the barrier's
+# baseline records no ns/op, so its time — two goroutines and a join —
+# is never gated) at full benchtime,
 # refreshes the "current" side of BENCH_admission.json, and fails on a
 # regression beyond 10% of the pinned baseline: the
 # allocation profile and frame count always, and — since this target
@@ -62,7 +65,7 @@ bench:
 # still does. Delete the file or pass -rebaseline to cmd/benchjson to
 # re-baseline deliberately.
 bench-json:
-	$(GO) test -bench 'BenchmarkAdmitNew|BenchmarkOutgoingReservation|BenchmarkRecord|BenchmarkAdmitSignaled|BenchmarkChurn|BenchmarkCancel' -benchmem -run '^$$' -count=1 ./internal/core/ ./internal/predict/ ./internal/signaling/ ./internal/sim/ \
+	$(GO) test -bench 'BenchmarkAdmitNew|BenchmarkOutgoingReservation|BenchmarkRecord|BenchmarkAdmitSignaled|BenchmarkChurn|BenchmarkCancel|BenchmarkBarrier' -benchmem -run '^$$' -count=1 ./internal/core/ ./internal/predict/ ./internal/signaling/ ./internal/sim/ ./internal/sim/shard/ \
 		| $(GO) run ./cmd/benchjson -out BENCH_admission.json -check -check-time
 
 # bench-sim measures the sharded kernel on the 10,000-cell metro
@@ -113,6 +116,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzIncrementalBr -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=30s ./internal/service/
 	$(GO) test -fuzz=FuzzEventQueue -fuzztime=30s ./internal/sim/
+	$(GO) test -fuzz=FuzzBarrierOrder -fuzztime=30s ./internal/sim/shard/
 
 # soak-smoke is the CI-sized service soak: one full pass up the
 # internal/faults chaos ladder of crash-and-restart checkpoint cycles,

@@ -78,15 +78,18 @@ type connection struct {
 	rng *rand.Rand
 
 	// A connection has exactly one pending kernel event at a time — its
-	// next boundary crossing (toward hop) or its lifetime end — so it
-	// carries one event closure for life, built in establish, instead of
-	// allocating one per booking. pending is set while that event is
-	// booked; scheduleDeparture panics on a second booking. The closure
-	// captures only the Network and the connection, never a scheduler:
-	// under delayed signaling the connection migrates between shards.
+	// next boundary crossing (toward hop), its lifetime end or, under
+	// delayed signaling, its arrival in the next cell (transit: it is in
+	// the mailbox, tracked by no table) — so it carries one event closure
+	// for life, built in establish, instead of allocating one per booking.
+	// pending is set while that event is booked; scheduleDeparture panics
+	// on a second booking. The closure captures only the Network and the
+	// connection, never a scheduler: under delayed signaling the
+	// connection migrates between shards.
 	event    sim.Event
 	hop      mobility.Hop
 	crossing bool
+	transit  bool
 	pending  bool
 }
 
@@ -454,13 +457,16 @@ func (n *Network) establish(c *cell, min, max int, svc core.ServiceClass, wpath 
 		rng:        n.rng,
 	}
 	if conn.rng == nil { // delayed signaling: a stream of its own
-		conn.rng = rand.New(rand.NewPCG(n.cfg.Seed, connStream(id)))
+		conn.rng = newConnRand(n.cfg.Seed, id)
 	}
 	conn.event = func(sim.Scheduler) {
 		conn.pending = false
-		if conn.crossing {
+		switch {
+		case conn.transit:
+			n.onHandOffArrival(conn)
+		case conn.crossing:
 			n.onCrossing(conn, conn.hop)
-		} else {
+		default:
 			n.onLifetimeEnd(conn)
 		}
 	}
@@ -546,6 +552,24 @@ func (n *Network) residence(conn *connection, event string) *cell {
 	return c
 }
 
+// onHandOffArrival lands a hand-off mailed by onCrossing under delayed
+// signaling, one latency after the old cell let go: conn.cell is still
+// the cell it left and conn.hop.Next the one it is entering.
+func (n *Network) onHandOffArrival(conn *connection) {
+	conn.transit = false
+	from, to := n.cells[conn.cell], n.cells[conn.hop.Next]
+	now := to.sched.Now()
+	to.tab.recvHO++
+	admitted := n.admitHandOff(conn, to, now)
+	n.noteHandOff(to, now, admitted)
+	if !admitted {
+		to.tab.deaths++ // hand-off drop: the connection dies in transit
+		return
+	}
+	to.tab.conns[conn.id] = conn
+	n.enterCell(conn, from, to, now)
+}
+
 // onCrossing processes a mobile reaching its cell boundary.
 func (n *Network) onCrossing(conn *connection, hop mobility.Hop) {
 	from := n.residence(conn, "crossing")
@@ -576,18 +600,8 @@ func (n *Network) onCrossing(conn *connection, hop mobility.Hop) {
 		from.engine.RecordDeparture(quad)
 		delete(from.tab.conns, conn.id)
 		from.tab.sentHO++
-		n.send(from, to.id, func(sim.Scheduler) {
-			arrival := to.sched.Now()
-			to.tab.recvHO++
-			admitted := n.admitHandOff(conn, to, arrival)
-			n.noteHandOff(to, arrival, admitted)
-			if !admitted {
-				to.tab.deaths++ // hand-off drop: the connection dies in transit
-				return
-			}
-			to.tab.conns[conn.id] = conn
-			n.enterCell(conn, from, to, arrival)
-		})
+		conn.transit, conn.pending = true, true
+		n.send(from, to.tab, conn.event)
 		return
 	}
 

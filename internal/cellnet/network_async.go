@@ -1,7 +1,7 @@
 package cellnet
 
 import (
-	"fmt"
+	"math/rand/v2"
 
 	"cellqos/internal/core"
 	"cellqos/internal/sim"
@@ -29,9 +29,12 @@ import (
 //     connection IDs, never by shard.
 //   - Cross-cell interaction: every hand-off and every peer-state
 //     exchange travels as a mailbox message (shard.Shard.Send) with the
-//     uniform one-way SignalingLatency. Messages are delivered at
-//     window barriers ordered by (time, source cell, per-cell sequence)
-//     — all shard-count independent.
+//     uniform one-way SignalingLatency. At each window barrier a shard
+//     merges the messages addressed to it in (time, source cell,
+//     per-cell sequence) order — all shard-count independent. No message
+//     allocates in steady state: exchange queries and replies are
+//     recycled objects (peerQuery, peerReply) and a hand-off rides on the
+//     connection's own event.
 //   - Peer state: instead of synchronous queries, every ExchangePeriod
 //     each cell sends a query to each neighbor (arriving one latency
 //     later); the neighbor evaluates Eq. 5 toward the asker plus its
@@ -57,6 +60,19 @@ func cellStream(id topology.CellID) uint64 {
 // shard-count-independent ID.
 func connStream(id core.ConnID) uint64 {
 	return 0x2545f4914f6cdd1d ^ (uint64(id)+1)*0x94d049bb133111eb
+}
+
+// newConnRand returns a connection's private stream. Generator and
+// rand.Rand share one object, allocated only under delayed signaling, so
+// a connection costs one allocation for its stream and none of its size.
+func newConnRand(seed uint64, id core.ConnID) *rand.Rand {
+	s := &struct {
+		pcg rand.PCG
+		r   rand.Rand
+	}{}
+	s.pcg.Seed(seed, connStream(id))
+	s.r = *rand.New(&s.pcg)
+	return &s.r
 }
 
 // mirrorEntry is one neighbor's last replied state.
@@ -112,30 +128,100 @@ type shardState struct {
 	// sent to/received from the mailbox (delayed signaling only).
 	births, deaths uint64
 	sentHO, recvHO uint64
+
+	// Recycled exchange messages (delayed signaling only). A message
+	// object belongs to the table whose shard runs its event: it is drawn
+	// from the sending cell's table and returned to the receiving cell's,
+	// so no list is ever touched from two shards.
+	freeQueries []*peerQuery
+	freeReplies []*peerReply
 }
 
-// send books a mailbox message from cell c with the model's uniform
-// signaling latency and a (source cell, per-cell sequence) ordering key.
-func (n *Network) send(c *cell, dstCell topology.CellID, fn sim.Event) {
+// peerQuery is one mailbox message of an exchange round: cell src's
+// queries to those of its neighbors that live on table dst. Every field
+// but fire is overwritten on reuse (li and nb up to cnt).
+type peerQuery struct {
+	fire sim.Event // delivers the message; built once, in newQuery
+	dst  *shardState
+	src  topology.CellID
+	test float64 // src's T_est as of the query
+	cnt  int
+	li   [topology.NumHexDirs]topology.LocalIndex // each neighbor's local index at src
+	nb   [topology.NumHexDirs]topology.CellID
+}
+
+// peerReply carries one neighbor's answer back to the asker's mirror.
+type peerReply struct {
+	fire  sim.Event // delivers the message; built once, in newReply
+	asker topology.CellID
+	li    topology.LocalIndex // the answering neighbor's local index at asker
+	entry mirrorEntry
+}
+
+// pop takes the last message off a free list; nil when the list is empty.
+func pop[T any](free *[]*T) *T {
+	k := len(*free) - 1
+	if k < 0 {
+		return nil
+	}
+	m := (*free)[k]
+	*free = (*free)[:k]
+	return m
+}
+
+// newQuery draws a query message from st's free list, or makes one.
+func (n *Network) newQuery(st *shardState) *peerQuery {
+	q := pop(&st.freeQueries)
+	if q == nil {
+		q = &peerQuery{}
+		q.fire = func(sim.Scheduler) {
+			for i := 0; i < q.cnt; i++ {
+				n.onPeerQuery(q.src, q.nb[i], q.li[i], q.test)
+			}
+			q.dst.freeQueries = append(q.dst.freeQueries, q)
+		}
+	}
+	return q
+}
+
+// newReply draws a reply message from st's free list, or makes one.
+func (n *Network) newReply(st *shardState) *peerReply {
+	r := pop(&st.freeReplies)
+	if r == nil {
+		r = &peerReply{}
+		r.fire = func(sim.Scheduler) {
+			c := n.cells[r.asker]
+			c.mirror[r.li] = r.entry
+			c.tab.freeReplies = append(c.tab.freeReplies, r)
+		}
+	}
+	return r
+}
+
+// send books a mailbox message from cell c to table dst with the model's
+// uniform signaling latency and a (source cell, per-cell sequence)
+// ordering key.
+func (n *Network) send(c *cell, dst *shardState, fn sim.Event) {
 	c.msgSeq++
 	key := uint64(c.id)<<32 | (c.msgSeq & 0xffffffff)
 	at := c.sched.Now() + n.cfg.Sharding.SignalingLatency
-	c.sched.(*shard.Shard).Send(n.part.ShardOf(dstCell), at, key, fn)
+	c.sched.(*shard.Shard).Send(dst.idx, at, key, fn)
 }
 
-// scheduleExchange books the shard's next peer-exchange round: each
-// owned cell queries each neighbor. A round is one event per shard, not
-// per cell — rounds across shards share a timestamp, which is safe
-// because each cell's part touches only that cell plus the mailbox.
+// scheduleExchange books the shard's peer-exchange rounds: each owned
+// cell queries each neighbor. A round is one event per shard, not per
+// cell — rounds across shards share a timestamp, which is safe because
+// each cell's part touches only that cell plus the mailbox.
 func (n *Network) scheduleExchange(st *shardState, period float64) {
 	sched := st.cells[0].sched
-	sched.MustAfter(period, func(sim.Scheduler) {
-		now := sched.Now()
+	var round sim.Event
+	round = func(sim.Scheduler) {
 		for _, c := range st.cells {
-			n.exchangeCell(c, now)
+			n.exchangeCell(c)
 		}
-		n.scheduleExchange(st, period)
-	})
+		sched.MustAfter(period, round)
+	}
+	sched.MustAfter(period, round)
 }
 
 // exchangeCell queries every neighbor of c for the round. The neighbor
@@ -152,46 +238,30 @@ func (n *Network) scheduleExchange(st *shardState, period float64) {
 // traffic per exchange round from degree messages to the number of
 // neighboring shards. Exchange accounting stays per query — Exchanges
 // counts information exchanges, not transport messages.
-func (n *Network) exchangeCell(c *cell, now float64) {
+func (n *Network) exchangeCell(c *cell) {
 	test := c.engine.Test()
-	deg := n.cfg.Topology.Degree(c.id)
-	type query struct {
-		li   topology.LocalIndex
-		nbID topology.CellID
-	}
-	type bundle struct {
-		shard   int
-		queries []query
-	}
-	var bundles []bundle
-	for i := 1; i <= deg; i++ {
-		li := topology.LocalIndex(i)
-		nbID, ok := n.cfg.Topology.FromLocal(c.id, li)
-		if !ok {
-			panic(fmt.Sprintf("cellnet: bad local index %d for cell %d", li, c.id))
-		}
+	var buf [topology.NumHexDirs]*peerQuery
+	open := buf[:0] // this round's messages, in order of first use
+	for i, nbID := range n.cfg.Topology.Neighbors(c.id) {
 		c.exchanges++
-		s := n.part.ShardOf(nbID)
-		found := false
-		for bi := range bundles {
-			if bundles[bi].shard == s {
-				bundles[bi].queries = append(bundles[bi].queries, query{li, nbID})
-				found = true
+		dst := n.cells[nbID].tab
+		var q *peerQuery
+		for _, o := range open {
+			if o.dst == dst {
+				q = o
 				break
 			}
 		}
-		if !found {
-			bundles = append(bundles, bundle{shard: s, queries: []query{{li, nbID}}})
+		if q == nil {
+			q = n.newQuery(c.tab)
+			q.dst, q.src, q.test, q.cnt = dst, c.id, test, 0
+			open = append(open, q)
 		}
+		q.li[q.cnt], q.nb[q.cnt] = topology.LocalIndex(i+1), nbID
+		q.cnt++
 	}
-	srcID := c.id
-	for _, b := range bundles {
-		qs := b.queries
-		n.send(c, qs[0].nbID, func(sim.Scheduler) {
-			for _, q := range qs {
-				n.onPeerQuery(srcID, q.nbID, q.li, test)
-			}
-		})
+	for _, q := range open {
+		n.send(c, q.dst, q.fire)
 	}
 }
 
@@ -204,7 +274,9 @@ func (n *Network) onPeerQuery(srcID, nbID topology.CellID, liAtSrc topology.Loca
 	if !ok {
 		panic("cellnet: asymmetric neighborhood")
 	}
-	e := mirrorEntry{
+	r := n.newReply(nb.tab)
+	r.asker, r.li = srcID, liAtSrc
+	r.entry = mirrorEntry{
 		ok:         true,
 		outgoing:   nb.engine.OutgoingReservation(now, toward, test),
 		used:       nb.engine.UsedBandwidth(),
@@ -212,7 +284,5 @@ func (n *Network) onPeerQuery(srcID, nbID topology.CellID, liAtSrc topology.Loca
 		lastBr:     nb.engine.LastTargetReservation(),
 		maxSojourn: nb.engine.MaxSojourn(now),
 	}
-	n.send(nb, srcID, func(sim.Scheduler) {
-		n.cells[srcID].mirror[liAtSrc] = e
-	})
+	n.send(nb, n.cells[srcID].tab, r.fire)
 }

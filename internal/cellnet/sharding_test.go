@@ -8,7 +8,6 @@ import (
 	"cellqos/internal/core"
 	"cellqos/internal/mobility"
 	"cellqos/internal/sim"
-	"cellqos/internal/topology"
 	"cellqos/internal/wired"
 )
 
@@ -53,7 +52,7 @@ func TestAsyncShardCountInvariance(t *testing.T) {
 	if ref.Total.Requested == 0 || ref.Total.HandOffs == 0 {
 		t.Fatalf("async reference run generated no traffic: %+v", ref.Total)
 	}
-	for _, shards := range []int{1, 2, 3, 5} {
+	for _, shards := range []int{1, 2, 3, 5, 8} {
 		got := stripTraces(MustNew(shardedScenario("AC3", shards, 0.5, 7)).Run(1500))
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("async shards=%d diverged from 1-shard async run:\n got %+v\nwant %+v", shards, got, ref)
@@ -140,12 +139,7 @@ func TestAsyncRejectsUnsupportedFeatures(t *testing.T) {
 // TestPartitionBoundaryRouting runs async on a wrapped hex grid so
 // hand-offs cross row-aligned shard boundaries in both directions.
 func TestPartitionBoundaryRouting(t *testing.T) {
-	top := topology.Hex(6, 6, true)
-	cfg := scenario("AC3", 150, 0.8, mobility.HighMobility, 5)
-	cfg.Topology = top
-	cfg.Mobility = &mobility.HexWalk{Top: top, DiameterKm: 1, Speed: mobility.HighMobility, Persistence: 0.8}
-	cfg.Sharding = ShardingConfig{Shards: 3, SignalingLatency: 0.5, ExchangePeriod: 5}
-	n := MustNew(cfg)
+	n := MustNew(hexScenario("AC3", 6, 6, 3, 0.5, 150))
 	res := n.Run(1500)
 	if res.Total.HandOffs == 0 {
 		t.Fatal("no hand-offs on hex grid")

@@ -10,10 +10,12 @@
 // scheduler. Cross-shard effects travel as timestamped messages via
 // Shard.Send, which must target a time at or beyond the window end — the
 // conservative guarantee that no shard ever receives an event earlier
-// than a time it has already passed. Outboxes are merged at the window
-// barrier in (time, key) order, with a caller-supplied key that must not
-// depend on the shard count, making delivery order — and hence the whole
-// run — identical at any shard count and any goroutine interleaving.
+// than a time it has already passed. At the window barrier every shard
+// merges the messages addressed to it, from all shards, into its own
+// queue in (time, key) order — a total order, because the caller-supplied
+// key is unique per (time, destination), and one that must not depend on
+// the shard count, making delivery order — and hence the whole run —
+// identical at any shard count and any goroutine interleaving.
 //
 // The model layer (internal/cellnet) guarantees byte-identical Reports
 // across shard counts by (a) giving every cell and connection its own
@@ -49,23 +51,37 @@ type message struct {
 	fn  sim.Event
 }
 
+// compare orders messages by (at, key): a total order within one
+// destination, where Send's contract makes keys unique per time.
+func (a message) compare(b message) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.key, b.key)
+}
+
+// parallelMergeMin is the number of messages at one barrier above which
+// the destinations merge on goroutines of their own: below it, starting
+// and joining them costs more than the heap pushes they would overlap.
+const parallelMergeMin = 512
+
 // Shard is one partition's scheduling surface. It implements
 // sim.Scheduler; event callbacks running on the shard receive it as
 // their Scheduler argument. Outside a window (before Run, between
 // RunUntil calls) any shard may be used from the coordinating goroutine;
 // during a window a Shard must only be used by events executing on it.
 type Shard struct {
-	k      *Kernel
-	idx    int
-	now    float64
-	queue  *sim.EventQueue
-	fired  uint64
-	outbox []outMsg // sends buffered until the barrier
-}
-
-type outMsg struct {
-	dst int
-	m   message
+	k     *Kernel
+	idx   int
+	now   float64
+	queue *sim.EventQueue
+	fired uint64
+	// out[dst] buffers this shard's sends to shard dst until the barrier.
+	// The shard appends during its window and sorts each run before the
+	// window joins; at the barrier shard dst alone reads and empties it.
+	out  [][]message
+	runs [][]message // mergeInbox's scratch: the unmerged rest of each source's run
+	work func()      // this shard's goroutine body (eachShard), built once: starting it allocates nothing
 }
 
 // Kernel is the sharded discrete-event kernel. It implements sim.Kernel.
@@ -75,10 +91,12 @@ type Kernel struct {
 	cfg       Config
 	shards    []*Shard
 	barrier   float64 // clock of the coordinating goroutine
+	windowEnd float64 // end of the window being run
 	running   bool
 	stopped   atomic.Bool
 	atBarrier func(now float64)
-	merge     []outMsg // deliver's scratch, kept across windows
+	phase     func(*Shard)   // what the shard goroutines of eachShard run
+	wg        sync.WaitGroup // joins them
 }
 
 var _ sim.Kernel = (*Kernel)(nil)
@@ -94,7 +112,12 @@ func New(cfg Config) *Kernel {
 	}
 	k := &Kernel{cfg: cfg, shards: make([]*Shard, cfg.Shards)}
 	for i := range k.shards {
-		k.shards[i] = &Shard{k: k, idx: i, queue: sim.NewEventQueue()}
+		sh := &Shard{k: k, idx: i, queue: sim.NewEventQueue(), out: make([][]message, cfg.Shards)}
+		sh.work = func() {
+			defer k.wg.Done()
+			k.phase(sh)
+		}
+		k.shards[i] = sh
 	}
 	return k
 }
@@ -162,7 +185,7 @@ func (k *Kernel) Run() float64 { return k.run(math.Inf(1), false) }
 func (k *Kernel) RunUntil(end float64) float64 { return k.run(end, true) }
 
 // run executes fixed-grid conservative windows, one goroutine per shard
-// inside each window.
+// inside each window when there is more than one shard.
 func (k *Kernel) run(end float64, bounded bool) float64 {
 	if k.running {
 		panic("shard: nested Run")
@@ -197,9 +220,10 @@ func (k *Kernel) run(end float64, bounded bool) float64 {
 		if bounded && windowEnd > end {
 			windowEnd = end
 		}
-		k.runWindow(windowEnd)
+		k.windowEnd = windowEnd
+		k.eachShard(len(k.shards) > 1, (*Shard).runWindow)
 		k.barrier = windowEnd
-		k.deliver(windowEnd)
+		k.deliver()
 		if k.atBarrier != nil {
 			k.atBarrier(windowEnd)
 		}
@@ -213,53 +237,83 @@ func (k *Kernel) run(end float64, bounded bool) float64 {
 	return k.barrier
 }
 
-// runWindow runs every shard's events with timestamps ≤ windowEnd, in
-// parallel when there is more than one shard.
-func (k *Kernel) runWindow(windowEnd float64) {
-	if len(k.shards) == 1 {
-		k.shards[0].runTo(windowEnd)
-		return
-	}
-	var wg sync.WaitGroup
-	for _, sh := range k.shards {
-		wg.Add(1)
-		go func(sh *Shard) {
-			defer wg.Done()
-			sh.runTo(windowEnd)
-		}(sh)
-	}
-	wg.Wait()
-}
-
-// deliver merges all shard outboxes and schedules the messages on their
-// destination queues in (time, key) order — an order independent of both
-// goroutine interleaving (outboxes are only read after the window joins)
-// and shard count (keys must not encode shard identity).
-func (k *Kernel) deliver(windowEnd float64) {
-	all := k.merge[:0]
-	for _, sh := range k.shards {
-		all = append(all, sh.outbox...)
-		sh.outbox = sh.outbox[:0]
-	}
-	if len(all) == 0 {
-		return
-	}
-	slices.SortStableFunc(all, func(a, b outMsg) int {
-		if c := cmp.Compare(a.m.at, b.m.at); c != 0 {
-			return c
+// eachShard calls fn once per shard and returns when every call has: on
+// one goroutine per shard when parallel, on the caller's otherwise.
+func (k *Kernel) eachShard(parallel bool, fn func(*Shard)) {
+	if !parallel {
+		for _, sh := range k.shards {
+			fn(sh)
 		}
-		return cmp.Compare(a.m.key, b.m.key)
-	})
-	for _, om := range all {
-		k.shards[om.dst].queue.Schedule(om.m.at, om.m.fn)
+		return
 	}
-	clear(all) // the scratch must not keep delivered callbacks alive
-	k.merge = all[:0]
+	k.phase = fn
+	k.wg.Add(len(k.shards))
+	for _, sh := range k.shards {
+		go sh.work()
+	}
+	k.wg.Wait()
 }
 
-// runTo fires this shard's events with timestamps ≤ end and leaves the
-// shard clock at end.
-func (sh *Shard) runTo(end float64) {
+// deliver moves the window's messages onto their destination queues.
+// Every shard left its runs sorted (runWindow), so each destination merges
+// the runs addressed to it by (time, key) — an order independent of both
+// goroutine interleaving (the runs are only read after the window joins)
+// and shard count (keys must not encode shard identity, and being unique
+// per time they leave no tie for the source order to break). A
+// destination touches only its own queue and its own column of runs, so
+// a barrier heavy enough to repay the goroutines merges them all at once.
+func (k *Kernel) deliver() {
+	total := 0
+	for _, sh := range k.shards {
+		for _, run := range sh.out {
+			total += len(run)
+		}
+	}
+	if total == 0 {
+		return
+	}
+	k.eachShard(len(k.shards) > 1 && total > parallelMergeMin, (*Shard).mergeInbox)
+}
+
+// mergeInbox schedules the messages every shard buffered for this one,
+// in (time, key) order, and empties those buffers.
+func (sh *Shard) mergeInbox() {
+	runs := sh.runs[:0]
+	for _, src := range sh.k.shards {
+		if run := src.out[sh.idx]; len(run) > 0 {
+			runs = append(runs, run)
+		}
+	}
+	var last message
+	for len(runs) > 0 {
+		b := 0
+		for i := 1; i < len(runs); i++ {
+			if runs[i][0].compare(runs[b][0]) < 0 {
+				b = i
+			}
+		}
+		m := runs[b][0]
+		if last.fn != nil && m.compare(last) == 0 {
+			panic(fmt.Sprintf("shard: duplicate message key %#x at t=%v for shard %d", m.key, m.at, sh.idx))
+		}
+		last = m
+		sh.queue.Schedule(m.at, m.fn)
+		if runs[b] = runs[b][1:]; len(runs[b]) == 0 {
+			runs[b] = runs[len(runs)-1]
+			runs = runs[:len(runs)-1]
+		}
+	}
+	sh.runs = runs
+	for _, src := range sh.k.shards {
+		clear(src.out[sh.idx]) // an emptied buffer must not keep delivered callbacks alive
+		src.out[sh.idx] = src.out[sh.idx][:0]
+	}
+}
+
+// runWindow fires this shard's events up to the window's end, leaves the
+// shard clock there and the window's sends sorted for the barrier.
+func (sh *Shard) runWindow() {
+	end := sh.k.windowEnd
 	for !sh.k.stopped.Load() {
 		at, _, fn, ok := sh.queue.PopUntil(end)
 		if !ok {
@@ -274,6 +328,9 @@ func (sh *Shard) runTo(end float64) {
 	}
 	if sh.now < end {
 		sh.now = end
+	}
+	for _, run := range sh.out {
+		slices.SortFunc(run, message.compare)
 	}
 }
 
@@ -317,8 +374,9 @@ func (sh *Shard) Stop() { sh.k.Stop() }
 // the window end (uniform-latency models satisfy this by construction: a
 // message sent at t ≥ windowStart with latency ≥ lookahead arrives at
 // t+latency ≥ windowEnd). key orders same-time deliveries and must be
-// unique per (at, dst) and independent of the shard count —
-// internal/cellnet packs (source cell ID, per-cell message sequence).
+// unique per (at, dst) — the barrier panics on a duplicate — and
+// independent of the shard count: internal/cellnet packs (source cell ID,
+// per-cell message sequence).
 //
 // Send is the only legal way for one shard's event to affect another
 // shard.
@@ -338,5 +396,5 @@ func (sh *Shard) Send(dst int, at float64, key uint64, fn sim.Event) {
 	if at < windowEnd && at < sh.k.barrier+sh.k.cfg.Lookahead {
 		panic(fmt.Sprintf("shard: Send violates lookahead: at=%v windowEnd=%v", at, windowEnd))
 	}
-	sh.outbox = append(sh.outbox, outMsg{dst: dst, m: message{at: at, key: key, fn: fn}})
+	sh.out[dst] = append(sh.out[dst], message{at: at, key: key, fn: fn})
 }

@@ -246,25 +246,82 @@ func TestNilEventPanicsAtBooking(t *testing.T) {
 	New(Config{Shards: 1, Lookahead: 1}).Shard(0).At(1, nil)
 }
 
-// Steady state on a warmed shard allocates nothing: a fired event that
-// books its successor reuses a queue slot, and a mailbox message reuses
-// the outbox and the kernel's merge scratch.
+// Steady state on a warmed kernel allocates nothing: a fired event that
+// books its successor reuses a queue slot, a mailbox message reuses its
+// per-destination outbox, and neither the window's goroutines nor the
+// barrier's — inline below parallelMergeMin messages, one per destination
+// above — are built per window. So a Send plus its barrier is 0
+// allocations per message at any shard count and burst size.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
-	k := New(Config{Shards: 1, Lookahead: 1})
-	sh := k.Shard(0)
-	var key uint64
-	var local, mailed sim.Event
-	local = func(s sim.Scheduler) { s.MustAfter(0.7, local) }
-	mailed = func(s sim.Scheduler) {
-		key++
-		s.(*Shard).Send(0, s.Now()+k.Lookahead(), key, mailed)
+	for _, tc := range []struct{ shards, chains int }{
+		{1, 64}, {2, 64}, {2, 2 * parallelMergeMin}, {3, parallelMergeMin},
+	} {
+		k := New(Config{Shards: tc.shards, Lookahead: 1})
+		keys := make([]uint64, tc.shards)
+		var local, mailed sim.Event
+		local = func(s sim.Scheduler) { s.MustAfter(0.7, local) }
+		mailed = func(s sim.Scheduler) {
+			sh := s.(*Shard)
+			keys[sh.Index()]++
+			sh.Send((sh.Index()+1)%tc.shards, sh.Now()+k.Lookahead(), uint64(sh.Index())<<40|keys[sh.Index()], mailed)
+		}
+		for i := 0; i < tc.chains; i++ {
+			sh := k.Shard(i % tc.shards)
+			sh.MustAfter(float64(i)/float64(tc.chains), local)
+			sh.MustAfter(float64(i)/float64(tc.chains), mailed)
+		}
+		k.RunUntil(20)
+		if avg := testing.AllocsPerRun(20, func() { k.RunUntil(k.Now() + 5) }); avg != 0 {
+			t.Errorf("%d shards, %d messages per barrier: %v allocations per 5 windows on a warmed kernel, want 0", tc.shards, tc.chains, avg)
+		}
 	}
-	for i := 0; i < 64; i++ {
-		sh.MustAfter(float64(i)/64, local)
-		sh.MustAfter(float64(i)/64, mailed)
+}
+
+// Keys are unique per (time, destination) by Send's contract; a duplicate
+// would leave the order to the source shard's index — the one thing the
+// kernel promises never to depend on — so the barrier refuses it, whether
+// the two messages come from one shard or from two.
+func TestDuplicateMessageKeyPanics(t *testing.T) {
+	for _, srcs := range [][2]int{{0, 0}, {0, 1}, {1, 0}} {
+		func() {
+			k := New(Config{Shards: 2, Lookahead: 1})
+			for _, src := range srcs {
+				k.Shard(src).Send(1, k.Shard(src).Now()+k.Lookahead(), 7, func(sim.Scheduler) {})
+			}
+			k.Shard(0).Send(1, k.Shard(0).Now()+2*k.Lookahead(), 7, func(sim.Scheduler) {}) // same key, another time: fine
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "shard: duplicate message key") {
+					t.Errorf("sources %v: barrier panic = %q, want shard: duplicate message key", srcs, msg)
+				}
+			}()
+			k.RunUntil(1)
+		}()
 	}
-	k.RunUntil(20)
-	if avg := testing.AllocsPerRun(20, func() { k.RunUntil(k.Now() + 5) }); avg != 0 {
-		t.Fatalf("%v allocations per 5 s on a warmed shard, want 0", avg)
+}
+
+// BenchmarkBarrier measures one mailbox message end to end — Send, the
+// sort that closes the window, the merge at the barrier, the firing that
+// sends the next — on two shards, at a burst the barrier merges inline
+// (64) and at the size of a metro exchange round's replies (60,000,
+// merged by both destinations at once). An op is one message.
+func BenchmarkBarrier(b *testing.B) {
+	for _, msgs := range []int{64, 60000} {
+		b.Run(fmt.Sprintf("msgs=%d", msgs), func(b *testing.B) {
+			k := New(Config{Shards: 2, Lookahead: 1})
+			var keys [2]uint64
+			var hop sim.Event
+			hop = func(s sim.Scheduler) {
+				sh := s.(*Shard)
+				keys[sh.Index()]++
+				sh.Send(1-sh.Index(), sh.Now()+k.Lookahead(), uint64(sh.Index())<<40|keys[sh.Index()], hop)
+			}
+			for i := 0; i < msgs; i++ {
+				k.Shard(i%2).MustAfter(float64(i)/float64(msgs), hop)
+			}
+			k.RunUntil(4) // queues and outboxes at their steady size
+			b.ReportAllocs()
+			b.ResetTimer()
+			k.RunUntil(k.Now() + float64((b.N+msgs-1)/msgs))
+		})
 	}
 }
