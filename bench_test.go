@@ -5,7 +5,7 @@ package cellqos
 // fewer load points) so `go test -bench=.` finishes in minutes; use
 // cmd/experiments for paper-scale regeneration. BenchmarkRunnerParallel
 // additionally compares the scenario runner at one worker vs all cores
-// on a reduced Fig. 7 sweep, capturing the parallel speedup.
+// on a reduced Fig. 7 sweep.
 
 import (
 	"fmt"
@@ -46,8 +46,8 @@ func benchExperiment(b *testing.B, run func(experiments.Options) (*experiments.R
 	}
 }
 
-// BenchmarkRunnerParallel measures the runner's wall-clock speedup: the
-// same reduced Fig. 7 sweep (12 scenario points) at one worker and at
+// BenchmarkRunnerParallel measures the runner's parallel wall-clock gain:
+// the same reduced Fig. 7 sweep (12 scenario points) at one worker and at
 // GOMAXPROCS workers. The reports are byte-identical either way (see
 // TestReportDeterministicAcrossWorkers); only the wall time differs.
 func BenchmarkRunnerParallel(b *testing.B) {
@@ -159,10 +159,9 @@ func metroWorkload(shards int) cellnet.Config {
 }
 
 // BenchmarkShardedMetro runs the metro workload at 1, 2 and 8 kernel
-// shards; cmd/benchjson turns the sub-benchmark timings into the
-// per-shard-count scaling ratios pinned in BENCH_sim.json. Speedup is
-// bounded by the cores the machine actually has — on a single-core
-// host every shard count collapses to the same serial wall time.
+// shards. It is not a ledger row: run it with -memprofile to attribute
+// the allocations of bench/'s metro-async workload (DESIGN.md §13),
+// whose two-shard scaling bench/ also measures.
 func BenchmarkShardedMetro(b *testing.B) {
 	for _, shards := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -1,11 +1,8 @@
 package core_test
 
 import (
-	"slices"
 	"testing"
-	"time"
 
-	"cellqos/internal/clock"
 	"cellqos/internal/core"
 	"cellqos/internal/predict"
 	"cellqos/internal/topology"
@@ -126,16 +123,8 @@ func newBenchCluster(policy string, connsPerCell int) *benchCluster {
 // arrive in bursts of benchBurst sharing one timestamp, round-robin over
 // the cells; admitted connections are registered and the per-cell
 // population is held steady by retiring the oldest benchmark-added
-// connection once four are live.
-//
-// Besides the standard mean ns/op it reports the per-operation p99 as a
-// custom "p99-ns/op" metric: the materialized Eq. 5 view makes the mean
-// nearly meaningless on its own, because most operations are pure
-// incremental advances and the tail is where rebuilds and
-// breakpoint-refresh storms would hide. The per-op wall-clock sampling
-// is diagnostics around the measured region, preallocated so it adds no
-// allocations to the steady state. cmd/benchjson gates the metric with
-// the other time-based numbers under -check-time.
+// connection once four are live. Only the allocation profile is gated
+// (BENCH_admission.json); the layer's time is measured in bench/.
 func benchmarkAdmitNew(b *testing.B, connsPerCell int) {
 	cl := newBenchCluster("AC1", connsPerCell)
 	now := benchStart
@@ -144,16 +133,11 @@ func benchmarkAdmitNew(b *testing.B, connsPerCell int) {
 	for c := range live {
 		live[c] = make([]core.ConnID, 0, 8)
 	}
-	durs := make([]time.Duration, 0, b.N)
-	wall := clock.Wall{} // per-op latency sampling; never reaches engine state
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cell := i % benchCells
+	op := 0
+	admit := func() {
+		cell := op % benchCells
 		e := cl.engines[cell]
-		opStart := wall.Now()
-		d := e.AdmitNew(now, 1, cl.peers[cell])
-		if d.Admitted {
+		if e.AdmitNew(now, 1, cl.peers[cell]).Admitted {
 			if len(live[cell]) == 4 {
 				e.RemoveConnection(live[cell][0])
 				copy(live[cell], live[cell][1:])
@@ -163,15 +147,24 @@ func benchmarkAdmitNew(b *testing.B, connsPerCell int) {
 			live[cell] = append(live[cell], nextID)
 			nextID++
 		}
-		durs = append(durs, wall.Since(opStart))
-		if (i+1)%benchBurst == 0 {
+		op++
+		if op%benchBurst == 0 {
 			now += 0.25
 		}
 	}
-	b.StopTimer()
-	slices.Sort(durs)
-	p99 := durs[len(durs)*99/100] // len·99/100 < len for every len ≥ 1
-	b.ReportMetric(float64(p99.Nanoseconds()), "p99-ns/op")
+	// Two passes over the cells before the timer starts: in the first,
+	// the neighbours' admissions build every engine's Eq. 5 view; in the
+	// second, each engine's own AddConnection grows that view's columns.
+	// Inside the timed loop this one-time growth, divided by b.N, would
+	// make B/op depend on how many iterations the host fits in.
+	for range 2 * benchCells {
+		admit()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		admit()
+	}
 }
 
 func BenchmarkAdmitNew(b *testing.B) {

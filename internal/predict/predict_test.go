@@ -674,7 +674,8 @@ func BenchmarkHandOffProbsInto(b *testing.B) {
 // a constant sojourn would be the pre-sorted, selection-invisible best
 // case. "stationary" is one in-place index update; "daily" is a Record
 // under DailyConfig plus the query that pays for its windowed rebuild.
-// Both must report 0 allocs/op (BENCH_admission.json gates them).
+// Both must report 0 allocs/op: BENCH_admission.json pins their
+// allocation profile, never their time.
 func BenchmarkRecord(b *testing.B) {
 	for _, bc := range []struct {
 		name string

@@ -15,8 +15,7 @@ import (
 // signal-mesh workload without the sockets. Besides ns/op and the
 // allocation profile it reports frames/op, the wire cost of the paper's
 // N_calc: BENCH_admission.json pins allocations and frames (one request
-// and one reply per neighbour), not time, which on a pipe is goroutine
-// scheduling.
+// and one reply per neighbour); like every ledger row, never time.
 func BenchmarkAdmitSignaled(b *testing.B) {
 	const targetBU = 80
 	top := topology.Hex(4, 4, true)
