@@ -162,10 +162,10 @@ func (c *Checker) Eq5Cache(cell string, now float64, e *core.Engine) {
 		return
 	}
 	hits, misses := e.Eq5CacheStats()
-	rebuilds, advances, refreshes := e.Eq5ViewStats()
+	led := e.Ledger()
 	c.Failf("eq5-incremental", cell, now,
 		fmt.Sprintf("maxDiff=%v hits=%d misses=%d rebuilds=%d advances=%d refreshes=%d",
-			diff, hits, misses, rebuilds, advances, refreshes),
+			diff, hits, misses, led.Eq5Rebuilds, led.Eq5Advances, led.Eq5Refreshes),
 		"materialized Eq. 5 view diverges from the from-scratch walk by %v (tolerance %v)",
 		diff, Eq5Tolerance)
 }

@@ -34,8 +34,8 @@ func TestEq5AdoptsInvisibleRecord(t *testing.T) {
 	}
 	// Pair (1,2) is full of 30s: recording another 30 is invisible.
 	e.RecordDeparture(predict.Quadruplet{Event: 101, Prev: 1, Next: 2, Sojourn: 30})
-	if got := e.Eq5Adoptions(); got != 1 {
-		t.Fatalf("Eq5Adoptions = %d, want 1", got)
+	if got := e.Ledger().Eq5Adoptions; got != 1 {
+		t.Fatalf("Ledger().Eq5Adoptions = %d, want 1", got)
 	}
 	if got := e.OutgoingReservation(100, 1, 30); got != before {
 		t.Fatalf("reservation moved after invisible record: %v -> %v", before, got)
@@ -43,7 +43,7 @@ func TestEq5AdoptsInvisibleRecord(t *testing.T) {
 	if h, m := e.Eq5CacheStats(); h != 1 || m != 1 {
 		t.Fatalf("post-adoption query missed: hits=%d misses=%d, want 1/1", h, m)
 	}
-	if r, _, _ := e.Eq5ViewStats(); r != 1 {
+	if r := e.Ledger().Eq5Rebuilds; r != 1 {
 		t.Fatalf("view rebuilt %d times, want 1 (adoption spared the rebuild)", r)
 	}
 	if diff, checked := e.VerifyEq5Cache(); !checked || diff != 0 {
@@ -65,8 +65,8 @@ func TestEq5AdoptsVisibleRecordOffLivePrev(t *testing.T) {
 	// Visible record (new sojourn value) — but on prev 1, and the only
 	// live connection entered from Self.
 	e.RecordDeparture(predict.Quadruplet{Event: 101, Prev: 1, Next: 2, Sojourn: 55})
-	if got := e.Eq5Adoptions(); got != 1 {
-		t.Fatalf("Eq5Adoptions = %d, want 1", got)
+	if got := e.Ledger().Eq5Adoptions; got != 1 {
+		t.Fatalf("Ledger().Eq5Adoptions = %d, want 1", got)
 	}
 	if got := e.OutgoingReservation(100, 1, 30); got != before {
 		t.Fatalf("reservation moved: %v -> %v", before, got)
@@ -93,15 +93,15 @@ func TestEq5RefusesVisibleRecordOnLivePrev(t *testing.T) {
 	// Visible (evicts a 30 for a 70) on prev 1 = the live connection's
 	// entry direction: no adoption.
 	e.RecordDeparture(predict.Quadruplet{Event: 101, Prev: 1, Next: 2, Sojourn: 70})
-	if got := e.Eq5Adoptions(); got != 0 {
-		t.Fatalf("Eq5Adoptions = %d, want 0 (refusal)", got)
+	if got := e.Ledger().Eq5Adoptions; got != 0 {
+		t.Fatalf("Ledger().Eq5Adoptions = %d, want 0 (refusal)", got)
 	}
 	// Pair is now [30, 70]; recording a 30 is invisible in isolation,
 	// but the view already missed a generation — adopting here would
 	// launder the stale state. preGen check must refuse.
 	e.RecordDeparture(predict.Quadruplet{Event: 102, Prev: 1, Next: 2, Sojourn: 30})
-	if got := e.Eq5Adoptions(); got != 0 {
-		t.Fatalf("Eq5Adoptions = %d, want 0 (laundering guard)", got)
+	if got := e.Ledger().Eq5Adoptions; got != 0 {
+		t.Fatalf("Ledger().Eq5Adoptions = %d, want 0 (laundering guard)", got)
 	}
 	// The next query rebuilds against the real history.
 	e.OutgoingReservation(100, 1, 30)

@@ -12,11 +12,11 @@ import (
 // hinted sojourn probability), per-direction term columns, and
 // per-direction sums, updated by deltas as events arrive instead of
 // recomputed per query. The admission fast path advances `now` on every
-// burst, so the PR-4 memo cache — keyed on an exact (now, test,
-// generation) triple — paid a full connection-table walk per burst; the
-// view instead *advances* across timestamps in O(live connections)
-// guard checks and refreshes only the connections whose Eq. 4 queries
-// actually change value.
+// burst, so a memo keyed on an exact (now, test, generation) triple
+// pays a full Eq. 4 walk per burst; the view instead *advances* across
+// timestamps with one scan of its guards — two float comparisons per
+// live connection — and refreshes only the connections whose Eq. 4
+// queries actually change value.
 //
 // Everything here must stay bit-exact with the retained from-scratch
 // walk (eq5Scratch): the golden corpus pins simulation bytes, and float
@@ -75,21 +75,6 @@ type eq5Cache struct {
 	nextLo []float64
 	nextHi []float64
 
-	// expAt[i] is a timestamp at which connection i's guards were
-	// *verified* to still hold (with the exact guard expressions), and
-	// expiry the minimum over the table. Guard validity is
-	// downward-closed in now — fl(now − enteredAt) and its +test edge
-	// are nondecreasing in now — so an advance to any now ≤ expiry
-	// cannot expire a guard and is O(1). Past the bound, the indexed
-	// min-heap below (heapIdx a heap of table slots ordered by expAt,
-	// heapPos its inverse) yields exactly the connections whose
-	// verified point was crossed, so an advance costs O(crossed · log n)
-	// instead of a full table scan.
-	expAt   []float64
-	expiry  float64
-	heapIdx []int
-	heapPos []int
-
 	// terms[t][i] is connection i's Eq. 5 term toward direction t;
 	// termsDone[t] marks columns that are materialized for the current
 	// table. done[t] marks directions whose sum is accumulated (done[t]
@@ -110,8 +95,7 @@ type eq5Cache struct {
 
 	hits, misses uint64 // per-query accounting, exposed via Eq5CacheStats
 
-	// Materialized-view event accounting, exposed via Eq5ViewStats and
-	// the engine Ledger.
+	// Materialized-view event accounting, exposed via the engine Ledger.
 	rebuilds  uint64 // full from-scratch view rebuilds
 	advances  uint64 // timestamp advances served incrementally
 	refreshes uint64 // per-connection base-state refreshes during advances
@@ -183,7 +167,7 @@ func (e *Engine) eq5Current(now, test float64, est *predict.Estimator) bool {
 // pinned first (EnsureCurrent): if its generation moved — a Record, an
 // eviction, or a windowed-selection drift rebuild at the new timestamp —
 // the cached terms were computed against a dead selection and the view
-// must be rebuilt from scratch. Otherwise each connection's guards are
+// must be rebuilt from scratch. Otherwise every connection's guards are
 // checked with the exact float expressions the estimator's binary
 // searches consume; connections whose extant sojourn crossed a
 // breakpoint get their base state, guards, and materialized term
@@ -200,36 +184,17 @@ func (e *Engine) eq5Advance(now float64, est *predict.Estimator) bool {
 		return false
 	}
 	c.advances++
-	if now <= c.expiry {
-		// No guard can expire at or before the verified expiry bound:
-		// the advance is O(1) and every cached term and finished sum
-		// stays bit-valid as-is.
-		c.now = now
-		return true
-	}
 	c.now = now
 	refreshed := false
-	// Pop every connection whose verified point was crossed. The heap
-	// holds only the view's own table — during eq5Extend the engine
-	// table has already grown by the appended connection, which the
-	// view incorporates only after the advance. A popped connection
-	// whose guards still hold (the approximate bound undershot the real
-	// crossing) is re-verified at now itself, which keeps the loop
-	// monotone; eq5Guards clamps refreshed bounds to ≥ now the same way.
-	for len(c.heapIdx) > 0 {
-		i := c.heapIdx[0]
-		if c.expAt[i] >= now {
-			break
-		}
-		if e.eq5GuardAt(i, now) {
-			c.expAt[i] = now
-		} else {
+	// Scan the view's own table, not the engine's: during eq5Extend the
+	// engine table has already grown by the appended connection, which
+	// the view incorporates only after the advance.
+	for i := range c.ext {
+		if !e.eq5GuardAt(i, now) {
 			e.eq5Refresh(i)
 			refreshed = true
 		}
-		c.heapDown(0)
 	}
-	c.expiry = c.heapTopExpiry()
 	if refreshed {
 		for t := range c.done {
 			c.done[t] = false
@@ -248,115 +213,6 @@ func (e *Engine) eq5GuardAt(i int, t float64) bool {
 		ext = 0
 	}
 	return ext < c.nextLo[i] && ext+c.test < c.nextHi[i]
-}
-
-// The expiry heap: a classic indexed binary min-heap over table slots,
-// ordered by expAt. heapPos is the inverse permutation, kept so that a
-// slot's entry can be fixed up or deleted in O(log n) when its bound
-// changes (refresh), it is appended (extend), or the table swap-removes
-// it. No slice here ever shrinks capacity, so steady state stays
-// allocation-free.
-
-func (c *eq5Cache) heapLess(a, b int) bool {
-	return c.expAt[c.heapIdx[a]] < c.expAt[c.heapIdx[b]]
-}
-
-func (c *eq5Cache) heapSwap(a, b int) {
-	c.heapIdx[a], c.heapIdx[b] = c.heapIdx[b], c.heapIdx[a]
-	c.heapPos[c.heapIdx[a]] = a
-	c.heapPos[c.heapIdx[b]] = b
-}
-
-func (c *eq5Cache) heapUp(p int) {
-	for p > 0 {
-		q := (p - 1) / 2
-		if !c.heapLess(p, q) {
-			return
-		}
-		c.heapSwap(p, q)
-		p = q
-	}
-}
-
-func (c *eq5Cache) heapDown(p int) {
-	n := len(c.heapIdx)
-	for {
-		l := 2*p + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && c.heapLess(r, l) {
-			m = r
-		}
-		if !c.heapLess(m, p) {
-			return
-		}
-		c.heapSwap(p, m)
-		p = m
-	}
-}
-
-// heapInit (re)builds the heap over table slots 0..n-1 in O(n).
-func (c *eq5Cache) heapInit(n int) {
-	c.heapIdx = growInt(c.heapIdx, n)
-	c.heapPos = growInt(c.heapPos, n)
-	for i := 0; i < n; i++ {
-		c.heapIdx[i] = i
-		c.heapPos[i] = i
-	}
-	for p := n/2 - 1; p >= 0; p-- {
-		c.heapDown(p)
-	}
-}
-
-// heapPush appends slot i (expAt[i] must already be set).
-func (c *eq5Cache) heapPush(i int) {
-	c.heapIdx = append(c.heapIdx, i)
-	c.heapPos = append(c.heapPos[:i], len(c.heapIdx)-1)
-	c.heapUp(len(c.heapIdx) - 1)
-}
-
-// heapDelete removes slot i's entry. Its heapPos slot is left stale;
-// the caller renames or truncates it immediately after.
-func (c *eq5Cache) heapDelete(i int) {
-	p := c.heapPos[i]
-	n := len(c.heapIdx) - 1
-	if p != n {
-		c.heapIdx[p] = c.heapIdx[n]
-		c.heapPos[c.heapIdx[p]] = p
-	}
-	c.heapIdx = c.heapIdx[:n]
-	if p != n {
-		c.heapDown(p)
-		c.heapUp(p)
-	}
-}
-
-// heapRename re-points the entry of table slot from to slot to (the
-// expAt value moved with the table swap, so order is untouched).
-func (c *eq5Cache) heapRename(from, to int) {
-	p := c.heapPos[from]
-	c.heapIdx[p] = to
-	c.heapPos[to] = p
-}
-
-// heapTopExpiry returns the smallest verified expiry point, +Inf for an
-// empty table.
-func (c *eq5Cache) heapTopExpiry() float64 {
-	if len(c.heapIdx) == 0 {
-		return math.Inf(1)
-	}
-	return c.expAt[c.heapIdx[0]]
-}
-
-// growInt returns s resized to n without reallocating when capacity
-// allows.
-func growInt(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
 }
 
 // eq5Refresh recomputes one connection's base state, guards, and any
@@ -400,7 +256,6 @@ func (e *Engine) eq5Rebuild(now, test float64, est *predict.Estimator, toward to
 	c.hintP = grow(c.hintP, n)
 	c.nextLo = grow(c.nextLo, n)
 	c.nextHi = grow(c.nextHi, n)
-	c.expAt = grow(c.expAt, n)
 	d := e.cfg.Degree + 1
 	c.sums = grow(c.sums, d)
 	c.done = growBool(c.done, d)
@@ -425,8 +280,6 @@ func (e *Engine) eq5Rebuild(now, test float64, est *predict.Estimator, toward to
 		}
 		sum += v
 	}
-	c.heapInit(n)
-	c.expiry = c.heapTopExpiry()
 	if col != nil {
 		c.sums[t] = sum
 		c.done[t] = true
@@ -455,50 +308,15 @@ func (e *Engine) eq5Base(i int) {
 }
 
 // eq5Guards recomputes connection i's staleness guards from its
-// prev-group's breakpoint table, and the verified expiry point derived
-// from them. Must run after eq5Base (it reads the ext the base state
-// was computed at).
+// prev-group's breakpoint table. Fresh guards hold strictly at the
+// view's timestamp (nextAbove is strictly above both edges), which is
+// what verifyEq5Locked checks after every advance. Must run after
+// eq5Base (it reads the ext the base state was computed at).
 func (e *Engine) eq5Guards(i int) {
 	c := &e.eq5
 	bp := e.eq5Breakpoints(e.conns[i].prev)
 	c.nextLo[i] = nextAbove(bp, c.ext[i])
 	c.nextHi[i] = nextAbove(bp, c.ext[i]+c.test)
-	// Fresh guards hold strictly at c.now (nextAbove is strictly above
-	// both edges), so the bound is clamped to ≥ c.now: the advance
-	// pop-loop relies on a refreshed connection never re-entering the
-	// expired region of the heap at the same timestamp.
-	b := e.eq5ExpiryBound(i)
-	if b < c.now {
-		b = c.now
-	}
-	c.expAt[i] = b
-}
-
-// eq5ExpiryBound returns a timestamp at which connection i's guards
-// provably still hold. The approximate crossing enteredAt + min(nextLo,
-// nextHi−test) is walked down by ulps until the exact guard expressions
-// accept it — float addition can overshoot the true crossing, and the
-// skip rule in eq5Advance relies on the returned point being verified,
-// not estimated. Falls back to the view's current timestamp (guards
-// always hold there) if no nearby point verifies, which merely costs a
-// scan on the next advance.
-func (e *Engine) eq5ExpiryBound(i int) float64 {
-	c := &e.eq5
-	lim := c.nextLo[i]
-	if h := c.nextHi[i] - c.test; h < lim {
-		lim = h
-	}
-	cand := e.conns[i].enteredAt + lim
-	for k := 0; k < 8; k++ {
-		if e.eq5GuardAt(i, cand) {
-			return cand
-		}
-		cand = math.Nextafter(cand, math.Inf(-1))
-	}
-	if e.eq5GuardAt(i, cand) {
-		return cand
-	}
-	return c.now
 }
 
 // eq5Breakpoints returns the sorted sojourn breakpoints of one
@@ -611,13 +429,8 @@ func (e *Engine) eq5Extend(i int, now float64) {
 	c.hintP = append(c.hintP[:i], 0)
 	c.nextLo = append(c.nextLo[:i], 0)
 	c.nextHi = append(c.nextHi[:i], 0)
-	c.expAt = append(c.expAt[:i], 0)
 	e.eq5Base(i)
 	e.eq5Guards(i)
-	c.heapPush(i)
-	if c.expAt[i] < c.expiry {
-		c.expiry = c.expAt[i]
-	}
 	for t := 1; t < len(c.termsDone); t++ {
 		if !c.termsDone[t] {
 			continue
@@ -642,24 +455,18 @@ func (e *Engine) eq5Remove(i, last int) {
 	if !c.valid {
 		return
 	}
-	c.heapDelete(i)
 	if i != last {
 		c.ext[i] = c.ext[last]
 		c.den[i] = c.den[last]
 		c.hintP[i] = c.hintP[last]
 		c.nextLo[i] = c.nextLo[last]
 		c.nextHi[i] = c.nextHi[last]
-		c.expAt[i] = c.expAt[last]
-		c.heapRename(last, i)
 	}
 	c.ext = c.ext[:last]
 	c.den = c.den[:last]
 	c.hintP = c.hintP[:last]
 	c.nextLo = c.nextLo[:last]
 	c.nextHi = c.nextHi[:last]
-	c.expAt = c.expAt[:last]
-	c.heapPos = c.heapPos[:last]
-	c.expiry = c.heapTopExpiry()
 	for t := 1; t < len(c.termsDone); t++ {
 		if !c.termsDone[t] {
 			continue
@@ -756,30 +563,13 @@ func (e *Engine) eq5Scratch(now float64, toward topology.LocalIndex, test float6
 
 // Eq5CacheStats returns the lifetime (hit, miss) counts of the Eq. 5
 // view: hits answered from a finished per-direction sum, misses paid
-// for a rebuild or an accumulation walk (diagnostics; not part of any
-// report).
+// for a rebuild or an accumulation walk. The benchmark reports their
+// ratio as core.eq5_hit_ratio and the audit prints both on a
+// divergence; the view's event counts are in Ledger.
 func (e *Engine) Eq5CacheStats() (hits, misses uint64) {
 	e.lock()
 	defer e.unlock()
 	return e.eq5.hits, e.eq5.misses
-}
-
-// Eq5ViewStats returns the materialized view's lifetime event counts:
-// full rebuilds, incremental timestamp advances, and per-connection
-// refreshes performed during those advances (diagnostics; not part of
-// any report).
-func (e *Engine) Eq5ViewStats() (rebuilds, advances, refreshes uint64) {
-	e.lock()
-	defer e.unlock()
-	return e.eq5.rebuilds, e.eq5.advances, e.eq5.refreshes
-}
-
-// Eq5Adoptions returns how many estimator generations the view adopted
-// in place instead of rebuilding (see eq5NoteRecord).
-func (e *Engine) Eq5Adoptions() uint64 {
-	e.lock()
-	defer e.unlock()
-	return e.eq5.adoptions
 }
 
 // VerifyEq5Cache re-derives the live view against the from-scratch
@@ -834,33 +624,13 @@ func (e *Engine) verifyEq5Locked() (maxDiff float64, checked bool) {
 		// no live state to certify.
 		return 0, false
 	}
-	// Layer 1: per-connection guards and the expiry machinery above
-	// them. Guard validity is downward-closed in the timestamp, so
-	// checking each connection at max(now, expAt[i]) certifies both the
-	// view's current state and the verified point the advance fast path
-	// will trust — catching a too-optimistic bound before an advance
-	// ever skips past a real breakpoint crossing. The expiry heap must
-	// be a consistent indexed min-heap whose top equals the scalar
-	// bound, or the pop-loop can miss crossed connections regardless of
-	// the per-connection numbers.
-	if len(c.heapIdx) != len(e.conns) || len(c.heapPos) != len(e.conns) || c.expiry != c.heapTopExpiry() {
+	// Layer 1: the view's table is the engine's, and every
+	// per-connection guard holds at the view's own timestamp.
+	if len(c.ext) != len(e.conns) {
 		return math.Inf(1), true
 	}
-	for p := range c.heapIdx {
-		i := c.heapIdx[p]
-		if i < 0 || i >= len(e.conns) || c.heapPos[i] != p {
-			return math.Inf(1), true
-		}
-		if p > 0 && c.heapLess(p, (p-1)/2) {
-			return math.Inf(1), true
-		}
-	}
 	for i := range e.conns {
-		at := c.now
-		if c.expAt[i] > at {
-			at = c.expAt[i]
-		}
-		if !e.eq5GuardAt(i, at) {
+		if !e.eq5GuardAt(i, c.now) {
 			return math.Inf(1), true
 		}
 	}

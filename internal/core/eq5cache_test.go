@@ -60,8 +60,9 @@ func TestEq5CacheHitsAndMisses(t *testing.T) {
 	if h, m := e.Eq5CacheStats(); h != 3 || m != 3 {
 		t.Fatalf("after breakpoint crossing: hits=%d misses=%d, want 3/3", h, m)
 	}
-	if r, a, f := e.Eq5ViewStats(); r != 1 || a != 2 || f != 1 {
-		t.Fatalf("view stats = rebuilds %d / advances %d / refreshes %d, want 1/2/1", r, a, f)
+	if led := e.Ledger(); led.Eq5Rebuilds != 1 || led.Eq5Advances != 2 || led.Eq5Refreshes != 1 {
+		t.Fatalf("view stats = rebuilds %d / advances %d / refreshes %d, want 1/2/1",
+			led.Eq5Rebuilds, led.Eq5Advances, led.Eq5Refreshes)
 	}
 	if diff, checked := e.VerifyEq5Cache(); !checked || diff != 0 {
 		t.Fatalf("VerifyEq5Cache after refresh = (%v, %v), want (0, true)", diff, checked)
@@ -111,7 +112,7 @@ func TestEq5CacheSurvivesRemove(t *testing.T) {
 	if h, m := e.Eq5CacheStats(); h != 0 || m != 2 {
 		t.Fatalf("hits=%d misses=%d, want 0/2", h, m)
 	}
-	if r, _, _ := e.Eq5ViewStats(); r != 1 {
+	if r := e.Ledger().Eq5Rebuilds; r != 1 {
 		t.Fatalf("rebuilds = %d, want 1 (removal must not force a rebuild)", r)
 	}
 }

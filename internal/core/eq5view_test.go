@@ -181,7 +181,7 @@ func TestEq5ViewEdgeCases(t *testing.T) {
 				e.OutgoingReservation(100, 1, 30)
 				e.AddConnection(50, ConnSpec{Min: 3, Prev: 1}, 100)
 				e.RemoveConnection(50)
-				r, _, _ := e.Eq5ViewStats()
+				r := e.Ledger().Eq5Rebuilds
 				return viewState{rebuilds: r, live: true}
 			},
 		},
@@ -195,7 +195,7 @@ func TestEq5ViewEdgeCases(t *testing.T) {
 				e.AddConnection(50, ConnSpec{Min: 3, Prev: 1}, 100)
 				e.AddConnection(51, ConnSpec{Min: 7, Prev: 2, Hint: 1}, 100)
 				e.RemoveConnection(1) // seeded conn at slot 0: 51 swaps in
-				r, _, _ := e.Eq5ViewStats()
+				r := e.Ledger().Eq5Rebuilds
 				return viewState{rebuilds: r, live: true}
 			},
 		},
@@ -207,9 +207,9 @@ func TestEq5ViewEdgeCases(t *testing.T) {
 			run: func(t *testing.T, e *Engine) viewState {
 				e.OutgoingReservation(100, 1, 30)
 				e.RecordDeparture(predict.Quadruplet{Event: 100, Prev: topology.Self, Next: 1, Sojourn: 12})
-				r0, _, _ := e.Eq5ViewStats()
+				r0 := e.Ledger().Eq5Rebuilds
 				e.OutgoingReservation(100, 1, 30)
-				r1, _, _ := e.Eq5ViewStats()
+				r1 := e.Ledger().Eq5Rebuilds
 				if r1 != r0+1 {
 					t.Fatalf("equal-now query after Record did not rebuild (rebuilds %d -> %d)", r0, r1)
 				}
@@ -228,9 +228,9 @@ func TestEq5ViewEdgeCases(t *testing.T) {
 				if est.Generation() == gen {
 					t.Fatal("EvictBefore dropped samples without bumping the generation")
 				}
-				r0, _, _ := e.Eq5ViewStats()
+				r0 := e.Ledger().Eq5Rebuilds
 				e.OutgoingReservation(100, 1, 30)
-				r1, _, _ := e.Eq5ViewStats()
+				r1 := e.Ledger().Eq5Rebuilds
 				if r1 != r0+1 {
 					t.Fatalf("query after dropping evict did not rebuild (rebuilds %d -> %d)", r0, r1)
 				}
@@ -254,7 +254,7 @@ func TestEq5ViewEdgeCases(t *testing.T) {
 				if h1, _ := e.Eq5CacheStats(); h1 != h0+1 {
 					t.Fatalf("query after no-op evict was not a hit (hits %d -> %d)", h0, h1)
 				}
-				r, _, _ := e.Eq5ViewStats()
+				r := e.Ledger().Eq5Rebuilds
 				return viewState{rebuilds: r, live: true}
 			},
 		},
@@ -276,6 +276,41 @@ func TestEq5ViewEdgeCases(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEq5AdvanceDuringExtend pins the one ordering subtlety of the guard
+// scan: AddConnection appends to the engine table before the view
+// advances to the new timestamp, so the advance must scan the view's own
+// table (one slot shorter) and refresh exactly the connections whose
+// guards expired in between.
+func TestEq5AdvanceDuringExtend(t *testing.T) {
+	e := seedEq5Engine()
+	// t0 = 100: a live view over connections 1 (entered 90 from Self,
+	// ext 10) and 2 (entered 95 from 1, ext 5).
+	e.OutgoingReservation(100, 1, 30)
+	before := e.Ledger()
+	// t1 = 110: connection 1's ext reaches 20, the smallest selected
+	// Self-sojourn, so its guard expires; connection 2 (next breakpoint
+	// at ext 30) holds.
+	e.AddConnection(3, ConnSpec{Min: 5, Prev: 2}, 110)
+	after := e.Ledger()
+	if d := after.Eq5Rebuilds - before.Eq5Rebuilds; d != 0 {
+		t.Fatalf("AddConnection rebuilt the view %d times, want 0", d)
+	}
+	if d := after.Eq5Advances - before.Eq5Advances; d != 1 {
+		t.Fatalf("AddConnection advanced the view %d times, want 1", d)
+	}
+	if d := after.Eq5Refreshes - before.Eq5Refreshes; d != 1 {
+		t.Fatalf("AddConnection refreshed %d connections, want 1", d)
+	}
+	got := e.OutgoingReservation(110, 1, 30)
+	want := e.eq5Scratch(110, 1, 30, e.patterns.Estimator(110))
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("view %v != from-scratch %v", got, want)
+	}
+	if diff, checked := e.VerifyEq5Cache(); !checked || diff != 0 {
+		t.Fatalf("VerifyEq5Cache = (%v, %v), want (0, true)", diff, checked)
 	}
 }
 
