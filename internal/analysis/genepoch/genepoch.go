@@ -41,8 +41,7 @@ var Analyzer = &analysis.Analyzer{
 // are a pure function of the current selection and die with it.
 var derivedMethods = map[string]bool{
 	"SurvivorWeight": true, "HandOffWeight": true, "HandOffProb": true,
-	"HandOffProbsInto": true, "VisitHandOffProbs": true, "SojournProb": true,
-	"AppendSelected": true, "Selected": true, "SelectedCount": true,
+	"SojournProb": true, "Selected": true, "SelectedCount": true,
 	"MaxSojourn": true, "AppendSojournBreakpoints": true,
 }
 
@@ -54,7 +53,7 @@ var derivedMethods = map[string]bool{
 // against a recorded epoch, not a license to keep older state.
 var mutatorMethods = map[string]bool{
 	"Record": true, "ReadFrom": true, "SweepAt": true, "EvictBefore": true,
-	"EnsureCurrent": true, "Reset": true, "Merge": true,
+	"EnsureCurrent": true, "Reset": true,
 }
 
 // estimatorReceiver reports whether the method's receiver is an

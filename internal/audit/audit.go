@@ -199,7 +199,7 @@ func (c *Checker) History(cell string, now float64, e *core.Engine) {
 	cfg := e.Config()
 	cfg.Lock = nil // the scratch engine is private to this check
 	scratch := core.NewEngine(cfg)
-	if _, err := scratch.RestoreHistory(bytes.NewReader(first.Bytes()), false); err != nil {
+	if _, err := scratch.RestoreHistory(bytes.NewReader(first.Bytes())); err != nil {
 		c.Failf("history-rederivation", cell, now, snap, "decoding re-serialized history: %v", err)
 	}
 	if got := scratch.HistoryLastEvent(); got != last {

@@ -191,7 +191,7 @@ func restoredEngine(t *testing.T, lastEvent float64) *core.Engine {
 		t.Fatal(err)
 	}
 	dst := core.NewEngine(cfg)
-	if _, err := dst.RestoreHistory(&buf, false); err != nil {
+	if _, err := dst.RestoreHistory(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return dst

@@ -688,16 +688,15 @@ func (e *Engine) Connection(id ConnID) (bw int, prev topology.LocalIndex, entere
 }
 
 // RecordDeparture feeds a hand-off event quadruplet into the estimator
-// (no-op for non-adaptive policies).
+// (no-op for non-adaptive policies). The record moves the estimator
+// generation, so the Eq. 5 view rebuilds on its next query.
 func (e *Engine) RecordDeparture(q predict.Quadruplet) {
 	if e.patterns == nil {
 		return
 	}
 	e.lock()
 	defer e.unlock()
-	preGen := e.patterns.Estimator(q.Event).Generation()
-	visible := e.patterns.Record(q)
-	e.eq5NoteRecord(q, visible, preGen)
+	e.patterns.Record(q)
 }
 
 // NoteHandOffArrival drives the T_est controller with one hand-off into

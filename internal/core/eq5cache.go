@@ -99,7 +99,6 @@ type eq5Cache struct {
 	rebuilds  uint64 // full from-scratch view rebuilds
 	advances  uint64 // timestamp advances served incrementally
 	refreshes uint64 // per-connection base-state refreshes during advances
-	adoptions uint64 // estimator generations adopted without a rebuild
 }
 
 // invalidate discards the view (buffers are kept for reuse).
@@ -478,58 +477,6 @@ func (e *Engine) eq5Remove(i, last int) {
 	}
 	for t := range c.done {
 		c.done[t] = false
-	}
-}
-
-// eq5NoteRecord lets the live view absorb a just-recorded quadruplet
-// without the rebuild a generation mismatch would otherwise force, when
-// the record provably cannot change any value the view serves. Two
-// facts gate adoption, both restricted to stationary estimation
-// (infinite T_int), where Record returns with the affected pair's index
-// current (updated in place, or rebuilt when it was not in step) so the
-// observed generation is final:
-//
-//   - A selection-invisible record (Estimator.Record returned false)
-//     leaves every estimator query bit-identical, so the whole view —
-//     cached terms, guards, breakpoint tables — remains exact.
-//   - A visible record only changes queries against prev-group q.Prev.
-//     When no live connection enters from that direction, the view
-//     reads nothing from the group; only its lazily-built breakpoint
-//     table must be dropped.
-//
-// In both cases the view adopts the estimator's new generation in
-// place. preGen is the estimator's generation immediately before the
-// record: adoption requires the view to have been current at that
-// point — a view already stale from an earlier unadopted mutation must
-// not be laundered to the newest generation by a later harmless
-// record. Called under the engine lock, after PatternSet.Record.
-func (e *Engine) eq5NoteRecord(q predict.Quadruplet, visible bool, preGen uint64) {
-	c := &e.eq5
-	if !c.valid || c.estGen != preGen {
-		return
-	}
-	est := e.patterns.Estimator(q.Event)
-	if est != c.est || !math.IsInf(est.Config().Tint, 1) {
-		return
-	}
-	if visible {
-		for i := range e.conns {
-			if e.conns[i].prev == q.Prev {
-				return // the group feeds a live connection: rebuild
-			}
-		}
-	}
-	gen := est.Generation()
-	if c.estGen == gen {
-		return
-	}
-	c.estGen = gen
-	c.adoptions++
-	if c.bpsEst == est {
-		c.bpsGen = gen
-		if visible && int(q.Prev) < len(c.bpsOK) {
-			c.bpsOK[q.Prev] = false
-		}
 	}
 }
 

@@ -117,21 +117,38 @@ func TestEq5CacheSurvivesRemove(t *testing.T) {
 	}
 }
 
+// TestEq5CacheInvalidatesOnNewHistory: every Record moves the estimator
+// generation, and the view never adopts one — the next query rebuilds,
+// bit-exact by construction. That holds for a record that changes a live
+// connection's terms and equally for the two that change none: an
+// equal-sojourn replacement in a full pair, and a record whose prev no
+// live connection entered from.
 func TestEq5CacheInvalidatesOnNewHistory(t *testing.T) {
 	e := seedEq5Engine()
-	v1 := e.OutgoingReservation(100, 1, 30)
-	// New quadruplet bumps the estimator generation: the cached sums
-	// were computed from a selection that no longer exists.
-	e.RecordDeparture(predict.Quadruplet{Event: 99, Prev: topology.Self, Next: 2, Sojourn: 10})
-	got := e.OutgoingReservation(100, 1, 30)
-	want := e.eq5Scratch(100, 1, 30, e.patterns.Estimator(100))
-	if got != want {
-		t.Fatalf("post-record query %v != from-scratch %v", got, want)
+	for i := 1; i < predict.StationaryConfig().NQuad; i++ {
+		e.RecordDeparture(predict.Quadruplet{Event: 2, Prev: 1, Next: 2, Sojourn: 30}) // fill pair (1,2)
 	}
-	if h, m := e.Eq5CacheStats(); h != 0 || m != 2 {
-		t.Fatalf("hits=%d misses=%d, want 0/2 (generation change must miss)", h, m)
+	e.OutgoingReservation(100, 1, 30)
+	for i, q := range []predict.Quadruplet{
+		{Event: 99, Prev: topology.Self, Next: 2, Sojourn: 10}, // live prev: terms change
+		{Event: 99, Prev: 1, Next: 2, Sojourn: 30},             // evicts a 30 for a 30
+		{Event: 99, Prev: 2, Next: 1, Sojourn: 10},             // no live connection from 2
+	} {
+		rebuilds := e.Ledger().Eq5Rebuilds
+		e.RecordDeparture(q)
+		got := e.OutgoingReservation(100, 1, 30)
+		want := e.eq5Scratch(100, 1, 30, e.patterns.Estimator(100))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("after %+v: query %v != from-scratch %v", q, got, want)
+		}
+		if h, m := e.Eq5CacheStats(); h != 0 || m != uint64(i+2) {
+			t.Fatalf("after %+v: hits=%d misses=%d, want 0/%d (generation change must miss)", q, h, m, i+2)
+		}
+		if led := e.Ledger(); led.Eq5Rebuilds != rebuilds+1 || led.Eq5Adoptions != 0 {
+			t.Fatalf("after %+v: rebuilds %d -> %d, adoptions %d; want one rebuild and no adoption",
+				q, rebuilds, led.Eq5Rebuilds, led.Eq5Adoptions)
+		}
 	}
-	_ = v1
 }
 
 func TestPeerValue(t *testing.T) {

@@ -48,14 +48,11 @@ func (e *Engine) WriteHistory(w io.Writer) (int64, error) {
 }
 
 // RestoreHistory loads a WriteHistory stream into the engine's
-// estimators under the engine lock. With merge false each class is
-// Reset and replaced (the restart path: the estimators are empty
-// anyway); with merge true the stream's samples are unioned with any
-// live history (the late-restore path, predict.Estimator.Merge). The
-// class count must match the engine's — restoring an adaptive
-// checkpoint into a non-adaptive engine (or vice versa) is a config
-// mismatch, not recoverable data.
-func (e *Engine) RestoreHistory(r io.Reader, merge bool) (int64, error) {
+// estimators under the engine lock, replacing whatever they held: each
+// class is Reset, then read back. The class count must match the
+// engine's — restoring an adaptive checkpoint into a non-adaptive
+// engine (or vice versa) is a config mismatch, not recoverable data.
+func (e *Engine) RestoreHistory(r io.Reader) (int64, error) {
 	e.lock()
 	defer e.unlock()
 	var classes16 uint16
@@ -72,14 +69,8 @@ func (e *Engine) RestoreHistory(r io.Reader, merge bool) (int64, error) {
 	}
 	for c := 0; c < want; c++ {
 		est := e.patterns.ByClass(predict.DayClass(c))
-		var m int64
-		var err error
-		if merge {
-			m, err = est.Merge(r)
-		} else {
-			est.Reset()
-			m, err = est.ReadFrom(r)
-		}
+		est.Reset()
+		m, err := est.ReadFrom(r)
 		n += m
 		if err != nil {
 			return n, fmt.Errorf("core: restore day class %d: %w", c, err)

@@ -32,7 +32,7 @@ func TestHistoryRoundTrip(t *testing.T) {
 	}
 
 	dst := adaptiveEngine()
-	if _, err := dst.RestoreHistory(bytes.NewReader(buf.Bytes()), false); err != nil {
+	if _, err := dst.RestoreHistory(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := dst.HistoryLastEvent(), src.HistoryLastEvent(); got != want {
@@ -51,8 +51,8 @@ func TestHistoryRoundTrip(t *testing.T) {
 	dst.RecordDeparture(predict.Quadruplet{Event: dst.HistoryLastEvent(), Prev: 0, Next: 1, Sojourn: 2})
 }
 
-// TestHistoryRestoreReplacesStaleState: restore with merge=false wipes
-// whatever the estimators held (replace-on-restore).
+// TestHistoryRestoreReplacesStaleState: restore wipes whatever the
+// estimators held (replace-on-restore).
 func TestHistoryRestoreReplacesStaleState(t *testing.T) {
 	src := adaptiveEngine()
 	src.RecordDeparture(predict.Quadruplet{Event: 10, Prev: 0, Next: 1, Sojourn: 3})
@@ -61,7 +61,7 @@ func TestHistoryRestoreReplacesStaleState(t *testing.T) {
 
 	dst := adaptiveEngine()
 	dst.RecordDeparture(predict.Quadruplet{Event: 99, Prev: 1, Next: 2, Sojourn: 7})
-	if _, err := dst.RestoreHistory(&buf, false); err != nil {
+	if _, err := dst.RestoreHistory(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := dst.HistoryLastEvent(); got != 10 {
@@ -69,28 +69,6 @@ func TestHistoryRestoreReplacesStaleState(t *testing.T) {
 	}
 	if got := dst.Estimator(100).SurvivorWeight(100, 1, 0); got != 0 {
 		t.Fatalf("pre-restore sample survived a replace: weight %v", got)
-	}
-}
-
-// TestHistoryRestoreMerge: merge=true unions checkpoint and live
-// samples.
-func TestHistoryRestoreMerge(t *testing.T) {
-	src := adaptiveEngine()
-	src.RecordDeparture(predict.Quadruplet{Event: 10, Prev: 0, Next: 1, Sojourn: 3})
-	var buf bytes.Buffer
-	src.WriteHistory(&buf)
-
-	dst := adaptiveEngine()
-	dst.RecordDeparture(predict.Quadruplet{Event: 99, Prev: 0, Next: 2, Sojourn: 7})
-	if _, err := dst.RestoreHistory(&buf, true); err != nil {
-		t.Fatal(err)
-	}
-	if got := dst.HistoryLastEvent(); got != 99 {
-		t.Fatalf("HistoryLastEvent = %v, want the live 99", got)
-	}
-	est := dst.Estimator(100)
-	if got := est.SurvivorWeight(100, 0, 0); got != 2 {
-		t.Fatalf("merged survivor weight = %v, want both samples", got)
 	}
 }
 
@@ -105,7 +83,7 @@ func TestHistoryNonAdaptiveEngine(t *testing.T) {
 	if buf.Len() != 2 {
 		t.Fatalf("non-adaptive stream is %d bytes, want the 2-byte class count", buf.Len())
 	}
-	if _, err := NewEngine(Config{Capacity: 10, Degree: 1, Admission: MustPolicy("none")}).RestoreHistory(&buf, false); err != nil {
+	if _, err := NewEngine(Config{Capacity: 10, Degree: 1, Admission: MustPolicy("none")}).RestoreHistory(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.HistoryLastEvent(); got != 0 {
@@ -119,12 +97,12 @@ func TestHistoryClassCountMismatch(t *testing.T) {
 	var adaptive bytes.Buffer
 	adaptiveEngine().WriteHistory(&adaptive)
 	plain := NewEngine(Config{Capacity: 10, Degree: 1, Admission: MustPolicy("none")})
-	if _, err := plain.RestoreHistory(&adaptive, false); err == nil {
+	if _, err := plain.RestoreHistory(&adaptive); err == nil {
 		t.Fatal("adaptive checkpoint accepted by non-adaptive engine")
 	}
 	var empty bytes.Buffer
 	plain.WriteHistory(&empty)
-	if _, err := adaptiveEngine().RestoreHistory(&empty, false); err == nil {
+	if _, err := adaptiveEngine().RestoreHistory(&empty); err == nil {
 		t.Fatal("non-adaptive checkpoint accepted by adaptive engine")
 	}
 }
@@ -140,7 +118,7 @@ func TestHistoryRestoreRejectsTruncation(t *testing.T) {
 	src.WriteHistory(&buf)
 	raw := buf.Bytes()
 	for _, cut := range []int{1, 3, len(raw) / 2, len(raw) - 1} {
-		if _, err := adaptiveEngine().RestoreHistory(bytes.NewReader(raw[:cut]), false); err == nil {
+		if _, err := adaptiveEngine().RestoreHistory(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}

@@ -87,13 +87,12 @@ func TestAppendSojournBreakpoints(t *testing.T) {
 	}
 }
 
-// TestGroupMergeMatchesSort pins the sort-free group exports against the
-// definition they replaced: for a group of k pairs — k from 1 past any
-// plausible cell degree, some pairs emptied by eviction —
-// AppendSojournBreakpoints is slices.Sort of the pairs' concatenated
-// selections, AppendSelected is the same samples (sojourn, weight, next)
-// in ascending sojourn order, and both leave a non-empty dst prefix
-// alone.
+// TestGroupMergeMatchesSort pins the group exports against their
+// definition: for a group of k pairs — k from 1 past any plausible cell
+// degree, some pairs emptied by eviction — AppendSojournBreakpoints (a
+// sort-free back-merge) is slices.Sort of the pairs' concatenated
+// selections and leaves a non-empty dst prefix alone, and Selected is
+// the same samples (sojourn, weight, next) in ascending sojourn order.
 func TestGroupMergeMatchesSort(t *testing.T) {
 	r := rand.New(rand.NewPCG(0x3E26E, 20))
 	for k := 1; k <= 20; k++ {
@@ -138,34 +137,14 @@ func TestGroupMergeMatchesSort(t *testing.T) {
 		if !slices.Equal(gotBP[:2], []float64{99, -1}) || !slices.Equal(gotBP[2:], wantBP) {
 			t.Fatalf("k=%d: breakpoints %v, want prefix [99 -1] then %v", k, gotBP, wantBP)
 		}
-		prefix := WeightedSample{Sojourn: 99, Weight: 3, Next: 7}
-		gotSel := e.AppendSelected([]WeightedSample{prefix}, event, 1)
-		if gotSel[0] != prefix {
-			t.Fatalf("k=%d: AppendSelected overwrote the dst prefix: %v", k, gotSel[0])
-		}
-		gotSel = gotSel[1:]
+		gotSel := e.Selected(event, 1)
 		if !slices.IsSortedFunc(gotSel, func(a, b WeightedSample) int { return cmp.Compare(a.Sojourn, b.Sojourn) }) {
-			t.Fatalf("k=%d: AppendSelected not ascending in sojourn: %v", k, gotSel)
+			t.Fatalf("k=%d: Selected not ascending in sojourn: %v", k, gotSel)
 		}
-		slices.SortFunc(gotSel, byAll) // ties between pairs come in no promised order
+		slices.SortFunc(gotSel, byAll)
 		if !slices.Equal(gotSel, wantSel) {
-			t.Fatalf("k=%d: AppendSelected = %v, want %v", k, gotSel, wantSel)
+			t.Fatalf("k=%d: Selected = %v, want %v", k, gotSel, wantSel)
 		}
-	}
-}
-
-// TestAppendSelectedAllocFree pins AppendSelected's documented promise.
-func TestAppendSelectedAllocFree(t *testing.T) {
-	e := stationary(100)
-	for i := 0; i < 300; i++ {
-		e.Record(Quadruplet{Event: float64(i), Prev: 1, Next: topology.LocalIndex(1 + i%3), Sojourn: float64(i * 7 % 40)})
-	}
-	buf := make([]WeightedSample, 0, 300)
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = e.AppendSelected(buf[:0], 300, 1)
-	})
-	if allocs != 0 {
-		t.Fatalf("AppendSelected with a reused buffer allocated %v times per run", allocs)
 	}
 }
 

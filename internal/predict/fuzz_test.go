@@ -74,12 +74,12 @@ func FuzzPersistRoundTrip(f *testing.F) {
 
 // FuzzRecordUpkeep fuzzes the in-place write path against its oracle:
 // the input is an op stream for upkeepDriver (Record, EvictBefore,
-// Reset, restore of a longer history, Merge, queries), and after every
-// step each current pair index must equal a fresh rebuildPair of the
-// same samples, bit for bit.
+// Reset, restore of a longer history, self-restore, queries), and after
+// every step each current pair index must equal a fresh rebuildPair of
+// the same samples, bit for bit.
 func FuzzRecordUpkeep(f *testing.F) {
 	// Seeds: fill one pair past NQuad with duplicates; the same with a
-	// restore and two merges in the middle; with an eviction, a query
+	// restore and two self-restores in the middle; with an eviction, a query
 	// and a Reset in the middle; records of the sojourn about to be
 	// evicted and of the current maximum.
 	fill := bytes.Repeat([]byte{1, 4}, 12)

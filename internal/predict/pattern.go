@@ -1,10 +1,6 @@
 package predict
 
-import (
-	"math"
-
-	"cellqos/internal/topology"
-)
+import "math"
 
 // DayClass labels a calendar-pattern class. The paper keeps separate
 // quadruplet sets for weekdays and for weekends/holidays, whose mobility
@@ -101,16 +97,9 @@ func (ps *PatternSet) LastEvent() float64 {
 	return last
 }
 
-// Record routes a quadruplet to the estimator of its event time's
-// class, propagating that estimator's selection-visibility report (see
-// Estimator.Record).
-func (ps *PatternSet) Record(q Quadruplet) bool {
-	return ps.Estimator(q.Event).Record(q)
-}
-
-// HandOffProb evaluates Eq. 4 against the estimator in force at t0.
-func (ps *PatternSet) HandOffProb(t0 float64, prev topology.LocalIndex, extSoj, test float64, next topology.LocalIndex) float64 {
-	return ps.Estimator(t0).HandOffProb(t0, prev, extSoj, test, next)
+// Record routes a quadruplet to the estimator of its event time's class.
+func (ps *PatternSet) Record(q Quadruplet) {
+	ps.Estimator(q.Event).Record(q)
 }
 
 // MaxSojourn queries the estimator in force at t0.

@@ -79,13 +79,11 @@ func (e *Estimator) WriteTo(w io.Writer) (int64, error) {
 
 // ReadFrom implements io.ReaderFrom: it loads a previously serialized
 // cache into this estimator, which must be freshly constructed (no
-// quadruplets recorded yet). An estimator that already holds history
-// has two documented restore modes instead of a silent overwrite:
-// Reset followed by ReadFrom replaces the history, Merge unions the
-// serialized samples with the live ones.
+// quadruplets recorded yet): to replace the history of one that holds
+// samples, Reset it first.
 func (e *Estimator) ReadFrom(r io.Reader) (int64, error) {
 	if e.recorded > 0 {
-		return 0, fmt.Errorf("predict: ReadFrom into a non-empty estimator (Reset first to replace, or Merge to combine)")
+		return 0, fmt.Errorf("predict: ReadFrom into a non-empty estimator (Reset first to replace)")
 	}
 	// No read-ahead buffering: ReadFrom consumes exactly its own stream
 	// so several streams can be concatenated (one per day class in
@@ -179,63 +177,4 @@ func (e *Estimator) ReadFrom(r io.Reader) (int64, error) {
 	}
 	e.gen++ // restored history invalidates any generation-keyed caches
 	return n, nil
-}
-
-// Merge decodes a serialized cache and unions it with the estimator's
-// live history: the merge-on-restore mode for a base station that kept
-// serving (and recording) while its checkpoint aged. Samples for each
-// (prev, next) pair are interleaved in event order, the cache cap is
-// re-applied at the newest event time, and the generation advances
-// once. The stream is validated with the same strictness as ReadFrom;
-// on error the estimator is unchanged.
-func (e *Estimator) Merge(r io.Reader) (int64, error) {
-	scratch := New(e.cfg)
-	n, err := scratch.ReadFrom(r)
-	if err != nil {
-		return n, err
-	}
-	for i, k := range scratch.allKeys {
-		src := scratch.allPairs[i]
-		if len(src.raw) == 0 {
-			continue
-		}
-		p := e.pair(k.prev, k.next)
-		if p == nil {
-			p = e.addPair(k.prev, k.next)
-		}
-		p.raw = mergeSamples(p.raw, src.raw)
-		p.dirty = true
-	}
-	e.recorded += scratch.recorded
-	if scratch.lastEvent > e.lastEvent {
-		e.lastEvent = scratch.lastEvent
-	}
-	// Re-apply the paper's cache-management rules: a merged pair may
-	// exceed N_quad, and restored samples may predate the retention
-	// horizon at the (possibly newer) live time.
-	for _, p := range e.allPairs {
-		if p.dirty {
-			e.prune(p, e.lastEvent)
-		}
-	}
-	e.gen++
-	return n, nil
-}
-
-// mergeSamples interleaves two event-ordered sample lists into one,
-// keeping a's samples first on equal event times.
-func mergeSamples(a, b []sample) []sample {
-	out := make([]sample, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if b[j].event < a[i].event {
-			out = append(out, b[j])
-			j++
-		} else {
-			out = append(out, a[i])
-			i++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }

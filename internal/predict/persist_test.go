@@ -111,103 +111,6 @@ func TestResetThenReadFrom(t *testing.T) {
 	}
 }
 
-// TestMergeUnionsHistories pins the merge-on-restore mode: a checkpoint
-// taken at event time 10 merged into an estimator that kept recording
-// through event time 20 behaves exactly like an estimator that saw all
-// samples in order.
-func TestMergeUnionsHistories(t *testing.T) {
-	// The checkpointed prefix: events 0..9.
-	early := stationary(100)
-	for i := 0; i < 10; i++ {
-		early.Record(Quadruplet{Event: float64(i), Prev: 0, Next: 1, Sojourn: 10 + float64(i)})
-	}
-	var ckpt bytes.Buffer
-	early.WriteTo(&ckpt)
-
-	// The live estimator lost the prefix but recorded events 10..19,
-	// including a pair the checkpoint never saw.
-	live := stationary(100)
-	for i := 10; i < 20; i++ {
-		live.Record(Quadruplet{Event: float64(i), Prev: 0, Next: 1, Sojourn: 10 + float64(i)})
-	}
-	live.Record(Quadruplet{Event: 20, Prev: 0, Next: 2, Sojourn: 4})
-	genBefore := live.Generation()
-	if _, err := live.Merge(bytes.NewReader(ckpt.Bytes())); err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if live.Generation() <= genBefore {
-		t.Fatal("Merge did not advance the generation")
-	}
-	if live.Recorded() != 21 {
-		t.Fatalf("Recorded = %d, want 21", live.Recorded())
-	}
-	if live.LastEvent() != 20 {
-		t.Fatalf("LastEvent = %v, want 20", live.LastEvent())
-	}
-	// Control: one estimator that saw everything in order.
-	control := stationary(100)
-	for i := 0; i < 20; i++ {
-		control.Record(Quadruplet{Event: float64(i), Prev: 0, Next: 1, Sojourn: 10 + float64(i)})
-	}
-	control.Record(Quadruplet{Event: 20, Prev: 0, Next: 2, Sojourn: 4})
-	for _, ext := range []float64{0, 5, 12, 25} {
-		for _, next := range []topology.LocalIndex{1, 2} {
-			want := control.HandOffProb(30, 0, ext, 10, next)
-			got := live.HandOffProb(30, 0, ext, 10, next)
-			if math.Abs(got-want) > 1e-12 {
-				t.Fatalf("merged ph(next=%d, ext=%v) = %v, want %v", next, ext, got, want)
-			}
-		}
-	}
-	// The merged estimator keeps recording in time order.
-	live.Record(Quadruplet{Event: 21, Prev: 0, Next: 1, Sojourn: 1})
-}
-
-// TestMergeReappliesCacheCap: merging must not grow a pair past N_quad —
-// the newest samples win, exactly as if all had been recorded in order.
-func TestMergeReappliesCacheCap(t *testing.T) {
-	early := stationary(8)
-	for i := 0; i < 8; i++ {
-		early.Record(Quadruplet{Event: float64(i), Prev: 0, Next: 1, Sojourn: 1})
-	}
-	var ckpt bytes.Buffer
-	early.WriteTo(&ckpt)
-
-	live := stationary(8)
-	for i := 8; i < 14; i++ {
-		live.Record(Quadruplet{Event: float64(i), Prev: 0, Next: 1, Sojourn: 100})
-	}
-	if _, err := live.Merge(bytes.NewReader(ckpt.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if got := live.SelectedCount(20); got != 8 {
-		t.Fatalf("SelectedCount after merge = %d, want N_quad = 8", got)
-	}
-	// Cap keeps the newest: 6 live samples (sojourn 100) plus the 2
-	// newest checkpointed ones (sojourn 1).
-	if got := live.SurvivorWeight(20, 0, 50); got != 6 {
-		t.Fatalf("weight above 50 = %v, want the 6 live samples", got)
-	}
-	if got := live.SurvivorWeight(20, 0, 0); got != 8 {
-		t.Fatalf("total weight = %v, want 8", got)
-	}
-}
-
-// TestMergeRejectsCorruptStreamUnchanged: a corrupt stream must leave
-// the live estimator exactly as it was.
-func TestMergeRejectsCorruptStreamUnchanged(t *testing.T) {
-	live := stationary(10)
-	live.Record(Quadruplet{Event: 1, Prev: 0, Next: 1, Sojourn: 5})
-	gen := live.Generation()
-	if _, err := live.Merge(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {
-		t.Fatal("corrupt merge accepted")
-	}
-	if live.Recorded() != 1 || live.Generation() != gen {
-		t.Fatalf("failed merge mutated estimator: recorded=%d gen=%d, want 1/%d",
-			live.Recorded(), live.Generation(), gen)
-	}
-}
-
 func TestPersistRejectsGarbage(t *testing.T) {
 	dst := stationary(10)
 	if _, err := dst.ReadFrom(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {

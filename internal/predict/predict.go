@@ -16,6 +16,7 @@
 package predict
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -398,28 +399,16 @@ func (e *Estimator) Evicted() uint64 { return e.evicted }
 
 // Record caches a hand-off event quadruplet. Events must arrive in
 // non-decreasing T_event order (simulation time is monotone); Record
-// panics otherwise, and on negative sojourns.
+// panics otherwise, and on negative sojourns. Every Record moves the
+// generation.
 //
-// The return value reports whether the record is *selection-visible*:
-// whether any sample selection the estimator serves can differ from
-// before. Under a stationary configuration (infinite T_int) the
-// selection of the affected (prev, next) pair is the multiset of its
-// newest N_quad sojourns with uniform weight, so recording into a full
-// pair a sojourn equal to the one evicted leaves every query —
-// probabilities, survivor weights, breakpoints, max sojourn —
-// bit-identical, and Record returns false. Generation-keyed caches may
-// then adopt the new generation instead of rebuilding. Windowed
-// configurations always return true: selections there depend on event
-// times, not just sojourn values.
-//
-// To make the post-Record generation stable for such adoption, the
-// stationary path leaves the pair's selection current when it returns
-// (it is query-time-independent): an index already in step with the
-// cache is updated in place, anything else — a first record, a pair
-// left dirty by ReadFrom, Merge or EvictBefore, a restored pair longer
-// than N_quad — is rebuilt. The generation a caller observes after
-// Record is then final until the next mutation.
-func (e *Estimator) Record(q Quadruplet) bool {
+// The stationary path (infinite T_int) leaves the pair's selection
+// current when it returns, since that selection is query-time-independent:
+// an index already in step with the cache is updated in place, anything
+// else — a first record, a pair left dirty by ReadFrom or EvictBefore, a
+// restored pair longer than N_quad — is rebuilt, so the next Record into
+// the pair takes the in-place path.
+func (e *Estimator) Record(q Quadruplet) {
 	if q.Sojourn < 0 || math.IsNaN(q.Sojourn) {
 		panic(fmt.Sprintf("predict: bad sojourn %v", q.Sojourn))
 	}
@@ -436,8 +425,7 @@ func (e *Estimator) Record(q Quadruplet) bool {
 	}
 	stationary := math.IsInf(e.cfg.Tint, 1)
 	// A stationary selection is the pair's newest NQuad sojourns: the
-	// append below evicts exactly p.raw[0] from a full pair, and trading
-	// it for an equal sojourn leaves the selected multiset unchanged.
+	// append below evicts exactly p.raw[0] from a full pair.
 	n := len(p.raw)
 	full := stationary && n == e.cfg.NQuad
 	evicted := 0.0
@@ -457,7 +445,6 @@ func (e *Estimator) Record(q Quadruplet) bool {
 	default:
 		e.rebuildPair(p, q.Event)
 	}
-	return !(full && evicted == q.Sojourn)
 }
 
 // prune applies the paper's cache-management rules to one pair at the
@@ -704,44 +691,6 @@ func (e *Estimator) HandOffWeight(t0 float64, prev, next topology.LocalIndex, ex
 	return p.weightIn(extSoj, extSoj+test)
 }
 
-// VisitHandOffProbs calls visit with p_h for every next cell seen from
-// prev whose probability is positive, sharing one denominator
-// computation across nexts and allocating nothing. Nexts are visited in
-// first-Record order.
-func (e *Estimator) VisitHandOffProbs(t0 float64, prev topology.LocalIndex, extSoj, test float64, visit func(next topology.LocalIndex, p float64)) {
-	den := e.SurvivorWeight(t0, prev, extSoj)
-	if den == 0 {
-		return
-	}
-	g := e.group(prev)
-	for i, p := range g.pairs {
-		if v := p.weightIn(extSoj, extSoj+test) / den; v > 0 {
-			visit(g.nexts[i], v)
-		}
-	}
-}
-
-// HandOffProbsInto appends (next, p_h) for every next cell seen from
-// prev with positive probability to the caller's buffers and returns
-// them — the reusable-buffer replacement for the retired map-returning
-// HandOffProbs. Passing slices with spare capacity makes the call
-// allocation-free.
-func (e *Estimator) HandOffProbsInto(t0 float64, prev topology.LocalIndex, extSoj, test float64,
-	nexts []topology.LocalIndex, probs []float64) ([]topology.LocalIndex, []float64) {
-	den := e.SurvivorWeight(t0, prev, extSoj)
-	if den == 0 {
-		return nexts, probs
-	}
-	g := e.group(prev)
-	for i, p := range g.pairs {
-		if v := p.weightIn(extSoj, extSoj+test) / den; v > 0 {
-			nexts = append(nexts, g.nexts[i])
-			probs = append(probs, v)
-		}
-	}
-	return nexts, probs
-}
-
 // SojournProb evaluates the conditional sojourn distribution for a
 // mobile whose next cell is already known (the paper's §7 ITS/GPS
 // extension: "the mobility estimation function is used to estimate the
@@ -795,45 +744,27 @@ func (e *Estimator) SelectedCount(t0 float64) int {
 	return n
 }
 
-// AppendSelected appends the current weighted selection for a given
-// prev to dst, in ascending sojourn order, and returns dst. Passing a
-// buffer with spare capacity makes the call allocation-free.
-func (e *Estimator) AppendSelected(dst []WeightedSample, t0 float64, prev topology.LocalIndex) []WeightedSample {
+// Selected returns the current weighted selection for a given prev, in
+// ascending sojourn order (pairs in first-Record order among equal
+// sojourns). A diagnostic for tests of the window rules.
+func (e *Estimator) Selected(t0 float64, prev topology.LocalIndex) []WeightedSample {
 	e.ensurePrev(prev, t0)
 	g := e.group(prev)
 	if g == nil {
-		return dst
+		return nil
 	}
-	start := len(dst)
-	dst = slices.Grow(dst, g.selected())
+	var sel []WeightedSample
 	for i, p := range g.pairs {
-		// Merge the pair's ascending run into the ascending tail from
-		// the back, building each sample as it is placed.
-		next := g.nexts[i]
-		a := len(dst) - 1
-		dst = dst[:len(dst)+len(p.sojSorted)]
-		for b, k := len(p.sojSorted)-1, len(dst)-1; b >= 0; k-- {
-			if a >= start && dst[a].Sojourn > p.sojSorted[b] {
-				dst[k] = dst[a]
-				a--
-				continue
+		for j, soj := range p.sojSorted {
+			w := p.wCum[j]
+			if j > 0 {
+				w -= p.wCum[j-1]
 			}
-			w := p.wCum[b]
-			if b > 0 {
-				w -= p.wCum[b-1]
-			}
-			dst[k] = WeightedSample{Sojourn: p.sojSorted[b], Weight: w, Next: next}
-			b--
+			sel = append(sel, WeightedSample{Sojourn: soj, Weight: w, Next: g.nexts[i]})
 		}
 	}
-	return dst
-}
-
-// Selected returns the current weighted selection for a given prev, in
-// ascending sojourn order. Intended for tests and diagnostics; hot
-// paths use AppendSelected with a reused buffer.
-func (e *Estimator) Selected(t0 float64, prev topology.LocalIndex) []WeightedSample {
-	return e.AppendSelected(nil, t0, prev)
+	slices.SortStableFunc(sel, func(a, b WeightedSample) int { return cmp.Compare(a.Sojourn, b.Sojourn) })
+	return sel
 }
 
 // EnsureCurrent refreshes every pair's windowed selection for query time

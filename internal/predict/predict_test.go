@@ -22,12 +22,6 @@ func TestEmptyEstimator(t *testing.T) {
 	if got := e.MaxSojourn(0); got != 0 {
 		t.Fatalf("MaxSojourn empty = %v, want 0", got)
 	}
-	if nexts, probs := e.HandOffProbsInto(0, 1, 0, 100, nil, nil); len(nexts) != 0 || len(probs) != 0 {
-		t.Fatalf("HandOffProbsInto empty = %v, %v", nexts, probs)
-	}
-	e.VisitHandOffProbs(0, 1, 0, 100, func(next topology.LocalIndex, p float64) {
-		t.Fatalf("VisitHandOffProbs on empty estimator visited (%d, %v)", next, p)
-	})
 }
 
 func TestSingleQuadrupletBayes(t *testing.T) {
@@ -98,6 +92,10 @@ func TestMultiNextDistribution(t *testing.T) {
 	}
 }
 
+// TestHandOffProbsMatchesScalarQueries pins the split the Eq. 5 view
+// relies on: for every next, HandOffProb is bit for bit HandOffWeight
+// divided by SurvivorWeight (0 when the denominator is), and the
+// probabilities out of one prev sum to at most 1.
 func TestHandOffProbsMatchesScalarQueries(t *testing.T) {
 	e := stationary(100)
 	r := rand.New(rand.NewPCG(1, 0))
@@ -109,29 +107,20 @@ func TestHandOffProbsMatchesScalarQueries(t *testing.T) {
 			Sojourn: r.Float64() * 100,
 		})
 	}
-	var nexts []topology.LocalIndex
-	var probs []float64
-	for _, prev := range []topology.LocalIndex{0, 1, 2} {
+	for _, prev := range []topology.LocalIndex{0, 1, 2, 7} {
 		for _, extSoj := range []float64{0, 10, 50, 200} {
-			nexts, probs = e.HandOffProbsInto(300, prev, extSoj, 25, nexts[:0], probs[:0])
-			byNext := map[topology.LocalIndex]float64{}
-			for i, next := range nexts {
-				byNext[next] = probs[i]
-			}
-			visited := map[topology.LocalIndex]float64{}
-			e.VisitHandOffProbs(300, prev, extSoj, 25, func(next topology.LocalIndex, p float64) {
-				visited[next] = p
-			})
+			den := e.SurvivorWeight(300, prev, extSoj)
 			sum := 0.0
-			for next := topology.LocalIndex(1); next <= 3; next++ {
-				want := e.HandOffProb(300, prev, extSoj, 25, next)
-				if got := byNext[next]; math.Abs(got-want) > 1e-12 {
-					t.Fatalf("HandOffProbsInto[%d] = %v, scalar = %v", next, got, want)
+			for next := topology.LocalIndex(1); next <= 4; next++ {
+				got := e.HandOffProb(300, prev, extSoj, 25, next)
+				want := 0.0
+				if den != 0 {
+					want = e.HandOffWeight(300, prev, next, extSoj, 25) / den
 				}
-				if got := visited[next]; math.Abs(got-want) > 1e-12 {
-					t.Fatalf("VisitHandOffProbs[%d] = %v, scalar = %v", next, got, want)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("prev %d, ext %v: HandOffProb(→%d) = %v, weight/survivor = %v", prev, extSoj, next, got, want)
 				}
-				sum += want
+				sum += got
 			}
 			if sum > 1+1e-9 {
 				t.Fatalf("Σ ph = %v > 1", sum)
@@ -471,15 +460,18 @@ func TestPatternSetRouting(t *testing.T) {
 	// Weekend observation on day 5 (Saturday).
 	ps.Record(Quadruplet{Event: 5*day + 1000, Prev: 1, Next: 3, Sojourn: 10})
 
+	ph := func(t0 float64, next topology.LocalIndex) float64 {
+		return ps.Estimator(t0).HandOffProb(t0, 1, 0, 100, next)
+	}
 	// A weekday query sees only the weekday sample.
-	if got := ps.HandOffProb(1*day, 1, 0, 100, 2); got != 1 {
+	if got := ph(1*day, 2); got != 1 {
 		t.Fatalf("weekday ph(→2) = %v, want 1", got)
 	}
-	if got := ps.HandOffProb(1*day, 1, 0, 100, 3); got != 0 {
+	if got := ph(1*day, 3); got != 0 {
 		t.Fatalf("weekday ph(→3) = %v, want 0", got)
 	}
 	// A weekend query sees only the weekend sample.
-	if got := ps.HandOffProb(6*day, 1, 0, 100, 3); got != 1 {
+	if got := ph(6*day, 3); got != 1 {
 		t.Fatalf("weekend ph(→3) = %v, want 1", got)
 	}
 }
@@ -644,29 +636,6 @@ func BenchmarkHandOffProbIndexed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.HandOffProb(1000, 1, 20, 30, 2)
 	}
-}
-
-// BenchmarkHandOffProbsInto measures the reusable-buffer fan-out query;
-// with warm buffers it must run allocation-free (the bench fails the
-// acceptance bar if -benchmem reports nonzero allocs/op).
-func BenchmarkHandOffProbsInto(b *testing.B) {
-	e := stationary(100)
-	r := rand.New(rand.NewPCG(3, 0))
-	for i := 0; i < 1000; i++ {
-		e.Record(Quadruplet{
-			Event: float64(i), Prev: topology.LocalIndex(r.IntN(3)),
-			Next: topology.LocalIndex(1 + r.IntN(6)), Sojourn: r.Float64() * 100,
-		})
-	}
-	nexts := make([]topology.LocalIndex, 0, 8)
-	probs := make([]float64, 0, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nexts, probs = e.HandOffProbsInto(1000, 1, 20, 30, nexts[:0], probs[:0])
-	}
-	_ = nexts
-	_ = probs
 }
 
 // BenchmarkRecord measures the estimator's write path in steady state

@@ -281,7 +281,7 @@ func (s *Server) restorePayload(payload []byte) error {
 	}
 	r := bytes.NewReader(payload[4:])
 	for i, c := range s.cfg.Cells {
-		if _, err := c.Engine.RestoreHistory(r, false); err != nil {
+		if _, err := c.Engine.RestoreHistory(r); err != nil {
 			return fmt.Errorf("service: restore cell %d: %w", i, err)
 		}
 	}

@@ -35,7 +35,9 @@ type Scheduler interface {
 	// callback; it reports whether the event was still pending. Handles
 	// are only valid on the Scheduler that issued them.
 	Cancel(h Handle) bool
-	// Stop aborts the run loop after the current event returns.
+	// Stop aborts the run loop: the single heap stops after the current
+	// event returns, the sharded kernel at the barrier of the window in
+	// progress.
 	Stop()
 }
 

@@ -160,10 +160,20 @@ func play(sc *script, shards int) (fired [][]int, sent [][]sentMsg, stopped bool
 
 // checkBarrierOrder plays the script at every shard count and compares
 // each destination's firing order with the oracle's. A stopped run fired
-// a prefix of it: what was sent and not fired sorts after what was.
+// a prefix of it: what was sent and not fired sorts after what was. Stop
+// takes effect at a barrier, so every shard count fires the same
+// messages as one shard.
 func checkBarrierOrder(t *testing.T, sc *script) {
+	var one []int // the messages the 1-shard run fired, ascending
 	for _, shards := range []int{1, 2, 3, 5, 8} {
 		fired, sent, stopped := play(sc, shards)
+		all := slices.Concat(fired...)
+		slices.Sort(all)
+		if shards == 1 {
+			one = all
+		} else if !slices.Equal(all, one) {
+			t.Fatalf("%d shards: run fired %d messages, 1 shard fired %d, or other ones (stopped: %v)", shards, len(all), len(one), stopped)
+		}
 		for d, got := range fired {
 			slices.SortFunc(sent[d], func(a, b sentMsg) int {
 				return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.epoch, b.epoch), cmp.Compare(a.key, b.key))

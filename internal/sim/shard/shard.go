@@ -171,8 +171,12 @@ func (k *Kernel) CanceledRetained() int {
 // audits hang here.
 func (k *Kernel) AtBarrier(fn func(now float64)) { k.atBarrier = fn }
 
-// Stop requests the run loop to halt at the next window barrier (each
-// shard stops after its current event).
+// Stop halts the run at the barrier of the window in progress: every
+// shard finishes the window, its messages are delivered and AtBarrier
+// runs, then Run/RunUntil returns with all clocks at that barrier. What
+// a stopped run fired is therefore the same at any shard count and any
+// goroutine interleaving, and a later Run/RunUntil resumes exactly where
+// an unstopped run would have continued.
 func (k *Kernel) Stop() { k.stopped.Store(true) }
 
 // Run fires events until every shard's queue drains or Stop is called.
@@ -311,10 +315,11 @@ func (sh *Shard) mergeInbox() {
 }
 
 // runWindow fires this shard's events up to the window's end, leaves the
-// shard clock there and the window's sends sorted for the barrier.
+// shard clock there and the window's sends sorted for the barrier. It
+// does not look at Stop, which takes effect at the barrier.
 func (sh *Shard) runWindow() {
 	end := sh.k.windowEnd
-	for !sh.k.stopped.Load() {
+	for {
 		at, _, fn, ok := sh.queue.PopUntil(end)
 		if !ok {
 			break
@@ -366,7 +371,9 @@ func (sh *Shard) MustAfter(d float64, fn sim.Event) sim.Handle {
 // O(1). Handles from other shards are not valid here.
 func (sh *Shard) Cancel(h sim.Handle) bool { return sh.queue.Cancel(h) }
 
-// Stop requests the kernel to halt (see Kernel.Stop).
+// Stop halts the kernel at the barrier of the window in progress (see
+// Kernel.Stop); this shard's current event and the rest of its window
+// still run.
 func (sh *Shard) Stop() { sh.k.Stop() }
 
 // Send books fn on shard dst at time at. The message is buffered and

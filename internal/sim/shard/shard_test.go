@@ -237,6 +237,54 @@ func TestStopWindowedAtBarrier(t *testing.T) {
 	}
 }
 
+// TestStopResumes: Stop takes effect at the barrier of the window in
+// progress, so a stopped RunUntil returns at that barrier with nothing
+// in any queue older than it, and calling RunUntil again fires the rest:
+// the two calls together fire what one unstopped call fires, in the same
+// order on every shard.
+func TestStopResumes(t *testing.T) {
+	for _, shards := range []int{1, 2, 3} {
+		run := func(stop bool) [][]string {
+			k := New(Config{Shards: shards, Lookahead: 1})
+			fired := make([][]string, shards)
+			rec := func(s sim.Scheduler, tag string) {
+				sh := s.(*Shard)
+				fired[sh.Index()] = append(fired[sh.Index()], fmt.Sprintf("%s@%v", tag, sh.Now()))
+			}
+			var hop func(n int) sim.Event
+			hop = func(n int) sim.Event {
+				return func(s sim.Scheduler) {
+					rec(s, fmt.Sprint("hop", n))
+					if sh := s.(*Shard); n < 6 {
+						sh.Send((sh.Index()+1)%shards, sh.Now()+k.Lookahead(), uint64(n), hop(n+1))
+					}
+				}
+			}
+			k.Shard(0).MustAfter(0.2, hop(0))
+			k.Shard(0).MustAfter(0.5, func(s sim.Scheduler) {
+				rec(s, "stop")
+				if stop {
+					s.Stop()
+				}
+			})
+			for i := 0; i < 8; i++ {
+				k.Shard(i%shards).MustAfter(0.7+0.3*float64(i), func(s sim.Scheduler) { rec(s, "local") })
+			}
+			if end := k.RunUntil(10); stop {
+				if end != 1 || k.Shard(shards-1).Now() != 1 {
+					t.Fatalf("%d shards: stopped RunUntil returned %v with the last shard at %v, want both at the barrier 1", shards, end, k.Shard(shards-1).Now())
+				}
+				k.RunUntil(10)
+			}
+			return fired
+		}
+		want, got := run(false), run(true)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d shards: stopped and resumed run fired\n%v\nunstopped run fired\n%v", shards, got, want)
+		}
+	}
+}
+
 func TestNilEventPanicsAtBooking(t *testing.T) {
 	defer func() {
 		if r := recover(); r != "sim: nil event" {
