@@ -151,6 +151,123 @@ func TestEq5CacheInvalidatesOnNewHistory(t *testing.T) {
 	}
 }
 
+// adoptConfig uses a tiny N_quad so a (prev, next) pair fills in two
+// records and equal-sojourn replacements become selection-invisible.
+func adoptConfig() Config {
+	return Config{
+		Capacity: 100, Degree: 2, Admission: MustPolicy("AC1"),
+		PHDTarget: 0.01, TStart: 1,
+		Estimation: predict.Config{Tint: math.Inf(1), NQuad: 2},
+	}
+}
+
+// wantRebuiltUnchanged checks the query after a Record that changes no
+// term the view serves: the view did not adopt the new generation, so
+// the query missed and rebuilt, and the rebuild answers what the view
+// answered before.
+func wantRebuiltUnchanged(t *testing.T, e *Engine, before float64) {
+	t.Helper()
+	if got := e.OutgoingReservation(100, 1, 30); math.Float64bits(got) != math.Float64bits(before) {
+		t.Fatalf("reservation moved after a record that changes no live term: %v -> %v", before, got)
+	}
+	if h, m := e.Eq5CacheStats(); h != 0 || m != 2 {
+		t.Fatalf("hits=%d misses=%d, want 0/2 (every Record makes the next query miss)", h, m)
+	}
+	if led := e.Ledger(); led.Eq5Rebuilds != 2 || led.Eq5Adoptions != 0 {
+		t.Fatalf("rebuilds=%d adoptions=%d, want 2/0", led.Eq5Rebuilds, led.Eq5Adoptions)
+	}
+	if diff, checked := e.VerifyEq5Cache(); !checked || diff != 0 {
+		t.Fatalf("VerifyEq5Cache = (%v, %v), want (0, true)", diff, checked)
+	}
+}
+
+// TestEq5AdoptsInvisibleRecord: a selection-invisible departure record
+// (an equal-sojourn replacement in a full pair) is not adopted — the view
+// rebuilds, and the rebuild answers exactly what it answered before.
+func TestEq5AdoptsInvisibleRecord(t *testing.T) {
+	e := NewEngine(adoptConfig())
+	e.RecordDeparture(predict.Quadruplet{Event: 0, Prev: topology.Self, Next: 1, Sojourn: 200})
+	e.RecordDeparture(predict.Quadruplet{Event: 1, Prev: 1, Next: 2, Sojourn: 30})
+	e.RecordDeparture(predict.Quadruplet{Event: 2, Prev: 1, Next: 2, Sojourn: 30})
+	e.AddConnection(1, ConnSpec{Min: 4, Prev: topology.Self}, 90)
+
+	before := e.OutgoingReservation(100, 1, 30)
+	if h, m := e.Eq5CacheStats(); h != 0 || m != 1 {
+		t.Fatalf("warm-up: hits=%d misses=%d", h, m)
+	}
+	// Pair (1,2) is full of 30s: recording another 30 is invisible.
+	e.RecordDeparture(predict.Quadruplet{Event: 101, Prev: 1, Next: 2, Sojourn: 30})
+	wantRebuiltUnchanged(t, e, before)
+}
+
+// TestEq5AdoptsVisibleRecordOffLivePrev: a visible record on a prev
+// direction no live connection uses changes no term the view serves; it
+// is not adopted either, and the rebuild answers as before.
+func TestEq5AdoptsVisibleRecordOffLivePrev(t *testing.T) {
+	e := NewEngine(adoptConfig())
+	e.RecordDeparture(predict.Quadruplet{Event: 0, Prev: topology.Self, Next: 1, Sojourn: 200})
+	e.RecordDeparture(predict.Quadruplet{Event: 1, Prev: 1, Next: 2, Sojourn: 30})
+	e.AddConnection(1, ConnSpec{Min: 4, Prev: topology.Self}, 90)
+
+	before := e.OutgoingReservation(100, 1, 30)
+	// Visible record (new sojourn value) — but on prev 1, and the only
+	// live connection entered from Self.
+	e.RecordDeparture(predict.Quadruplet{Event: 101, Prev: 1, Next: 2, Sojourn: 55})
+	wantRebuiltUnchanged(t, e, before)
+}
+
+// TestEq5RefusesVisibleRecordOnLivePrev: a visible record on a prev a
+// live connection entered from changes the view's terms, and a later
+// invisible record must not bring the stale view back: both leave
+// adoptions at 0, and the next query rebuilds against the real history.
+func TestEq5RefusesVisibleRecordOnLivePrev(t *testing.T) {
+	e := NewEngine(adoptConfig())
+	e.RecordDeparture(predict.Quadruplet{Event: 0, Prev: 1, Next: 2, Sojourn: 30})
+	e.RecordDeparture(predict.Quadruplet{Event: 1, Prev: 1, Next: 2, Sojourn: 30})
+	e.AddConnection(1, ConnSpec{Min: 4, Prev: 1}, 90)
+
+	e.OutgoingReservation(100, 1, 30)
+	// Visible (evicts a 30 for a 70) on prev 1 = the live connection's
+	// entry direction.
+	e.RecordDeparture(predict.Quadruplet{Event: 101, Prev: 1, Next: 2, Sojourn: 70})
+	if got := e.Ledger().Eq5Adoptions; got != 0 {
+		t.Fatalf("Ledger().Eq5Adoptions = %d, want 0", got)
+	}
+	// Pair is now [30, 70]; recording a 30 is invisible in isolation,
+	// but the view already missed a generation.
+	e.RecordDeparture(predict.Quadruplet{Event: 102, Prev: 1, Next: 2, Sojourn: 30})
+	if got := e.Ledger().Eq5Adoptions; got != 0 {
+		t.Fatalf("Ledger().Eq5Adoptions = %d, want 0", got)
+	}
+	got := e.OutgoingReservation(100, 1, 30)
+	want := e.eq5Scratch(100, 1, 30, e.patterns.Estimator(100))
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("query %v != from-scratch %v", got, want)
+	}
+	if h, m := e.Eq5CacheStats(); h != 0 || m != 2 {
+		t.Fatalf("stale view served a hit: hits=%d misses=%d, want 0/2", h, m)
+	}
+	if diff, checked := e.VerifyEq5Cache(); !checked || diff != 0 {
+		t.Fatalf("VerifyEq5Cache = (%v, %v), want (0, true)", diff, checked)
+	}
+}
+
+// TestLedgerReportsAdoptions: the ledger still carries Eq5Adoptions (the
+// benchmark reports it), and it reads 0 after the record adoption once
+// absorbed, with the rebuild it no longer spares counted next to it.
+func TestLedgerReportsAdoptions(t *testing.T) {
+	e := NewEngine(adoptConfig())
+	e.RecordDeparture(predict.Quadruplet{Event: 0, Prev: 1, Next: 2, Sojourn: 30})
+	e.RecordDeparture(predict.Quadruplet{Event: 1, Prev: 1, Next: 2, Sojourn: 30})
+	e.AddConnection(1, ConnSpec{Min: 4, Prev: topology.Self}, 90)
+	e.OutgoingReservation(100, 1, 30)
+	e.RecordDeparture(predict.Quadruplet{Event: 101, Prev: 1, Next: 2, Sojourn: 30})
+	e.OutgoingReservation(100, 1, 30)
+	if led := e.Ledger(); led.Eq5Adoptions != 0 || led.Eq5Rebuilds != 2 {
+		t.Fatalf("Ledger(): adoptions=%d rebuilds=%d, want 0/2", led.Eq5Adoptions, led.Eq5Rebuilds)
+	}
+}
+
 func TestPeerValue(t *testing.T) {
 	cases := []struct {
 		name string
