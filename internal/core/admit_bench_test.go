@@ -191,4 +191,47 @@ func BenchmarkOutgoingReservation(b *testing.B) {
 	benchSink = sum
 }
 
+// BenchmarkColdCell measures a cell that starts empty, the shape of
+// every cell of the 10,000-cell metro: each op builds one degree-6
+// engine with a few quadruplets per (prev, next) pair, fills it to 64
+// connections at advancing timestamps with one Eq. 5 query per add, and
+// drains it. The ledger pins what that allocates — the engine, its
+// estimator, and the growth of its connection table and Eq. 5 view.
+func BenchmarkColdCell(b *testing.B) {
+	const conns = 64
+	cfg := core.Config{
+		Capacity:   conns,
+		Degree:     benchDegree,
+		Admission:  core.MustPolicy("AC1"),
+		PHDTarget:  0.01,
+		TStart:     4,
+		Estimation: predict.StationaryConfig(),
+	}
+	b.ReportAllocs()
+	sum := 0.0
+	for i := 0; i < b.N; i++ {
+		e := core.NewEngine(cfg)
+		ev := 0.0
+		for prev := topology.LocalIndex(0); int(prev) <= benchDegree; prev++ {
+			for next := topology.LocalIndex(1); int(next) <= benchDegree; next++ {
+				for k := 0; k < 3; k++ {
+					soj := 5 + float64((k*37+int(prev)*11+int(next)*5)%120)
+					e.RecordDeparture(predict.Quadruplet{Event: ev, Prev: prev, Next: next, Sojourn: soj})
+					ev += 0.01
+				}
+			}
+		}
+		now := benchStart
+		for j := 0; j < conns; j++ {
+			benchAddConn(e, core.ConnID(j+1), 1, topology.LocalIndex(j%(benchDegree+1)), now)
+			sum += e.OutgoingReservation(now, topology.LocalIndex(j%benchDegree)+1, 4)
+			now += 0.25
+		}
+		for j := conns; j >= 1; j-- {
+			e.RemoveConnection(core.ConnID(j))
+		}
+	}
+	benchSink = sum
+}
+
 var benchSink float64

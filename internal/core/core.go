@@ -30,7 +30,9 @@ const NoHint topology.LocalIndex = -1
 // conn is the engine's per-connection QoS record. Rigid connections
 // have min == max == bw; adaptive-QoS connections (§1, refs [6,8]) may
 // be downgraded toward min to absorb hand-offs and upgraded back when
-// bandwidth frees.
+// bandwidth frees. The embedded eq5Slot is the connection's state in the
+// materialized Eq. 5 view (eq5cache.go), current for the view's first
+// eq5.n connections.
 type conn struct {
 	id        ConnID
 	bw        int // currently granted bandwidth
@@ -39,6 +41,7 @@ type conn struct {
 	enteredAt float64
 	hint      topology.LocalIndex // known next cell (ITS/GPS, §7), or NoHint
 	class     ServiceClass        // service class (0 = highest priority)
+	eq5Slot
 }
 
 // Config parameterizes an Engine.
@@ -667,11 +670,10 @@ func (e *Engine) RemoveConnection(id ConnID) {
 	}
 	e.conns = e.conns[:last]
 	delete(e.index, id)
-	// Mirror the swap-removal in the materialized Eq. 5 view: the
-	// per-connection state moves with the table and only the direction
-	// sums are re-accumulated (in the new table order, as a
-	// from-scratch walk now would — a float sum cannot be patched by
-	// subtraction).
+	// The swap carried the connection's Eq. 5 base state; the view moves
+	// its term row the same way and re-accumulates only the direction
+	// sums (in the new table order, as a from-scratch walk now would — a
+	// float sum cannot be patched by subtraction).
 	e.eq5Remove(i, last)
 }
 

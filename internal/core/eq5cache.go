@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"cellqos/internal/predict"
 	"cellqos/internal/topology"
@@ -43,8 +44,11 @@ import (
 //     addition appends at the end of the table, where extending a live
 //     sum equals a from-scratch recomputation.
 //
-// The buffers are reused across rebuilds, so steady state — advances,
-// refreshes, extends, removes, queries — is allocation-free.
+// The per-connection base state lives in the connection table itself
+// (conn embeds an eq5Slot), so the table's own append and swap-removal
+// carry it; the term columns share one row-major block. Both are reused
+// across rebuilds, so steady state — advances, refreshes, extends,
+// removes, queries — is allocation-free.
 type eq5Cache struct {
 	valid  bool
 	now    float64
@@ -52,36 +56,19 @@ type eq5Cache struct {
 	est    *predict.Estimator
 	estGen uint64
 
-	// Per-connection base state aligned with Engine.conns: ext is the
-	// clamped extant sojourn *as of the last base computation* (kept
-	// deliberately stale across advances while the guards below hold —
-	// the binary searches land on the same indices, so every derived
-	// value is bit-identical); den the Eq. 4 denominator (survivor
-	// weight) for hint-less connections; hintP the §7 sojourn
-	// probability for hinted connections.
-	ext   []float64
-	den   []float64
-	hintP []float64
+	// n is the number of connections the view covers, the prefix
+	// e.conns[:n] whose eq5Slot is current. It equals len(e.conns)
+	// except inside AddConnection, which appends to the table before
+	// eq5Extend brings the view along.
+	n int
 
-	// Staleness guards: the base state of connection i is valid at a
-	// later timestamp while
-	//
-	//	extNew < nextLo[i] && extNew+test < nextHi[i]
-	//
-	// where extNew is computed exactly as eq5Base computes it. nextLo
-	// is the smallest selected sojourn of the connection's prev-group
-	// strictly above the ext the state was computed at; nextHi the
-	// smallest strictly above ext+test. +Inf when no breakpoint remains.
-	nextLo []float64
-	nextHi []float64
-
-	// terms[t][i] is connection i's Eq. 5 term toward direction t;
-	// termsDone[t] marks columns that are materialized for the current
-	// table. done[t] marks directions whose sum is accumulated (done[t]
-	// implies termsDone[t]). Advances and removals clear done only —
-	// the cached terms stay valid per connection and sums are lazily
-	// re-accumulated in table order.
-	terms     [][]float64
+	// terms[i*d+t], d = Degree+1, is connection i's Eq. 5 term toward
+	// direction t (row 0 of each connection unused); termsDone[t] marks
+	// columns that are materialized for the current table. done[t] marks
+	// directions whose sum is accumulated (done[t] implies termsDone[t]).
+	// Advances and removals clear done only — the cached terms stay valid
+	// per connection and sums are lazily re-accumulated in table order.
+	terms     []float64
 	termsDone []bool
 	sums      []float64
 	done      []bool
@@ -101,27 +88,34 @@ type eq5Cache struct {
 	refreshes uint64 // per-connection base-state refreshes during advances
 }
 
+// eq5Slot is one connection's Eq. 5 base state, embedded in conn. ext
+// is the clamped extant sojourn *as of the last base computation* (kept
+// deliberately stale across advances while the guards hold — the binary
+// searches land on the same indices, so every derived value is
+// bit-identical); den the Eq. 4 denominator (survivor weight) for
+// hint-less connections; hintP the §7 sojourn probability for hinted
+// connections.
+//
+// The staleness guards: the state stays valid at a later timestamp while
+//
+//	extNew < nextLo && extNew+test < nextHi
+//
+// where extNew is computed exactly as eq5Base computes it. nextLo is the
+// smallest selected sojourn of the connection's prev-group strictly
+// above the ext the state was computed at; nextHi the smallest strictly
+// above ext+test. +Inf when no breakpoint remains.
+type eq5Slot struct {
+	ext, den, hintP float64
+	nextLo, nextHi  float64
+}
+
 // invalidate discards the view (buffers are kept for reuse).
 func (c *eq5Cache) invalidate() { c.valid = false }
 
-// grow returns f resized to n without reallocating when capacity allows.
-func grow(f []float64, n int) []float64 {
-	if cap(f) < n {
-		return make([]float64, n)
-	}
-	return f[:n]
-}
-
-// growBool returns b resized to n, cleared to false.
-func growBool(b []bool, n int) []bool {
-	if cap(b) < n {
-		return make([]bool, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = false
-	}
-	return b
+// row returns connection i's term row.
+func (c *eq5Cache) row(i int) []float64 {
+	d := len(c.termsDone)
+	return c.terms[i*d : (i+1)*d]
 }
 
 // nextAbove returns the smallest value in the sorted slice s strictly
@@ -188,7 +182,7 @@ func (e *Engine) eq5Advance(now float64, est *predict.Estimator) bool {
 	// Scan the view's own table, not the engine's: during eq5Extend the
 	// engine table has already grown by the appended connection, which
 	// the view incorporates only after the advance.
-	for i := range c.ext {
+	for i := range c.n {
 		if !e.eq5GuardAt(i, now) {
 			e.eq5Refresh(i)
 			refreshed = true
@@ -206,12 +200,12 @@ func (e *Engine) eq5Advance(now float64, est *predict.Estimator) bool {
 // timestamp t, using the exact float expressions the estimator's binary
 // searches consume.
 func (e *Engine) eq5GuardAt(i int, t float64) bool {
-	c := &e.eq5
-	ext := t - e.conns[i].enteredAt
+	cn := &e.conns[i]
+	ext := t - cn.enteredAt
 	if ext < 0 {
 		ext = 0
 	}
-	return ext < c.nextLo[i] && ext+c.test < c.nextHi[i]
+	return ext < cn.nextLo && ext+e.eq5.test < cn.nextHi
 }
 
 // eq5Refresh recomputes one connection's base state, guards, and any
@@ -222,9 +216,10 @@ func (e *Engine) eq5Refresh(i int) {
 	c.refreshes++
 	e.eq5Base(i)
 	e.eq5Guards(i)
-	for t := 1; t < len(c.termsDone); t++ {
+	row := c.row(i)
+	for t := 1; t < len(row); t++ {
 		if c.termsDone[t] {
-			c.terms[t][i] = e.eq5Term(i, topology.LocalIndex(t))
+			row[t] = e.eq5Term(i, topology.LocalIndex(t))
 		}
 	}
 }
@@ -249,37 +244,30 @@ func (e *Engine) eq5Rebuild(now, test float64, est *predict.Estimator, toward to
 			c.bpsOK[p] = false
 		}
 	}
-	n := len(e.conns)
-	c.ext = grow(c.ext, n)
-	c.den = grow(c.den, n)
-	c.hintP = grow(c.hintP, n)
-	c.nextLo = grow(c.nextLo, n)
-	c.nextHi = grow(c.nextHi, n)
-	d := e.cfg.Degree + 1
-	c.sums = grow(c.sums, d)
-	c.done = growBool(c.done, d)
-	c.termsDone = growBool(c.termsDone, d)
-	for len(c.terms) < d {
-		c.terms = append(c.terms, nil)
-	}
-	c.terms = c.terms[:d]
+	n, d := len(e.conns), e.cfg.Degree+1
+	c.n = n
+	// slices.Grow grows the block by append's amortized policy, so a
+	// filling cell that rebuilds at every add reallocates it only
+	// O(log n) times.
+	c.terms = slices.Grow(c.terms[:0], n*d)[:n*d]
+	c.sums = slices.Grow(c.sums[:0], d)[:d]
+	c.done = slices.Grow(c.done[:0], d)[:d]
+	c.termsDone = slices.Grow(c.termsDone[:0], d)[:d]
+	clear(c.done)
+	clear(c.termsDone)
 	t := int(toward)
-	var col []float64
-	if t >= 1 && t < d {
-		c.terms[t] = grow(c.terms[t], n)
-		col = c.terms[t]
-	}
+	col := t >= 1 && t < d
 	sum := 0.0
-	for i := 0; i < n; i++ {
+	for i := range n {
 		e.eq5Base(i)
 		e.eq5Guards(i)
 		v := e.eq5Term(i, toward)
-		if col != nil {
-			col[i] = v
+		if col {
+			c.terms[i*d+t] = v
 		}
 		sum += v
 	}
-	if col != nil {
+	if col {
 		c.sums[t] = sum
 		c.done[t] = true
 		c.termsDone[t] = true
@@ -287,8 +275,8 @@ func (e *Engine) eq5Rebuild(now, test float64, est *predict.Estimator, toward to
 	return sum
 }
 
-// eq5Base fills the cached per-connection base state for table slot i
-// at the view's current timestamp.
+// eq5Base fills the cached base state of table slot i at the view's
+// current timestamp.
 func (e *Engine) eq5Base(i int) {
 	c := &e.eq5
 	cn := &e.conns[i]
@@ -296,14 +284,14 @@ func (e *Engine) eq5Base(i int) {
 	if ext < 0 {
 		ext = 0
 	}
-	c.ext[i] = ext
+	cn.ext = ext
 	if cn.hint != NoHint {
-		c.den[i] = 0
-		c.hintP[i] = c.est.SojournProb(c.now, cn.prev, cn.hint, ext, c.test)
+		cn.den = 0
+		cn.hintP = c.est.SojournProb(c.now, cn.prev, cn.hint, ext, c.test)
 		return
 	}
-	c.hintP[i] = 0
-	c.den[i] = c.est.SurvivorWeight(c.now, cn.prev, ext)
+	cn.hintP = 0
+	cn.den = c.est.SurvivorWeight(c.now, cn.prev, ext)
 }
 
 // eq5Guards recomputes connection i's staleness guards from its
@@ -312,10 +300,10 @@ func (e *Engine) eq5Base(i int) {
 // what verifyEq5Locked checks after every advance. Must run after
 // eq5Base (it reads the ext the base state was computed at).
 func (e *Engine) eq5Guards(i int) {
-	c := &e.eq5
-	bp := e.eq5Breakpoints(e.conns[i].prev)
-	c.nextLo[i] = nextAbove(bp, c.ext[i])
-	c.nextHi[i] = nextAbove(bp, c.ext[i]+c.test)
+	cn := &e.conns[i]
+	bp := e.eq5Breakpoints(cn.prev)
+	cn.nextLo = nextAbove(bp, cn.ext)
+	cn.nextHi = nextAbove(bp, cn.ext+e.eq5.test)
 }
 
 // eq5Breakpoints returns the sorted sojourn breakpoints of one
@@ -348,15 +336,15 @@ func (e *Engine) eq5Term(i int, toward topology.LocalIndex) float64 {
 	b := float64(cn.min)
 	if cn.hint != NoHint {
 		if cn.hint == toward {
-			return b * c.hintP[i]
+			return b * cn.hintP
 		}
 		return 0
 	}
 	p := 0.0
-	if c.den[i] != 0 {
+	if cn.den != 0 {
 		// A never-seen (prev, toward) pair yields weight 0 and p = +0,
 		// exactly like the scalar HandOffProb query.
-		p = c.est.HandOffWeight(c.now, cn.prev, toward, c.ext[i], c.test) / c.den[i]
+		p = c.est.HandOffWeight(c.now, cn.prev, toward, cn.ext, c.test) / cn.den
 	}
 	return b * p
 }
@@ -366,36 +354,33 @@ func (e *Engine) eq5Term(i int, toward topology.LocalIndex) float64 {
 // order, matching eq5Scratch. Called under the engine lock.
 func (e *Engine) eq5Accumulate(toward topology.LocalIndex) float64 {
 	c := &e.eq5
-	t := int(toward)
-	n := len(e.conns)
-	if t < 1 || t >= len(c.termsDone) {
+	t, d := int(toward), len(c.termsDone)
+	if t < 1 || t >= d {
 		// Out-of-range direction (never a live neighbor): answer without
 		// touching the view's column state.
 		sum := 0.0
-		for i := 0; i < n; i++ {
+		for i := range c.n {
 			sum += e.eq5Term(i, toward)
 		}
 		return sum
 	}
 	if !c.termsDone[t] {
-		c.terms[t] = grow(c.terms[t], n)
-		col := c.terms[t]
-		for i := 0; i < n; i++ {
-			col[i] = e.eq5Term(i, toward)
+		for i := range c.n {
+			c.terms[i*d+t] = e.eq5Term(i, toward)
 		}
 		c.termsDone[t] = true
 	}
 	sum := 0.0
-	for _, v := range c.terms[t][:n] {
-		sum += v
+	for i := range c.n {
+		sum += c.terms[i*d+t]
 	}
 	return sum
 }
 
 // eq5Extend incorporates the connection just appended at table slot i
 // into the live view. A timestamp change is first advanced across like
-// any query would; the new connection's base state, guards, and
-// materialized term-column entries are then appended, and every
+// any query would; the new connection's base state and guards are then
+// computed into its slot, its term row is appended, and every
 // finished direction sum extended by its term — exactly what a
 // from-scratch walk would now produce, since the new connection sits at
 // the end of the table. Any key mismatch simply drops the view. Called
@@ -423,61 +408,41 @@ func (e *Engine) eq5Extend(i int, now float64) {
 		c.invalidate()
 		return
 	}
-	c.ext = append(c.ext[:i], 0)
-	c.den = append(c.den[:i], 0)
-	c.hintP = append(c.hintP[:i], 0)
-	c.nextLo = append(c.nextLo[:i], 0)
-	c.nextHi = append(c.nextHi[:i], 0)
 	e.eq5Base(i)
 	e.eq5Guards(i)
-	for t := 1; t < len(c.termsDone); t++ {
+	d := len(c.termsDone)
+	c.terms = slices.Grow(c.terms[:i*d], d)[:(i+1)*d]
+	c.n = i + 1
+	row := c.row(i)
+	for t := 1; t < d; t++ {
 		if !c.termsDone[t] {
 			continue
 		}
-		v := e.eq5Term(i, topology.LocalIndex(t))
-		c.terms[t] = append(c.terms[t][:i], v)
+		row[t] = e.eq5Term(i, topology.LocalIndex(t))
 		if c.done[t] {
-			c.sums[t] += v
+			c.sums[t] += row[t]
 		}
 	}
 }
 
 // eq5Remove mirrors the engine's swap-removal of table slot i (the old
-// last slot moved into i) in the per-connection view state and clears
-// the direction sums: the cached terms stay valid per connection, but a
-// float sum cannot be patched by subtraction and re-accumulating in the
-// new table order is what the from-scratch walk now does. Called under
-// the engine lock by RemoveConnection, after the table swap, with last
-// = the new table length.
+// last slot moved into i, carrying its eq5Slot) in the term block and
+// clears the direction sums: the cached terms stay valid per connection,
+// but a float sum cannot be patched by subtraction and re-accumulating
+// in the new table order is what the from-scratch walk now does. Called
+// under the engine lock by RemoveConnection, after the table swap, with
+// last = the new table length.
 func (e *Engine) eq5Remove(i, last int) {
 	c := &e.eq5
 	if !c.valid {
 		return
 	}
 	if i != last {
-		c.ext[i] = c.ext[last]
-		c.den[i] = c.den[last]
-		c.hintP[i] = c.hintP[last]
-		c.nextLo[i] = c.nextLo[last]
-		c.nextHi[i] = c.nextHi[last]
+		copy(c.row(i), c.row(last))
 	}
-	c.ext = c.ext[:last]
-	c.den = c.den[:last]
-	c.hintP = c.hintP[:last]
-	c.nextLo = c.nextLo[:last]
-	c.nextHi = c.nextHi[:last]
-	for t := 1; t < len(c.termsDone); t++ {
-		if !c.termsDone[t] {
-			continue
-		}
-		if i != last {
-			c.terms[t][i] = c.terms[t][last]
-		}
-		c.terms[t] = c.terms[t][:last]
-	}
-	for t := range c.done {
-		c.done[t] = false
-	}
+	c.terms = c.terms[:last*len(c.termsDone)]
+	c.n = last
+	clear(c.done)
 }
 
 // eq5Scratch is the retained from-scratch Eq. 5 walk — the reference
@@ -573,7 +538,7 @@ func (e *Engine) verifyEq5Locked() (maxDiff float64, checked bool) {
 	}
 	// Layer 1: the view's table is the engine's, and every
 	// per-connection guard holds at the view's own timestamp.
-	if len(c.ext) != len(e.conns) {
+	if c.n != len(e.conns) {
 		return math.Inf(1), true
 	}
 	for i := range e.conns {
@@ -603,7 +568,7 @@ func (e *Engine) verifyEq5Locked() (maxDiff float64, checked bool) {
 			} else {
 				fresh = b * c.est.HandOffProb(c.now, cn.prev, ext, c.test, toward)
 			}
-			if d := math.Abs(fresh - c.terms[t][i]); d > maxDiff {
+			if d := math.Abs(fresh - c.row(i)[t]); d > maxDiff {
 				maxDiff = d
 			}
 		}

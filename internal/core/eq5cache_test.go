@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"cellqos/internal/predict"
 	"cellqos/internal/topology"
@@ -265,6 +267,56 @@ func TestLedgerReportsAdoptions(t *testing.T) {
 	e.OutgoingReservation(100, 1, 30)
 	if led := e.Ledger(); led.Eq5Adoptions != 0 || led.Eq5Rebuilds != 2 {
 		t.Fatalf("Ledger(): adoptions=%d rebuilds=%d, want 0/2", led.Eq5Adoptions, led.Eq5Rebuilds)
+	}
+}
+
+// TestEq5RebuildGrowthAmortized fills a cold cell the way a metro cell
+// fills: a Record lands before every add, so the view is invalid at the
+// add and every query rebuilds over a table one connection larger than
+// the last. The rebuilds must grow the view's storage by
+// amortized steps, not reallocate it at each new largest table.
+func TestEq5RebuildGrowthAmortized(t *testing.T) {
+	const conns = 64
+	e := NewEngine(adaptiveConfig("AC1"))
+	// Fill pair (Self, 1) and seed (1, 2) first: a Record into a full
+	// pair replaces in place and allocates nothing.
+	for i := 0; i < predict.StationaryConfig().NQuad; i++ {
+		e.RecordDeparture(predict.Quadruplet{Event: float64(i), Prev: topology.Self, Next: 1, Sojourn: float64(5 + i%40)})
+	}
+	e.RecordDeparture(predict.Quadruplet{Event: 999, Prev: 1, Next: 2, Sojourn: 30})
+	got := make([]float64, conns)
+	want := make([]float64, conns)
+	now := 1000.0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range conns {
+		e.RecordDeparture(predict.Quadruplet{Event: now, Prev: topology.Self, Next: 1, Sojourn: float64(10 + i%30)})
+		e.AddConnection(ConnID(i+1), ConnSpec{Min: 1, Prev: topology.LocalIndex(i % 2)}, now)
+		got[i] = e.OutgoingReservation(now, 1, 30)
+		want[i] = e.eq5Scratch(now, 1, 30, e.patterns.Estimator(now))
+		now += 0.5
+	}
+	runtime.ReadMemStats(&after)
+	for i := range conns {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("add %d: view %v != from-scratch %v", i+1, got[i], want[i])
+		}
+	}
+	if r := e.Ledger().Eq5Rebuilds; r != conns {
+		t.Fatalf("rebuilds = %d, want %d (one per query)", r, conns)
+	}
+	if n := after.Mallocs - before.Mallocs; n >= conns {
+		t.Fatalf("filling %d connections made %d allocations, want fewer than one per add", conns, n)
+	}
+}
+
+// TestConnSize pins the connection record, which carries the Eq. 5
+// view's per-connection state: 64 bytes of connection plus the 40-byte
+// eq5Slot. A new field shows its cost here before it shows in the growth
+// of every engine's table.
+func TestConnSize(t *testing.T) {
+	if got := unsafe.Sizeof(conn{}); got > 104 {
+		t.Fatalf("conn is %d bytes, want ≤ 104", got)
 	}
 }
 

@@ -315,8 +315,10 @@ func TestEq5AdvanceDuringExtend(t *testing.T) {
 }
 
 // TestEq5ViewAdvanceAllocationFree pins the steady-state cost model:
-// once the view is warm, advancing the clock and re-querying allocates
-// nothing, even when guard expiries force per-connection refreshes.
+// once the view is warm, advancing the clock, churning one connection
+// (a swap-removal and an extend of the term block) and re-querying
+// allocates nothing, even when guard expiries force per-connection
+// refreshes.
 func TestEq5ViewAdvanceAllocationFree(t *testing.T) {
 	e := seedEq5Engine()
 	for i := 0; i < 30; i++ {
@@ -328,12 +330,27 @@ func TestEq5ViewAdvanceAllocationFree(t *testing.T) {
 	now := 100.0
 	e.OutgoingReservation(now, 1, 30) // warm the view
 	e.OutgoingReservation(now, 2, 30)
+	// Churn the first slot, so each removal swaps the last connection's
+	// row into the hole before the add appends one at the end. One add
+	// ahead of the loop gives the table and the term block room for it.
+	e.AddConnection(3, ConnSpec{Min: 1, Prev: 1}, now)
+	e.RemoveConnection(3)
+	id := ConnID(100)
 	allocs := testing.AllocsPerRun(200, func() {
 		now += 0.25
+		e.RemoveConnection(e.conns[0].id)
+		id++
+		e.AddConnection(id, ConnSpec{Min: 4, Prev: topology.Self}, now)
 		e.OutgoingReservation(now, 1, 30)
 		e.OutgoingReservation(now, 2, 30)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state advance allocated %v times per run, want 0", allocs)
+	}
+	if led := e.Ledger(); led.Eq5Rebuilds != 1 {
+		t.Fatalf("rebuilds = %d, want 1 (churn must extend and remove, not rebuild)", led.Eq5Rebuilds)
+	}
+	if diff, checked := e.VerifyEq5Cache(); !checked || diff != 0 {
+		t.Fatalf("VerifyEq5Cache = (%v, %v), want (0, true)", diff, checked)
 	}
 }
