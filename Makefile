@@ -38,7 +38,7 @@ race:
 	$(GO) test -race ./internal/runner/ ./internal/sim/shard/
 	$(GO) test -race -run 'TestReportDeterministicAcrossWorkers|TestMetroShardedDeterministic|TestCanceledContextAborts' ./internal/experiments/
 	$(GO) test -race -run 'TestPropertyEngineRandomOps|TestPropertyEq5Incremental|TestPropertyIncrementalBr' ./internal/core/
-	$(GO) test -race -run 'TestAsyncShardCountInvariance|TestPartitionBoundaryRouting' ./internal/cellnet/
+	$(GO) test -race -run 'TestAsyncShardCountInvariance|TestRecycledConnectionsCarryNoState|TestPartitionBoundaryRouting' ./internal/cellnet/
 
 # bench runs each table/figure once at reduced scale, including the
 # parallel-vs-serial runner comparison, across every package that
@@ -49,15 +49,16 @@ bench:
 # bench-json gates the Go benchmarks on the one ledger,
 # BENCH_admission.json: the allocation profile (and, for the signaled
 # decision, frames/op) of the admission fast path, the estimator's write
-# path, the event kernel and the shard barrier, at full benchtime. A
-# count more than 10% over its pin, or a pinned row missing from the run,
-# fails; a new benchmark is pinned at its first measurement. Time is
-# measured by bench/ (`make perf`), never here. pipefail makes a package
-# that fails to build or run fail the target.
+# path, the event kernel, the shard barrier and a steady cellnet ring
+# run, at full benchtime. A count more than 10% over its pin, or a
+# pinned row missing from the run, fails; a new benchmark is pinned at
+# its first measurement. Time is measured by bench/ (`make perf`),
+# never here. pipefail makes a package that fails to build or run fail
+# the target.
 bench-json: SHELL := bash
 bench-json: .SHELLFLAGS := -o pipefail -c
 bench-json:
-	$(GO) test -bench 'BenchmarkAdmitNew|BenchmarkOutgoingReservation|BenchmarkColdCell|BenchmarkRecord|BenchmarkAdmitSignaled|BenchmarkChurn|BenchmarkCancel|BenchmarkBarrier' -benchmem -run '^$$' -count=1 ./internal/core/ ./internal/predict/ ./internal/signaling/ ./internal/sim/ ./internal/sim/shard/ \
+	$(GO) test -bench 'BenchmarkAdmitNew|BenchmarkOutgoingReservation|BenchmarkColdCell|BenchmarkRecord|BenchmarkAdmitSignaled|BenchmarkChurn|BenchmarkCancel|BenchmarkBarrier|BenchmarkRingSteady' -benchmem -run '^$$' -count=1 ./internal/core/ ./internal/predict/ ./internal/signaling/ ./internal/sim/ ./internal/sim/shard/ ./internal/cellnet/ \
 		| $(GO) run ./cmd/benchjson
 
 # perf-test vets and tests the repository's benchmark (bench/, declared

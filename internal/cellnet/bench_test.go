@@ -38,3 +38,25 @@ func BenchmarkRunAC3AllFeatures(b *testing.B) {
 		MustNew(cfg).Run(500)
 	}
 }
+
+// BenchmarkRingSteady is the ledger's cellnet row: the paper ring under
+// static reservation (no Eq. 5, no peers), warmed 1,000 s so the slot
+// pool and the kernel's queue have grown; each op advances the run 100
+// simulated seconds. What it allocates per op is the calls' mobility
+// paths.
+func BenchmarkRingSteady(b *testing.B) {
+	cfg := scenario("static", 200, 0.8, mobility.HighMobility, 1)
+	cfg.StaticReserve = 10
+	cfg.Audit = nil
+	n := MustNew(cfg)
+	end := 1000.0
+	n.RunUntil(end)
+	fired := n.EventsFired()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		end += 100
+		n.RunUntil(end)
+	}
+	b.ReportMetric(float64(n.EventsFired()-fired)/float64(b.N), "events/op")
+}

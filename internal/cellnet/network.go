@@ -71,27 +71,41 @@ type connection struct {
 	pledges    []topology.CellID // cells holding a MobSpec pledge for this connection
 	min, max   int               // QoS range; rigid connections have min == max == bw
 	class      core.ServiceClass // service class (voice = 0, video = streaming)
-	// rng draws the mobility path, hop by hop. Under delayed signaling it
-	// is the connection's private stream: the connection migrates across
+	// stream is the slot's private stream. Under delayed signaling the
+	// path draws from it, hop by hop: the connection migrates across
 	// shards, so the draws must follow it, not a cell or the run. Under
-	// instant signaling it is the run's one shared stream.
-	rng *rand.Rand
+	// instant signaling the path draws from the run's one shared stream.
+	stream *connRand
 
 	// A connection has exactly one pending kernel event at a time — its
-	// next boundary crossing (toward hop), its lifetime end or, under
-	// delayed signaling, its arrival in the next cell (transit: it is in
-	// the mailbox, tracked by no table) — so it carries one event closure
-	// for life, built in establish, instead of allocating one per booking.
+	// next boundary crossing (toward hop), its lifetime end, a soft
+	// hand-off re-test or, under delayed signaling, its arrival in the
+	// next cell (transit: it is in the mailbox, tracked by no table).
 	// pending is set while that event is booked; scheduleDeparture panics
-	// on a second booking. The closure captures only the Network and the
-	// connection, never a scheduler: under delayed signaling the
-	// connection migrates between shards.
+	// on a second booking and release on a slot still booked. The slot
+	// carries one event closure for life, built when the slot is carved
+	// (newConn), instead of allocating one per booking or per connection.
+	// The closure captures only the Network and the slot, never a
+	// scheduler: under delayed signaling the connection migrates between
+	// shards.
 	event    sim.Event
 	hop      mobility.Hop
 	crossing bool
 	transit  bool
 	pending  bool
 }
+
+// connSlot is a connection record and its private stream, side by side
+// in a table's chunk of connChunk slots, reused when a call ends (newConn,
+// release). The record points at the stream rather than holding it, so
+// it keeps its size class.
+type connSlot struct {
+	connection
+	rng connRand
+}
+
+// connChunk is the number of slots a table allocates at a time.
+const connChunk = 128
 
 // Network is a runnable cellular-network simulation.
 //
@@ -442,7 +456,8 @@ func (n *Network) releasePledges(conn *connection) {
 func (n *Network) establish(c *cell, min, max int, svc core.ServiceClass, wpath wired.Path, pledges []topology.CellID, now float64) {
 	c.connSeq++
 	id := core.ConnID(uint64(c.id)<<32 | (c.connSeq & 0xffffffff))
-	conn := &connection{
+	conn := n.newConn(c.tab)
+	*conn = connection{
 		id:         id,
 		bw:         min,
 		min:        min,
@@ -454,11 +469,37 @@ func (n *Network) establish(c *cell, min, max int, svc core.ServiceClass, wpath 
 		diesAt:     now + traffic.Lifetime(c.rng, n.cfg.MeanLifetime),
 		wpath:      wpath,
 		pledges:    pledges,
-		rng:        n.rng,
+		stream:     conn.stream,
+		event:      conn.event,
 	}
-	if conn.rng == nil { // delayed signaling: a stream of its own
-		conn.rng = newConnRand(n.cfg.Seed, id)
+	rng := n.rng
+	if rng == nil { // delayed signaling: the slot's stream, seeded by the ID
+		conn.stream.pcg.Seed(n.cfg.Seed, connStream(id))
+		rng = &conn.stream.r
 	}
+	conn.path = n.newPath(rng, c.id, now)
+	c.tab.conns[id] = conn
+	c.tab.births++
+	hop, ok := conn.path.NextHop()
+	n.addTo(c, conn, topology.Self, hop, ok, now)
+	n.scheduleDeparture(conn, hop, ok)
+}
+
+// newConn draws a connection slot from table st: a released one if any,
+// else the next of the current chunk, whose event closure and stream are
+// wired up here, once for the slot's life. establish overwrites the rest.
+func (n *Network) newConn(st *shardState) *connection {
+	if conn := pop(&st.freeConns); conn != nil {
+		return conn
+	}
+	if len(st.chunk) == 0 {
+		st.chunk = make([]connSlot, connChunk)
+	}
+	s := &st.chunk[0]
+	st.chunk = st.chunk[1:]
+	conn := &s.connection
+	s.rng.r = *rand.New(&s.rng.pcg)
+	conn.stream = &s.rng
 	conn.event = func(sim.Scheduler) {
 		conn.pending = false
 		switch {
@@ -470,12 +511,20 @@ func (n *Network) establish(c *cell, min, max int, svc core.ServiceClass, wpath 
 			n.onLifetimeEnd(conn)
 		}
 	}
-	conn.path = n.newPath(conn.rng, c.id, now)
-	c.tab.conns[id] = conn
-	c.tab.births++
-	hop, ok := conn.path.NextHop()
-	n.addTo(c, conn, topology.Self, hop, ok, now)
-	n.scheduleDeparture(conn, hop, ok)
+	return conn
+}
+
+// release returns a dead connection's slot to the free list of table st,
+// the table whose shard ran the death, so no list is touched from two
+// shards. A slot with a booked event would fire into its next tenant.
+// Clearing the path, pledges and wired path leaves a free slot holding
+// nothing else alive.
+func (st *shardState) release(conn *connection) {
+	if conn.pending {
+		panic(fmt.Sprintf("cellnet: releasing connection %d with a booked event", conn.id))
+	}
+	conn.path, conn.pledges, conn.wpath = nil, nil, wired.Path{}
+	st.freeConns = append(st.freeConns, conn)
 }
 
 // addTo registers conn in cell c's engine, arrived from local index prev
@@ -564,6 +613,7 @@ func (n *Network) onHandOffArrival(conn *connection) {
 	n.noteHandOff(to, now, admitted)
 	if !admitted {
 		to.tab.deaths++ // hand-off drop: the connection dies in transit
+		to.tab.release(conn)
 		return
 	}
 	to.tab.conns[conn.id] = conn
@@ -689,6 +739,7 @@ func (n *Network) teardown(c *cell, conn *connection, now float64) {
 	n.releasePledges(conn)
 	c.tab.deaths++
 	delete(c.tab.conns, conn.id)
+	c.tab.release(conn)
 }
 
 // enterCell completes a successful hand-off: the connection joins the
@@ -716,9 +767,14 @@ func (n *Network) enterCell(conn *connection, from, to *cell, now float64) {
 // hand-off. While pending, the connection keeps its old-cell bandwidth
 // (macrodiversity in the overlap region) and no other events exist for it.
 func (n *Network) scheduleSoftRetry(conn *connection, from, to *cell, deadline float64) {
+	if conn.pending {
+		panic(fmt.Sprintf("cellnet: second pending event for connection %d", conn.id))
+	}
+	conn.pending = true
 	now := from.sched.Now()
 	next := math.Min(now+softHandOffRetry, deadline)
 	from.sched.MustAfter(next-now, func(sim.Scheduler) {
+		conn.pending = false
 		n.onSoftRetry(conn, from, to, deadline)
 	})
 }

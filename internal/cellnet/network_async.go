@@ -62,17 +62,12 @@ func connStream(id core.ConnID) uint64 {
 	return 0x2545f4914f6cdd1d ^ (uint64(id)+1)*0x94d049bb133111eb
 }
 
-// newConnRand returns a connection's private stream. Generator and
-// rand.Rand share one object, allocated only under delayed signaling, so
-// a connection costs one allocation for its stream and none of its size.
-func newConnRand(seed uint64, id core.ConnID) *rand.Rand {
-	s := &struct {
-		pcg rand.PCG
-		r   rand.Rand
-	}{}
-	s.pcg.Seed(seed, connStream(id))
-	s.r = *rand.New(&s.pcg)
-	return &s.r
+// connRand is a connection slot's private stream: the generator and the
+// rand.Rand drawing from it. Reseeding pcg with connStream(id) gives the
+// draws of a fresh stream for connection id.
+type connRand struct {
+	pcg rand.PCG
+	r   rand.Rand
 }
 
 // mirrorEntry is one neighbor's last replied state.
@@ -135,6 +130,13 @@ type shardState struct {
 	// so no list is ever touched from two shards.
 	freeQueries []*peerQuery
 	freeReplies []*peerReply
+
+	// Connection slots, under either model, by the same rule: a slot is
+	// drawn by the table of the cell that admits the call and released
+	// to the table whose shard runs its death. chunk is the unused tail
+	// of the last chunk allocated.
+	freeConns []*connection
+	chunk     []connSlot
 }
 
 // peerQuery is one mailbox message of an exchange round: cell src's
