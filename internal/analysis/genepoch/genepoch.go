@@ -35,14 +35,15 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// derivedMethods produce generation-scoped values.
-// AppendSojournBreakpoints feeds the materialized Eq. 5 view's
-// staleness guards (DESIGN.md §14): the breakpoint tables it returns
-// are a pure function of the current selection and die with it.
+// derivedMethods produce generation-scoped values. SurvivorWeightNext
+// and HandOffWeightNext also return the materialized Eq. 5 view's
+// staleness guards (DESIGN.md §14): selected sojourns of the current
+// selection, which die with it like the weights beside them.
 var derivedMethods = map[string]bool{
 	"SurvivorWeight": true, "HandOffWeight": true, "HandOffProb": true,
+	"SurvivorWeightNext": true, "HandOffWeightNext": true,
 	"SojournProb": true, "Selected": true, "SelectedCount": true,
-	"MaxSojourn": true, "AppendSojournBreakpoints": true,
+	"MaxSojourn": true,
 }
 
 // mutatorMethods bump the generation epoch. EnsureCurrent belongs here

@@ -59,16 +59,16 @@ func allowEscapeHatch(e *predict.Estimator, q predict.Quadruplet) float64 {
 }
 
 // The incremental-view shapes (DESIGN.md §14): the materialized Eq. 5
-// view caches breakpoint tables and guard state derived from
-// AppendSojournBreakpoints, and EnsureCurrent — the view's own pinning
-// hook — performs the lazy rebuilds that kill such state.
+// view caches guards returned by SurvivorWeightNext and
+// HandOffWeightNext, and EnsureCurrent — the view's own pinning hook —
+// performs the lazy rebuilds that kill such state.
 
-// staleBreakpoints caches a guard table, lets Record move the epoch,
-// then trusts the dead table.
-func staleBreakpoints(e *predict.Estimator, q predict.Quadruplet, buf []float64) float64 {
-	bps := e.AppendSojournBreakpoints(buf[:0], 100, 1)
+// staleGuard caches a guard, lets Record move the epoch, then trusts
+// the dead sojourn.
+func staleGuard(e *predict.Estimator, q predict.Quadruplet) float64 {
+	_, next := e.SurvivorWeightNext(100, 1, 5)
 	e.Record(q)
-	return bps[0] // want `bps \(from AppendSojournBreakpoints\) is read after Record bumped the estimator generation`
+	return next // want `next \(from SurvivorWeightNext\) is read after Record bumped the estimator generation`
 }
 
 // staleAcrossEnsure caches a denominator, then pins the estimator at a
@@ -82,22 +82,22 @@ func staleAcrossEnsure(e *predict.Estimator) float64 {
 
 // ensureThenDerive is the view's rebuild discipline: pin first, derive
 // after — nothing outlives a bump.
-func ensureThenDerive(e *predict.Estimator, buf []float64) float64 {
+func ensureThenDerive(e *predict.Estimator) float64 {
 	gen := e.EnsureCurrent(200)
-	bps := e.AppendSojournBreakpoints(buf[:0], 200, 1)
+	den, next := e.SurvivorWeightNext(200, 1, 5)
 	if gen != e.Generation() {
 		return -1
 	}
-	return bps[0]
+	return den + next
 }
 
 // ensureGated keeps pre-pin state only behind a Generation()
 // comparison — the advance path's epoch check.
-func ensureGated(e *predict.Estimator, cachedGen uint64, buf []float64) float64 {
-	bps := e.AppendSojournBreakpoints(buf[:0], 100, 1)
+func ensureGated(e *predict.Estimator, cachedGen uint64) float64 {
+	w, hi := e.HandOffWeightNext(100, 1, 2, 5, 10)
 	_ = e.EnsureCurrent(200)
 	if e.Generation() != cachedGen {
 		return -1
 	}
-	return bps[0]
+	return w + hi
 }

@@ -34,8 +34,14 @@ func (e *Estimator) MaxSojourn(t0 float64) float64 { return 1 }
 // generation.
 func (e *Estimator) EnsureCurrent(t0 float64) uint64 { e.gen++; return e.gen }
 
-// AppendSojournBreakpoints is the generation-scoped breakpoint query
-// behind the materialized Eq. 5 view's staleness guards.
-func (e *Estimator) AppendSojournBreakpoints(dst []float64, t0 float64, prev int) []float64 {
-	return append(dst, 1)
+// SurvivorWeightNext is SurvivorWeight plus the next selected sojourn
+// above extSoj — a staleness guard of the materialized Eq. 5 view.
+func (e *Estimator) SurvivorWeightNext(t0 float64, prev int, extSoj float64) (den, next float64) {
+	return 1, 2
+}
+
+// HandOffWeightNext is HandOffWeight plus the pair's next selected
+// sojourn above extSoj+test.
+func (e *Estimator) HandOffWeightNext(t0 float64, prev, next int, extSoj, test float64) (w, hi float64) {
+	return 1, 2
 }

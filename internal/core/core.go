@@ -31,8 +31,7 @@ const NoHint topology.LocalIndex = -1
 // have min == max == bw; adaptive-QoS connections (§1, refs [6,8]) may
 // be downgraded toward min to absorb hand-offs and upgraded back when
 // bandwidth frees. The embedded eq5Slot is the connection's state in the
-// materialized Eq. 5 view (eq5cache.go), current for the view's first
-// eq5.n connections.
+// materialized Eq. 5 view (eq5cache.go).
 type conn struct {
 	id        ConnID
 	bw        int // currently granted bandwidth
@@ -762,7 +761,8 @@ func (e *Engine) NoteHandOffArrival(now float64, dropped bool, peers Peers) {
 // Results come from the materialized Eq. 5 view (eq5cache.go): the
 // per-connection Eq. 4 base state is maintained across events and
 // timestamps advance incrementally — only connections whose extant
-// sojourn crossed a selected-sojourn breakpoint are refreshed — so a
+// sojourn reached a selected sojourn a cached term depends on are
+// refreshed — so a
 // steady admission burst answers in O(live connections) guard checks
 // instead of re-walking every Eq. 4 query, allocation-free and
 // bit-identical to a from-scratch walk. A changed window, estimator, or

@@ -9,15 +9,15 @@ import (
 )
 
 // eq5Cache maintains the Eq. 5 state of one engine as a materialized
-// view: per-connection base state (extant sojourn, Eq. 4 denominator or
-// hinted sojourn probability), per-direction term columns, and
+// view: per-connection base state (Eq. 4 denominator or hinted sojourn
+// probability, and its staleness guards), per-direction term columns, and
 // per-direction sums, updated by deltas as events arrive instead of
 // recomputed per query. The admission fast path advances `now` on every
 // burst, so a memo keyed on an exact (now, test, generation) triple
 // pays a full Eq. 4 walk per burst; the view instead *advances* across
 // timestamps with one scan of its guards — two float comparisons per
-// live connection — and refreshes only the connections whose Eq. 4
-// queries actually change value.
+// live connection — and refreshes only the connections whose cached
+// Eq. 4 terms actually change value.
 //
 // Everything here must stay bit-exact with the retained from-scratch
 // walk (eq5Scratch): the golden corpus pins simulation bytes, and float
@@ -25,13 +25,15 @@ import (
 //
 //   - Eq. 4 queries are piecewise-constant step functions of the extant
 //     sojourn: every query reduces to binary searches over the selected
-//     sojourn times of the connection's prev-group, so the cached
-//     values stay bit-identical while the (clamped) extant sojourn and
-//     its +test edge stay inside the same inter-breakpoint intervals.
-//     Each connection carries the next breakpoint past each edge
-//     (nextLo/nextHi); staleness is evaluated with the *same float
-//     expressions* the estimator's binary searches consume (ext :=
-//     now − enteredAt clamped; ext+test), so there is no ulp hazard.
+//     sojourn times of the connection's prev-group, so a cached value
+//     stays bit-identical while the (clamped) extant sojourn and its
+//     +test edge do not reach the next selected sojourn above the edge
+//     each search consumed. The searches that compute a connection's
+//     terms return those sojourns (predict.SurvivorWeightNext,
+//     HandOffWeightNext), and the connection keeps the smallest per
+//     edge (nextLo/nextHi); staleness is evaluated with the *same float
+//     expressions* the searches consume (ext := now − enteredAt
+//     clamped; ext+test), so there is no ulp hazard.
 //   - The estimator generation is the other invalidation axis: the view
 //     is built under predict.EnsureCurrent(now) — after which no lazy
 //     selection rebuild can fire at that timestamp — and any later
@@ -42,7 +44,7 @@ import (
 //     patched by subtraction: removal swap-moves the per-connection
 //     state exactly like the connection table and re-accumulates;
 //     addition appends at the end of the table, where extending a live
-//     sum equals a from-scratch recomputation.
+//     sum equals a from-scratch recomputation at the view's timestamp.
 //
 // The per-connection base state lives in the connection table itself
 // (conn embeds an eq5Slot), so the table's own append and swap-removal
@@ -56,12 +58,6 @@ type eq5Cache struct {
 	est    *predict.Estimator
 	estGen uint64
 
-	// n is the number of connections the view covers, the prefix
-	// e.conns[:n] whose eq5Slot is current. It equals len(e.conns)
-	// except inside AddConnection, which appends to the table before
-	// eq5Extend brings the view along.
-	n int
-
 	// terms[i*d+t], d = Degree+1, is connection i's Eq. 5 term toward
 	// direction t (row 0 of each connection unused); termsDone[t] marks
 	// columns that are materialized for the current table. done[t] marks
@@ -73,13 +69,6 @@ type eq5Cache struct {
 	sums      []float64
 	done      []bool
 
-	// Per-prev sorted sojourn-breakpoint tables used to compute the
-	// guards, built lazily per (estimator, generation).
-	bps    [][]float64
-	bpsOK  []bool
-	bpsEst *predict.Estimator
-	bpsGen uint64
-
 	hits, misses uint64 // per-query accounting, exposed via Eq5CacheStats
 
 	// Materialized-view event accounting, exposed via the engine Ledger.
@@ -88,25 +77,24 @@ type eq5Cache struct {
 	refreshes uint64 // per-connection base-state refreshes during advances
 }
 
-// eq5Slot is one connection's Eq. 5 base state, embedded in conn. ext
-// is the clamped extant sojourn *as of the last base computation* (kept
-// deliberately stale across advances while the guards hold — the binary
-// searches land on the same indices, so every derived value is
-// bit-identical); den the Eq. 4 denominator (survivor weight) for
-// hint-less connections; hintP the §7 sojourn probability for hinted
-// connections.
+// eq5Slot is one connection's Eq. 5 base state, embedded in conn: den
+// is the Eq. 4 denominator (survivor weight) of a hint-less connection,
+// or the §7 sojourn probability of a hinted one.
 //
-// The staleness guards: the state stays valid at a later timestamp while
+// The staleness guards: den and the connection's materialized terms stay
+// valid at a later timestamp while
 //
-//	extNew < nextLo && extNew+test < nextHi
+//	ext < nextLo && ext+test < nextHi
 //
-// where extNew is computed exactly as eq5Base computes it. nextLo is the
-// smallest selected sojourn of the connection's prev-group strictly
-// above the ext the state was computed at; nextHi the smallest strictly
-// above ext+test. +Inf when no breakpoint remains.
+// where ext is computed exactly as eq5Ext computes it. nextLo is the
+// smallest selected sojourn of the prev-group strictly above the ext den
+// was computed at, which pins the denominator and every numerator's
+// lower edge. nextHi bounds the upper edges: for a hint-less connection
+// the smallest sojourn strictly above ext+test among the pairs feeding
+// a materialized term (+Inf before any), for a hinted one the
+// group-wide smallest, since SojournProb's fallback reads every pair.
 type eq5Slot struct {
-	ext, den, hintP float64
-	nextLo, nextHi  float64
+	den, nextLo, nextHi float64
 }
 
 // invalidate discards the view (buffers are kept for reuse).
@@ -116,27 +104,6 @@ func (c *eq5Cache) invalidate() { c.valid = false }
 func (c *eq5Cache) row(i int) []float64 {
 	d := len(c.termsDone)
 	return c.terms[i*d : (i+1)*d]
-}
-
-// nextAbove returns the smallest value in the sorted slice s strictly
-// greater than x, or +Inf when none exists. The search mirrors
-// predict's weightAbove binary search, so a guard computed from it
-// expires exactly when the estimator's searches would land on a
-// different index.
-func nextAbove(s []float64, x float64) float64 {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(s) {
-		return math.Inf(1)
-	}
-	return s[lo]
 }
 
 // eq5Current reports whether the live view answers for (now, test, est),
@@ -162,8 +129,8 @@ func (e *Engine) eq5Current(now, test float64, est *predict.Estimator) bool {
 // the cached terms were computed against a dead selection and the view
 // must be rebuilt from scratch. Otherwise every connection's guards are
 // checked with the exact float expressions the estimator's binary
-// searches consume; connections whose extant sojourn crossed a
-// breakpoint get their base state, guards, and materialized term
+// searches consume; connections whose extant sojourn or its +test edge
+// reached a guard get their base state, guards, and materialized term
 // columns refreshed, and the direction sums are lazily re-accumulated.
 // When no guard expired the finished sums remain valid as-is: every
 // cached term is bit-identical to the from-scratch term at the new
@@ -179,10 +146,7 @@ func (e *Engine) eq5Advance(now float64, est *predict.Estimator) bool {
 	c.advances++
 	c.now = now
 	refreshed := false
-	// Scan the view's own table, not the engine's: during eq5Extend the
-	// engine table has already grown by the appended connection, which
-	// the view incorporates only after the advance.
-	for i := range c.n {
+	for i := range e.conns {
 		if !e.eq5GuardAt(i, now) {
 			e.eq5Refresh(i)
 			refreshed = true
@@ -201,11 +165,19 @@ func (e *Engine) eq5Advance(now float64, est *predict.Estimator) bool {
 // searches consume.
 func (e *Engine) eq5GuardAt(i int, t float64) bool {
 	cn := &e.conns[i]
+	ext := eq5Ext(t, cn)
+	return ext < cn.nextLo && ext+e.eq5.test < cn.nextHi
+}
+
+// eq5Ext is connection cn's extant sojourn at timestamp t, clamped at 0
+// for a connection that entered after t — the expression eq5Scratch
+// computes.
+func eq5Ext(t float64, cn *conn) float64 {
 	ext := t - cn.enteredAt
 	if ext < 0 {
 		ext = 0
 	}
-	return ext < cn.nextLo && ext+e.eq5.test < cn.nextHi
+	return ext
 }
 
 // eq5Refresh recomputes one connection's base state, guards, and any
@@ -215,37 +187,28 @@ func (e *Engine) eq5Refresh(i int) {
 	c := &e.eq5
 	c.refreshes++
 	e.eq5Base(i)
-	e.eq5Guards(i)
-	row := c.row(i)
-	for t := 1; t < len(row); t++ {
+	for t := 1; t < len(c.termsDone); t++ {
 		if c.termsDone[t] {
-			row[t] = e.eq5Term(i, topology.LocalIndex(t))
+			e.eq5Cell(i, t)
 		}
 	}
 }
 
 // eq5Rebuild builds the view from scratch for (now, test, est) and
 // answers the requesting direction in one fused walk: each connection's
-// base state and guards are computed and its term toward the requested
-// direction materialized and accumulated immediately, so a key queried
-// exactly once costs a single pass over the table like the from-scratch
-// walk. The estimator is pinned with EnsureCurrent before the walk, so
-// no lazy selection rebuild can move the generation mid-build. Called
-// under the engine lock.
+// base state is computed and its term toward the requested direction
+// materialized and accumulated immediately, so a key queried exactly
+// once costs a single pass over the table like the from-scratch walk.
+// The estimator is pinned with EnsureCurrent before the walk, so no lazy
+// selection rebuild can move the generation mid-build. Called under the
+// engine lock.
 func (e *Engine) eq5Rebuild(now, test float64, est *predict.Estimator, toward topology.LocalIndex) float64 {
 	c := &e.eq5
 	c.rebuilds++
 	c.valid = true
 	c.now, c.test, c.est = now, test, est
 	c.estGen = est.EnsureCurrent(now)
-	if c.bpsEst != est || c.bpsGen != c.estGen {
-		c.bpsEst, c.bpsGen = est, c.estGen
-		for p := range c.bpsOK {
-			c.bpsOK[p] = false
-		}
-	}
 	n, d := len(e.conns), e.cfg.Degree+1
-	c.n = n
 	// slices.Grow grows the block by append's amortized policy, so a
 	// filling cell that rebuilds at every add reallocates it only
 	// O(log n) times.
@@ -260,12 +223,12 @@ func (e *Engine) eq5Rebuild(now, test float64, est *predict.Estimator, toward to
 	sum := 0.0
 	for i := range n {
 		e.eq5Base(i)
-		e.eq5Guards(i)
-		v := e.eq5Term(i, toward)
 		if col {
-			c.terms[i*d+t] = v
+			sum += e.eq5Cell(i, t)
+		} else {
+			v, _ := e.eq5Term(i, toward)
+			sum += v
 		}
-		sum += v
 	}
 	if col {
 		c.sums[t] = sum
@@ -275,78 +238,58 @@ func (e *Engine) eq5Rebuild(now, test float64, est *predict.Estimator, toward to
 	return sum
 }
 
-// eq5Base fills the cached base state of table slot i at the view's
-// current timestamp.
+// eq5Base fills table slot i's base state and guards at the view's
+// current timestamp; nextHi starts from what the base state itself
+// reads, and eq5Cell tightens it per materialized term. Fresh guards
+// hold strictly at the view's timestamp, which is what verifyEq5Locked
+// checks.
 func (e *Engine) eq5Base(i int) {
 	c := &e.eq5
 	cn := &e.conns[i]
-	ext := c.now - cn.enteredAt
-	if ext < 0 {
-		ext = 0
-	}
-	cn.ext = ext
+	ext := eq5Ext(c.now, cn)
 	if cn.hint != NoHint {
-		cn.den = 0
-		cn.hintP = c.est.SojournProb(c.now, cn.prev, cn.hint, ext, c.test)
+		_, cn.nextLo = c.est.SurvivorWeightNext(c.now, cn.prev, ext)
+		_, cn.nextHi = c.est.SurvivorWeightNext(c.now, cn.prev, ext+c.test)
+		cn.den = c.est.SojournProb(c.now, cn.prev, cn.hint, ext, c.test)
 		return
 	}
-	cn.hintP = 0
-	cn.den = c.est.SurvivorWeight(c.now, cn.prev, ext)
+	cn.den, cn.nextLo = c.est.SurvivorWeightNext(c.now, cn.prev, ext)
+	cn.nextHi = math.Inf(1)
 }
 
-// eq5Guards recomputes connection i's staleness guards from its
-// prev-group's breakpoint table. Fresh guards hold strictly at the
-// view's timestamp (nextAbove is strictly above both edges), which is
-// what verifyEq5Locked checks after every advance. Must run after
-// eq5Base (it reads the ext the base state was computed at).
-func (e *Engine) eq5Guards(i int) {
-	cn := &e.conns[i]
-	bp := e.eq5Breakpoints(cn.prev)
-	cn.nextLo = nextAbove(bp, cn.ext)
-	cn.nextHi = nextAbove(bp, cn.ext+e.eq5.test)
-}
-
-// eq5Breakpoints returns the sorted sojourn breakpoints of one
-// prev-group at the current (estimator, generation), building the table
-// lazily. The group table covers every Eq. 4 query a connection from
-// that prev can issue: the group selection is the union of its pairs'
-// selections, so pair numerators, the group denominator, hinted sojourn
-// probabilities, and the hinted pair→group-marginal fallback flip all
-// change value only at these points.
-func (e *Engine) eq5Breakpoints(prev topology.LocalIndex) []float64 {
-	c := &e.eq5
-	p := int(prev)
-	for p >= len(c.bps) {
-		c.bps = append(c.bps, nil)
-		c.bpsOK = append(c.bpsOK, false)
-	}
-	if !c.bpsOK[p] {
-		c.bps[p] = c.est.AppendSojournBreakpoints(c.bps[p][:0], c.now, prev)
-		c.bpsOK[p] = true
-	}
-	return c.bps[p]
-}
-
-// eq5Term returns connection i's Eq. 5 term toward one direction, from
-// the cached base state — bit-identical to the from-scratch term while
-// the guards hold.
-func (e *Engine) eq5Term(i int, toward topology.LocalIndex) float64 {
+// eq5Term returns connection i's Eq. 5 term toward one direction at the
+// view's timestamp, from the cached base state — bit-identical to the
+// from-scratch term while the guards hold — and hi, the upper-edge guard
+// the term adds (+Inf when it reads no numerator).
+func (e *Engine) eq5Term(i int, toward topology.LocalIndex) (v, hi float64) {
 	c := &e.eq5
 	cn := &e.conns[i]
 	b := float64(cn.min)
 	if cn.hint != NoHint {
 		if cn.hint == toward {
-			return b * cn.hintP
+			return b * cn.den, math.Inf(1)
 		}
-		return 0
+		return 0, math.Inf(1)
 	}
-	p := 0.0
+	p, hi := 0.0, math.Inf(1)
 	if cn.den != 0 {
 		// A never-seen (prev, toward) pair yields weight 0 and p = +0,
 		// exactly like the scalar HandOffProb query.
-		p = c.est.HandOffWeight(c.now, cn.prev, toward, cn.ext, c.test) / cn.den
+		var w float64
+		w, hi = c.est.HandOffWeightNext(c.now, cn.prev, toward, eq5Ext(c.now, cn), c.test)
+		p = w / cn.den
 	}
-	return b * p
+	return b * p, hi
+}
+
+// eq5Cell materializes connection i's term in column t, tightens its
+// upper-edge guard by it and returns it.
+func (e *Engine) eq5Cell(i, t int) float64 {
+	v, hi := e.eq5Term(i, topology.LocalIndex(t))
+	cn := &e.conns[i]
+	cn.nextHi = min(cn.nextHi, hi)
+	e.eq5.row(i)[t] = v
+	return v
 }
 
 // eq5Accumulate answers one direction from the view: the term column is
@@ -355,72 +298,61 @@ func (e *Engine) eq5Term(i int, toward topology.LocalIndex) float64 {
 func (e *Engine) eq5Accumulate(toward topology.LocalIndex) float64 {
 	c := &e.eq5
 	t, d := int(toward), len(c.termsDone)
+	sum := 0.0
 	if t < 1 || t >= d {
 		// Out-of-range direction (never a live neighbor): answer without
 		// touching the view's column state.
-		sum := 0.0
-		for i := range c.n {
-			sum += e.eq5Term(i, toward)
+		for i := range e.conns {
+			v, _ := e.eq5Term(i, toward)
+			sum += v
 		}
 		return sum
 	}
 	if !c.termsDone[t] {
-		for i := range c.n {
-			c.terms[i*d+t] = e.eq5Term(i, toward)
+		for i := range e.conns {
+			e.eq5Cell(i, t)
 		}
 		c.termsDone[t] = true
 	}
-	sum := 0.0
-	for i := range c.n {
+	for i := range e.conns {
 		sum += c.terms[i*d+t]
 	}
 	return sum
 }
 
 // eq5Extend incorporates the connection just appended at table slot i
-// into the live view. A timestamp change is first advanced across like
-// any query would; the new connection's base state and guards are then
-// computed into its slot, its term row is appended, and every
-// finished direction sum extended by its term — exactly what a
-// from-scratch walk would now produce, since the new connection sits at
-// the end of the table. Any key mismatch simply drops the view. Called
-// under the engine lock by AddConnection.
+// into the live view without moving the view's timestamp: the new
+// connection's base state, guards and materialized terms are computed at
+// the view's own now (a connection entering later has its extant sojourn
+// clamped to 0 there, and its guards are checked at the next query like
+// any other row), and every finished direction sum is extended by its
+// term — exactly what a from-scratch walk at the view's now would
+// produce, since the new connection sits at the end of the table. A
+// changed estimator or generation, or a clock that went backwards, drops
+// the view. Called under the engine lock by AddConnection.
 func (e *Engine) eq5Extend(i int, now float64) {
 	c := &e.eq5
 	if !c.valid {
 		return
 	}
-	if e.patterns == nil {
+	if e.patterns == nil || now < c.now {
 		c.invalidate()
 		return
 	}
-	est := e.patterns.Estimator(now)
-	if est != c.est {
-		c.invalidate()
-		return
-	}
-	if c.now != now {
-		if !e.eq5Advance(now, est) {
-			c.invalidate()
-			return
-		}
-	} else if est.Generation() != c.estGen {
+	if est := e.patterns.Estimator(now); est != c.est || est.Generation() != c.estGen {
 		c.invalidate()
 		return
 	}
 	e.eq5Base(i)
-	e.eq5Guards(i)
 	d := len(c.termsDone)
 	c.terms = slices.Grow(c.terms[:i*d], d)[:(i+1)*d]
-	c.n = i + 1
-	row := c.row(i)
 	for t := 1; t < d; t++ {
 		if !c.termsDone[t] {
 			continue
 		}
-		row[t] = e.eq5Term(i, topology.LocalIndex(t))
+		v := e.eq5Cell(i, t)
 		if c.done[t] {
-			c.sums[t] += row[t]
+			c.sums[t] += v
 		}
 	}
 }
@@ -441,7 +373,6 @@ func (e *Engine) eq5Remove(i, last int) {
 		copy(c.row(i), c.row(last))
 	}
 	c.terms = c.terms[:last*len(c.termsDone)]
-	c.n = last
 	clear(c.done)
 }
 
@@ -536,9 +467,9 @@ func (e *Engine) verifyEq5Locked() (maxDiff float64, checked bool) {
 		// no live state to certify.
 		return 0, false
 	}
-	// Layer 1: the view's table is the engine's, and every
+	// Layer 1: the term block has a row per connection, and every
 	// per-connection guard holds at the view's own timestamp.
-	if c.n != len(e.conns) {
+	if len(c.terms) != len(e.conns)*len(c.termsDone) {
 		return math.Inf(1), true
 	}
 	for i := range e.conns {

@@ -311,12 +311,12 @@ func TestEq5RebuildGrowthAmortized(t *testing.T) {
 }
 
 // TestConnSize pins the connection record, which carries the Eq. 5
-// view's per-connection state: 64 bytes of connection plus the 40-byte
-// eq5Slot. A new field shows its cost here before it shows in the growth
-// of every engine's table.
+// view's per-connection state: 64 bytes of connection plus the 24-byte
+// eq5Slot (the denominator and the two guards). A new field shows its
+// cost here before it shows in the growth of every engine's table.
 func TestConnSize(t *testing.T) {
-	if got := unsafe.Sizeof(conn{}); got > 104 {
-		t.Fatalf("conn is %d bytes, want ≤ 104", got)
+	if got := unsafe.Sizeof(conn{}); got > 88 {
+		t.Fatalf("conn is %d bytes, want ≤ 88", got)
 	}
 }
 

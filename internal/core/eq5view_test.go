@@ -279,33 +279,65 @@ func TestEq5ViewEdgeCases(t *testing.T) {
 	}
 }
 
-// TestEq5AdvanceDuringExtend pins the one ordering subtlety of the guard
-// scan: AddConnection appends to the engine table before the view
-// advances to the new timestamp, so the advance must scan the view's own
-// table (one slot shorter) and refresh exactly the connections whose
-// guards expired in between.
+// TestEq5AdvanceDuringExtend pins the lazy extend: AddConnection at a
+// later timestamp computes the new row at the view's own timestamp and
+// leaves the advance to the next query, whose guard scan covers the new
+// row like any other and refreshes exactly the connections whose guards
+// expired in between.
 func TestEq5AdvanceDuringExtend(t *testing.T) {
 	e := seedEq5Engine()
 	// t0 = 100: a live view over connections 1 (entered 90 from Self,
 	// ext 10) and 2 (entered 95 from 1, ext 5).
 	e.OutgoingReservation(100, 1, 30)
 	before := e.Ledger()
-	// t1 = 110: connection 1's ext reaches 20, the smallest selected
-	// Self-sojourn, so its guard expires; connection 2 (next breakpoint
-	// at ext 30) holds.
 	e.AddConnection(3, ConnSpec{Min: 5, Prev: 2}, 110)
 	after := e.Ledger()
-	if d := after.Eq5Rebuilds - before.Eq5Rebuilds; d != 0 {
-		t.Fatalf("AddConnection rebuilt the view %d times, want 0", d)
+	if d := [3]uint64{after.Eq5Rebuilds - before.Eq5Rebuilds, after.Eq5Advances - before.Eq5Advances,
+		after.Eq5Refreshes - before.Eq5Refreshes}; d != [3]uint64{} {
+		t.Fatalf("AddConnection made %d rebuilds, %d advances, %d refreshes; want none", d[0], d[1], d[2])
 	}
-	if d := after.Eq5Advances - before.Eq5Advances; d != 1 {
-		t.Fatalf("AddConnection advanced the view %d times, want 1", d)
-	}
-	if d := after.Eq5Refreshes - before.Eq5Refreshes; d != 1 {
-		t.Fatalf("AddConnection refreshed %d connections, want 1", d)
-	}
+	// t1 = 110: connection 1's ext reaches 20, the smallest selected
+	// Self-sojourn, so its guard expires; connection 2 (next sojourn at
+	// ext 30) and connection 3 (prev 2, no history) hold.
 	got := e.OutgoingReservation(110, 1, 30)
+	done := e.Ledger()
+	if d := done.Eq5Advances - after.Eq5Advances; d != 1 {
+		t.Fatalf("query after the add advanced the view %d times, want 1", d)
+	}
+	if d := done.Eq5Refreshes - after.Eq5Refreshes; d != 1 {
+		t.Fatalf("query after the add refreshed %d connections, want 1", d)
+	}
 	want := e.eq5Scratch(110, 1, 30, e.patterns.Estimator(110))
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("view %v != from-scratch %v", got, want)
+	}
+	if diff, checked := e.VerifyEq5Cache(); !checked || diff != 0 {
+		t.Fatalf("VerifyEq5Cache = (%v, %v), want (0, true)", diff, checked)
+	}
+}
+
+// TestEq5GuardIgnoresUnqueriedPairs: a connection's upper-edge guard
+// comes only from the pairs that feed a materialized term, so a window
+// edge crossing a sojourn of a pair no queried direction reads refreshes
+// nothing — and the answer stays bit-exact.
+func TestEq5GuardIgnoresUnqueriedPairs(t *testing.T) {
+	e := NewEngine(adaptiveConfig("AC1"))
+	e.RecordDeparture(predict.Quadruplet{Event: 0, Prev: topology.Self, Next: 1, Sojourn: 100})
+	e.RecordDeparture(predict.Quadruplet{Event: 1, Prev: topology.Self, Next: 2, Sojourn: 50})
+	e.AddConnection(1, ConnSpec{Min: 4, Prev: topology.Self}, 90)
+	// At 100: ext 10, ext+test 40; the next group sojourn above ext is
+	// 50, pair (Self, 1)'s next above ext+test is 100.
+	e.OutgoingReservation(100, 1, 30)
+	before := e.Ledger()
+	// At 115: ext 25 stays below 50, ext+test 55 crosses pair
+	// (Self, 2)'s 50 only.
+	got := e.OutgoingReservation(115, 1, 30)
+	after := e.Ledger()
+	if after.Eq5Advances != before.Eq5Advances+1 || after.Eq5Refreshes != before.Eq5Refreshes {
+		t.Fatalf("advances %d -> %d, refreshes %d -> %d; want one advance and no refresh",
+			before.Eq5Advances, after.Eq5Advances, before.Eq5Refreshes, after.Eq5Refreshes)
+	}
+	want := e.eq5Scratch(115, 1, 30, e.patterns.Estimator(115))
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("view %v != from-scratch %v", got, want)
 	}

@@ -37,9 +37,10 @@ func TestEnsureCurrentStabilizesGeneration(t *testing.T) {
 				// Exercise every query family at the pinned t0.
 				e.SurvivorWeight(t0, 1, 7)
 				e.HandOffWeight(t0, 1, 2, 7, 20)
+				e.SurvivorWeightNext(t0, 2, 7)
+				e.HandOffWeightNext(t0, 2, 1, 7, 20)
 				e.SojournProb(t0, 0, 1, 3, 20)
 				e.MaxSojourn(t0)
-				e.AppendSojournBreakpoints(nil, t0, 2)
 				if g := e.Generation(); g != gen {
 					t.Fatalf("t0=%v: queries after EnsureCurrent moved the generation %d -> %d", t0, gen, g)
 				}
@@ -54,71 +55,143 @@ func TestEnsureCurrentStabilizesGeneration(t *testing.T) {
 	}
 }
 
-// TestAppendSojournBreakpoints checks content and ordering: the list is
-// the sorted multiset union of the prev-group's selected sojourns, and
-// reusing the buffer keeps the call allocation-free.
-func TestAppendSojournBreakpoints(t *testing.T) {
+// checkNextQueries holds SurvivorWeightNext and HandOffWeightNext from
+// prev, at every extant sojourn ext in exts and window test in tests,
+// to their definitions: the values are bit for bit SurvivorWeight's and
+// HandOffWeight's, and the group's Σ weightAbove and the pair's
+// weightIn; next is the smallest selected sojourn of the group strictly
+// above ext and hi the smallest of the pair's strictly above ext+test,
+// both read off Selected (+Inf when there is none). Directions
+// 0..maxNext are probed, never-seen pairs included.
+func checkNextQueries(t *testing.T, e *Estimator, t0 float64, prev topology.LocalIndex, exts, tests []float64, maxNext topology.LocalIndex) {
+	t.Helper()
+	sel := e.Selected(t0, prev)
+	for _, ext := range exts {
+		for _, test := range tests {
+			checkNextAt(t, e, t0, prev, ext, test, maxNext, sel)
+		}
+	}
+}
+
+func checkNextAt(t *testing.T, e *Estimator, t0 float64, prev topology.LocalIndex, ext, test float64, maxNext topology.LocalIndex, sel []WeightedSample) {
+	t.Helper()
+	above := func(x float64, next topology.LocalIndex, anyNext bool) float64 {
+		for _, s := range sel {
+			if s.Sojourn > x && (anyNext || s.Next == next) {
+				return s.Sojourn
+			}
+		}
+		return math.Inf(1)
+	}
+	bits := math.Float64bits
+	den, next := e.SurvivorWeightNext(t0, prev, ext)
+	sum := 0.0
+	if g := e.group(prev); g != nil {
+		for _, p := range g.pairs {
+			sum += p.weightAbove(ext)
+		}
+	}
+	if bits(den) != bits(e.SurvivorWeight(t0, prev, ext)) || bits(den) != bits(sum) {
+		t.Fatalf("prev %d ext %v: SurvivorWeightNext den %v, SurvivorWeight %v, Σ weightAbove %v",
+			prev, ext, den, e.SurvivorWeight(t0, prev, ext), sum)
+	}
+	if want := above(ext, 0, true); next != want {
+		t.Fatalf("prev %d ext %v: next %v, want %v", prev, ext, next, want)
+	}
+	for to := topology.LocalIndex(0); to <= maxNext; to++ {
+		w, hi := e.HandOffWeightNext(t0, prev, to, ext, test)
+		want := 0.0
+		if p := e.pair(prev, to); p != nil {
+			want = p.weightIn(ext, ext+test)
+		}
+		if bits(w) != bits(e.HandOffWeight(t0, prev, to, ext, test)) || bits(w) != bits(want) {
+			t.Fatalf("prev %d -> %d ext %v test %v: HandOffWeightNext w %v, HandOffWeight %v, weightIn %v",
+				prev, to, ext, test, w, e.HandOffWeight(t0, prev, to, ext, test), want)
+		}
+		if want := above(ext+test, to, false); hi != want {
+			t.Fatalf("prev %d -> %d ext %v test %v: hi %v, want %v", prev, to, ext, test, hi, want)
+		}
+	}
+}
+
+// TestNextQueriesSmallGroup checks the two guard-returning queries on a
+// hand-made group, on and between its sojourns, for an unseen prev and
+// an unseen pair, and that they allocate nothing.
+func TestNextQueriesSmallGroup(t *testing.T) {
 	e := stationary(100)
 	e.Record(Quadruplet{Event: 0, Prev: 1, Next: 2, Sojourn: 30})
 	e.Record(Quadruplet{Event: 1, Prev: 1, Next: 3, Sojourn: 10})
 	e.Record(Quadruplet{Event: 2, Prev: 1, Next: 2, Sojourn: 20})
 	e.Record(Quadruplet{Event: 3, Prev: 2, Next: 1, Sojourn: 99})
 
-	got := e.AppendSojournBreakpoints(nil, 10, 1)
-	want := []float64{10, 20, 30}
-	if !slices.Equal(got, want) {
-		t.Fatalf("breakpoints for prev 1 = %v, want %v", got, want)
+	inf := math.Inf(1)
+	for _, tc := range []struct{ ext, den, next float64 }{
+		{0, 3, 10}, {10, 2, 20}, {15, 2, 20}, {20, 1, 30}, {30, 0, inf}, {45, 0, inf},
+	} {
+		if den, next := e.SurvivorWeightNext(10, 1, tc.ext); den != tc.den || next != tc.next {
+			t.Fatalf("SurvivorWeightNext(prev 1, ext %v) = (%v, %v), want (%v, %v)", tc.ext, den, next, tc.den, tc.next)
+		}
 	}
-	if bp := e.AppendSojournBreakpoints(nil, 10, 7); len(bp) != 0 {
-		t.Fatalf("breakpoints for unseen prev = %v, want empty", bp)
+	// Pair (1, 2) holds {20, 30}: hi is its own next sojourn above
+	// ext+test, never pair (1, 3)'s.
+	for _, tc := range []struct{ ext, test, w, hi float64 }{
+		{0, 5, 0, 20}, {0, 20, 1, 30}, {5, 25, 2, inf}, {10, 0, 0, 20},
+	} {
+		if w, hi := e.HandOffWeightNext(10, 1, 2, tc.ext, tc.test); w != tc.w || hi != tc.hi {
+			t.Fatalf("HandOffWeightNext(1→2, ext %v, test %v) = (%v, %v), want (%v, %v)", tc.ext, tc.test, w, hi, tc.w, tc.hi)
+		}
 	}
-	// Appending preserves the prefix and sorts only the tail.
-	pre := []float64{-1}
-	got = e.AppendSojournBreakpoints(pre, 10, 2)
-	if !slices.Equal(got, []float64{-1, 99}) {
-		t.Fatalf("append with prefix = %v, want [-1 99]", got)
+	if den, next := e.SurvivorWeightNext(10, 7, 0); den != 0 || next != inf {
+		t.Fatalf("unseen prev: (%v, %v), want (0, +Inf)", den, next)
 	}
-	buf := make([]float64, 0, 16)
+	if w, hi := e.HandOffWeightNext(10, 2, 3, 0, 50); w != 0 || hi != inf {
+		t.Fatalf("unseen pair: (%v, %v), want (0, +Inf)", w, hi)
+	}
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = e.AppendSojournBreakpoints(buf[:0], 10, 1)
+		e.SurvivorWeightNext(10, 1, 12)
+		e.HandOffWeightNext(10, 1, 2, 12, 9)
 	})
 	if allocs != 0 {
-		t.Fatalf("AppendSojournBreakpoints with a reused buffer allocated %v times per run", allocs)
+		t.Fatalf("guard-returning queries allocated %v times per run", allocs)
 	}
 }
 
-// TestGroupMergeMatchesSort pins the group exports against their
-// definition: for a group of k pairs — k from 1 past any plausible cell
-// degree, some pairs emptied by eviction — AppendSojournBreakpoints (a
-// sort-free back-merge) is slices.Sort of the pairs' concatenated
-// selections and leaves a non-empty dst prefix alone, and Selected is
-// the same samples (sojourn, weight, next) in ascending sojourn order.
+// randomGroup builds an estimator whose prev 1 has k pairs with random
+// selections over a half-integer sojourn alphabet (so probe points land
+// on sojourns), pairs 3, 6, 9, ... recorded first and then evicted, so
+// they stay in the group with an empty selection. It returns the time
+// of the last record.
+func randomGroup(r *rand.Rand, k int) (*Estimator, float64) {
+	e := New(Config{Tint: math.Inf(1), NQuad: 12, Weights: []float64{0.7}})
+	event := 0.0
+	for _, empty := range []bool{true, false} {
+		for next := 1; next <= k; next++ {
+			if (next%3 == 0) != empty {
+				continue
+			}
+			for i := r.IntN(15); i >= 0; i-- {
+				e.Record(Quadruplet{Event: event, Prev: 1, Next: topology.LocalIndex(next), Sojourn: float64(r.IntN(9)) / 2})
+				event++
+			}
+		}
+		if empty {
+			e.EvictBefore(event)
+		}
+	}
+	return e, event
+}
+
+// TestGroupMergeMatchesSort pins Selected against its definition: for a
+// group of k pairs — k from 1 past any plausible cell degree, some pairs
+// emptied by eviction — it is the pairs' selected samples (sojourn,
+// weight, next) in ascending sojourn order.
 func TestGroupMergeMatchesSort(t *testing.T) {
 	r := rand.New(rand.NewPCG(0x3E26E, 20))
 	for k := 1; k <= 20; k++ {
-		e := New(Config{Tint: math.Inf(1), NQuad: 12, Weights: []float64{0.7}})
-		// Pairs 3, 6, 9, ... are recorded first and evicted below, so
-		// they stay in the group with an empty selection.
-		event := 0.0
-		for _, empty := range []bool{true, false} {
-			for next := 1; next <= k; next++ {
-				if (next%3 == 0) != empty {
-					continue
-				}
-				for i := r.IntN(15); i >= 0; i-- {
-					e.Record(Quadruplet{Event: event, Prev: 1, Next: topology.LocalIndex(next), Sojourn: float64(r.IntN(9)) / 2})
-					event++
-				}
-			}
-			if empty {
-				e.EvictBefore(event)
-			}
-		}
-		var wantBP []float64
+		e, event := randomGroup(r, k)
 		var wantSel []WeightedSample
 		for i, p := range e.group(1).pairs {
 			e.ensurePair(p, event)
-			wantBP = append(wantBP, p.sojSorted...)
 			for j, soj := range p.sojSorted {
 				w := p.wCum[j]
 				if j > 0 {
@@ -127,16 +200,11 @@ func TestGroupMergeMatchesSort(t *testing.T) {
 				wantSel = append(wantSel, WeightedSample{Sojourn: soj, Weight: w, Next: e.group(1).nexts[i]})
 			}
 		}
-		slices.Sort(wantBP)
 		byAll := func(a, b WeightedSample) int {
 			return cmp.Or(cmp.Compare(a.Sojourn, b.Sojourn), cmp.Compare(a.Next, b.Next), cmp.Compare(a.Weight, b.Weight))
 		}
 		slices.SortFunc(wantSel, byAll)
 
-		gotBP := e.AppendSojournBreakpoints([]float64{99, -1}, event, 1)
-		if !slices.Equal(gotBP[:2], []float64{99, -1}) || !slices.Equal(gotBP[2:], wantBP) {
-			t.Fatalf("k=%d: breakpoints %v, want prefix [99 -1] then %v", k, gotBP, wantBP)
-		}
 		gotSel := e.Selected(event, 1)
 		if !slices.IsSortedFunc(gotSel, func(a, b WeightedSample) int { return cmp.Compare(a.Sojourn, b.Sojourn) }) {
 			t.Fatalf("k=%d: Selected not ascending in sojourn: %v", k, gotSel)
@@ -148,11 +216,30 @@ func TestGroupMergeMatchesSort(t *testing.T) {
 	}
 }
 
+// TestNextQueriesMatchSelected is the estimator oracle of the Eq. 5
+// view's guards over random groups: at extant sojourns on, between and
+// past the selected sojourns, and windows that put ext+test on them
+// too, both queries return their wrappers' values and the smallest
+// sojourn strictly above each edge.
+func TestNextQueriesMatchSelected(t *testing.T) {
+	r := rand.New(rand.NewPCG(0x3E26E, 21))
+	for k := 1; k <= 20; k++ {
+		e, event := randomGroup(r, k)
+		checkNextQueries(t, e, event, 1, []float64{0, 0.25, 1, 2.5, 3.75, 4, 4.5, 9},
+			[]float64{0, 0.5, 1.25, 3, 100}, topology.LocalIndex(k+1))
+		checkNextQueries(t, e, event, 2, []float64{1}, []float64{1}, 2) // unseen prev
+	}
+}
+
 // TestQueriesPiecewiseConstantBetweenBreakpoints is the property the
 // incremental view's staleness guards rest on: every Eq. 4 query from a
-// prev is a step function of the extant sojourn whose discontinuities
-// all lie on the group's breakpoint list — between two adjacent
-// breakpoints the value is bit-identical.
+// prev is a step function of the extant sojourn, constant — bit for
+// bit — for every x ≥ ext with x < next (SurvivorWeightNext's) and
+// x+test below the hi of what it reads: HandOffWeightNext's for a
+// numerator, the group-wide next sojourn above ext+test for
+// SojournProb, whose fallback reads every pair. Probes sit on both
+// guards' last representable values, where an off-by-one-ulp guard
+// would show.
 func TestQueriesPiecewiseConstantBetweenBreakpoints(t *testing.T) {
 	e := stationary(100)
 	r := rand.New(rand.NewPCG(0xB4EA4, 7))
@@ -164,42 +251,47 @@ func TestQueriesPiecewiseConstantBetweenBreakpoints(t *testing.T) {
 			Sojourn: float64(1 + r.IntN(25)),
 		})
 	}
-	const t0, test = 100.0, 6.0
+	const t0 = 100.0
+	bits := math.Float64bits
 	for prev := topology.LocalIndex(0); prev < 3; prev++ {
-		bp := e.AppendSojournBreakpoints(nil, t0, prev)
-		// Probe points strictly inside each inter-breakpoint interval,
-		// plus beyond the last breakpoint.
-		probes := [][2]float64{}
-		lo := 0.0
-		for _, b := range append(slices.Clone(bp), bp[len(bp)-1]+10) {
-			if b <= lo {
-				continue
-			}
-			mid := lo + (b-lo)/2
-			hi := math.Nextafter(b, lo) // greatest float still below b
-			probes = append(probes, [2]float64{mid, hi})
-			lo = b
-		}
-		for _, pr := range probes {
-			a, b := pr[0], pr[1]
-			if e.SurvivorWeight(t0, prev, a) != e.SurvivorWeight(t0, prev, b) {
-				t.Fatalf("prev %d: SurvivorWeight not constant on [%v, %v]", prev, a, b)
-			}
-			for next := topology.LocalIndex(1); next <= 3; next++ {
-				// Same-interval probes with the same +test offset keep the
-				// numerator constant only when ext+test also stays inside
-				// one interval; check the lower edge alone by pinning the
-				// upper edge far beyond every breakpoint.
-				far := bp[len(bp)-1] + 100
-				wa := e.pair(prev, next)
-				if wa == nil {
-					continue
+		for _, ext := range []float64{0, 0.5, 3, 7.25, 12, 24.5, 30} {
+			for _, test := range []float64{0.75, 6, 13.5} {
+				den, next := e.SurvivorWeightNext(t0, prev, ext)
+				_, groupHi := e.SurvivorWeightNext(t0, prev, ext+test)
+				holds := func(x, hi float64) bool { return x >= ext && x < next && x+test < hi }
+				probes := func(hi float64) []float64 {
+					xs := []float64{ext, ext + (next-ext)/2, math.Nextafter(next, ext), hi - test, math.Nextafter(hi-test, ext)}
+					for range 8 {
+						xs = append(xs, ext+r.Float64()*min(next-ext, 30))
+					}
+					return xs
 				}
-				if wa.weightIn(a, far) != wa.weightIn(b, far) {
-					t.Fatalf("prev %d -> %d: numerator lower edge not constant on [%v, %v]", prev, next, a, b)
+				for _, x := range probes(groupHi) {
+					if !holds(x, math.Inf(1)) {
+						continue
+					}
+					if bits(e.SurvivorWeight(t0, prev, x)) != bits(den) {
+						t.Fatalf("prev %d: SurvivorWeight(%v) != SurvivorWeight(%v) though %v < next %v", prev, x, ext, x, next)
+					}
+					if !holds(x, groupHi) {
+						continue
+					}
+					for hint := topology.LocalIndex(1); hint <= 4; hint++ {
+						if bits(e.SojournProb(t0, prev, hint, x, test)) != bits(e.SojournProb(t0, prev, hint, ext, test)) {
+							t.Fatalf("prev %d hint %d test %v: SojournProb(%v) != SojournProb(%v) inside the group guards", prev, hint, test, x, ext)
+						}
+					}
+				}
+				for to := topology.LocalIndex(1); to <= 4; to++ {
+					w, hi := e.HandOffWeightNext(t0, prev, to, ext, test)
+					for _, x := range probes(hi) {
+						if holds(x, hi) && bits(e.HandOffWeight(t0, prev, to, x, test)) != bits(w) {
+							t.Fatalf("prev %d -> %d test %v: HandOffWeight(%v) != HandOffWeight(%v) though %v < next %v and +test < hi %v",
+								prev, to, test, x, ext, x, next, hi)
+						}
+					}
 				}
 			}
-			_ = test
 		}
 	}
 }

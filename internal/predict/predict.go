@@ -203,15 +203,27 @@ func firstAbove(s []float64, x float64) int {
 // weightAbove returns the selected weight with sojourn strictly greater
 // than x.
 func (p *pairData) weightAbove(x float64) float64 {
-	s := p.sojSorted
-	lo := firstAbove(s, x)
+	return p.weightFrom(firstAbove(p.sojSorted, x))
+}
+
+// weightFrom returns the selected weight of sojSorted[lo:].
+func (p *pairData) weightFrom(lo int) float64 {
 	if lo == 0 {
 		return p.totalWeight()
 	}
-	if lo >= len(s) {
+	if lo >= len(p.sojSorted) {
 		return 0
 	}
 	return p.totalWeight() - p.wCum[lo-1]
+}
+
+// sojournAt returns sojSorted[i], or +Inf past the end: the smallest
+// selected sojourn strictly above x when i = firstAbove(sojSorted, x).
+func (p *pairData) sojournAt(i int) float64 {
+	if i >= len(p.sojSorted) {
+		return math.Inf(1)
+	}
+	return p.sojSorted[i]
 }
 
 // weightIn returns the selected weight with sojourn in (lo, hi].
@@ -262,15 +274,6 @@ type prevGroup struct {
 	pairs  []*pairData
 	nexts  []topology.LocalIndex // aligned with pairs
 	byNext []*pairData           // dense by int(next); nil = pair never seen
-}
-
-// selected returns the number of selected samples across the group.
-func (g *prevGroup) selected() int {
-	n := 0
-	for _, p := range g.pairs {
-		n += len(p.sojSorted)
-	}
-	return n
 }
 
 // Estimator accumulates quadruplets and answers Eq. 4 queries for one cell.
@@ -663,32 +666,62 @@ func (e *Estimator) HandOffProb(t0 float64, prev topology.LocalIndex, extSoj, te
 // query uses). Splitting the denominator out lets a caller evaluating
 // many (next, toward) queries for one connection pay for it once.
 func (e *Estimator) SurvivorWeight(t0 float64, prev topology.LocalIndex, extSoj float64) float64 {
+	den, _ := e.SurvivorWeightNext(t0, prev, extSoj)
+	return den
+}
+
+// SurvivorWeightNext is SurvivorWeight that also returns next, the
+// smallest selected sojourn from prev strictly above extSoj (+Inf when
+// none). Every Eq. 4 query from prev is a step function of the extant
+// sojourn whose steps lie on the group's selected sojourns: for any x
+// in [extSoj, next) the binary searches at x land on the same indices,
+// so the denominator and the lower edge of every numerator and of
+// SojournProb from prev keep their values. next is read off the
+// searches the sum already makes, one load per pair.
+func (e *Estimator) SurvivorWeightNext(t0 float64, prev topology.LocalIndex, extSoj float64) (den, next float64) {
 	e.ensurePrev(prev, t0)
+	next = math.Inf(1)
 	g := e.group(prev)
 	if g == nil {
-		return 0
+		return 0, next
 	}
-	den := 0.0
 	for _, p := range g.pairs {
-		den += p.weightAbove(extSoj)
+		i := firstAbove(p.sojSorted, extSoj)
+		den += p.weightFrom(i)
+		next = min(next, p.sojournAt(i))
 	}
-	return den
+	return den, next
 }
 
 // HandOffWeight returns the Eq. 4 numerator for (prev, next): the
 // selected weight with sojourn in (extSoj, extSoj+test]. Dividing by
 // SurvivorWeight at the same arguments yields HandOffProb exactly.
 func (e *Estimator) HandOffWeight(t0 float64, prev, next topology.LocalIndex, extSoj, test float64) float64 {
+	w, _ := e.HandOffWeightNext(t0, prev, next, extSoj, test)
+	return w
+}
+
+// HandOffWeightNext is HandOffWeight that also returns hi, the pair's
+// smallest selected sojourn strictly above extSoj+test (+Inf when none,
+// or when the pair was never seen): the numerator's upper edge keeps its
+// index for every upper edge in [extSoj+test, hi). Its lower edge is
+// bounded by SurvivorWeightNext's next.
+func (e *Estimator) HandOffWeightNext(t0 float64, prev, next topology.LocalIndex, extSoj, test float64) (w, hi float64) {
 	p := e.pair(prev, next)
 	if p == nil {
-		return 0
+		return 0, math.Inf(1)
 	}
 	// Only this pair's selection feeds the numerator, so only it needs
 	// refreshing — the caller's SurvivorWeight already walked the whole
 	// group, and re-walking it here would double the per-query ensure
 	// cost on the hot single-direction path.
 	e.ensurePair(p, t0)
-	return p.weightIn(extSoj, extSoj+test)
+	up := extSoj + test
+	j := firstAbove(p.sojSorted, up)
+	if up <= extSoj {
+		return 0, p.sojournAt(j) // weightIn's empty interval
+	}
+	return p.weightAbove(extSoj) - p.weightFrom(j), p.sojournAt(j)
 }
 
 // SojournProb evaluates the conditional sojourn distribution for a
@@ -778,43 +811,4 @@ func (e *Estimator) Selected(t0 float64, prev topology.LocalIndex) []WeightedSam
 func (e *Estimator) EnsureCurrent(t0 float64) uint64 {
 	e.ensureAll(t0)
 	return e.gen
-}
-
-// AppendSojournBreakpoints appends the sojourn time of every currently
-// selected sample reachable from prev to dst, ascending — the merge of
-// the group's per-pair runs, each already sorted — and returns dst.
-// These are the breakpoints of the piecewise-constant Eq. 4 queries in
-// their extant-sojourn argument:
-// SurvivorWeight, HandOffWeight and SojournProb from prev change value
-// only when the (clamped) extant sojourn crosses one of them, because
-// every query reduces to binary searches over the pairs' selected
-// sojourns and the group selection is the union of its pairs'
-// selections. The list is valid for the generation under which it was
-// taken; callers re-fetch after the epoch moves. Passing a buffer with
-// spare capacity makes the call allocation-free.
-func (e *Estimator) AppendSojournBreakpoints(dst []float64, t0 float64, prev topology.LocalIndex) []float64 {
-	e.ensurePrev(prev, t0)
-	g := e.group(prev)
-	if g == nil {
-		return dst
-	}
-	start := len(dst)
-	dst = slices.Grow(dst, g.selected())
-	for _, p := range g.pairs {
-		// Merge the pair's run into the tail from the back: the tail's
-		// larger elements move up into the reserved space, and whatever
-		// of the tail is left when the run is used up is already in place.
-		a := len(dst) - 1
-		dst = dst[:len(dst)+len(p.sojSorted)]
-		for b, k := len(p.sojSorted)-1, len(dst)-1; b >= 0; k-- {
-			if a >= start && dst[a] > p.sojSorted[b] {
-				dst[k] = dst[a]
-				a--
-			} else {
-				dst[k] = p.sojSorted[b]
-				b--
-			}
-		}
-	}
-	return dst
 }

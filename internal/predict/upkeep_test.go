@@ -118,8 +118,22 @@ func (d *upkeepDriver) record(q Quadruplet) {
 	}
 }
 
-// check compares every index that claims to be current with the oracle.
+// check compares every index that claims to be current with the oracle,
+// then holds the guard-returning queries to theirs (checkNextQueries)
+// on every prev-group whose pairs are all current, where querying
+// rebuilds nothing and so leaves the op stream's state alone.
 func (d *upkeepDriver) check() {
+	for prev := range topology.LocalIndex(2) {
+		g := d.e.group(prev)
+		if g == nil || slices.ContainsFunc(g.pairs, func(p *pairData) bool { return !p.hasIndex || p.dirty }) {
+			continue
+		}
+		gen := d.e.Generation()
+		checkNextQueries(d.t, d.e, d.now, prev, []float64{0, 2.5, 11.25}, []float64{4.5, 40}, 3)
+		if g := d.e.Generation(); g != gen {
+			d.t.Fatalf("queries on a current group moved the generation %d -> %d", gen, g)
+		}
+	}
 	for i, p := range d.e.allPairs {
 		if !p.hasIndex || p.dirty {
 			continue
