@@ -36,12 +36,15 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // derivedMethods produce generation-scoped values. SurvivorWeightNext
-// and HandOffWeightNext also return the materialized Eq. 5 view's
-// staleness guards (DESIGN.md §14): selected sojourns of the current
-// selection, which die with it like the weights beside them.
+// and HandOffWeightNext, and the sweep queries SweepNext and
+// SweepHandOffNext that answer them from per-pair cursors, also return
+// the materialized Eq. 5 view's staleness guards (DESIGN.md §14):
+// selected sojourns of the current selection, which die with it like
+// the weights beside them.
 var derivedMethods = map[string]bool{
 	"SurvivorWeight": true, "HandOffWeight": true, "HandOffProb": true,
 	"SurvivorWeightNext": true, "HandOffWeightNext": true,
+	"SweepNext": true, "SweepHandOffNext": true,
 	"SojournProb": true, "Selected": true, "SelectedCount": true,
 	"MaxSojourn": true,
 }

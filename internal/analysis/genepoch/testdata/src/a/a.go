@@ -101,3 +101,22 @@ func ensureGated(e *predict.Estimator, cachedGen uint64) float64 {
 	}
 	return w + hi
 }
+
+// staleSweep keeps a sweep query's numerator across Record: the
+// cursors read the selection Record replaced.
+func staleSweep(e *predict.Estimator, q predict.Quadruplet) float64 {
+	_, _, w, _ := e.SweepNext(1, 2, 5, 10)
+	e.Record(q)
+	return w // want `w \(from SweepNext\) is read after Record bumped the estimator generation`
+}
+
+// sweepGated reads a sweep result across Record only behind a
+// Generation() comparison.
+func sweepGated(e *predict.Estimator, q predict.Quadruplet, cachedGen uint64) float64 {
+	w, hi := e.SweepHandOffNext(1, 2, 5, 10)
+	e.Record(q)
+	if e.Generation() != cachedGen {
+		return -1
+	}
+	return w + hi
+}

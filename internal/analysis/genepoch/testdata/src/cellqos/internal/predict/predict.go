@@ -45,3 +45,14 @@ func (e *Estimator) SurvivorWeightNext(t0 float64, prev int, extSoj float64) (de
 func (e *Estimator) HandOffWeightNext(t0 float64, prev, next int, extSoj, test float64) (w, hi float64) {
 	return 1, 2
 }
+
+// SweepNext is SurvivorWeightNext and HandOffWeightNext in one call,
+// read from per-pair cursors.
+func (e *Estimator) SweepNext(prev, next int, extSoj, test float64) (den, lo, w, hi float64) {
+	return 1, 2, 1, 2
+}
+
+// SweepHandOffNext is SweepNext's numerator and upper guard alone.
+func (e *Estimator) SweepHandOffNext(prev, next int, extSoj, test float64) (w, hi float64) {
+	return 1, 2
+}

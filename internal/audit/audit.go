@@ -137,12 +137,11 @@ func (c *Checker) Engine(cell string, now float64, l core.Ledger) {
 }
 
 // Eq5Tolerance bounds the divergence allowed between the engine's
-// incremental Eq. 5 cache and the retained from-scratch walk. The cache
-// is designed to be bit-exact (same operations in the same order), so
-// any drift at all points at a bookkeeping bug; the tolerance only
-// leaves room for future maintainers to relax the exactness argument
-// deliberately, not for rounding noise.
-const Eq5Tolerance = 1e-9
+// incremental Eq. 5 cache and the retained from-scratch walk: none. The
+// cache is bit-exact by construction (every term from the same Eq. 4
+// arithmetic on the same indices, every sum in table order), so any
+// drift at all points at a bookkeeping bug.
+const Eq5Tolerance = 0
 
 // Eq5Cache verifies one engine's materialized Eq. 5 reservation view
 // against the retained from-scratch computation: every finished

@@ -31,17 +31,24 @@ const NoHint topology.LocalIndex = -1
 // have min == max == bw; adaptive-QoS connections (§1, refs [6,8]) may
 // be downgraded toward min to absorb hand-offs and upgraded back when
 // bandwidth frees. The embedded eq5Slot is the connection's state in the
-// materialized Eq. 5 view (eq5cache.go).
+// materialized Eq. 5 view (eq5cache.go); older and younger link the
+// table in age order (Engine.youngest).
 type conn struct {
 	id        ConnID
 	bw        int // currently granted bandwidth
 	min, max  int
 	prev      topology.LocalIndex // where the mobile came from (Self = born here)
 	enteredAt float64
-	hint      topology.LocalIndex // known next cell (ITS/GPS, §7), or NoHint
-	class     ServiceClass        // service class (0 = highest priority)
+	hint      int32 // known next cell (ITS/GPS, §7), or NoHint; see nextCell
+	class     int32 // ServiceClass (0 = highest priority)
+	// Table slots of the next older and next younger connection by
+	// enteredAt, -1 at either end.
+	older, younger int32
 	eq5Slot
 }
+
+// nextCell returns the connection's known next cell, or NoHint.
+func (c *conn) nextCell() topology.LocalIndex { return topology.LocalIndex(c.hint) }
 
 // Config parameterizes an Engine.
 type Config struct {
@@ -256,6 +263,10 @@ type Engine struct {
 	conns []conn
 	index map[ConnID]int
 	used  int
+	// youngest heads the age order threaded through conns (conn.older):
+	// the slot with the latest enteredAt, -1 when the table is empty.
+	// The Eq. 5 view's sweeps walk it.
+	youngest int32
 
 	// pledged is bandwidth promised to specific expected visitors (the
 	// MobSpec baseline); it blocks admissions like used bandwidth but
@@ -296,7 +307,7 @@ func NewEngine(cfg Config) *Engine {
 		// instance, never the shared registry value.
 		pol = cs.CloneCellState()
 	}
-	e := &Engine{cfg: cfg, pol: pol, traits: pol.Traits(), index: make(map[ConnID]int)}
+	e := &Engine{cfg: cfg, pol: pol, traits: pol.Traits(), index: make(map[ConnID]int), youngest: -1}
 	e.lk = cfg.Lock
 	e.lastOut = make([]float64, cfg.Degree)
 	e.lastOutAt = make([]float64, cfg.Degree)
@@ -493,6 +504,9 @@ func (e *Engine) AddConnection(id ConnID, spec ConnSpec, now float64) int {
 	if hint != NoHint && (hint < 1 || int(hint) > e.cfg.Degree) {
 		panic(fmt.Sprintf("core: hint %d outside neighbor range [1,%d]", hint, e.cfg.Degree))
 	}
+	if int(int32(hint)) != int(hint) || int(int32(spec.Class)) != int(spec.Class) {
+		panic(fmt.Sprintf("core: hint %d or class %d outside int32", hint, spec.Class))
+	}
 	e.lock()
 	defer e.unlock()
 	if _, dup := e.index[id]; dup {
@@ -509,7 +523,9 @@ func (e *Engine) AddConnection(id ConnID, spec ConnSpec, now float64) int {
 	}
 	i := len(e.conns)
 	e.index[id] = i
-	e.conns = append(e.conns, conn{id: id, bw: grant, min: min, max: max, prev: spec.Prev, enteredAt: now, hint: hint, class: spec.Class})
+	e.conns = append(e.conns, conn{id: id, bw: grant, min: min, max: max, prev: spec.Prev, enteredAt: now,
+		hint: int32(hint), class: int32(spec.Class)})
+	e.linkAge(int32(i))
 	e.used += grant
 	e.eq5Extend(i, now)
 	return grant
@@ -577,7 +593,7 @@ func (e *Engine) DowngradeClassToFit(need int, keep ServiceClass, limit int) boo
 	}
 	reclaimable := 0
 	for i := range e.conns {
-		if e.conns[i].class > keep {
+		if ServiceClass(e.conns[i].class) > keep {
 			reclaimable += e.conns[i].bw - e.conns[i].min
 		}
 	}
@@ -588,7 +604,7 @@ func (e *Engine) DowngradeClassToFit(need int, keep ServiceClass, limit int) boo
 		if short <= 0 {
 			break
 		}
-		if e.conns[i].class <= keep {
+		if ServiceClass(e.conns[i].class) <= keep {
 			continue
 		}
 		give := e.conns[i].bw - e.conns[i].min
@@ -662,10 +678,12 @@ func (e *Engine) RemoveConnection(id ConnID) {
 		panic(fmt.Sprintf("core: removing unknown connection %d", id))
 	}
 	e.used -= e.conns[i].bw
+	e.unlinkAge(int32(i))
 	last := len(e.conns) - 1
 	if i != last {
 		e.conns[i] = e.conns[last]
 		e.index[e.conns[i].id] = i
+		e.relinkAge(int32(i))
 	}
 	e.conns = e.conns[:last]
 	delete(e.index, id)
@@ -674,6 +692,46 @@ func (e *Engine) RemoveConnection(id ConnID) {
 	// sums (in the new table order, as a from-scratch walk now would — a
 	// float sum cannot be patched by subtraction).
 	e.eq5Remove(i, last)
+}
+
+// linkAge threads the just-appended slot i into the age order: after
+// the youngest slot entered no later than it, which is the youngest
+// itself — O(1) — whenever connections arrive in time order.
+func (e *Engine) linkAge(i int32) {
+	cn := &e.conns[i]
+	older, younger := e.youngest, int32(-1)
+	for older >= 0 && e.conns[older].enteredAt > cn.enteredAt {
+		older, younger = e.conns[older].older, older
+	}
+	cn.older, cn.younger = older, younger
+	e.relinkAge(i)
+}
+
+// unlinkAge takes slot i out of the age order.
+func (e *Engine) unlinkAge(i int32) {
+	cn := &e.conns[i]
+	if cn.older >= 0 {
+		e.conns[cn.older].younger = cn.younger
+	}
+	if cn.younger >= 0 {
+		e.conns[cn.younger].older = cn.older
+	} else {
+		e.youngest = cn.older
+	}
+}
+
+// relinkAge points the age-order neighbours of slot i (its links set,
+// or just carried there by a swap-removal) at slot i.
+func (e *Engine) relinkAge(i int32) {
+	cn := &e.conns[i]
+	if cn.older >= 0 {
+		e.conns[cn.older].younger = i
+	}
+	if cn.younger >= 0 {
+		e.conns[cn.younger].older = i
+	} else {
+		e.youngest = i
+	}
 }
 
 // Connection returns a connection's bandwidth, origin and entry time.

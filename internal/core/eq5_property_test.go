@@ -12,8 +12,8 @@ import (
 
 // eq5PropTolerance is the divergence the property tests allow between
 // the view and the from-scratch walk: none. The view is bit-exact by
-// construction and the golden corpus demands it; audit.Eq5Tolerance
-// keeps its looser runtime bound.
+// construction and the golden corpus demands it; audit.Eq5Tolerance,
+// the runtime bound, is zero too.
 const eq5PropTolerance = 0
 
 // TestPropertyEq5Incremental drives an engine through long random

@@ -34,6 +34,12 @@ import (
 //     edge (nextLo/nextHi); staleness is evaluated with the *same float
 //     expressions* the searches consume (ext := now − enteredAt
 //     clamped; ext+test), so there is no ulp hazard.
+//   - A rebuild or a column's first materialization reads those search
+//     indices by sweeping: it visits the connections youngest first
+//     (eq5Sweep), in non-decreasing extant sojourn, and the estimator's
+//     sweep queries advance per-pair cursors instead of searching. A
+//     cursor's position is the index the search would return, so every
+//     value and guard is the same.
 //   - The estimator generation is the other invalidation axis: the view
 //     is built under predict.EnsureCurrent(now) — after which no lazy
 //     selection rebuild can fire at that timestamp — and any later
@@ -128,10 +134,13 @@ func (e *Engine) eq5Current(now, test float64, est *predict.Estimator) bool {
 // eviction, or a windowed-selection drift rebuild at the new timestamp —
 // the cached terms were computed against a dead selection and the view
 // must be rebuilt from scratch. Otherwise every connection's guards are
-// checked with the exact float expressions the estimator's binary
-// searches consume; connections whose extant sojourn or its +test edge
-// reached a guard get their base state, guards, and materialized term
-// columns refreshed, and the direction sums are lazily re-accumulated.
+// checked with the exact float expressions the estimator's queries
+// consume; connections whose extant sojourn or its +test edge reached a
+// guard get their base state, guards, and materialized term columns
+// refreshed, and the direction sums are lazily re-accumulated. The
+// scan runs in table order, which keeps it sequential; each refresh's
+// sweep queries start from wherever the last query left the cursors
+// (a binary search when that is past the row's extant sojourn).
 // When no guard expired the finished sums remain valid as-is: every
 // cached term is bit-identical to the from-scratch term at the new
 // timestamp. Called under the engine lock.
@@ -161,8 +170,8 @@ func (e *Engine) eq5Advance(now float64, est *predict.Estimator) bool {
 }
 
 // eq5GuardAt reports whether connection i's cached guards hold at
-// timestamp t, using the exact float expressions the estimator's binary
-// searches consume.
+// timestamp t, using the exact float expressions the estimator's
+// queries consume.
 func (e *Engine) eq5GuardAt(i int, t float64) bool {
 	cn := &e.conns[i]
 	ext := eq5Ext(t, cn)
@@ -184,24 +193,16 @@ func eq5Ext(t float64, cn *conn) float64 {
 // materialized term-column entries at the view's current timestamp.
 // The caller clears the direction sums. Called under the engine lock.
 func (e *Engine) eq5Refresh(i int) {
-	c := &e.eq5
-	c.refreshes++
-	e.eq5Base(i)
-	for t := 1; t < len(c.termsDone); t++ {
-		if c.termsDone[t] {
-			e.eq5Cell(i, t)
-		}
-	}
+	e.eq5.refreshes++
+	e.eq5Row(i, 0)
 }
 
 // eq5Rebuild builds the view from scratch for (now, test, est) and
-// answers the requesting direction in one fused walk: each connection's
-// base state is computed and its term toward the requested direction
-// materialized and accumulated immediately, so a key queried exactly
-// once costs a single pass over the table like the from-scratch walk.
-// The estimator is pinned with EnsureCurrent before the walk, so no lazy
-// selection rebuild can move the generation mid-build. Called under the
-// engine lock.
+// answers the requesting direction: one sweep computes every
+// connection's base state and its term toward the requested direction,
+// then the column is summed in table order. The estimator is pinned
+// with EnsureCurrent before the sweep, so no lazy selection rebuild can
+// move the generation mid-build. Called under the engine lock.
 func (e *Engine) eq5Rebuild(now, test float64, est *predict.Estimator, toward topology.LocalIndex) float64 {
 	c := &e.eq5
 	c.rebuilds++
@@ -220,41 +221,128 @@ func (e *Engine) eq5Rebuild(now, test float64, est *predict.Estimator, toward to
 	clear(c.termsDone)
 	t := int(toward)
 	col := t >= 1 && t < d
-	sum := 0.0
-	for i := range n {
-		e.eq5Base(i)
-		if col {
-			sum += e.eq5Cell(i, t)
-		} else {
+	if col {
+		c.termsDone[t] = true
+	}
+	e.eq5Sweep(0)
+	if !col {
+		// Out-of-range direction (never a live neighbor): no column to
+		// keep; answer from eq5Term.
+		sum := 0.0
+		for i := range n {
 			v, _ := e.eq5Term(i, toward)
 			sum += v
 		}
+		return sum
 	}
-	if col {
-		c.sums[t] = sum
-		c.done[t] = true
-		c.termsDone[t] = true
+	c.sums[t] = e.eq5Sum(t)
+	c.done[t] = true
+	return c.sums[t]
+}
+
+// eq5Sweep applies eq5Row(i, t) to every connection, youngest first —
+// in non-decreasing extant sojourn, so each (prev, next) pair's sweep
+// cursors in the estimator only move forward and the sweep merges the
+// pair's selected sojourns once instead of binary searching them per
+// connection. Called under the engine lock.
+func (e *Engine) eq5Sweep(t int) {
+	for i := e.youngest; i >= 0; i = e.conns[i].older {
+		e.eq5Row(int(i), t)
+	}
+}
+
+// eq5Row recomputes connection i at the view's timestamp: with t = 0
+// its base state, guards and term in every materialized column, with
+// t ≥ 1 its term in column t alone. A hint-less connection takes them
+// from the estimator's sweep queries (predict.SweepNext,
+// SweepHandOffNext), which answer bit for bit what SurvivorWeightNext
+// and HandOffWeightNext answer; a hinted one from eq5Base and eq5Cell.
+// The view's estimator is current at its timestamp (eq5Rebuild and
+// eq5Advance pin it, and eq5Current checks the generation since).
+// Fresh guards hold strictly at the view's timestamp, which is what
+// verifyEq5Locked checks.
+func (e *Engine) eq5Row(i, t int) {
+	c := &e.eq5
+	cn := &e.conns[i]
+	d := len(c.termsDone)
+	if cn.nextCell() != NoHint {
+		if t != 0 {
+			e.eq5Cell(i, t)
+			return
+		}
+		e.eq5Base(i)
+		for u := 1; u < d; u++ {
+			if c.termsDone[u] {
+				e.eq5Cell(i, u)
+			}
+		}
+		return
+	}
+	ext := eq5Ext(c.now, cn)
+	if t != 0 {
+		w, hi := c.est.SweepHandOffNext(cn.prev, topology.LocalIndex(t), ext, c.test)
+		e.eq5Put(i, t, w, hi)
+		return
+	}
+	// The base state comes fused with the first materialized column's
+	// numerator (with none, the numerator toward d goes unused).
+	t = 1
+	for t < d && !c.termsDone[t] {
+		t++
+	}
+	first := t
+	var w, hi float64
+	cn.den, cn.nextLo, w, hi = c.est.SweepNext(cn.prev, topology.LocalIndex(t), ext, c.test)
+	cn.nextHi = math.Inf(1)
+	for ; t < d; t++ {
+		if !c.termsDone[t] {
+			continue
+		}
+		if t != first {
+			w, hi = c.est.SweepHandOffNext(cn.prev, topology.LocalIndex(t), ext, c.test)
+		}
+		e.eq5Put(i, t, w, hi)
+	}
+}
+
+// eq5Put stores connection i's term in column t from its Eq. 4
+// numerator w and the numerator's upper-edge guard hi, with eq5Term's
+// arithmetic, and tightens the connection's guard by it.
+func (e *Engine) eq5Put(i, t int, w, hi float64) {
+	cn := &e.conns[i]
+	p := 0.0
+	if cn.den != 0 {
+		// A never-seen (prev, toward) pair yields weight 0 and p = +0,
+		// exactly like the scalar HandOffProb query.
+		p = w / cn.den
+		cn.nextHi = min(cn.nextHi, hi)
+	}
+	e.eq5.row(i)[t] = float64(cn.min) * p
+}
+
+// eq5Sum accumulates column t over the table in table order, the order
+// eq5Scratch adds in.
+func (e *Engine) eq5Sum(t int) float64 {
+	c := &e.eq5
+	d := len(c.termsDone)
+	sum := 0.0
+	for i := range e.conns {
+		sum += c.terms[i*d+t]
 	}
 	return sum
 }
 
-// eq5Base fills table slot i's base state and guards at the view's
-// current timestamp; nextHi starts from what the base state itself
-// reads, and eq5Cell tightens it per materialized term. Fresh guards
-// hold strictly at the view's timestamp, which is what verifyEq5Locked
-// checks.
+// eq5Base fills hinted table slot i's base state and guards at the
+// view's current timestamp: the §7 sojourn probability, and nextHi
+// from the group-wide search, since SojournProb's fallback reads every
+// pair.
 func (e *Engine) eq5Base(i int) {
 	c := &e.eq5
 	cn := &e.conns[i]
 	ext := eq5Ext(c.now, cn)
-	if cn.hint != NoHint {
-		_, cn.nextLo = c.est.SurvivorWeightNext(c.now, cn.prev, ext)
-		_, cn.nextHi = c.est.SurvivorWeightNext(c.now, cn.prev, ext+c.test)
-		cn.den = c.est.SojournProb(c.now, cn.prev, cn.hint, ext, c.test)
-		return
-	}
-	cn.den, cn.nextLo = c.est.SurvivorWeightNext(c.now, cn.prev, ext)
-	cn.nextHi = math.Inf(1)
+	_, cn.nextLo = c.est.SurvivorWeightNext(c.now, cn.prev, ext)
+	_, cn.nextHi = c.est.SurvivorWeightNext(c.now, cn.prev, ext+c.test)
+	cn.den = c.est.SojournProb(c.now, cn.prev, cn.nextCell(), ext, c.test)
 }
 
 // eq5Term returns connection i's Eq. 5 term toward one direction at the
@@ -265,16 +353,14 @@ func (e *Engine) eq5Term(i int, toward topology.LocalIndex) (v, hi float64) {
 	c := &e.eq5
 	cn := &e.conns[i]
 	b := float64(cn.min)
-	if cn.hint != NoHint {
-		if cn.hint == toward {
+	if cn.nextCell() != NoHint {
+		if cn.nextCell() == toward {
 			return b * cn.den, math.Inf(1)
 		}
 		return 0, math.Inf(1)
 	}
 	p, hi := 0.0, math.Inf(1)
 	if cn.den != 0 {
-		// A never-seen (prev, toward) pair yields weight 0 and p = +0,
-		// exactly like the scalar HandOffProb query.
 		var w float64
 		w, hi = c.est.HandOffWeightNext(c.now, cn.prev, toward, eq5Ext(c.now, cn), c.test)
 		p = w / cn.den
@@ -282,26 +368,25 @@ func (e *Engine) eq5Term(i int, toward topology.LocalIndex) (v, hi float64) {
 	return b * p, hi
 }
 
-// eq5Cell materializes connection i's term in column t, tightens its
-// upper-edge guard by it and returns it.
-func (e *Engine) eq5Cell(i, t int) float64 {
+// eq5Cell materializes connection i's term in column t and tightens its
+// upper-edge guard by it.
+func (e *Engine) eq5Cell(i, t int) {
 	v, hi := e.eq5Term(i, topology.LocalIndex(t))
 	cn := &e.conns[i]
 	cn.nextHi = min(cn.nextHi, hi)
 	e.eq5.row(i)[t] = v
-	return v
 }
 
 // eq5Accumulate answers one direction from the view: the term column is
-// materialized on first use and the sum accumulated over it in table
-// order, matching eq5Scratch. Called under the engine lock.
+// materialized by a sweep on first use and the sum accumulated over it
+// in table order, matching eq5Scratch. Called under the engine lock.
 func (e *Engine) eq5Accumulate(toward topology.LocalIndex) float64 {
 	c := &e.eq5
-	t, d := int(toward), len(c.termsDone)
-	sum := 0.0
-	if t < 1 || t >= d {
+	t := int(toward)
+	if t < 1 || t >= len(c.termsDone) {
 		// Out-of-range direction (never a live neighbor): answer without
 		// touching the view's column state.
+		sum := 0.0
 		for i := range e.conns {
 			v, _ := e.eq5Term(i, toward)
 			sum += v
@@ -309,15 +394,10 @@ func (e *Engine) eq5Accumulate(toward topology.LocalIndex) float64 {
 		return sum
 	}
 	if !c.termsDone[t] {
-		for i := range e.conns {
-			e.eq5Cell(i, t)
-		}
+		e.eq5Sweep(t)
 		c.termsDone[t] = true
 	}
-	for i := range e.conns {
-		sum += c.terms[i*d+t]
-	}
-	return sum
+	return e.eq5Sum(t)
 }
 
 // eq5Extend incorporates the connection just appended at table slot i
@@ -343,16 +423,12 @@ func (e *Engine) eq5Extend(i int, now float64) {
 		c.invalidate()
 		return
 	}
-	e.eq5Base(i)
 	d := len(c.termsDone)
 	c.terms = slices.Grow(c.terms[:i*d], d)[:(i+1)*d]
+	e.eq5Row(i, 0)
 	for t := 1; t < d; t++ {
-		if !c.termsDone[t] {
-			continue
-		}
-		v := e.eq5Cell(i, t)
 		if c.done[t] {
-			c.sums[t] += v
+			c.sums[t] += c.row(i)[t]
 		}
 	}
 }
@@ -391,11 +467,11 @@ func (e *Engine) eq5Scratch(now float64, toward topology.LocalIndex, test float6
 		// Reservation is made on the basis of each connection's minimum
 		// QoS (§1: integration with adaptive-QoS schemes).
 		b := float64(c.min)
-		if c.hint != NoHint {
+		if c.nextCell() != NoHint {
 			// §7 extension: the next cell is known; only the hand-off
 			// time is estimated.
-			if c.hint == toward {
-				sum += b * est.SojournProb(now, c.prev, c.hint, extSoj, test)
+			if c.nextCell() == toward {
+				sum += b * est.SojournProb(now, c.prev, c.nextCell(), extSoj, test)
 			}
 			continue
 		}
@@ -424,10 +500,11 @@ func (e *Engine) Eq5CacheStats() (hits, misses uint64) {
 // evaluation, and every connection's staleness guards (a guard that no
 // longer holds means an advance failed to refresh the connection —
 // reported as an infinite divergence, since the cached state is then
-// untrustworthy regardless of its current numeric luck). internal/audit
-// wires this into the invariant sweep with a 1e-9 tolerance, keeping
-// the incremental fast path honest against the retained from-scratch
-// path.
+// untrustworthy regardless of its current numeric luck); an age order
+// that does not visit every row once, youngest first, reports the same.
+// internal/audit wires this into the invariant sweep with zero
+// tolerance, keeping the incremental fast path honest against the
+// retained from-scratch path.
 func (e *Engine) VerifyEq5Cache() (maxDiff float64, checked bool) {
 	if e.patterns == nil {
 		return 0, false
@@ -467,9 +544,10 @@ func (e *Engine) verifyEq5Locked() (maxDiff float64, checked bool) {
 		// no live state to certify.
 		return 0, false
 	}
-	// Layer 1: the term block has a row per connection, and every
+	// Layer 1: the term block has a row per connection, the age order
+	// visits every row once from youngest to oldest, and every
 	// per-connection guard holds at the view's own timestamp.
-	if len(c.terms) != len(e.conns)*len(c.termsDone) {
+	if len(c.terms) != len(e.conns)*len(c.termsDone) || !e.ageOrderSound() {
 		return math.Inf(1), true
 	}
 	for i := range e.conns {
@@ -492,9 +570,9 @@ func (e *Engine) verifyEq5Locked() (maxDiff float64, checked bool) {
 			}
 			b := float64(cn.min)
 			fresh := 0.0
-			if cn.hint != NoHint {
-				if cn.hint == toward {
-					fresh = b * c.est.SojournProb(c.now, cn.prev, cn.hint, ext, c.test)
+			if cn.nextCell() != NoHint {
+				if cn.nextCell() == toward {
+					fresh = b * c.est.SojournProb(c.now, cn.prev, cn.nextCell(), ext, c.test)
 				}
 			} else {
 				fresh = b * c.est.HandOffProb(c.now, cn.prev, ext, c.test, toward)
@@ -517,4 +595,22 @@ func (e *Engine) verifyEq5Locked() (maxDiff float64, checked bool) {
 		checked = true
 	}
 	return maxDiff, checked
+}
+
+// ageOrderSound reports whether the age order the sweeps walk threads
+// every table row exactly once with non-increasing enteredAt from
+// Engine.youngest. A walk of len(conns) in-range steps whose every step
+// is mirrored by the younger link, starting at a row with no younger
+// one and ending at -1, cannot revisit a row: the first repeat would
+// need two distinct younger neighbours.
+func (e *Engine) ageOrderSound() bool {
+	n, younger := 0, int32(-1)
+	for i := e.youngest; i >= 0; i = e.conns[i].older {
+		if int(i) >= len(e.conns) || n == len(e.conns) || e.conns[i].younger != younger ||
+			(younger >= 0 && e.conns[i].enteredAt > e.conns[younger].enteredAt) {
+			return false
+		}
+		n, younger = n+1, i
+	}
+	return n == len(e.conns)
 }

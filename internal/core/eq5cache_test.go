@@ -311,9 +311,10 @@ func TestEq5RebuildGrowthAmortized(t *testing.T) {
 }
 
 // TestConnSize pins the connection record, which carries the Eq. 5
-// view's per-connection state: 64 bytes of connection plus the 24-byte
-// eq5Slot (the denominator and the two guards). A new field shows its
-// cost here before it shows in the growth of every engine's table.
+// view's per-connection state: 56 bytes of connection, the 8-byte age
+// links and the 24-byte eq5Slot (the denominator and the two guards).
+// A new field shows its cost here before it shows in the growth of
+// every engine's table.
 func TestConnSize(t *testing.T) {
 	if got := unsafe.Sizeof(conn{}); got > 88 {
 		t.Fatalf("conn is %d bytes, want ≤ 88", got)
@@ -359,7 +360,7 @@ func TestConnSpecForms(t *testing.T) {
 	if grant := e.AddConnection(11, ConnSpec{Min: 2, Max: 6, Prev: topology.Self}, 100); grant != 6 {
 		t.Fatalf("adaptive ConnSpec grant = %d, want 6", grant)
 	}
-	if c := e.conns[e.index[11]]; c.min != 2 || c.max != 6 || c.hint != NoHint {
+	if c := e.conns[e.index[11]]; c.min != 2 || c.max != 6 || c.nextCell() != NoHint {
 		t.Fatalf("adaptive ConnSpec: conn 11 = %+v, want [2,6] unhinted", c)
 	}
 }

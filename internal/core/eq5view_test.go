@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"cellqos/internal/predict"
@@ -384,5 +385,85 @@ func TestEq5ViewAdvanceAllocationFree(t *testing.T) {
 	}
 	if diff, checked := e.VerifyEq5Cache(); !checked || diff != 0 {
 		t.Fatalf("VerifyEq5Cache = (%v, %v), want (0, true)", diff, checked)
+	}
+}
+
+// ageOrderIDs lists the connection IDs in the age order the Eq. 5
+// sweeps walk, youngest first.
+func ageOrderIDs(e *Engine) []ConnID {
+	var ids []ConnID
+	for i := e.youngest; i >= 0 && len(ids) <= len(e.conns); i = e.conns[i].older {
+		ids = append(ids, e.conns[i].id)
+	}
+	return ids
+}
+
+// TestAgeOrder walks the age order's upkeep through its cases: adds
+// earlier than the youngest row, earlier than every row and tied with
+// the youngest; removals of the head and of the tail, each refilled by
+// the swap from the table's last slot, of a row whose swap partner is
+// its list neighbour, and of the only row. After each the order lists
+// the rows youngest first, and the view's answers are bit-exact.
+func TestAgeOrder(t *testing.T) {
+	e := seedEq5Engine() // 1 entered at 90, 2 at 95
+	step := func(what string, want ...ConnID) {
+		t.Helper()
+		if got := ageOrderIDs(e); !e.ageOrderSound() || !slices.Equal(got, want) {
+			t.Fatalf("after %s: age order %v (sound %v), want %v", what, got, e.ageOrderSound(), want)
+		}
+		for toward := topology.LocalIndex(1); toward <= 2; toward++ {
+			got := e.OutgoingReservation(130, toward, 30)
+			if want := e.eq5Scratch(130, toward, 30, e.patterns.Estimator(130)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("after %s: view %v != from-scratch %v toward %d", what, got, want, toward)
+			}
+		}
+		if diff, checked := e.VerifyEq5Cache(); checked && diff != 0 {
+			t.Fatalf("after %s: VerifyEq5Cache divergence %v", what, diff)
+		}
+	}
+	step("seeding", 2, 1)
+	e.AddConnection(3, ConnSpec{Min: 1, Prev: 2}, 93)
+	step("an add earlier than the youngest", 2, 3, 1)
+	e.AddConnection(4, ConnSpec{Min: 3, Prev: 1, Hint: 2}, 80)
+	step("an add earlier than every row", 2, 3, 1, 4)
+	e.AddConnection(5, ConnSpec{Min: 2, Prev: topology.Self}, 95)
+	step("an add tied with the youngest", 5, 2, 3, 1, 4)
+	e.RemoveConnection(2) // slots: 1, 2, 3, 4, 5; the last (5) moves into 2's
+	e.RemoveConnection(5) // the head, refilled by the last slot (4, the tail)
+	step("removing the head", 3, 1, 4)
+	e.RemoveConnection(4) // the tail, refilled by the last slot (3, the head)
+	step("removing the tail", 3, 1)
+	e.RemoveConnection(1) // its swap partner, 3, is its younger neighbour
+	step("removing a row next to its swap partner", 3)
+	e.RemoveConnection(3)
+	if e.youngest != -1 {
+		t.Fatalf("empty table: youngest = %d, want -1", e.youngest)
+	}
+	step("removing the only row")
+	e.AddConnection(6, ConnSpec{Min: 1, Prev: 1}, 120)
+	step("an add to the empty table", 6)
+}
+
+// TestPropertyAgeOrder drives random adds, at times on both sides of
+// the youngest row's, and random removals, and holds the age order to
+// the table after every step: every row once, youngest first.
+func TestPropertyAgeOrder(t *testing.T) {
+	r := rand.New(rand.NewPCG(0xA6E, 39))
+	e := seedEq5Engine()
+	var live []ConnID
+	for step, id := 0, ConnID(10); step < 2000; step++ {
+		if len(live) == 0 || len(live) < 40 && r.IntN(2) == 0 {
+			e.AddConnection(id, ConnSpec{Min: 1, Prev: topology.LocalIndex(r.IntN(3))}, float64(r.IntN(40)))
+			live = append(live, id)
+			id++
+		} else {
+			k := r.IntN(len(live))
+			e.RemoveConnection(live[k])
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		if !e.ageOrderSound() || len(ageOrderIDs(e)) != len(e.conns) {
+			t.Fatalf("step %d: age order %v does not thread the %d rows youngest first", step, ageOrderIDs(e), len(e.conns))
+		}
 	}
 }

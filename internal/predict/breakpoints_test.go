@@ -114,6 +114,86 @@ func checkNextAt(t *testing.T, e *Estimator, t0 float64, prev topology.LocalInde
 	}
 }
 
+// checkSweep holds the sweep queries to the searches they replace: for
+// each window in tests it visits exts in order and, at each, asks
+// SweepNext and SweepHandOffNext toward every direction 0..maxNext,
+// never-seen pairs included; both must return SurvivorWeightNext's and
+// HandOffWeightNext's values bit for bit. When exts is non-decreasing,
+// no cursor of prev's group may move backward after a window's first
+// extant sojourn: the sweep merges instead of searching.
+func checkSweep(t *testing.T, e *Estimator, t0 float64, prev topology.LocalIndex, exts, tests []float64, maxNext topology.LocalIndex) {
+	t.Helper()
+	bits := math.Float64bits
+	var pairs []*pairData
+	if g := e.group(prev); g != nil {
+		pairs = g.pairs
+	}
+	cursors := func() []int32 {
+		var cs []int32
+		for _, p := range pairs {
+			cs = append(cs, p.lo, p.hi)
+		}
+		return cs
+	}
+	ascending := slices.IsSorted(exts)
+	for _, test := range tests {
+		var last []int32
+		for k, ext := range exts {
+			den, next := e.SurvivorWeightNext(t0, prev, ext)
+			for to := topology.LocalIndex(0); to <= maxNext; to++ {
+				w, hi := e.HandOffWeightNext(t0, prev, to, ext, test)
+				sden, snext, sw, shi := e.SweepNext(prev, to, ext, test)
+				if bits(sden) != bits(den) || bits(snext) != bits(next) || bits(sw) != bits(w) || bits(shi) != bits(hi) {
+					t.Fatalf("prev %d -> %d ext %v test %v: SweepNext = (%v, %v, %v, %v), searches (%v, %v, %v, %v)",
+						prev, to, ext, test, sden, snext, sw, shi, den, next, w, hi)
+				}
+				if hw, hhi := e.SweepHandOffNext(prev, to, ext, test); bits(hw) != bits(w) || bits(hhi) != bits(hi) {
+					t.Fatalf("prev %d -> %d ext %v test %v: SweepHandOffNext = (%v, %v), HandOffWeightNext (%v, %v)",
+						prev, to, ext, test, hw, hhi, w, hi)
+				}
+			}
+			now := cursors()
+			if ascending && k > 0 {
+				for i := range now {
+					if now[i] < last[i] {
+						t.Fatalf("prev %d test %v: a cursor moved back from %d to %d at ext %v in an ascending sweep %v",
+							prev, test, last[i], now[i], ext, exts)
+					}
+				}
+			}
+			last = now
+		}
+	}
+}
+
+// TestSweepMatchesSearches holds the sweep queries to the searches over
+// random groups of 1–7 pairs with tied sojourns and emptied pairs:
+// ascending extant sojourns with repeats, on, between and past the
+// selected sojourns (and one so large that adding the window leaves it
+// unchanged), windows of 0 and more, directions never seen; then the
+// same extant sojourns shuffled, where the cursors must rewind.
+func TestSweepMatchesSearches(t *testing.T) {
+	r := rand.New(rand.NewPCG(0x5EE9, 39))
+	for trial := 0; trial < 300; trial++ {
+		k := 1 + r.IntN(7)
+		e, event := randomGroup(r, k)
+		e.EnsureCurrent(event)
+		exts := make([]float64, 1+r.IntN(30))
+		for i := range exts {
+			exts[i] = float64(r.IntN(21)) / 4
+		}
+		if r.IntN(4) == 0 {
+			exts = append(exts, 1e17)
+		}
+		slices.Sort(exts)
+		tests := []float64{0, float64(1+r.IntN(8)) / 2, r.Float64() * 6}
+		checkSweep(t, e, event, 1, exts, tests, topology.LocalIndex(k+1))
+		r.Shuffle(len(exts), func(i, j int) { exts[i], exts[j] = exts[j], exts[i] })
+		checkSweep(t, e, event, 1, exts, tests[1:2], topology.LocalIndex(k+1))
+		checkSweep(t, e, event, 2, exts, tests, 2) // unseen prev
+	}
+}
+
 // TestNextQueriesSmallGroup checks the two guard-returning queries on a
 // hand-made group, on and between its sojourns, for an unseen prev and
 // an unseen pair, and that they allocate nothing.

@@ -173,6 +173,12 @@ type pairData struct {
 	builtAt  float64
 	hasIndex bool
 	maxSoj   float64 // largest selected sojourn
+
+	// The sweep queries' cursors (SweepNext): where the pair's last
+	// search at an extant sojourn (lo) and at extant sojourn + window
+	// (hi) landed in sojSorted. They only say where the next search
+	// starts; seek lands on firstAbove whatever they hold.
+	lo, hi int32
 }
 
 // totalWeight is the selected weight mass of the pair.
@@ -198,6 +204,22 @@ func firstAbove(s []float64, x float64) int {
 		}
 	}
 	return lo
+}
+
+// seek returns firstAbove(s, x), starting from i, where the previous
+// seek over s landed. Over a run of non-decreasing x the position only
+// steps forward, once per sojourn it passes, so the run costs O(len(s))
+// in all instead of a binary search per x; an x below s[i-1], or an i
+// past the end of a selection that shrank since, takes the binary
+// search.
+func seek(s []float64, i int, x float64) int {
+	if i > len(s) || i > 0 && s[i-1] > x {
+		return firstAbove(s, x)
+	}
+	for i < len(s) && s[i] <= x {
+		i++
+	}
+	return i
 }
 
 // weightAbove returns the selected weight with sojourn strictly greater
@@ -722,6 +744,61 @@ func (e *Estimator) HandOffWeightNext(t0 float64, prev, next topology.LocalIndex
 		return 0, p.sojournAt(j) // weightIn's empty interval
 	}
 	return p.weightAbove(extSoj) - p.weightFrom(j), p.sojournAt(j)
+}
+
+// SweepNext answers SurvivorWeightNext(t0, prev, extSoj) as (den, lo)
+// and HandOffWeightNext(t0, prev, next, extSoj, test) as (w, hi) in one
+// call, bit for bit, where t0 is the time of the last EnsureCurrent: it
+// refreshes no selection, so the caller pins the estimator first and
+// calls nothing that bumps the generation in between. Each pair's
+// search starts from where the pair's previous sweep query left it (see
+// seek): a caller that visits its connections in non-decreasing extant
+// sojourn — core's Eq. 5 view, youngest connection first — merges the
+// group's selected sojourns once per sweep instead of binary searching
+// them per connection. Any order gives the same answers.
+func (e *Estimator) SweepNext(prev, next topology.LocalIndex, extSoj, test float64) (den, lo, w, hi float64) {
+	lo = math.Inf(1)
+	g := e.group(prev)
+	if g == nil {
+		return 0, lo, 0, lo
+	}
+	for _, p := range g.pairs {
+		i := seek(p.sojSorted, int(p.lo), extSoj)
+		p.lo = int32(i)
+		den += p.weightFrom(i)
+		lo = min(lo, p.sojournAt(i))
+	}
+	w, hi = g.sweepHandOff(next, extSoj, test)
+	return den, lo, w, hi
+}
+
+// SweepHandOffNext is SweepNext's (w, hi) alone: HandOffWeightNext(t0,
+// prev, next, extSoj, test) bit for bit, under SweepNext's contract,
+// for a caller that holds the denominator already.
+func (e *Estimator) SweepHandOffNext(prev, next topology.LocalIndex, extSoj, test float64) (w, hi float64) {
+	g := e.group(prev)
+	if g == nil {
+		return 0, math.Inf(1)
+	}
+	return g.sweepHandOff(next, extSoj, test)
+}
+
+// sweepHandOff is HandOffWeightNext's arithmetic on the (prev, next)
+// pair's cursors.
+func (g *prevGroup) sweepHandOff(next topology.LocalIndex, extSoj, test float64) (w, hi float64) {
+	if next < 0 || int(next) >= len(g.byNext) || g.byNext[next] == nil {
+		return 0, math.Inf(1)
+	}
+	p := g.byNext[next]
+	up := extSoj + test
+	j := seek(p.sojSorted, int(p.hi), up)
+	p.hi = int32(j)
+	if up <= extSoj {
+		return 0, p.sojournAt(j) // weightIn's empty interval
+	}
+	i := seek(p.sojSorted, int(p.lo), extSoj)
+	p.lo = int32(i)
+	return p.weightFrom(i) - p.weightFrom(j), p.sojournAt(j)
 }
 
 // SojournProb evaluates the conditional sojourn distribution for a

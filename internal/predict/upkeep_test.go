@@ -120,8 +120,9 @@ func (d *upkeepDriver) record(q Quadruplet) {
 
 // check compares every index that claims to be current with the oracle,
 // then holds the guard-returning queries to theirs (checkNextQueries)
-// on every prev-group whose pairs are all current, where querying
-// rebuilds nothing and so leaves the op stream's state alone.
+// and the sweep queries to the searches (checkSweep) on every
+// prev-group whose pairs are all current, where querying rebuilds
+// nothing and so leaves the op stream's state alone.
 func (d *upkeepDriver) check() {
 	for prev := range topology.LocalIndex(2) {
 		g := d.e.group(prev)
@@ -130,6 +131,7 @@ func (d *upkeepDriver) check() {
 		}
 		gen := d.e.Generation()
 		checkNextQueries(d.t, d.e, d.now, prev, []float64{0, 2.5, 11.25}, []float64{4.5, 40}, 3)
+		checkSweep(d.t, d.e, d.now, prev, []float64{0, 2.5, 2.5, 9, 40, 41}, []float64{0, 4.5}, 3)
 		if g := d.e.Generation(); g != gen {
 			d.t.Fatalf("queries on a current group moved the generation %d -> %d", gen, g)
 		}
