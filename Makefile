@@ -12,7 +12,7 @@ vet:
 	$(GO) vet ./...
 
 # lint is the full static-analysis gate: stock go vet and gofmt -l
-# (testdata fixtures excluded; any file it names fails), then the eight
+# (testdata fixtures excluded; any file it names fails), then the nine
 # repo-specific analyzers (see the DESIGN.md §12 table) swept
 # module-wide in one process — any finding fails, and the only way to
 # accept one is a justified //cellqos:allow at the site — then

@@ -143,20 +143,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	// links tracks each node's peer links as we create them: BSNode
-	// doesn't expose its link map, and the frame counts come from here.
-	links := map[*signaling.BSNode][]*signaling.Peer{}
-
 	var mscLinks []*signaling.Peer
 	switch *mode {
 	case "mesh":
-		if err := wireMeshTCP(top, nodes, links, inj); err != nil {
+		if err := wireMeshTCP(top, nodes, inj); err != nil {
 			fmt.Fprintf(stderr, "bsnet: %v\n", err)
 			return 1
 		}
 	case "star":
 		msc := signaling.NewMSC()
-		ml, err := wireStarTCP(nodes, msc, links, inj)
+		ml, err := wireStarTCP(nodes, msc, inj)
 		if err != nil {
 			fmt.Fprintf(stderr, "bsnet: %v\n", err)
 			return 1
@@ -167,6 +163,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	fmt.Fprintf(stdout, "wired %d base stations over TCP (%s)\n", *cells, *mode)
+	// links returns a BS's links: one per neighbour in a mesh, its MSC
+	// uplink in a star.
+	links := func(n *signaling.BSNode) []*signaling.Peer {
+		if *mode == "star" {
+			return []*signaling.Peer{n.Link(signaling.MSCNode)}
+		}
+		var ps []*signaling.Peer
+		for _, nb := range top.Neighbors(n.ID()) {
+			ps = append(ps, n.Link(signaling.NodeID(nb)))
+		}
+		return ps
+	}
 	if faulty {
 		fmt.Fprintf(stdout, "fault injection: drop=%.2f corrupt=%.2f delay=%s partition=%d fallback=%s seed=%d\n",
 			*faultDrop, *faultCorrupt, *faultDelay, *faultPartition, *faultFallback, *faultSeed)
@@ -238,7 +246,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tb := stats.NewTable("Cell", "Bu", "Br", "frames-sent")
 	for ci, n := range nodes {
 		frames := uint64(0)
-		for _, p := range links[n] {
+		for _, p := range links(n) {
 			frames += p.Stats().Sent.Load()
 		}
 		tb.AddRowStrings(fmt.Sprintf("%d", ci+1),
@@ -268,7 +276,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			remoteErrs += n.RemoteErrors()
 			degBr += n.Engine().DegradedBrCalcs()
 			degAdm += n.Engine().DegradedAdmissions()
-			for _, p := range links[n] {
+			for _, p := range links(n) {
 				retries += p.Stats().Retries.Load()
 				timeouts += p.Stats().Timeouts.Load()
 				if b := p.Breaker(); b != nil {
@@ -292,13 +300,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // wireTraffic totals the frames and bytes sent so far on every link of
 // the deployment: each BS's links and, in a star, the MSC's.
-func wireTraffic(nodes []*signaling.BSNode, links map[*signaling.BSNode][]*signaling.Peer, mscLinks []*signaling.Peer) (frames, bytes uint64) {
+func wireTraffic(nodes []*signaling.BSNode, links func(*signaling.BSNode) []*signaling.Peer, mscLinks []*signaling.Peer) (frames, bytes uint64) {
 	add := func(p *signaling.Peer) {
 		frames += p.Stats().Sent.Load()
 		bytes += p.Stats().BytesSent.Load()
 	}
 	for _, n := range nodes {
-		for _, p := range links[n] {
+		for _, p := range links(n) {
 			add(p)
 		}
 	}
@@ -351,9 +359,8 @@ func (in *injector) wrap(owner int, conn io.ReadWriteCloser) io.ReadWriteCloser 
 	return l
 }
 
-// wireMeshTCP connects every neighboring pair over loopback TCP,
-// recording each created link in links.
-func wireMeshTCP(top *topology.Topology, nodes []*signaling.BSNode, links map[*signaling.BSNode][]*signaling.Peer, inj *injector) error {
+// wireMeshTCP connects every neighboring pair over loopback TCP.
+func wireMeshTCP(top *topology.Topology, nodes []*signaling.BSNode, inj *injector) error {
 	for a := 0; a < len(nodes); a++ {
 		for _, nb := range top.Neighbors(topology.CellID(a)) {
 			if int(nb) <= a {
@@ -364,8 +371,7 @@ func wireMeshTCP(top *topology.Topology, nodes []*signaling.BSNode, links map[*s
 				return err
 			}
 			// The accept goroutine only performs the handshake; both
-			// Attach calls and links writes stay on this goroutine so
-			// the map is never touched concurrently.
+			// Attach calls stay on this goroutine.
 			type handshake struct {
 				remote signaling.NodeID
 				conn   net.Conn
@@ -385,12 +391,12 @@ func wireMeshTCP(top *topology.Topology, nodes []*signaling.BSNode, links map[*s
 			if err != nil {
 				return err
 			}
-			links[nodes[nb]] = append(links[nodes[nb]], nodes[nb].Attach(signaling.NodeID(a), inj.wrap(int(nb), conn)))
+			nodes[nb].Attach(signaling.NodeID(a), inj.wrap(int(nb), conn))
 			h := <-acc
 			if h.err != nil {
 				return h.err
 			}
-			links[nodes[a]] = append(links[nodes[a]], nodes[a].Attach(h.remote, inj.wrap(a, h.conn)))
+			nodes[a].Attach(h.remote, inj.wrap(a, h.conn))
 			ln.Close()
 		}
 	}
@@ -398,11 +404,11 @@ func wireMeshTCP(top *topology.Topology, nodes []*signaling.BSNode, links map[*s
 }
 
 // wireStarTCP connects every BS to an in-process MSC over loopback TCP,
-// recording each BS-side link in links. Faults are injected on the BS
-// side of each uplink only — the MSC side is attached from the accept
+// returning the MSC-side links. Faults are injected on the BS side of
+// each uplink only — the MSC side is attached from the accept
 // goroutine, and one faulty end per pipe already exercises both
 // directions of every relayed query.
-func wireStarTCP(nodes []*signaling.BSNode, msc *signaling.MSC, links map[*signaling.BSNode][]*signaling.Peer, inj *injector) ([]*signaling.Peer, error) {
+func wireStarTCP(nodes []*signaling.BSNode, msc *signaling.MSC, inj *injector) ([]*signaling.Peer, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -431,7 +437,7 @@ func wireStarTCP(nodes []*signaling.BSNode, msc *signaling.MSC, links map[*signa
 		if err != nil {
 			return nil, err
 		}
-		links[n] = append(links[n], n.Attach(signaling.MSCNode, inj.wrap(int(n.ID()), conn)))
+		n.Attach(signaling.MSCNode, inj.wrap(int(n.ID()), conn))
 	}
 	if err := <-done; err != nil {
 		return nil, err

@@ -1,9 +1,9 @@
 // Command cellqos-vet sweeps packages with the repo's custom
 // go/analysis suite (internal/analysis/suite): nodeterm, maporderflow,
-// peervalue, genepoch, policycontract, shardsafe, crashorder and
-// allowstale — the machine-checked forms of the determinism,
-// degradation, policy-contract and crash-ordering invariants DESIGN.md
-// §12 documents.
+// peervalue, genepoch, policycontract, shardsafe, crashorder, unreached
+// and allowstale — the machine-checked forms of the determinism,
+// degradation, policy-contract, crash-ordering and production-surface
+// invariants DESIGN.md §12 documents.
 //
 //	cellqos-vet [packages]
 //

@@ -22,7 +22,7 @@
 // which directive entries fired. The driver audits the ledger after the
 // other analyzers ran, but only when this analyzer — recognized by
 // analysis.AllowStaleName — is in the set, so a fixture run of one
-// analyzer never condemns annotations aimed at the other seven. Both
+// analyzer never condemns annotations aimed at the other eight. Both
 // real drivers (cmd/cellqos-vet, suite.TestRepoSweepClean) run the
 // whole suite, so there "the run" is every analyzer that exists.
 //

@@ -13,11 +13,11 @@
 // analyzer ports by changing one import line.
 //
 // Analyzers live in subpackages (nodeterm, maporderflow, peervalue,
-// genepoch, policycontract, shardsafe, crashorder, allowstale — see
-// suite.Analyzers for the full set) and are driven either by
-// cmd/cellqos-vet, which sweeps whole packages loaded by Load, or by
-// the analysistest fixture harness. Shared dataflow and callgraph
-// helpers live in the flow subpackage.
+// genepoch, policycontract, shardsafe, crashorder, unreached,
+// allowstale — see suite.Analyzers for the full set) and are driven
+// either by cmd/cellqos-vet, which sweeps whole packages loaded by
+// Load, or by the analysistest fixture harness. Shared dataflow and
+// callgraph helpers live in the flow subpackage.
 package analysis
 
 import (
@@ -40,6 +40,10 @@ type Analyzer struct {
 	Doc string
 	// Run applies the analyzer to one package.
 	Run func(*Pass) (any, error)
+	// RunModule, set instead of Run, applies the analyzer once to every
+	// package of the run together: for a check whose verdict on one
+	// package depends on what the others reference (unreached).
+	RunModule func(*ModulePass) error
 }
 
 // A Pass connects an Analyzer to the single package being analyzed.
@@ -57,6 +61,14 @@ type Pass struct {
 // Reportf reports a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+}
+
+// A ModulePass hands a module-level analyzer every package of the run.
+// Report takes the package a diagnostic's position belongs to, since
+// each loaded package has its own file set and allow index.
+type ModulePass struct {
+	Pkgs   []*Package
+	Report func(*Package, Diagnostic)
 }
 
 // A Diagnostic is one finding within the package under analysis.
@@ -256,8 +268,10 @@ func (idx *AllowIndex) staleFindings(fset *token.FileSet, executed map[string]bo
 }
 
 // RunAnalyzers applies every analyzer to every package and returns the
-// unsuppressed findings sorted by position. Analyzer errors abort the
-// run — a broken analyzer must not pass silently as "no findings".
+// unsuppressed findings sorted by position. An analyzer with RunModule
+// runs once over all packages after the per-package ones. Analyzer
+// errors abort the run — a broken analyzer must not pass silently as
+// "no findings".
 //
 // When the set includes the allowstale analyzer (by name), the driver
 // additionally audits each package's //cellqos:allow directives after
@@ -266,41 +280,54 @@ func (idx *AllowIndex) staleFindings(fset *token.FileSet, executed map[string]bo
 // becomes an allowstale finding.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	executed := map[string]bool{}
-	auditAllows := false
 	for _, a := range analyzers {
 		executed[a.Name] = true
-		if a.Name == AllowStaleName {
-			auditAllows = true
-		}
 	}
+	idx := make(map[*Package]*AllowIndex, len(pkgs))
 	var findings []Finding
+	report := func(name string, pkg *Package, d Diagnostic) {
+		if idx[pkg].Suppressed(pkg.Fset, name, d.Pos) {
+			return
+		}
+		findings = append(findings, Finding{
+			Analyzer: name,
+			Posn:     pkg.Fset.Position(d.Pos),
+			Message:  d.Message,
+		})
+	}
 	for _, pkg := range pkgs {
-		idx := BuildAllowIndex(pkg.Fset, pkg.Files)
+		idx[pkg] = BuildAllowIndex(pkg.Fset, pkg.Files)
 		for _, a := range analyzers {
+			if a.Run == nil {
+				continue
+			}
+			name := a.Name
 			pass := &Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
-			}
-			name := a.Name
-			pass.Report = func(d Diagnostic) {
-				if idx.Suppressed(pkg.Fset, name, d.Pos) {
-					return
-				}
-				findings = append(findings, Finding{
-					Analyzer: name,
-					Posn:     pkg.Fset.Position(d.Pos),
-					Message:  d.Message,
-				})
+				Report:    func(d Diagnostic) { report(name, pkg, d) },
 			}
 			if _, err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.Path, err)
 			}
 		}
-		if auditAllows {
-			findings = append(findings, idx.staleFindings(pkg.Fset, executed)...)
+	}
+	for _, a := range analyzers {
+		if a.RunModule == nil {
+			continue
+		}
+		name := a.Name
+		pass := &ModulePass{Pkgs: pkgs, Report: func(pkg *Package, d Diagnostic) { report(name, pkg, d) }}
+		if err := a.RunModule(pass); err != nil {
+			return nil, fmt.Errorf("analysis: %s: %w", a.Name, err)
+		}
+	}
+	if executed[AllowStaleName] {
+		for _, pkg := range pkgs {
+			findings = append(findings, idx[pkg].staleFindings(pkg.Fset, executed)...)
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool {

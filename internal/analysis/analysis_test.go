@@ -205,7 +205,7 @@ var d = 4 //cellqos:allow toy
 func TestAllowStaleSingleAnalyzerRunsAreExempt(t *testing.T) {
 	// Without allowstale in the executed set, stale directives are not
 	// judged: a fixture run of one analyzer must not condemn
-	// annotations addressed to the other seven.
+	// annotations addressed to the other eight.
 	src := `package p
 
 var a = 1 //cellqos:allow quiet would be stale under the full suite
@@ -236,5 +236,29 @@ var a = 1 //cellqos:allow quiet,allowstale grandfathered during the staged clean
 	}
 	if len(findings) != 0 {
 		t.Errorf("findings = %v, want none: naming allowstale in the directive self-suppresses", findings)
+	}
+}
+
+// TestRunModuleSuppressionAndAudit: a module-level analyzer reports
+// into each package's own allow index, and the allowstale audit runs
+// after it, so a directive only it uses is not stale.
+func TestRunModuleSuppressionAndAudit(t *testing.T) {
+	fsetA, filesA := parseOne(t, "package a\n\nvar a = 1 //cellqos:allow whole kept on purpose\n")
+	fsetB, filesB := parseOne(t, "package b\n\nvar b = 2\n")
+	pkgs := []*Package{{Path: "a", Fset: fsetA, Files: filesA}, {Path: "b", Fset: fsetB, Files: filesB}}
+	whole := &Analyzer{Name: "whole", Doc: "report every package-level var of the run", RunModule: func(pass *ModulePass) error {
+		for _, pkg := range pass.Pkgs {
+			vs := pkg.Files[0].Decls[0].(*ast.GenDecl).Specs[0].(*ast.ValueSpec)
+			pass.Report(pkg, Diagnostic{Pos: vs.Pos(), Message: "var " + vs.Names[0].Name})
+		}
+		return nil
+	}}
+	stale := &Analyzer{Name: AllowStaleName, Doc: "driver-backed", Run: func(*Pass) (any, error) { return nil, nil }}
+	findings, err := RunAnalyzers(pkgs, []*Analyzer{whole, stale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 || findings[0].Analyzer != "whole" || findings[0].Message != "var b" {
+		t.Errorf("findings = %v, want only whole's var b", findings)
 	}
 }

@@ -71,6 +71,19 @@ func RunSuite(t *testing.T, testdata string, analyzers []*analysis.Analyzer, pkg
 	}
 }
 
+// RunModule is the harness for module-level analyzers: it loads the
+// fixture module rooted at dir (its own go.mod, test files included)
+// with analysis.Load, runs the analyzers over all of its packages in
+// one RunAnalyzers call, and checks every package's want comments.
+func RunModule(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
+	t.Helper()
+	pkgs, err := analysis.Load(dir, "./...")
+	if err != nil {
+		t.Fatalf("loading fixture module %s: %v", dir, err)
+	}
+	check(t, analyzers, pkgs...)
+}
+
 // loader resolves fixture packages recursively, falling back to the
 // source importer for everything outside the fixture tree.
 type loader struct {
@@ -148,27 +161,31 @@ type expectation struct {
 	matched bool
 }
 
-// check runs the analyzers on one fixture package and diffs findings
-// against the package's want comments.
-func check(t *testing.T, analyzers []*analysis.Analyzer, pkg *analysis.Package) {
+// check runs the analyzers on fixture packages and diffs findings
+// against the packages' want comments.
+func check(t *testing.T, analyzers []*analysis.Analyzer, pkgs ...*analysis.Package) {
 	t.Helper()
-	findings, err := analysis.RunAnalyzers([]*analysis.Package{pkg}, analyzers)
+	findings, err := analysis.RunAnalyzers(pkgs, analyzers)
 	if err != nil {
-		t.Fatalf("analyzers on %s: %v", pkg.Path, err)
+		t.Fatalf("analyzers on %s: %v", pkgs[0].Path, err)
 	}
-	wants, err := collectWants(pkg)
-	if err != nil {
-		t.Fatalf("parsing want comments in %s: %v", pkg.Path, err)
+	var wants []*expectation
+	for _, pkg := range pkgs {
+		w, err := collectWants(pkg)
+		if err != nil {
+			t.Fatalf("parsing want comments in %s: %v", pkg.Path, err)
+		}
+		wants = append(wants, w...)
 	}
 
 	for _, f := range findings {
 		if !matchWant(wants, f) {
-			t.Errorf("%s: unexpected diagnostic: %s", pkg.Path, f)
+			t.Errorf("unexpected diagnostic: %s", f)
 		}
 	}
 	for _, w := range wants {
 		if !w.matched {
-			t.Errorf("%s: %s:%d: no diagnostic matching %q", pkg.Path, w.file, w.line, w.raw)
+			t.Errorf("%s:%d: no diagnostic matching %q", w.file, w.line, w.raw)
 		}
 	}
 }

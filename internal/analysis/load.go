@@ -20,7 +20,10 @@ import (
 type Package struct {
 	// Path is the import path with any test-variant suffix stripped
 	// (the path go/types reports for the package).
-	Path      string
+	Path string
+	// ModuleDir is the root directory of the package's module (empty
+	// for fixture packages, which belong to none).
+	ModuleDir string
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Types     *types.Package
@@ -40,6 +43,7 @@ type listPackage struct {
 	DepOnly    bool
 	ForTest    string
 	ImportMap  map[string]string
+	Module     *struct{ Dir string }
 	Error      *struct{ Err string }
 }
 
@@ -159,5 +163,9 @@ func typecheck(p *listPackage, path string, exports map[string]string) (*Package
 	if err != nil {
 		return nil, fmt.Errorf("analysis: typecheck %s: %v", path, err)
 	}
-	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, TypesInfo: info}, nil
+	pkg := &Package{Path: path, Fset: fset, Files: files, Types: tpkg, TypesInfo: info}
+	if p.Module != nil {
+		pkg.ModuleDir = p.Module.Dir
+	}
+	return pkg, nil
 }

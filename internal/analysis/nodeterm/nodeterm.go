@@ -42,9 +42,9 @@ var scopePrefixes = []string{
 // clockPackage is the single module package allowed to read the wall
 // clock directly. Everything else — CLIs, signaling, benchmarks,
 // external test packages included — goes through its Clock interface
-// (clock.Wall in production, clock.Manual in tests, clock.Bridge for
-// wall-derived simulation time), so every wall-time dependency in the
-// module is injectable and every direct read is grep-able in one file.
+// (clock.Wall in production, clock.Manual in tests), so every wall-time
+// dependency in the module is injectable and every direct read is
+// grep-able in one file.
 const clockPackage = "cellqos/internal/clock"
 
 // wallClockExempt reports whether pkg may call time.Now/time.Since:
@@ -87,7 +87,7 @@ func run(pass *analysis.Pass) (any, error) {
 				switch name {
 				case "time.Now":
 					pass.Reportf(sel.Pos(),
-						"time.Now is wall clock: deterministic code takes time from the simulation clock (sim.Scheduler) or event timestamps; everything else reads through internal/clock (clock.Wall, clock.Manual, clock.Bridge)")
+						"time.Now is wall clock: deterministic code takes time from the simulation clock (sim.Scheduler) or event timestamps; everything else reads through internal/clock (clock.Wall, clock.Manual)")
 				case "time.Since":
 					pass.Reportf(sel.Pos(),
 						"time.Since is wall clock: measure elapsed time with clock.Clock.Since (internal/clock) so tests can drive it with clock.Manual")

@@ -13,9 +13,10 @@ import (
 	"cellqos/internal/analysis/peervalue"
 	"cellqos/internal/analysis/policycontract"
 	"cellqos/internal/analysis/shardsafe"
+	"cellqos/internal/analysis/unreached"
 )
 
-// Analyzers returns the eight cellqos invariant analyzers in stable
+// Analyzers returns the nine cellqos invariant analyzers in stable
 // order. allowstale runs last by convention — it audits the
 // //cellqos:allow ledger the others populate, though the driver
 // enforces that ordering itself regardless of position here.
@@ -28,6 +29,7 @@ func Analyzers() []*analysis.Analyzer {
 		peervalue.Analyzer,
 		policycontract.Analyzer,
 		shardsafe.Analyzer,
+		unreached.Analyzer,
 		allowstale.Analyzer,
 	}
 }

@@ -7,16 +7,16 @@ import (
 	"cellqos/internal/analysis/suite"
 )
 
-// TestSuiteRegistry pins the analyzer set: eight analyzers, unique
+// TestSuiteRegistry pins the analyzer set: nine analyzers, unique
 // names, documented.
 func TestSuiteRegistry(t *testing.T) {
 	as := suite.Analyzers()
-	if len(as) != 8 {
-		t.Fatalf("suite has %d analyzers, want 8", len(as))
+	if len(as) != 9 {
+		t.Fatalf("suite has %d analyzers, want 9", len(as))
 	}
 	seen := map[string]bool{}
 	for _, a := range as {
-		if a.Name == "" || a.Doc == "" || a.Run == nil {
+		if a.Name == "" || a.Doc == "" || (a.Run == nil) == (a.RunModule == nil) {
 			t.Errorf("analyzer %+v incomplete", a)
 		}
 		if seen[a.Name] {
@@ -26,7 +26,7 @@ func TestSuiteRegistry(t *testing.T) {
 	}
 	for _, want := range []string{
 		"nodeterm", "maporderflow", "peervalue", "genepoch",
-		"policycontract", "shardsafe", "crashorder", "allowstale",
+		"policycontract", "shardsafe", "crashorder", "unreached", "allowstale",
 	} {
 		if !seen[want] {
 			t.Errorf("suite is missing %q", want)
@@ -36,7 +36,7 @@ func TestSuiteRegistry(t *testing.T) {
 
 // TestRepoSweepClean is the in-process twin of `make lint`: the whole
 // module, test files included, must carry zero unsuppressed
-// diagnostics from the eight analyzers. It keeps the invariant
+// diagnostics from the nine analyzers. It keeps the invariant
 // enforceable where only `go test ./...` runs, and it exercises the
 // export-data loader end to end (so a loader regression cannot hide
 // behind a green fixture suite).

@@ -284,15 +284,6 @@ func (n *Network) scheduleSweep(st *shardState, period float64) {
 	})
 }
 
-// MustNew is New for configs known to be valid; it panics on error.
-func MustNew(cfg Config) *Network {
-	n, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 // Now returns the simulation clock.
 func (n *Network) Now() float64 { return n.now() }
 

@@ -201,8 +201,8 @@ func TestTracesRecorded(t *testing.T) {
 		if tr == nil {
 			t.Fatalf("no trace for cell %d", id)
 		}
-		if tr.Test.Len() == 0 || tr.PHD.Len() == 0 || tr.Br.Len() == 0 {
-			t.Fatalf("cell %d trace empty: test=%d phd=%d br=%d", id, tr.Test.Len(), tr.PHD.Len(), tr.Br.Len())
+		if len(tr.Test.T) == 0 || len(tr.PHD.T) == 0 || len(tr.Br.T) == 0 {
+			t.Fatalf("cell %d trace empty: test=%d phd=%d br=%d", id, len(tr.Test.T), len(tr.PHD.T), len(tr.Br.T))
 		}
 	}
 	if res.Traces[0] != nil {

@@ -9,10 +9,9 @@
 // nodeterm analyzer flags time.Now and time.Since anywhere outside
 // this package (DESIGN.md §15).
 //
-// Wall time never stamps engine-visible events directly. Service code
-// converts it to monotone simulation seconds through a Bridge, whose
-// output is clamped non-decreasing — the estimator's event-order
-// invariant survives wall-clock steps (NTP slew, VM suspend).
+// Wall time never stamps engine-visible events: the service stamps
+// them from a deterministic service.StepSource, and wall time only
+// paces its loop and checkpoint cadence.
 package clock
 
 import (
@@ -33,8 +32,7 @@ type Clock interface {
 }
 
 // Wall is the real wall clock: the module's only approved time.Now
-// site. Use it directly for diagnostics-only reads; use a Bridge to
-// derive simulation time from it.
+// site.
 type Wall struct{}
 
 // Now implements Clock.
@@ -84,43 +82,4 @@ func (m *Manual) Advance(d time.Duration) {
 	m.mu.Lock()
 	m.cur = m.cur.Add(d)
 	m.mu.Unlock()
-}
-
-// Bridge maps wall instants to monotone simulation seconds: the one
-// place real time is converted into the float64 timestamps the
-// deterministic core consumes. SimNow never decreases even if the
-// underlying clock steps backward, so feeding its output to
-// predict.Estimator.Record (which panics on out-of-order events) is
-// always safe. Safe for concurrent use.
-type Bridge struct {
-	c     Clock
-	start time.Time
-	base  float64 // sim seconds at start
-	scale float64 // sim seconds per wall second
-
-	mu   sync.Mutex
-	last float64
-}
-
-// NewBridge anchors a bridge at the clock's current instant: SimNow
-// returns base + scale·(elapsed wall seconds). A scale ≤ 0 defaults
-// to 1 (one sim second per wall second).
-func NewBridge(c Clock, base, scale float64) *Bridge {
-	if scale <= 0 {
-		scale = 1
-	}
-	return &Bridge{c: c, start: c.Now(), base: base, scale: scale, last: base}
-}
-
-// SimNow returns the current simulation time in seconds, clamped
-// non-decreasing across calls.
-func (b *Bridge) SimNow() float64 {
-	t := b.base + b.c.Since(b.start).Seconds()*b.scale
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if t < b.last {
-		t = b.last
-	}
-	b.last = t
-	return t
 }

@@ -41,55 +41,3 @@ func TestManual(t *testing.T) {
 	}()
 	m.Advance(-time.Second)
 }
-
-// TestBridgeMapsAndScales: SimNow = base + scale·elapsed, driven by a
-// Manual clock.
-func TestBridgeMapsAndScales(t *testing.T) {
-	m := clock.NewManual(time.Unix(0, 0))
-	b := clock.NewBridge(m, 100, 2)
-	if got := b.SimNow(); got != 100 {
-		t.Fatalf("SimNow at anchor = %v, want 100", got)
-	}
-	m.Advance(1500 * time.Millisecond)
-	if got := b.SimNow(); got != 103 {
-		t.Fatalf("SimNow after 1.5s at scale 2 = %v, want 103", got)
-	}
-}
-
-// TestBridgeMonotoneUnderClockStep: a clock that steps backward must
-// not drag SimNow backward — the estimator's event-order invariant
-// depends on it. Manual cannot step back, so wrap it.
-func TestBridgeMonotoneUnderClockStep(t *testing.T) {
-	s := &steppable{cur: time.Unix(50, 0)}
-	b := clock.NewBridge(s, 0, 1)
-	s.cur = s.cur.Add(10 * time.Second)
-	if got := b.SimNow(); got != 10 {
-		t.Fatalf("SimNow = %v, want 10", got)
-	}
-	s.cur = s.cur.Add(-4 * time.Second) // wall clock stepped back
-	if got := b.SimNow(); got != 10 {
-		t.Fatalf("SimNow after backward step = %v, want held at 10", got)
-	}
-	s.cur = s.cur.Add(5 * time.Second)
-	if got := b.SimNow(); got != 11 {
-		t.Fatalf("SimNow after recovery = %v, want 11", got)
-	}
-}
-
-// TestBridgeDefaultScale: scale ≤ 0 means 1:1.
-func TestBridgeDefaultScale(t *testing.T) {
-	m := clock.NewManual(time.Unix(0, 0))
-	b := clock.NewBridge(m, 7, 0)
-	m.Advance(2 * time.Second)
-	if got := b.SimNow(); got != 9 {
-		t.Fatalf("SimNow = %v, want 9", got)
-	}
-}
-
-// steppable is a Clock whose current instant tests set directly,
-// including backward.
-type steppable struct{ cur time.Time }
-
-func (s *steppable) Now() time.Time                  { return s.cur }
-func (s *steppable) Since(t time.Time) time.Duration { return s.cur.Sub(t) }
-func (s *steppable) Sleep(d time.Duration)           { s.cur = s.cur.Add(d) }

@@ -328,9 +328,6 @@ func NewEngine(cfg Config) *Engine {
 // instance for stateful schemes).
 func (e *Engine) Policy() AdmissionPolicy { return e.pol }
 
-// Traits returns the resolved policy's traits.
-func (e *Engine) Traits() PolicyTraits { return e.traits }
-
 // lock/unlock guard local state when a Locker is configured.
 func (e *Engine) lock() {
 	if e.lk != nil {
@@ -402,13 +399,6 @@ func (e *Engine) Unpledge(bw int) {
 // Capacity returns the cell's link capacity C.
 func (e *Engine) Capacity() int { return e.cfg.Capacity }
 
-// ConnectionCount returns the number of active connections.
-func (e *Engine) ConnectionCount() int {
-	e.lock()
-	defer e.unlock()
-	return len(e.conns)
-}
-
 // Test returns the current estimation window T_est; 0 for non-adaptive
 // policies.
 func (e *Engine) Test() float64 {
@@ -452,13 +442,6 @@ func (e *Engine) PublishReservation(br float64) {
 	e.lock()
 	defer e.unlock()
 	e.lastBr = br
-}
-
-// BrCalcCount returns how many times this engine evaluated Eq. 6.
-func (e *Engine) BrCalcCount() uint64 {
-	e.lock()
-	defer e.unlock()
-	return e.brCalcs
 }
 
 // ConnSpec describes a connection to register. The zero value of each
@@ -540,38 +523,11 @@ func (e *Engine) AddConnection(id ConnID, spec ConnSpec, now float64) int {
 // Grant changes leave any live Eq. 5 cache intact: reservation is based
 // on each connection's minimum QoS (conn.min), which up/downgrades
 // never touch.
+//
+// It is DowngradeClassToFit with every class eligible and the full soft
+// capacity as the limit.
 func (e *Engine) DowngradeToFit(need int) bool {
-	if need <= 0 {
-		panic(fmt.Sprintf("core: non-positive need %d", need))
-	}
-	e.lock()
-	defer e.unlock()
-	limit := e.cfg.Capacity + e.cfg.HandOffMargin
-	short := e.used + e.pledged + need - limit
-	if short <= 0 {
-		return true
-	}
-	reclaimable := 0
-	for i := range e.conns {
-		reclaimable += e.conns[i].bw - e.conns[i].min
-	}
-	if reclaimable < short {
-		return false
-	}
-	for i := range e.conns {
-		if short <= 0 {
-			break
-		}
-		give := e.conns[i].bw - e.conns[i].min
-		if give > short {
-			give = short
-		}
-		e.conns[i].bw -= give
-		e.used -= give
-		short -= give
-	}
-	e.downgrades++
-	return true
+	return e.DowngradeClassToFit(need, math.MinInt, e.cfg.Capacity+e.cfg.HandOffMargin)
 }
 
 // DowngradeClassToFit is the multi-class variant of DowngradeToFit: it

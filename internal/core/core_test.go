@@ -70,8 +70,8 @@ func TestEngineBandwidthAccounting(t *testing.T) {
 	e := NewEngine(adaptiveConfig("AC1"))
 	e.AddConnection(1, ConnSpec{Min: 4, Prev: topology.Self}, 0)
 	e.AddConnection(2, ConnSpec{Min: 1, Prev: 1}, 10)
-	if e.UsedBandwidth() != 5 || e.ConnectionCount() != 2 {
-		t.Fatalf("used=%d count=%d", e.UsedBandwidth(), e.ConnectionCount())
+	if e.UsedBandwidth() != 5 || e.Ledger().Connections != 2 {
+		t.Fatalf("used=%d count=%d", e.UsedBandwidth(), e.Ledger().Connections)
 	}
 	bw, prev, at, ok := e.Connection(2)
 	if !ok || bw != 1 || prev != 1 || at != 10 {
@@ -204,8 +204,8 @@ func TestComputeTargetReservationEq6(t *testing.T) {
 	if e.LastTargetReservation() != 4 {
 		t.Fatalf("B_r^prev = %v, want 4", e.LastTargetReservation())
 	}
-	if e.BrCalcCount() != 1 {
-		t.Fatalf("BrCalcCount = %d, want 1", e.BrCalcCount())
+	if e.Ledger().BrCalcs != 1 {
+		t.Fatalf("BrCalcs = %d, want 1", e.Ledger().BrCalcs)
 	}
 	if p.outgoingCalls != 2 {
 		t.Fatalf("outgoing calls = %d, want one per neighbor", p.outgoingCalls)

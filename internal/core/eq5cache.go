@@ -491,12 +491,12 @@ func (e *Engine) Eq5CacheStats() (hits, misses uint64) {
 	return e.eq5.hits, e.eq5.misses
 }
 
-// VerifyEq5Cache re-derives the live view against the from-scratch
-// oracle at the view's own timestamp and returns the largest absolute
-// divergence observed; checked is false when there was no live view to
-// compare (no view, stale generation, or nothing accumulated yet). The
-// sweep re-derives three layers: every finished per-direction sum
-// against eq5Scratch, every materialized term against a fresh Eq. 4
+// VerifyEq5CacheAt re-derives the live view against the from-scratch
+// oracle and returns the largest absolute divergence observed; checked
+// is false when there was no live view at timestamp now to compare (no
+// view, another timestamp, stale generation, or nothing accumulated
+// yet). The sweep re-derives three layers: every finished per-direction
+// sum against eq5Scratch, every materialized term against a fresh Eq. 4
 // evaluation, and every connection's staleness guards (a guard that no
 // longer holds means an advance failed to refresh the connection —
 // reported as an infinite divergence, since the cached state is then
@@ -505,17 +505,8 @@ func (e *Engine) Eq5CacheStats() (hits, misses uint64) {
 // internal/audit wires this into the invariant sweep with zero
 // tolerance, keeping the incremental fast path honest against the
 // retained from-scratch path.
-func (e *Engine) VerifyEq5Cache() (maxDiff float64, checked bool) {
-	if e.patterns == nil {
-		return 0, false
-	}
-	e.lock()
-	defer e.unlock()
-	return e.verifyEq5Locked()
-}
-
-// VerifyEq5CacheAt is VerifyEq5Cache restricted to a view whose current
-// timestamp equals now. The event-boundary invariant sweep uses it: it
+//
+// The event-boundary invariant sweep passes the current time: that
 // certifies exactly the state the just-fired event's admission queries
 // consumed, and the from-scratch walks run at the current timestamp, so
 // they never force the estimator indexes backward in time (re-verifying

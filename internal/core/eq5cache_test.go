@@ -10,6 +10,16 @@ import (
 	"cellqos/internal/topology"
 )
 
+// VerifyEq5Cache is VerifyEq5CacheAt at the view's own timestamp.
+func (e *Engine) VerifyEq5Cache() (maxDiff float64, checked bool) {
+	if e.patterns == nil {
+		return 0, false
+	}
+	e.lock()
+	defer e.unlock()
+	return e.verifyEq5Locked()
+}
+
 // seedEq5Engine builds an AC1 engine with enough hand-off history that
 // Eq. 5 sums are non-trivial in both directions, plus a few live
 // connections.

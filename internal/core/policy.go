@@ -147,12 +147,6 @@ type PolicyContext struct {
 // clear.
 func (ctx *PolicyContext) Committed() int { return ctx.engine.committed() }
 
-// Used returns B_u, the bandwidth of active connections.
-func (ctx *PolicyContext) Used() int { return ctx.engine.UsedBandwidth() }
-
-// Pledged returns bandwidth pledged to expected visitors.
-func (ctx *PolicyContext) Pledged() int { return ctx.engine.PledgedBandwidth() }
-
 // Capacity returns the cell's link capacity C.
 func (ctx *PolicyContext) Capacity() int { return ctx.engine.cfg.Capacity }
 
@@ -177,19 +171,6 @@ func (ctx *PolicyContext) ComputeTargetReservation() float64 {
 // BrDegraded reports whether the most recent B_r computation had to
 // substitute a fallback contribution for an unreachable neighbor.
 func (ctx *PolicyContext) BrDegraded() bool { return ctx.engine.BrDegraded() }
-
-// LastTargetReservation returns B_r^prev without recomputing.
-func (ctx *PolicyContext) LastTargetReservation() float64 {
-	return ctx.engine.LastTargetReservation()
-}
-
-// PublishReservation records br as the engine's current target
-// reservation B_r^prev (visible to AC3 snapshots, RedistributeFree and
-// metrics) without counting an Eq. 6 evaluation. Policies that maintain
-// their own reservation level (dynamic guard channels) publish it here.
-func (ctx *PolicyContext) PublishReservation(br float64) {
-	ctx.engine.PublishReservation(br)
-}
 
 // HandOffRoom runs the base hand-off capacity test: reserved bandwidth
 // is usable by hand-offs, so the only constraint is capacity (plus the

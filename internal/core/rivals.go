@@ -190,6 +190,35 @@ func (multiClassPolicy) DecideHandOff(ctx *PolicyContext) Decision {
 // ---------------------------------------------------------------------
 // Token-bucket overload gate.
 
+// TokenBucket is a token bucket on a caller-supplied seconds axis: it
+// holds at most burst tokens, starts full at time 0, and refills at
+// rate tokens per second. The token-bucket policy runs one per cell on
+// simulation time; service.Gate runs one on its clock's seconds since
+// construction.
+type TokenBucket struct {
+	burst, rate  float64
+	tokens, last float64
+}
+
+// NewTokenBucket returns a full bucket.
+func NewTokenBucket(burst, rate float64) TokenBucket {
+	return TokenBucket{burst: burst, rate: rate, tokens: burst}
+}
+
+// Take refills the bucket for the seconds since the previous call, up
+// to its burst, then spends one token if at least one is there.
+func (b *TokenBucket) Take(now float64) bool {
+	if dt := now - b.last; dt > 0 {
+		b.tokens = math.Min(b.burst, b.tokens+dt*b.rate)
+	}
+	b.last = now
+	if b.tokens < 1 {
+		return false
+	}
+	b.tokens--
+	return true
+}
+
 // tokenBucketPolicy meters new-call admission attempts through a
 // per-cell token bucket running on simulation time: each attempt needs
 // one token; the bucket refills at Rate tokens/second up to Burst. An
@@ -203,8 +232,7 @@ type tokenBucketPolicy struct {
 	// Rate is the refill rate in tokens per simulated second.
 	Rate float64
 
-	tokens float64
-	last   float64
+	bucket TokenBucket
 }
 
 // defaultTokenBucket returns the registry prototype: bursts of 10
@@ -218,7 +246,7 @@ func (t *tokenBucketPolicy) Traits() PolicyTraits { return PolicyTraits{} }
 
 // CloneCellState gives each cell its own bucket, initially full.
 func (t *tokenBucketPolicy) CloneCellState() AdmissionPolicy {
-	return &tokenBucketPolicy{Burst: t.Burst, Rate: t.Rate, tokens: t.Burst}
+	return &tokenBucketPolicy{Burst: t.Burst, Rate: t.Rate, bucket: NewTokenBucket(t.Burst, t.Rate)}
 }
 
 // FixedReservation: the gate reserves no bandwidth.
@@ -227,14 +255,9 @@ func (t *tokenBucketPolicy) FixedReservation(Config) float64 { return 0 }
 func (t *tokenBucketPolicy) DecideNew(ctx *PolicyContext) Decision {
 	// Refill on simulation time. DecideNew runs serialized per cell, so
 	// the bucket needs no lock.
-	if dt := ctx.Now - t.last; dt > 0 {
-		t.tokens = math.Min(t.Burst, t.tokens+dt*t.Rate)
-	}
-	t.last = ctx.Now
-	if t.tokens < 1 {
+	if !t.bucket.Take(ctx.Now) {
 		return Decision{} // shed: overload gate closed
 	}
-	t.tokens--
 	return Decision{Admitted: ctx.Committed()+ctx.Bandwidth <= ctx.Capacity()}
 }
 

@@ -77,9 +77,6 @@ func NewTestController(phdTarget, tStart float64, policy StepPolicy) *TestContro
 // Test returns the current estimation window T_est in seconds.
 func (tc *TestController) Test() float64 { return tc.test }
 
-// Window returns (n_H, n_HD, W_obs) for diagnostics.
-func (tc *TestController) Window() (nH, nHD, wObs int) { return tc.nH, tc.nHD, tc.wObs }
-
 // Adjustments returns the lifetime counts of T_est increments and
 // decrements.
 func (tc *TestController) Adjustments() (up, down uint64) { return tc.increments, tc.decrements }

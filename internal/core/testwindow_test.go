@@ -7,6 +7,9 @@ import (
 	"testing/quick"
 )
 
+// Window returns (n_H, n_HD, W_obs).
+func (tc *TestController) Window() (nH, nHD, wObs int) { return tc.nH, tc.nHD, tc.wObs }
+
 func TestControllerInit(t *testing.T) {
 	tc := NewTestController(0.01, 1, UnitStep)
 	if tc.Test() != 1 {

@@ -105,6 +105,8 @@ type Report struct {
 // as CSV, every chart as its rendered text. Identical simulation data
 // serializes to identical bytes, which is how the runner's determinism
 // guarantee is verified (same seed ⇒ same bytes at any Parallel).
+//
+//cellqos:allow unreached internal/golden's TestGoldenCorpus pins every report by these bytes
 func (r *Report) Bytes() []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "report %s\ntitle %s\nclaim %s\n", r.ID, r.Title, r.PaperClaim)

@@ -125,6 +125,8 @@ func Wrap(conn io.ReadWriteCloser, cfg Config) *Link {
 // Pipe returns the two ends of an in-memory connection (net.Pipe), each
 // wrapped with its own fault config — the a side's faults afflict
 // frames a writes toward b, and vice versa.
+//
+//cellqos:allow unreached internal/chaos's tests and internal/service's TestSoakChaosLadder wire faulty in-memory links with it
 func Pipe(aCfg, bCfg Config) (a, b *Link) {
 	ca, cb := net.Pipe()
 	return Wrap(ca, aCfg), Wrap(cb, bCfg)
@@ -135,10 +137,9 @@ func Pipe(aCfg, bCfg Config) (a, b *Link) {
 func (l *Link) Partition() { l.partitioned.Store(true) }
 
 // Heal ends the partition.
+//
+//cellqos:allow unreached internal/chaos's TestChaosMeshPartitionHealReconverges and TestChaosStarPartitionHeal end their partitions with it
 func (l *Link) Heal() { l.partitioned.Store(false) }
-
-// Partitioned reports whether a partition is active.
-func (l *Link) Partitioned() bool { return l.partitioned.Load() }
 
 // Fail crashes the link immediately (same effect as the FailAfter
 // schedule firing): the underlying connection closes and every further
@@ -149,9 +150,6 @@ func (l *Link) Fail() {
 		l.inner.Close()
 	}
 }
-
-// Failed reports whether the link has crashed.
-func (l *Link) Failed() bool { return l.failed.Load() }
 
 // Counters snapshots the fault tallies.
 func (l *Link) Counters() Counters {

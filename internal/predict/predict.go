@@ -16,7 +16,6 @@
 package predict
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -392,9 +391,6 @@ func (e *Estimator) addPair(prev, next topology.LocalIndex) *pairData {
 // invalidated exactly when the epoch moves.
 func (e *Estimator) Generation() uint64 { return e.gen }
 
-// Config returns the estimator's configuration.
-func (e *Estimator) Config() Config { return e.cfg }
-
 // Recorded returns the number of quadruplets ever recorded.
 func (e *Estimator) Recorded() uint64 { return e.recorded }
 
@@ -570,14 +566,6 @@ func (e *Estimator) ensureAll(t0 float64) {
 	for _, p := range e.allPairs {
 		e.ensurePair(p, t0)
 	}
-}
-
-// WeightedSample is one selected quadruplet with its window weight;
-// exposed for tests and diagnostics.
-type WeightedSample struct {
-	Sojourn float64
-	Weight  float64
-	Next    topology.LocalIndex
 }
 
 // rebuildPair recomputes one pair's capped weighted sample selection of
@@ -841,40 +829,6 @@ func (e *Estimator) MaxSojourn(t0 float64) float64 {
 		}
 	}
 	return max
-}
-
-// SelectedCount returns the number of quadruplets in the current
-// selection (for diagnostics and tests).
-func (e *Estimator) SelectedCount(t0 float64) int {
-	e.ensureAll(t0)
-	n := 0
-	for _, p := range e.allPairs {
-		n += len(p.sojSorted)
-	}
-	return n
-}
-
-// Selected returns the current weighted selection for a given prev, in
-// ascending sojourn order (pairs in first-Record order among equal
-// sojourns). A diagnostic for tests of the window rules.
-func (e *Estimator) Selected(t0 float64, prev topology.LocalIndex) []WeightedSample {
-	e.ensurePrev(prev, t0)
-	g := e.group(prev)
-	if g == nil {
-		return nil
-	}
-	var sel []WeightedSample
-	for i, p := range g.pairs {
-		for j, soj := range p.sojSorted {
-			w := p.wCum[j]
-			if j > 0 {
-				w -= p.wCum[j-1]
-			}
-			sel = append(sel, WeightedSample{Sojourn: soj, Weight: w, Next: g.nexts[i]})
-		}
-	}
-	slices.SortStableFunc(sel, func(a, b WeightedSample) int { return cmp.Compare(a.Sojourn, b.Sojourn) })
-	return sel
 }
 
 // EnsureCurrent refreshes every pair's windowed selection for query time

@@ -38,9 +38,6 @@ func NewCheckpointer(dir string) (*Checkpointer, error) {
 	return &Checkpointer{dir: dir}, nil
 }
 
-// Dir returns the state directory.
-func (c *Checkpointer) Dir() string { return c.dir }
-
 // CurrentPath returns the path of the current checkpoint file.
 func (c *Checkpointer) CurrentPath() string { return filepath.Join(c.dir, checkpointFile) }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cellqos/internal/clock"
+	"cellqos/internal/core"
 )
 
 // Gate is a token-bucket overload shield for new-call intake: the
@@ -17,17 +18,15 @@ import (
 // new calls first under overload is the same preference applied to
 // CPU and signaling budget).
 //
-// Refill is computed from elapsed time on the supplied clock, so tests
-// drive the bucket deterministically with a clock.Manual. A nil *Gate
-// admits everything — the disabled state needs no branches at call
-// sites.
+// The bucket (core.TokenBucket, the token-bucket policy's) runs on
+// seconds since the gate's construction on the supplied clock, so tests
+// drive it deterministically with a clock.Manual. A nil *Gate admits
+// everything — the disabled state needs no branches at call sites.
 type Gate struct {
-	mu       sync.Mutex
-	capacity float64
-	tokens   float64
-	rate     float64 // tokens per second
-	last     time.Time
-	c        clock.Clock
+	mu     sync.Mutex
+	bucket core.TokenBucket
+	start  time.Time
+	c      clock.Clock
 
 	admitted uint64
 	shed     uint64
@@ -43,7 +42,7 @@ func NewGate(capacity, ratePerSec float64, c clock.Clock) *Gate {
 	if c == nil {
 		c = clock.Wall{}
 	}
-	return &Gate{capacity: capacity, tokens: capacity, rate: ratePerSec, last: c.Now(), c: c}
+	return &Gate{bucket: core.NewTokenBucket(capacity, ratePerSec), start: c.Now(), c: c}
 }
 
 // Allow spends one token if available; a false return means the
@@ -54,29 +53,10 @@ func (g *Gate) Allow() bool {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	now := g.c.Now()
-	if elapsed := now.Sub(g.last).Seconds(); elapsed > 0 {
-		g.tokens += elapsed * g.rate
-		if g.tokens > g.capacity {
-			g.tokens = g.capacity
-		}
-	}
-	g.last = now
-	if g.tokens < 1 {
+	if !g.bucket.Take(g.c.Since(g.start).Seconds()) {
 		g.shed++
 		return false
 	}
-	g.tokens--
 	g.admitted++
 	return true
-}
-
-// Stats returns how many requests the gate has passed and shed.
-func (g *Gate) Stats() (admitted, shed uint64) {
-	if g == nil {
-		return 0, 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.admitted, g.shed
 }

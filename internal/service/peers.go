@@ -11,8 +11,8 @@ import (
 // the engines a Server hosts — the single-process deployment where all
 // of a metro area's base stations share one binary and no signaling
 // network sits between them. The soak harness and the crash-recovery
-// tests use it to exercise full Eq. 5/6 neighbor traffic without TCP;
-// cmd/bsnet's serve mode wires signaling.BSNode peers instead.
+// tests use it to exercise full Eq. 5/6 neighbor traffic without TCP,
+// and cmd/bsnet's serve mode hosts its ring of cells through it.
 type MeshPeers struct {
 	top     *topology.Topology
 	id      topology.CellID

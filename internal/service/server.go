@@ -35,13 +35,11 @@ const (
 )
 
 // TimeSource supplies simulation timestamps for engine-visible events.
-// clock.Bridge implements it for production (wall-derived, monotone);
-// StepSource implements it for deterministic drives.
+// StepSource implements it for deterministic drives (cmd/bsnet's serve
+// mode and the tests).
 type TimeSource interface {
 	SimNow() float64
 }
-
-var _ TimeSource = (*clock.Bridge)(nil)
 
 // StepSource is a deterministic TimeSource: the i-th call returns
 // start + i·step. Two runs with the same start and step see identical

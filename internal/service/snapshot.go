@@ -6,8 +6,8 @@
 // The package sits between two time domains. Wall-clock time — always
 // read through internal/clock, never directly — paces the loop and the
 // checkpoint cadence; simulation time stamps every engine-visible
-// event, drawn from a TimeSource (a deterministic StepSource under
-// test, a clock.Bridge in production). Engine-visible bytes therefore
+// event, drawn from a TimeSource (a deterministic StepSource in
+// cmd/bsnet's serve mode and under test). Engine-visible bytes therefore
 // never depend on wall-clock readings, which is what makes the
 // crash-recovery tests exact.
 package service

@@ -68,10 +68,6 @@ func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 	return &Breaker{threshold: threshold, cooldown: cooldown, now: clock.Wall{}.Now}
 }
 
-// SetClock replaces the wall clock (tests drive state transitions without
-// sleeping). Call before the breaker is shared.
-func (b *Breaker) SetClock(now func() time.Time) { b.now = now }
-
 // Allow reports whether a call may proceed. In the half-open state only
 // one probe is admitted at a time; concurrent callers are rejected until
 // the probe's Record settles the state.
@@ -129,6 +125,8 @@ func (b *Breaker) open() {
 }
 
 // State returns the current position.
+//
+//cellqos:allow unreached internal/chaos's TestChaosMeshBreakerOpensAndRecovers asserts the breaker's transitions with it
 func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -110,10 +110,6 @@ type Message struct {
 // no version, so every node of a deployment runs one build.
 const frameSize = 1 + 4 + 4 + 4 + 8 + 8 + 8 + 4 + 4 + 8
 
-// maxFrame guards against corrupt length prefixes in future variable-
-// length versions; with fixed frames it documents the invariant.
-const maxFrame = frameSize
-
 // Encode writes the message to w in fixed-size big-endian framing.
 func Encode(w io.Writer, m Message) error {
 	var buf [frameSize]byte

@@ -64,6 +64,8 @@ func (m *MSC) relay(req Message) Message {
 // ConnectMesh wires every pair of neighboring BS nodes with an in-memory
 // duplex pipe (net.Pipe), the Fig. 1(b) full-mesh deployment. Use the
 // TCP helpers below for real sockets.
+//
+//cellqos:allow unreached internal/chaos's controlBr wires its fault-free control mesh with it
 func ConnectMesh(nodes []*BSNode) {
 	for _, a := range nodes {
 		for _, nbID := range a.top.Neighbors(a.id) {

@@ -115,6 +115,8 @@ func (n *BSNode) Engine() *core.Engine { return n.engine }
 func (n *BSNode) RemoteErrors() uint64 { return n.remoteErrs.Load() }
 
 // Reconnects returns how many dead links were replaced via the hook.
+//
+//cellqos:allow unreached internal/chaos's TestChaosMeshCrashReconnect counts the re-dials with it
 func (n *BSNode) Reconnects() uint64 { return n.reconnects.Load() }
 
 // SetCallPolicy installs the retry/deadline policy for outgoing peer
@@ -156,6 +158,8 @@ func (n *BSNode) SetBreakerConfig(threshold int, cooldown time.Duration) {
 // query finds its link dead (read pump exited), the node asks the hook
 // for a fresh connection to the same remote and attaches it in place.
 // Call before traffic starts.
+//
+//cellqos:allow unreached internal/chaos's TestChaosMeshCrashReconnect installs its re-dial hook with it
 func (n *BSNode) SetReconnect(hook func(remote NodeID) (io.ReadWriteCloser, error)) {
 	n.recMu.Lock()
 	defer n.recMu.Unlock()
@@ -211,8 +215,8 @@ func (n *BSNode) Close() {
 	}
 }
 
-// Link returns the current link to a remote node (nil if none). Tests
-// use it to reach per-link Stats and breakers.
+// Link returns the current link to a remote node (nil if none), for
+// its per-link Stats and breaker.
 func (n *BSNode) Link(remote NodeID) *Peer {
 	n.linkMu.Lock()
 	defer n.linkMu.Unlock()

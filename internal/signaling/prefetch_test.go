@@ -197,7 +197,7 @@ func script(engines []*core.Engine, peers []core.Peers, top *topology.Topology, 
 		}
 	}
 	for _, e := range engines {
-		trace = append(trace, e.BrCalcCount(), e.DegradedBrCalcs(), e.DegradedAdmissions())
+		trace = append(trace, e.Ledger().BrCalcs, e.DegradedBrCalcs(), e.DegradedAdmissions())
 	}
 	return trace, admissionsWithRecompute
 }

@@ -28,7 +28,7 @@ type slot struct {
 // start at 1 and increase by scheduling order, so FIFO tie-break at equal
 // timestamps is built in. Heap, slab and free list only grow, to the
 // largest number of events queued at once, so steady-state Schedule and
-// Pop allocate nothing. An EventQueue is not safe for concurrent use.
+// PopUntil allocate nothing. An EventQueue is not safe for concurrent use.
 type EventQueue struct {
 	heap     []entry
 	slots    []slot
@@ -111,11 +111,6 @@ func (q *EventQueue) PopUntil(end float64) (at float64, seq uint64, fn Event, ok
 	return at, seq, q.removeHead(), true
 }
 
-// Pop is PopUntil without a time bound.
-func (q *EventQueue) Pop() (at float64, seq uint64, fn Event, ok bool) {
-	return q.PopUntil(math.Inf(1))
-}
-
 // removeHead takes the root entry out of the heap, frees its slot and
 // returns the callback the slot held.
 func (q *EventQueue) removeHead() Event {
@@ -136,6 +131,8 @@ func (q *EventQueue) removeHead() Event {
 // CanceledRetained returns the number of canceled events still occupying
 // heap entries and slots. Kernels call Compact at run teardown to drive
 // this to zero; tests use it as a leak probe.
+//
+//cellqos:allow unreached sim/shard's TestCancelAndTeardownCompaction sums it across shards (Kernel.CanceledRetained in that package's export_test.go)
 func (q *EventQueue) CanceledRetained() int { return q.canceled }
 
 // Compact drops every canceled event from the heap and frees its slot;

@@ -122,9 +122,6 @@ func New(cfg Config) *Kernel {
 	return k
 }
 
-// NumShards returns the configured shard count.
-func (k *Kernel) NumShards() int { return k.cfg.Shards }
-
 // Lookahead returns the conservative window length.
 func (k *Kernel) Lookahead() float64 { return k.cfg.Lookahead }
 
@@ -150,16 +147,6 @@ func (k *Kernel) Pending() int {
 	n := 0
 	for _, sh := range k.shards {
 		n += sh.queue.Len()
-	}
-	return n
-}
-
-// CanceledRetained sums the canceled-but-queued events across shards;
-// Run/RunUntil compact it to zero at teardown.
-func (k *Kernel) CanceledRetained() int {
-	n := 0
-	for _, sh := range k.shards {
-		n += sh.queue.CanceledRetained()
 	}
 	return n
 }

@@ -60,11 +60,6 @@ func (s *Simulator) Pending() int { return s.queue.Len() }
 // Fired returns the total number of events executed so far.
 func (s *Simulator) Fired() uint64 { return s.fired }
 
-// CanceledRetained returns the number of canceled events still occupying
-// queue memory; Run and RunUntil compact this to zero at teardown. It
-// exists for leak regression tests.
-func (s *Simulator) CanceledRetained() int { return s.queue.CanceledRetained() }
-
 // ErrPastEvent is returned by At when an event is scheduled before Now.
 var ErrPastEvent = errors.New("sim: event scheduled in the past")
 
@@ -154,11 +149,4 @@ func (s *Simulator) RunUntil(end float64) float64 {
 		s.now = end
 	}
 	return s.now
-}
-
-// NextEventTime exposes the timestamp of the earliest pending event, for
-// tests and pacing logic. ok is false when nothing is queued.
-func (s *Simulator) NextEventTime() (t float64, ok bool) {
-	t, _, ok = s.queue.PeekTime()
-	return t, ok
 }

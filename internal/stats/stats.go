@@ -107,9 +107,6 @@ func (w *TimeWeighted) Set(t, v float64) {
 	w.last, w.value = t, v
 }
 
-// Value returns the current value.
-func (w *TimeWeighted) Value() float64 { return w.value }
-
 // Mean returns the time average over [start, now]. now must be ≥ the last
 // Set time. Zero before any Set.
 func (w *TimeWeighted) Mean(now float64) float64 {
@@ -132,12 +129,6 @@ func (s *Series) Append(t, v float64) {
 	s.T = append(s.T, t)
 	s.V = append(s.V, v)
 }
-
-// Len returns the number of stored points.
-func (s *Series) Len() int { return len(s.T) }
-
-// At returns point i.
-func (s *Series) At(i int) (t, v float64) { return s.T[i], s.V[i] }
 
 // ValueAt returns the value of the last point at or before t (sample-and-
 // hold), and false when no point precedes t.

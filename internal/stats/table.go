@@ -17,22 +17,6 @@ func NewTable(header ...string) *Table {
 	return &Table{header: header}
 }
 
-// AddRow appends a row; cells are formatted with %v.
-func (t *Table) AddRow(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = FormatProb(v)
-		case string:
-			row[i] = v
-		default:
-			row[i] = fmt.Sprintf("%v", c)
-		}
-	}
-	t.rows = append(t.rows, row)
-}
-
 // AddRowStrings appends a pre-formatted row.
 func (t *Table) AddRowStrings(cells ...string) { t.rows = append(t.rows, cells) }
 

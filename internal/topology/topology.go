@@ -86,17 +86,6 @@ func (t *Topology) Neighbors(c CellID) []CellID {
 // Degree returns the number of neighbors of c.
 func (t *Topology) Degree(c CellID) int { return len(t.Neighbors(c)) }
 
-// MaxDegree returns the largest cell degree in the topology.
-func (t *Topology) MaxDegree() int {
-	max := 0
-	for _, ns := range t.neighbors {
-		if len(ns) > max {
-			max = len(ns)
-		}
-	}
-	return max
-}
-
 // Adjacent reports whether a and b are distinct neighboring cells.
 func (t *Topology) Adjacent(a, b CellID) bool {
 	t.check(a)

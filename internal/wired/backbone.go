@@ -88,9 +88,6 @@ func (b *Backbone) Graph() *Graph { return b.g }
 // Cells returns how many cells have mapped BS nodes.
 func (b *Backbone) Cells() int { return len(b.bsNode) }
 
-// BSNode returns the wired node of a cell's base station.
-func (b *Backbone) BSNode(cell topology.CellID) NodeID { return b.bsNode[cell] }
-
 // Connect routes and reserves a path for a new connection of bw BUs at
 // the given cell. ok=false means the backbone blocked the connection.
 func (b *Backbone) Connect(cell topology.CellID, bw int) (Path, bool) {

@@ -99,12 +99,6 @@ func (g *Graph) AddLink(a, b NodeID, capacity int) int {
 
 func (g *Graph) valid(n NodeID) bool { return n >= 0 && int(n) < len(g.kinds) }
 
-// NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return len(g.kinds) }
-
-// NumLinks returns the link count.
-func (g *Graph) NumLinks() int { return len(g.links) }
-
 // Kind returns a node's kind.
 func (g *Graph) Kind(n NodeID) NodeKind {
 	if !g.valid(n) {
@@ -115,12 +109,6 @@ func (g *Graph) Kind(n NodeID) NodeKind {
 
 // Gateways lists the gateway nodes.
 func (g *Graph) Gateways() []NodeID { return g.gateways }
-
-// LinkLoad returns a link's (used, capacity).
-func (g *Graph) LinkLoad(idx int) (used, capacity int) {
-	l := &g.links[idx]
-	return l.used, l.capacity
-}
 
 // other returns the far endpoint of link idx as seen from n.
 func (g *Graph) other(idx int, n NodeID) NodeID {
@@ -140,9 +128,6 @@ type Path struct {
 
 // Valid reports whether the path is non-degenerate.
 func (p Path) Valid() bool { return len(p.Nodes) >= 1 && len(p.Nodes) == len(p.Links)+1 }
-
-// Last returns the path's terminal node.
-func (p Path) Last() NodeID { return p.Nodes[len(p.Nodes)-1] }
 
 // Route finds a minimum-hop path from src to any node satisfying goal,
 // using only links with at least bw free capacity. It returns ok=false
