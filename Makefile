@@ -92,16 +92,17 @@ arena:
 arena-smoke:
 	$(GO) test -race -count=1 -run 'TestArenaSmoke|TestArenaUnknownPolicy|TestRosterRegistered' -v ./internal/arena/
 
-# fuzz gives every fuzz target a short smoke run (the CI budget; run
-# targets individually with a longer -fuzztime for real hunting).
+# fuzz gives every Fuzz* target in the module a short smoke run (the CI
+# budget), enumerating them with `go test -list` exactly as CI's fuzz
+# step does; run targets individually with a longer -fuzztime for real
+# hunting.
 fuzz:
-	$(GO) test -fuzz=FuzzPersistRoundTrip -fuzztime=30s ./internal/predict/
-	$(GO) test -fuzz=FuzzRecordUpkeep -fuzztime=30s ./internal/predict/
-	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/signaling/
-	$(GO) test -fuzz=FuzzIncrementalBr -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=30s ./internal/service/
-	$(GO) test -fuzz=FuzzEventQueue -fuzztime=30s ./internal/sim/
-	$(GO) test -fuzz=FuzzBarrierOrder -fuzztime=30s ./internal/sim/shard/
+	set -e; for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \
+			echo "== fuzzing $$pkg $$target =="; \
+			$(GO) test -fuzz="^$${target}\$$" -fuzztime=30s -run '^$$' $$pkg; \
+		done; \
+	done
 
 # soak-smoke is the CI-sized service soak: one full pass up the
 # internal/faults chaos ladder of crash-and-restart checkpoint cycles,

@@ -274,8 +274,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var remoteErrs, retries, timeouts, opens, degBr, degAdm uint64
 		for _, n := range nodes {
 			remoteErrs += n.RemoteErrors()
-			degBr += n.Engine().DegradedBrCalcs()
-			degAdm += n.Engine().DegradedAdmissions()
+			l := n.Engine().Ledger()
+			degBr += l.DegradedBrCalcs
+			degAdm += l.DegradedAdmissions
 			for _, p := range links(n) {
 				retries += p.Stats().Retries.Load()
 				timeouts += p.Stats().Timeouts.Load()

@@ -43,10 +43,12 @@ func (n *Network) auditNow(now float64) {
 	// accounting is expected there.
 	lossless := !n.cfg.Faults.Enabled && !n.cfg.Sharding.Async()
 	engineConns := 0
+	pledged := make([]int, len(n.cells))
 	var sys stats.Counters
-	for _, c := range n.cells {
+	for i, c := range n.cells {
 		name := fmt.Sprintf("cell %d", c.id)
 		l := c.engine.Ledger()
+		pledged[i] = l.Pledged
 		ck.Engine(name, now, l)
 		if checkEq5 {
 			ck.Eq5Cache(name, now, c.engine)
@@ -117,7 +119,7 @@ func (n *Network) auditNow(now float64) {
 			births, deaths, live, inFlight)
 	}
 	for i, c := range n.cells {
-		if got := c.engine.PledgedBandwidth(); got != pledgedWant[i] {
+		if got := pledged[i]; got != pledgedWant[i] {
 			ck.Failf("pledge-conservation", fmt.Sprintf("cell %d", c.id), now,
 				fmt.Sprintf("pledged=%d expected=%d", got, pledgedWant[i]),
 				"engine pledge pool %d BUs != %d BUs pledged by live connections", got, pledgedWant[i])

@@ -528,7 +528,7 @@ func TestMobSpecBaseline(t *testing.T) {
 	// outstanding pledge bandwidth.
 	var enginePledged int
 	for c := topology.CellID(0); c < 10; c++ {
-		enginePledged += ns.Engine(c).PledgedBandwidth()
+		enginePledged += ns.Engine(c).Ledger().Pledged
 	}
 	admitted := rs.Total.Requested - rs.Total.Blocked
 	accounted := rs.Total.Completed + rs.Total.Dropped + rs.Total.Exited + uint64(ns.ActiveConnections())
@@ -551,9 +551,9 @@ func TestMobSpecPledgesReleasedOnDrain(t *testing.T) {
 	// Σ live bw × remaining pledges by draining via a long quiet period:
 	// easiest check: every cell satisfies used+pledged ≤ capacity.
 	for c := topology.CellID(0); c < 10; c++ {
-		e := n.Engine(c)
-		if e.UsedBandwidth()+e.PledgedBandwidth() > e.Capacity() {
-			t.Fatalf("cell %d oversubscribed: used %d + pledged %d", c, e.UsedBandwidth(), e.PledgedBandwidth())
+		l := n.Engine(c).Ledger()
+		if l.Used+l.Pledged > l.Capacity {
+			t.Fatalf("cell %d oversubscribed: used %d + pledged %d", c, l.Used, l.Pledged)
 		}
 	}
 }
@@ -737,8 +737,8 @@ func TestEverythingEnabledInteraction(t *testing.T) {
 		t.Fatalf("conservation violated: %d != %d", admitted, accounted)
 	}
 	for _, c := range res.Cells {
-		e := n.Engine(c.ID)
-		if e.UsedBandwidth()+e.PledgedBandwidth() > e.Capacity()+cfg.HandOffMargin {
+		l := n.Engine(c.ID).Ledger()
+		if l.Used+l.Pledged > l.Capacity+cfg.HandOffMargin {
 			t.Fatalf("cell %d oversubscribed", c.ID)
 		}
 	}

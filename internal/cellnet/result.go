@@ -168,16 +168,18 @@ func (n *Network) Snapshot() *Result {
 	res.SoftExpired = n.softExpired
 	res.PeerFaults = n.peerFaults
 	for _, c := range n.cells {
-		res.DegradedBrCalcs += c.engine.DegradedBrCalcs()
-		res.DegradedAdmissions += c.engine.DegradedAdmissions()
+		l := c.engine.Ledger()
+		res.DegradedBrCalcs += l.DegradedBrCalcs
+		res.DegradedAdmissions += l.DegradedAdmissions
+		if n.cfg.AdaptiveQoS.Enabled {
+			// multi-class downgrades without adaptive QoS; those runs
+			// report no QoS adaptation.
+			res.AvgDegraded += c.degTW.Mean(now)
+			res.QoSDowngrades += l.QoSDowngrades
+			res.QoSUpgrades += l.QoSUpgrades
+		}
 	}
 	if n.cfg.AdaptiveQoS.Enabled {
-		for _, c := range n.cells {
-			res.AvgDegraded += c.degTW.Mean(now)
-			down, up := c.engine.QoSAdaptations()
-			res.QoSDowngrades += down
-			res.QoSUpgrades += up
-		}
 		res.AvgDegraded /= nc
 	}
 	return res

@@ -578,7 +578,7 @@ func TestChaosAC3DarkNeighborsWaitOnce(t *testing.T) {
 				t.Errorf("link to dark cell %d: breaker opened %d times, want 1", nb, got)
 			}
 		}
-		if got := node.Engine().DegradedAdmissions(); got != 1 {
+		if got := node.Engine().Ledger().DegradedAdmissions; got != 1 {
 			t.Errorf("DegradedAdmissions = %d, want 1", got)
 		}
 		checkLedgers(t, nodes, 10)

@@ -361,14 +361,6 @@ func (e *Engine) Snapshot() (used, capacity int, lastBr float64) {
 	return e.used, e.cfg.Capacity, e.lastBr
 }
 
-// PledgedBandwidth returns bandwidth pledged to expected visitors
-// (MobSpec baseline); 0 otherwise.
-func (e *Engine) PledgedBandwidth() int {
-	e.lock()
-	defer e.unlock()
-	return e.pledged
-}
-
 // Pledge reserves bw BUs for a specific expected hand-off (the MobSpec
 // baseline's per-connection reservation). It fails without side effects
 // when the cell cannot honor it.
@@ -617,13 +609,6 @@ func (e *Engine) DegradedBandwidth() int {
 	return deg
 }
 
-// QoSAdaptations returns lifetime (downgrade-events, upgrade-events).
-func (e *Engine) QoSAdaptations() (down, up uint64) {
-	e.lock()
-	defer e.unlock()
-	return e.downgrades, e.upgrades
-}
-
 // RemoveConnection deletes a connection (ended, handed off out, or
 // dropped) and frees its bandwidth.
 func (e *Engine) RemoveConnection(id ConnID) {
@@ -770,19 +755,24 @@ func (e *Engine) NoteHandOffArrival(now float64, dropped bool, peers Peers) {
 // OutgoingReservation evaluates Eq. 5 from this (sending) cell's side:
 // B_{this,toward} = Σ_j b(C_j) · p_h(C_j → toward within test), using
 // this cell's hand-off estimation functions and each connection's extant
-// sojourn time.
+// sojourn time. toward must be a neighbor, 1..Degree: any other
+// direction is a caller's error and panics.
 //
-// Results come from the materialized Eq. 5 view (eq5cache.go): the
-// per-connection Eq. 4 base state is maintained across events and
-// timestamps advance incrementally — only connections whose extant
+// Results come from the materialized Eq. 5 view (eq5cache.go), in one
+// flow: a view that is not current for (now, test, estimator
+// generation) is rebuilt with toward's term column materialized in the
+// same sweep; a finished sum is a hit; otherwise a column not yet
+// materialized is swept once, and the column is summed in table order.
+// Timestamps advance incrementally — only connections whose extant
 // sojourn reached a selected sojourn a cached term depends on are
-// refreshed — so a
-// steady admission burst answers in O(live connections) guard checks
-// instead of re-walking every Eq. 4 query, allocation-free and
-// bit-identical to a from-scratch walk. A changed window, estimator, or
-// estimator generation forces a full rebuild; a cold direction pays one
-// term-materialization pass.
+// refreshed — so a steady admission burst answers in O(live
+// connections) guard checks instead of re-walking every Eq. 4 query,
+// allocation-free and bit-identical to a from-scratch walk.
 func (e *Engine) OutgoingReservation(now float64, toward topology.LocalIndex, test float64) float64 {
+	t := int(toward)
+	if t < 1 || t > e.cfg.Degree {
+		panic(fmt.Sprintf("core: direction %d outside neighbor range [1,%d]", toward, e.cfg.Degree))
+	}
 	if m, ok := e.pol.(OutgoingModel); ok {
 		// Analytical model (the ExpDwell baseline): the policy replaces
 		// the history-based evaluation entirely.
@@ -796,25 +786,20 @@ func (e *Engine) OutgoingReservation(now float64, toward topology.LocalIndex, te
 	est := e.patterns.Estimator(now)
 	c := &e.eq5
 	if !e.eq5Current(now, test, est) {
-		// No live view for this window/estimator/generation: build it
-		// from scratch, answering this direction in the same fused
-		// walk, so a key queried once costs one pass over the table —
-		// the same as the from-scratch walk.
-		c.misses++
-		return e.eq5Rebuild(now, test, est, toward)
+		e.eq5Rebuild(now, test, est, t)
 	}
-	t := int(toward)
-	if t >= 1 && t < len(c.done) && c.done[t] {
+	if c.done[t] {
 		c.hits++
 		return c.sums[t]
 	}
-	c.misses++
-	sum := e.eq5Accumulate(toward)
-	if t >= 1 && t < len(c.done) {
-		c.sums[t] = sum
-		c.done[t] = true
+	if !c.termsDone[t] {
+		e.eq5Sweep(t)
+		c.termsDone[t] = true
 	}
-	return sum
+	c.misses++
+	c.sums[t] = e.eq5Sum(t)
+	c.done[t] = true
+	return c.sums[t]
 }
 
 // window returns the estimation window Eq. 6 is evaluated over: T_est,
@@ -877,22 +862,6 @@ func (e *Engine) BrDegraded() bool {
 	e.lock()
 	defer e.unlock()
 	return e.lastBrDegraded
-}
-
-// DegradedBrCalcs returns how many Eq. 6 evaluations ran in degraded
-// mode (≥1 neighbor answered by the Fallback policy).
-func (e *Engine) DegradedBrCalcs() uint64 {
-	e.lock()
-	defer e.unlock()
-	return e.degradedBrCalcs
-}
-
-// DegradedAdmissions returns how many admission tests were decided with
-// at least one neighbor's state unknown.
-func (e *Engine) DegradedAdmissions() uint64 {
-	e.lock()
-	defer e.unlock()
-	return e.degradedAdmissions
 }
 
 // committed returns used plus pledged bandwidth (what admissions must

@@ -470,8 +470,8 @@ func TestPledgeAccounting(t *testing.T) {
 	if !e.Pledge(6) {
 		t.Fatal("pledge refused on empty cell")
 	}
-	if e.PledgedBandwidth() != 6 {
-		t.Fatalf("pledged = %d", e.PledgedBandwidth())
+	if got := e.Ledger().Pledged; got != 6 {
+		t.Fatalf("pledged = %d", got)
 	}
 	// used + pledged + bw must clear capacity for admissions.
 	if d := e.AdmitNew(0, 5, nil); d.Admitted {
@@ -491,8 +491,8 @@ func TestPledgeAccounting(t *testing.T) {
 		t.Fatal("pledged arrival refused after unpledge")
 	}
 	e.AddConnection(2, ConnSpec{Min: 6, Prev: 1}, 1)
-	if e.UsedBandwidth() != 10 || e.PledgedBandwidth() != 0 {
-		t.Fatalf("used=%d pledged=%d", e.UsedBandwidth(), e.PledgedBandwidth())
+	if l := e.Ledger(); l.Used != 10 || l.Pledged != 0 {
+		t.Fatalf("used=%d pledged=%d", l.Used, l.Pledged)
 	}
 }
 
@@ -502,7 +502,7 @@ func TestPledgeRefusedWhenFull(t *testing.T) {
 	if e.Pledge(3) {
 		t.Fatal("over-capacity pledge accepted")
 	}
-	if e.PledgedBandwidth() != 0 {
+	if e.Ledger().Pledged != 0 {
 		t.Fatal("failed pledge left residue")
 	}
 }

@@ -101,9 +101,6 @@ func TestFallbackContributions(t *testing.T) {
 			if !e.BrDegraded() {
 				t.Fatal("BrDegraded = false after fallback substitution")
 			}
-			if got := e.DegradedBrCalcs(); got != 1 {
-				t.Fatalf("DegradedBrCalcs = %d, want 1", got)
-			}
 			l := e.Ledger()
 			if l.DegradedBrCalcs != 1 || !l.LastBrDegraded {
 				t.Fatalf("ledger degraded fields = %d,%v, want 1,true", l.DegradedBrCalcs, l.LastBrDegraded)
@@ -132,8 +129,8 @@ func TestFallbackDecayUsesLastKnown(t *testing.T) {
 	if br := e.ComputeTargetReservation(30, p); math.Abs(br-want) > 1e-12 {
 		t.Fatalf("decayed B_r = %v, want %v", br, want)
 	}
-	if !e.BrDegraded() || e.DegradedBrCalcs() != 1 {
-		t.Fatalf("degraded flags = %v,%d, want true,1", e.BrDegraded(), e.DegradedBrCalcs())
+	if !e.BrDegraded() || e.Ledger().DegradedBrCalcs != 1 {
+		t.Fatalf("degraded flags = %v,%d, want true,1", e.BrDegraded(), e.Ledger().DegradedBrCalcs)
 	}
 
 	// Neighbor heals: the flag clears, the counter keeps its history.
@@ -144,7 +141,7 @@ func TestFallbackDecayUsesLastKnown(t *testing.T) {
 	if e.BrDegraded() {
 		t.Fatal("BrDegraded still set after recovery")
 	}
-	if got := e.DegradedBrCalcs(); got != 1 {
+	if got := e.Ledger().DegradedBrCalcs; got != 1 {
 		t.Fatalf("DegradedBrCalcs after recovery = %d, want 1", got)
 	}
 }
@@ -170,7 +167,7 @@ func TestDegradedAdmissions(t *testing.T) {
 			if !d.Admitted || d.Degraded {
 				t.Fatalf("healthy decision = %+v, want admitted and not degraded", d)
 			}
-			if got := e.DegradedAdmissions(); got != 0 {
+			if got := e.Ledger().DegradedAdmissions; got != 0 {
 				t.Fatalf("DegradedAdmissions after healthy admit = %d, want 0", got)
 			}
 
@@ -183,7 +180,7 @@ func TestDegradedAdmissions(t *testing.T) {
 			if !d.Degraded {
 				t.Fatalf("%v decision not flagged degraded", pol)
 			}
-			if got := e.DegradedAdmissions(); got != 1 {
+			if got := e.Ledger().DegradedAdmissions; got != 1 {
 				t.Fatalf("DegradedAdmissions = %d, want 1", got)
 			}
 		})
@@ -204,7 +201,7 @@ func TestAC1DegradedStillDecides(t *testing.T) {
 	if !d.Admitted || !d.Degraded {
 		t.Fatalf("decision = %+v, want admitted on fallback data and flagged degraded", d)
 	}
-	if got := e.DegradedAdmissions(); got != 1 {
+	if got := e.Ledger().DegradedAdmissions; got != 1 {
 		t.Fatalf("DegradedAdmissions = %d, want 1", got)
 	}
 }

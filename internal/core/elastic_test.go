@@ -55,8 +55,7 @@ func TestDowngradeToFit(t *testing.T) {
 	if e.DegradedBandwidth() != 4 {
 		t.Fatalf("degraded = %d, want 4", e.DegradedBandwidth())
 	}
-	down, _ := e.QoSAdaptations()
-	if down != 1 {
+	if down := e.Ledger().QoSDowngrades; down != 1 {
 		t.Fatalf("downgrade events = %d", down)
 	}
 }
@@ -83,7 +82,7 @@ func TestDowngradeNoopWhenFits(t *testing.T) {
 	if e.UsedBandwidth() != 4 {
 		t.Fatal("needless downgrade happened")
 	}
-	if d, _ := e.QoSAdaptations(); d != 0 {
+	if e.Ledger().QoSDowngrades != 0 {
 		t.Fatal("noop counted as downgrade")
 	}
 }
@@ -106,7 +105,7 @@ func TestRedistributeFreeRespectsReservation(t *testing.T) {
 	if e.UsedBandwidth() != 30 {
 		t.Fatalf("used = %d, want 30", e.UsedBandwidth())
 	}
-	if _, up := e.QoSAdaptations(); up != 1 {
+	if e.Ledger().QoSUpgrades != 1 {
 		t.Fatal("upgrade event not counted")
 	}
 }

@@ -157,7 +157,8 @@ func (e *Engine) eq5Advance(now float64, est *predict.Estimator) bool {
 	refreshed := false
 	for i := range e.conns {
 		if !e.eq5GuardAt(i, now) {
-			e.eq5Refresh(i)
+			c.refreshes++
+			e.eq5Row(i, 0)
 			refreshed = true
 		}
 	}
@@ -189,21 +190,13 @@ func eq5Ext(t float64, cn *conn) float64 {
 	return ext
 }
 
-// eq5Refresh recomputes one connection's base state, guards, and any
-// materialized term-column entries at the view's current timestamp.
-// The caller clears the direction sums. Called under the engine lock.
-func (e *Engine) eq5Refresh(i int) {
-	e.eq5.refreshes++
-	e.eq5Row(i, 0)
-}
-
-// eq5Rebuild builds the view from scratch for (now, test, est) and
-// answers the requesting direction: one sweep computes every
-// connection's base state and its term toward the requested direction,
-// then the column is summed in table order. The estimator is pinned
-// with EnsureCurrent before the sweep, so no lazy selection rebuild can
-// move the generation mid-build. Called under the engine lock.
-func (e *Engine) eq5Rebuild(now, test float64, est *predict.Estimator, toward topology.LocalIndex) float64 {
+// eq5Rebuild builds the view from scratch for (now, test, est) with
+// column t materialized: one sweep computes every connection's base
+// state and its term toward t, and no sum is finished. The estimator is
+// pinned with EnsureCurrent before the sweep, so no lazy selection
+// rebuild can move the generation mid-build. Called under the engine
+// lock.
+func (e *Engine) eq5Rebuild(now, test float64, est *predict.Estimator, t int) {
 	c := &e.eq5
 	c.rebuilds++
 	c.valid = true
@@ -219,25 +212,8 @@ func (e *Engine) eq5Rebuild(now, test float64, est *predict.Estimator, toward to
 	c.termsDone = slices.Grow(c.termsDone[:0], d)[:d]
 	clear(c.done)
 	clear(c.termsDone)
-	t := int(toward)
-	col := t >= 1 && t < d
-	if col {
-		c.termsDone[t] = true
-	}
+	c.termsDone[t] = true
 	e.eq5Sweep(0)
-	if !col {
-		// Out-of-range direction (never a live neighbor): no column to
-		// keep; answer from eq5Term.
-		sum := 0.0
-		for i := range n {
-			v, _ := e.eq5Term(i, toward)
-			sum += v
-		}
-		return sum
-	}
-	c.sums[t] = e.eq5Sum(t)
-	c.done[t] = true
-	return c.sums[t]
 }
 
 // eq5Sweep applies eq5Row(i, t) to every connection, youngest first —
@@ -306,8 +282,8 @@ func (e *Engine) eq5Row(i, t int) {
 }
 
 // eq5Put stores connection i's term in column t from its Eq. 4
-// numerator w and the numerator's upper-edge guard hi, with eq5Term's
-// arithmetic, and tightens the connection's guard by it.
+// numerator w and the numerator's upper-edge guard hi, with
+// HandOffProb's arithmetic, and tightens the connection's guard by it.
 func (e *Engine) eq5Put(i, t int, w, hi float64) {
 	cn := &e.conns[i]
 	p := 0.0
@@ -345,59 +321,16 @@ func (e *Engine) eq5Base(i int) {
 	cn.den = c.est.SojournProb(c.now, cn.prev, cn.nextCell(), ext, c.test)
 }
 
-// eq5Term returns connection i's Eq. 5 term toward one direction at the
-// view's timestamp, from the cached base state — bit-identical to the
-// from-scratch term while the guards hold — and hi, the upper-edge guard
-// the term adds (+Inf when it reads no numerator).
-func (e *Engine) eq5Term(i int, toward topology.LocalIndex) (v, hi float64) {
-	c := &e.eq5
-	cn := &e.conns[i]
-	b := float64(cn.min)
-	if cn.nextCell() != NoHint {
-		if cn.nextCell() == toward {
-			return b * cn.den, math.Inf(1)
-		}
-		return 0, math.Inf(1)
-	}
-	p, hi := 0.0, math.Inf(1)
-	if cn.den != 0 {
-		var w float64
-		w, hi = c.est.HandOffWeightNext(c.now, cn.prev, toward, eq5Ext(c.now, cn), c.test)
-		p = w / cn.den
-	}
-	return b * p, hi
-}
-
-// eq5Cell materializes connection i's term in column t and tightens its
-// upper-edge guard by it.
+// eq5Cell stores hinted connection i's term in column t: its §7
+// sojourn probability toward the hinted cell, 0 toward any other. It
+// reads no numerator, so it adds no guard.
 func (e *Engine) eq5Cell(i, t int) {
-	v, hi := e.eq5Term(i, topology.LocalIndex(t))
 	cn := &e.conns[i]
-	cn.nextHi = min(cn.nextHi, hi)
+	v := 0.0
+	if cn.nextCell() == topology.LocalIndex(t) {
+		v = float64(cn.min) * cn.den
+	}
 	e.eq5.row(i)[t] = v
-}
-
-// eq5Accumulate answers one direction from the view: the term column is
-// materialized by a sweep on first use and the sum accumulated over it
-// in table order, matching eq5Scratch. Called under the engine lock.
-func (e *Engine) eq5Accumulate(toward topology.LocalIndex) float64 {
-	c := &e.eq5
-	t := int(toward)
-	if t < 1 || t >= len(c.termsDone) {
-		// Out-of-range direction (never a live neighbor): answer without
-		// touching the view's column state.
-		sum := 0.0
-		for i := range e.conns {
-			v, _ := e.eq5Term(i, toward)
-			sum += v
-		}
-		return sum
-	}
-	if !c.termsDone[t] {
-		e.eq5Sweep(t)
-		c.termsDone[t] = true
-	}
-	return e.eq5Sum(t)
 }
 
 // eq5Extend incorporates the connection just appended at table slot i

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -31,6 +32,23 @@ func seedEq5Engine() *Engine {
 	e.AddConnection(1, ConnSpec{Min: 4, Prev: topology.Self}, 90)
 	e.AddConnection(2, ConnSpec{Min: 2, Prev: 1}, 95)
 	return e
+}
+
+// TestOutgoingReservationDirectionRange holds OutgoingReservation to
+// its contract: a direction outside 1..Degree is a caller's error, and
+// the panic names the range.
+func TestOutgoingReservationDirectionRange(t *testing.T) {
+	e := seedEq5Engine()
+	for _, toward := range []topology.LocalIndex{topology.Self, 3} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "[1,2]") {
+					t.Errorf("OutgoingReservation toward %d: panic %q, want one naming [1,2]", toward, msg)
+				}
+			}()
+			e.OutgoingReservation(100, toward, 30)
+		}()
+	}
 }
 
 func TestEq5CacheHitsAndMisses(t *testing.T) {

@@ -40,6 +40,11 @@ type Ledger struct {
 	DegradedAdmissions uint64
 	LastBrDegraded     bool
 
+	// Lifetime adaptive-QoS events: connections downgraded to fit an
+	// arrival, and freed bandwidth handed back.
+	QoSDowngrades uint64
+	QoSUpgrades   uint64
+
 	// Materialized Eq. 5 view accounting (see eq5cache.go): lifetime
 	// full rebuilds, incremental timestamp advances, and per-connection
 	// refreshes during those advances. Diagnostics for the audit sweep
@@ -71,6 +76,8 @@ func (e *Engine) Ledger() Ledger {
 		DegradedBrCalcs:    e.degradedBrCalcs,
 		DegradedAdmissions: e.degradedAdmissions,
 		LastBrDegraded:     e.lastBrDegraded,
+		QoSDowngrades:      e.downgrades,
+		QoSUpgrades:        e.upgrades,
 		Eq5Rebuilds:        e.eq5.rebuilds,
 		Eq5Advances:        e.eq5.advances,
 		Eq5Refreshes:       e.eq5.refreshes,

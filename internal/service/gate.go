@@ -27,9 +27,6 @@ type Gate struct {
 	bucket core.TokenBucket
 	start  time.Time
 	c      clock.Clock
-
-	admitted uint64
-	shed     uint64
 }
 
 // NewGate builds a gate with the given burst capacity and refill rate
@@ -53,10 +50,5 @@ func (g *Gate) Allow() bool {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if !g.bucket.Take(g.c.Since(g.start).Seconds()) {
-		g.shed++
-		return false
-	}
-	g.admitted++
-	return true
+	return g.bucket.Take(g.c.Since(g.start).Seconds())
 }

@@ -18,9 +18,6 @@ func TestGateShedsWhenEmpty(t *testing.T) {
 	if g.Allow() {
 		t.Fatal("request passed an empty bucket")
 	}
-	if a, s := g.Stats(); a != 3 || s != 1 {
-		t.Fatalf("stats = (%d, %d), want (3, 1)", a, s)
-	}
 }
 
 func TestGateRefillsOnClock(t *testing.T) {
@@ -68,8 +65,5 @@ func TestGateDisabled(t *testing.T) {
 		if !g.Allow() {
 			t.Fatal("nil gate shed a request")
 		}
-	}
-	if a, s := g.Stats(); a != 0 || s != 0 {
-		t.Fatalf("nil gate stats = (%d, %d)", a, s)
 	}
 }

@@ -276,8 +276,10 @@ func (n *BSNode) handle(req Message) Message {
 	switch req.Type {
 	case MsgOutgoing:
 		from := topology.CellID(req.From)
+		// Only a neighbour may ask: a From naming this node itself
+		// resolves to Self, which is no direction.
 		toward, ok := n.top.LocalOf(n.id, from)
-		if !ok {
+		if !ok || toward == topology.Self {
 			return Message{Type: MsgError, U1: 2}
 		}
 		out := n.engine.OutgoingReservation(req.Now, toward, req.Test)

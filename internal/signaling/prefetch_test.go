@@ -197,7 +197,8 @@ func script(engines []*core.Engine, peers []core.Peers, top *topology.Topology, 
 		}
 	}
 	for _, e := range engines {
-		trace = append(trace, e.Ledger().BrCalcs, e.DegradedBrCalcs(), e.DegradedAdmissions())
+		l := e.Ledger()
+		trace = append(trace, l.BrCalcs, l.DegradedBrCalcs, l.DegradedAdmissions)
 	}
 	return trace, admissionsWithRecompute
 }

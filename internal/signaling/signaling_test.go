@@ -256,6 +256,38 @@ func threeNodeLine(t *testing.T, policy string) []*BSNode {
 	return nodes
 }
 
+// TestHandleOutgoingOnlyFromNeighbour sends MsgOutgoing straight to a
+// node's handler: a neighbour gets an answer, while a non-neighbour and
+// the node itself (a corrupted From) get MsgError, so the asker degrades
+// through its fallback policy instead of using a bogus sum.
+func TestHandleOutgoingOnlyFromNeighbour(t *testing.T) {
+	n := NewBSNode(3, topology.Ring(6), core.Config{
+		Capacity:   100,
+		Admission:  core.MustPolicy("AC1"),
+		PHDTarget:  0.01,
+		TStart:     1,
+		Estimation: predict.StationaryConfig(),
+	})
+	n.Engine().RecordDeparture(predict.Quadruplet{Event: 0, Prev: topology.Self, Next: 1, Sojourn: 10.5})
+	n.Engine().AddConnection(1, core.ConnSpec{Min: 4, Prev: topology.Self}, 0)
+	for _, tc := range []struct {
+		name    string
+		from    NodeID
+		wantErr bool
+	}{
+		{"self", 3, true},
+		{"non-neighbour", 0, true},
+		{"neighbour", 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp := n.handle(Message{Type: MsgOutgoing, From: tc.from, To: 3, Now: 10, Test: 5})
+			if got := resp.Type == MsgError; got != tc.wantErr {
+				t.Fatalf("From %d: reply %+v, want error %v", tc.from, resp, tc.wantErr)
+			}
+		})
+	}
+}
+
 func TestMeshDistributedReservation(t *testing.T) {
 	defer testleak.Check(t)()
 	nodes := threeNodeLine(t, "AC1")
