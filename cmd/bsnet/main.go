@@ -17,7 +17,7 @@
 // hand-off history into -state-dir so a crashed process resumes where
 // it left off, and draining in-flight admissions before exiting. The
 // exit code distinguishes a clean drain (0) from a failed shutdown (1)
-// and a degraded run (3); see DESIGN.md §15.
+// and a degraded run (3); see DESIGN.md §14.
 //
 // With -audit every base station's bandwidth ledger is verified against
 // the paper's conservation invariants (internal/audit) after the drive;
@@ -84,6 +84,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	)
 	sf := addServeFlags(fs)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *cells < 3 {
+		fmt.Fprintf(stderr, "bsnet: -cells %d: a ring needs at least 3 cells\n", *cells)
+		return 2
+	}
+	if *requests < 0 {
+		fmt.Fprintf(stderr, "bsnet: -requests %d: must be >= 0\n", *requests)
 		return 2
 	}
 	var fallback core.Fallback

@@ -47,6 +47,10 @@ func TestSmokeBadFlags(t *testing.T) {
 		{"-no-such-flag"},
 		{"-fault-fallback", "wishful"},
 		{"-fault-partition", "9", "-cells", "4"},
+		{"-cells", "2"},
+		{"-cells", "2", "-mode", "star"},
+		{"-cells", "2", "-serve", "-serve-events", "1"},
+		{"-requests", "-1"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(args, &out, &errb); code != 2 {

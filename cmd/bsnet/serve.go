@@ -21,7 +21,7 @@ import (
 // serveFlags configures the long-running admission-server mode
 // (-serve): a ring of in-process base stations driven continuously,
 // with crash-safe estimator checkpointing, an overload gate, and a
-// graceful SIGINT/SIGTERM drain (DESIGN.md §15).
+// graceful SIGINT/SIGTERM drain (DESIGN.md §14).
 type serveFlags struct {
 	serve           *bool
 	stateDir        *string

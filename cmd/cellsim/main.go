@@ -108,6 +108,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "cellsim: "+format+"\n", a...)
 		return 2
 	}
+	if !(*load >= 0) {
+		return errf("-load %v: the offered load must be >= 0", *load)
+	}
+	if !(*rvo >= 0 && *rvo <= 1) {
+		return errf("-rvo %v: the voice ratio must lie in [0, 1]", *rvo)
+	}
 
 	cfg := cellnet.PaperBase()
 	cfg.Capacity = *capacity
@@ -187,12 +193,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	switch strings.ToLower(*topoName) {
 	case "ring":
+		if *cells < 3 {
+			return errf("-cells %d: a ring needs at least 3 cells", *cells)
+		}
 		cfg.Topology = topology.Ring(*cells)
 		cfg.Mobility = &mobility.Linear{Top: cfg.Topology, DiameterKm: 1, Speed: sr, Direction: dir}
 	case "line":
+		if *cells < 2 {
+			return errf("-cells %d: a line needs at least 2 cells", *cells)
+		}
 		cfg.Topology = topology.Line(*cells)
 		cfg.Mobility = &mobility.Linear{Top: cfg.Topology, DiameterKm: 1, Speed: sr, Direction: dir}
 	case "hex":
+		least := 1
+		if *wrap {
+			least = 3
+		}
+		if *rows < least || *cols < least {
+			return errf("-rows %d -cols %d: a hex grid (wrap=%v) needs at least %d of each", *rows, *cols, *wrap, least)
+		}
 		cfg.Topology = topology.Hex(*rows, *cols, *wrap)
 		cfg.Mobility = &mobility.HexWalk{Top: cfg.Topology, DiameterKm: 1, Speed: sr, Persistence: *persistence}
 	default:

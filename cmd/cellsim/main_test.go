@@ -61,6 +61,11 @@ func TestSmokeBadFlags(t *testing.T) {
 		{"-schedule", "sometimes"},
 		{"-backbone", "bus"},
 		{"-no-such-flag"},
+		{"-cells", "2"},
+		{"-topology", "line", "-cells", "1"},
+		{"-topology", "hex", "-rows", "0"},
+		{"-load", "-5"},
+		{"-rvo", "1.5"},
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer

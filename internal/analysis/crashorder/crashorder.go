@@ -1,5 +1,5 @@
 // Package crashorder machine-enforces the crash-ordered checkpoint
-// sequence in internal/service (DESIGN.md §15): a live checkpoint
+// sequence in internal/service (DESIGN.md §14): a live checkpoint
 // artifact is only ever replaced by temp file → write → fsync → rename
 // → directory fsync. Two regressions are flagged:
 //

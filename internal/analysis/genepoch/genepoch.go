@@ -38,7 +38,7 @@ var Analyzer = &analysis.Analyzer{
 // derivedMethods produce generation-scoped values. SurvivorWeightNext
 // and HandOffWeightNext, and the sweep queries SweepNext and
 // SweepHandOffNext that answer them from per-pair cursors, also return
-// the materialized Eq. 5 view's staleness guards (DESIGN.md §14):
+// the materialized Eq. 5 view's staleness guards (DESIGN.md §11):
 // selected sojourns of the current selection, which die with it like
 // the weights beside them.
 var derivedMethods = map[string]bool{

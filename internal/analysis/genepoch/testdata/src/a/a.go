@@ -58,7 +58,7 @@ func allowEscapeHatch(e *predict.Estimator, q predict.Quadruplet) float64 {
 	return denom //cellqos:allow genepoch fixture: intentional before/after comparison
 }
 
-// The incremental-view shapes (DESIGN.md §14): the materialized Eq. 5
+// The incremental-view shapes (DESIGN.md §11): the materialized Eq. 5
 // view caches guards returned by SurvivorWeightNext and
 // HandOffWeightNext, and EnsureCurrent — the view's own pinning hook —
 // performs the lazy rebuilds that kill such state.

@@ -8,7 +8,7 @@
 // — of a Peers query or of core.PeerValue itself — and resurrecting a
 // comparison against the deleted sentinels. It runs module-wide, so the
 // one rule covers the engine's own reads, the Peers implementations and
-// every AdmissionPolicy's decision path (the DESIGN.md §16 degraded-peer
+// every AdmissionPolicy's decision path (the DESIGN.md §15 degraded-peer
 // obligation).
 package peervalue
 

@@ -1,4 +1,4 @@
-// Package policycontract machine-enforces the DESIGN.md §16
+// Package policycontract machine-enforces the DESIGN.md §15
 // AdmissionPolicy contract on every implementation the package under
 // analysis declares:
 //
@@ -40,7 +40,7 @@ import (
 // Analyzer enforces the AdmissionPolicy implementation contract.
 var Analyzer = &analysis.Analyzer{
 	Name: "policycontract",
-	Doc: "enforce the DESIGN.md §16 AdmissionPolicy contract: per-cell mutable " +
+	Doc: "enforce the DESIGN.md §15 AdmissionPolicy contract: per-cell mutable " +
 		"state requires CellStater with a deep CloneCellState, decision methods " +
 		"stay free of wall clock, global rand, and map ranging, and " +
 		"RegisterPolicy runs only from init with a literal unique name",
@@ -78,7 +78,7 @@ func checkCellState(pass *analysis.Pass, impl *types.Named, methods map[string]*
 	isStater := stater != nil && flow.Implements(impl, stater)
 	if node != nil && !isStater {
 		pass.Reportf(node.Pos(),
-			"policy %s mutates receiver state in %s but does not implement CellStater: without CloneCellState one registry value is shared by every cell (DESIGN.md §16)",
+			"policy %s mutates receiver state in %s but does not implement CellStater: without CloneCellState one registry value is shared by every cell (DESIGN.md §15)",
 			impl.Obj().Name(), method)
 	}
 	if !isStater {

@@ -1,5 +1,5 @@
 // Package policyfix is the policycontract fixture: AdmissionPolicy
-// implementations violating each clause of the DESIGN.md §16 contract
+// implementations violating each clause of the DESIGN.md §15 contract
 // next to the compliant idioms, plus the registry discipline cases.
 package policyfix
 

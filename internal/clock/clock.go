@@ -7,7 +7,7 @@
 // Clock (or calls Wall explicitly) so every wall-clock read in the
 // module is greppable, mockable, and machine-enforced: the cellqos-vet
 // nodeterm analyzer flags time.Now and time.Since anywhere outside
-// this package (DESIGN.md §15).
+// this package (DESIGN.md §14).
 //
 // Wall time never stamps engine-visible events: the service stamps
 // them from a deterministic service.StepSource, and wall time only

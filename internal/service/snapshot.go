@@ -1,7 +1,7 @@
 // Package service turns the deterministic admission engine into a
 // long-running base-station process: a paced drive loop with periodic
 // crash-safe estimator checkpointing, an overload gate for new calls,
-// and a graceful drain-flush-exit lifecycle (DESIGN.md §15).
+// and a graceful drain-flush-exit lifecycle (DESIGN.md §14).
 //
 // The package sits between two time domains. Wall-clock time — always
 // read through internal/clock, never directly — paces the loop and the

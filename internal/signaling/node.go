@@ -3,6 +3,7 @@ package signaling
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -273,6 +274,17 @@ func (n *BSNode) linkFor(nb NodeID) *Peer {
 // of the node lock — so the node's own admission cannot move used or
 // B_r^prev between the reads.
 func (n *BSNode) handle(req Message) Message {
+	switch req.Type {
+	case MsgOutgoing, MsgRecompute, MsgMaxSojourn:
+		// Frames carry no checksum. A non-finite time, or a window that
+		// is not a finite non-negative length, would move the engine's
+		// Eq. 5 view there and poison every later answer.
+		badNow := math.IsNaN(req.Now) || math.IsInf(req.Now, 0)
+		badTest := req.Type == MsgOutgoing && !(req.Test >= 0 && !math.IsInf(req.Test, 1))
+		if badNow || badTest {
+			return Message{Type: MsgError, U1: 6}
+		}
+	}
 	switch req.Type {
 	case MsgOutgoing:
 		from := topology.CellID(req.From)

@@ -256,35 +256,81 @@ func threeNodeLine(t *testing.T, policy string) []*BSNode {
 	return nodes
 }
 
-// TestHandleOutgoingOnlyFromNeighbour sends MsgOutgoing straight to a
-// node's handler: a neighbour gets an answer, while a non-neighbour and
-// the node itself (a corrupted From) get MsgError, so the asker degrades
-// through its fallback policy instead of using a bogus sum.
+// TestHandleOutgoingOnlyFromNeighbour sends queries straight to a node's
+// handler: a neighbour gets an answer, while a non-neighbour, the node
+// itself (a corrupted From), a non-finite Now and a MsgOutgoing window
+// that is not a finite non-negative length get MsgError, so the asker
+// degrades through its fallback policy instead of using a bogus sum and
+// the responder's Eq. 5 view never moves to a poisoned timestamp.
 func TestHandleOutgoingOnlyFromNeighbour(t *testing.T) {
-	n := NewBSNode(3, topology.Ring(6), core.Config{
-		Capacity:   100,
-		Admission:  core.MustPolicy("AC1"),
-		PHDTarget:  0.01,
-		TStart:     1,
-		Estimation: predict.StationaryConfig(),
-	})
-	n.Engine().RecordDeparture(predict.Quadruplet{Event: 0, Prev: topology.Self, Next: 1, Sojourn: 10.5})
-	n.Engine().AddConnection(1, core.ConnSpec{Min: 4, Prev: topology.Self}, 0)
+	// newNode builds cell 3 of a 6-ring with enough history and
+	// connections that a poisoned Eq. 5 view answers differently.
+	newNode := func() *BSNode {
+		n := NewBSNode(3, topology.Ring(6), core.Config{
+			Capacity:   100,
+			Admission:  core.MustPolicy("AC1"),
+			PHDTarget:  0.01,
+			TStart:     1,
+			Estimation: predict.StationaryConfig(),
+		})
+		for k := 0; k < 20; k++ {
+			n.Engine().RecordDeparture(predict.Quadruplet{
+				Event:   float64(k) * 0.1,
+				Prev:    topology.LocalIndex(k % 3),
+				Next:    topology.LocalIndex(1 + k%2),
+				Sojourn: 2 + float64(k*7%13),
+			})
+		}
+		for k := 0; k < 5; k++ {
+			n.Engine().AddConnection(core.ConnID(k+1),
+				core.ConnSpec{Min: 1 + k%2*3, Prev: topology.LocalIndex(k % 3)}, float64(k))
+		}
+		return n
+	}
+	n := newNode()
+	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
-		name    string
-		from    NodeID
-		wantErr bool
+		name      string
+		typ       MsgType
+		from      NodeID
+		now, test float64
+		wantErr   bool
 	}{
-		{"self", 3, true},
-		{"non-neighbour", 0, true},
-		{"neighbour", 2, false},
+		{"self", MsgOutgoing, 3, 10, 5, true},
+		{"non-neighbour", MsgOutgoing, 0, 10, 5, true},
+		{"neighbour", MsgOutgoing, 2, 10, 5, false},
+		{"outgoing now +Inf", MsgOutgoing, 2, inf, 5, true},
+		{"outgoing now -Inf", MsgOutgoing, 2, -inf, 5, true},
+		{"outgoing test NaN", MsgOutgoing, 2, 11, nan, true},
+		{"outgoing test +Inf", MsgOutgoing, 2, 11, inf, true},
+		{"outgoing test -Inf", MsgOutgoing, 2, 11, -inf, true},
+		{"outgoing test negative", MsgOutgoing, 2, 11, -1, true},
+		{"recompute now NaN", MsgRecompute, 2, nan, 0, true},
+		{"recompute now +Inf", MsgRecompute, 2, inf, 0, true},
+		{"max sojourn now NaN", MsgMaxSojourn, 2, nan, 0, true},
+		{"max sojourn now -Inf", MsgMaxSojourn, 2, -inf, 0, true},
+		// A NaN time right after an honest query is what poisons a
+		// live view; the honest query below would read it.
+		{"neighbour again", MsgOutgoing, 2, 11, 5, false},
+		{"outgoing now NaN", MsgOutgoing, 2, nan, 5, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			resp := n.handle(Message{Type: MsgOutgoing, From: tc.from, To: 3, Now: 10, Test: 5})
+			resp := n.handle(Message{Type: tc.typ, From: tc.from, To: 3, Now: tc.now, Test: tc.test})
 			if got := resp.Type == MsgError; got != tc.wantErr {
-				t.Fatalf("From %d: reply %+v, want error %v", tc.from, resp, tc.wantErr)
+				t.Fatalf("%v from %d at now %v, T_est %v: reply %+v, want error %v",
+					tc.typ, tc.from, tc.now, tc.test, resp, tc.wantErr)
 			}
 		})
+	}
+	// Whatever was refused left no trace: an honest query answers as a
+	// never-queried twin does, and the view audits clean.
+	honest := Message{Type: MsgOutgoing, From: 2, To: 3, Now: 12, Test: 5}
+	got, want := n.handle(honest), newNode().handle(honest)
+	if math.Float64bits(got.F1) != math.Float64bits(want.F1) {
+		t.Fatalf("honest query after refused ones: %v, never-poisoned twin %v", got.F1, want.F1)
+	}
+	if diff, checked := n.Engine().VerifyEq5CacheAt(12); !checked || diff != 0 {
+		t.Fatalf("VerifyEq5CacheAt(12) = %v, checked %v; want 0, true", diff, checked)
 	}
 }
 
