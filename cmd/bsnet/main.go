@@ -94,18 +94,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "bsnet: -requests %d: must be >= 0\n", *requests)
 		return 2
 	}
-	var fallback core.Fallback
-	switch *faultFallback {
-	case "decay":
-		fallback = core.Fallback{Mode: core.FallbackDecay}
-	case "guard":
-		fallback = core.Fallback{Mode: core.FallbackGuard}
-	case "zero":
-		fallback = core.Fallback{Mode: core.FallbackZero}
-	default:
-		fmt.Fprintf(stderr, "bsnet: unknown -fault-fallback %q\n", *faultFallback)
+	fbMode, err := core.ParseFallbackMode(*faultFallback)
+	if err != nil {
+		fmt.Fprintf(stderr, "bsnet: -fault-fallback: %v\n", err)
 		return 2
 	}
+	fallback := core.Fallback{Mode: fbMode}
 	if *sf.serve {
 		return runServe(sf, *cells, *seed, *doAudit, fallback, stdout, stderr)
 	}
@@ -185,7 +179,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if faulty {
 		fmt.Fprintf(stdout, "fault injection: drop=%.2f corrupt=%.2f delay=%s partition=%d fallback=%s seed=%d\n",
-			*faultDrop, *faultCorrupt, *faultDelay, *faultPartition, *faultFallback, *faultSeed)
+			*faultDrop, *faultCorrupt, *faultDelay, *faultPartition, fbMode, *faultSeed)
 		for _, l := range inj.byOwner[*faultPartition] {
 			l.Partition()
 		}

@@ -114,6 +114,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !(*rvo >= 0 && *rvo <= 1) {
 		return errf("-rvo %v: the voice ratio must lie in [0, 1]", *rvo)
 	}
+	if !(*persistence >= 0 && *persistence <= 1) {
+		return errf("-persistence %v: the direction persistence must lie in [0, 1]", *persistence)
+	}
 
 	cfg := cellnet.PaperBase()
 	cfg.Capacity = *capacity
@@ -123,20 +126,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *auditEvery > 0 {
 		cfg.Audit = &audit.Checker{EveryN: *auditEvery}
 	}
-	if *faultDrop > 0 {
-		var fb core.Fallback
-		switch strings.ToLower(*faultFallback) {
-		case "decay":
-			fb = core.Fallback{Mode: core.FallbackDecay}
-		case "guard":
-			fb = core.Fallback{Mode: core.FallbackGuard}
-		case "zero":
-			fb = core.Fallback{Mode: core.FallbackZero}
-		default:
-			return errf("unknown -fault-fallback %q", *faultFallback)
-		}
-		cfg.Faults = cellnet.FaultConfig{Enabled: true, Drop: *faultDrop, Fallback: fb}
+	mode, err := core.ParseFallbackMode(*faultFallback)
+	if err != nil {
+		return errf("-fault-fallback: %v", err)
 	}
+	cfg.Fallback = core.Fallback{Mode: mode}
+	cfg.FaultDrop = *faultDrop
 
 	// The policy registry resolves names case-insensitively (-policy ac3
 	// and -policy AC3 both parse), and rivals registered by other
@@ -153,12 +148,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "mob-spec":
 		cfg.MobSpecHorizon = *specHorizon
 	}
-	if *adaptiveMin > 0 {
-		cfg.AdaptiveQoS = cellnet.AdaptiveQoSConfig{Enabled: true, VideoMinBUs: *adaptiveMin}
-	}
-	if *softOverlap > 0 {
-		cfg.SoftHandOff = cellnet.SoftHandOffConfig{Enabled: true, OverlapSeconds: *softOverlap}
-	}
+	cfg.AdaptiveVideoMin = *adaptiveMin
+	cfg.SoftOverlap = *softOverlap
 	cfg.HandOffMargin = *margin
 	cfg.DirectionHints = *hints
 	cfg.Sharding = cellnet.ShardingConfig{
@@ -222,11 +213,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	end := *duration
 	switch strings.ToLower(*schedName) {
 	case "constant":
+		if !(end > 0) {
+			return errf("-duration %v: the simulated time must be > 0", end)
+		}
 		cfg.Schedule = traffic.Constant{
 			Lambda: traffic.RateForLoad(*load, cfg.Mix, cfg.MeanLifetime),
 			MinKmh: sr.MinKmh, MaxKmh: sr.MaxKmh,
 		}
 	case "daily":
+		if *days < 1 {
+			return errf("-days %d: the run must simulate at least one day", *days)
+		}
 		cfg.Schedule = traffic.PaperDay(cfg.Mix, cfg.MeanLifetime)
 		cfg.Estimation = predict.DailyConfig()
 		end = float64(*days) * traffic.SecondsPerDay
@@ -249,6 +246,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		default:
 			return errf("unknown backbone %q", *backboneK)
 		}
+	}
+
+	if err := cfg.Validate(); err != nil {
+		return errf("%v", err)
 	}
 
 	ctx := context.Background()
@@ -282,14 +283,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "PCB=%s PHD=%s (target %.3g) Ncalc=%.3f avgBr=%.2f avgBu=%.2f exchanges=%d\n",
 		stats.FormatProb(res.PCB), stats.FormatProb(res.PHD), *target,
 		res.NCalc, res.AvgBr, res.AvgBu, res.Exchanges)
-	if *adaptiveMin > 0 {
+	if cfg.AdaptiveVideoMin > 0 {
 		fmt.Fprintf(stdout, "adaptive QoS: avg degraded %.2f BU, %d downgrades, %d upgrades\n",
 			res.AvgDegraded, res.QoSDowngrades, res.QoSUpgrades)
 	}
-	if *softOverlap > 0 {
+	if cfg.SoftOverlap > 0 {
 		fmt.Fprintf(stdout, "soft hand-off: %d saved in overlap, %d expired\n", res.SoftSaved, res.SoftExpired)
 	}
-	if *faultDrop > 0 {
+	if cfg.FaultDrop > 0 {
 		fmt.Fprintf(stdout, "signaling faults: %d exchanges failed, %d degraded B_r calcs, %d degraded admissions\n",
 			res.PeerFaults, res.DegradedBrCalcs, res.DegradedAdmissions)
 	}

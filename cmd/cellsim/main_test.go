@@ -51,29 +51,50 @@ func TestSmokePerCellTable(t *testing.T) {
 	}
 }
 
-// TestSmokeBadFlags: usage errors must exit 2 without running anything.
+// TestSmokeBadFlags: usage errors and invalid scenarios must exit 2
+// without running anything, with one "cellsim: " prefix and, where a
+// flag is at fault, a diagnostic that names it.
 func TestSmokeBadFlags(t *testing.T) {
-	cases := [][]string{
-		{"-policy", "nope"},
-		{"-topology", "nope"},
-		{"-direction", "sideways"},
-		{"-speed", "fast"},
-		{"-schedule", "sometimes"},
-		{"-backbone", "bus"},
-		{"-no-such-flag"},
-		{"-cells", "2"},
-		{"-topology", "line", "-cells", "1"},
-		{"-topology", "hex", "-rows", "0"},
-		{"-load", "-5"},
-		{"-rvo", "1.5"},
+	cases := []struct {
+		args []string
+		want string // stderr fragment; "" checks only for a diagnostic
+	}{
+		{[]string{"-policy", "nope"}, ""},
+		{[]string{"-topology", "nope"}, ""},
+		{[]string{"-direction", "sideways"}, ""},
+		{[]string{"-speed", "fast"}, ""},
+		{[]string{"-schedule", "sometimes"}, ""},
+		{[]string{"-backbone", "bus"}, ""},
+		{[]string{"-no-such-flag"}, ""},
+		{[]string{"-cells", "2"}, ""},
+		{[]string{"-topology", "line", "-cells", "1"}, ""},
+		{[]string{"-topology", "hex", "-rows", "0"}, ""},
+		{[]string{"-load", "-5"}, ""},
+		{[]string{"-rvo", "1.5"}, ""},
+		{[]string{"-capacity", "0", "-duration", "10"}, "capacity"},
+		{[]string{"-duration", "-5"}, "-duration"},
+		{[]string{"-duration", "NaN"}, "-duration"},
+		{[]string{"-schedule", "daily", "-days", "-1"}, "-days"},
+		{[]string{"-topology", "hex", "-persistence", "2", "-duration", "10"}, "-persistence"},
+		{[]string{"-adaptive-video-min", "7", "-duration", "10"}, "video minimum"},
+		{[]string{"-soft-overlap", "-1", "-duration", "10"}, "overlap"},
+		{[]string{"-soft-overlap", "NaN", "-duration", "10"}, "overlap"},
+		{[]string{"-fault-drop", "NaN", "-duration", "10"}, "fault drop"},
+		{[]string{"-fault-fallback", "wishful", "-duration", "10"}, "-fault-fallback"},
+		{[]string{"-target", "NaN", "-duration", "10"}, "PHD target"},
+		{[]string{"-policy", "exp-dwell", "-dwell-mean", "NaN", "-duration", "10"}, "ExpDwell"},
 	}
-	for _, args := range cases {
+	for _, tc := range cases {
 		var out, errb bytes.Buffer
-		if code := run(args, &out, &errb); code != 2 {
-			t.Errorf("run(%v) exit %d, want 2 (stderr: %s)", args, code, errb.String())
+		if code := run(tc.args, &out, &errb); code != 2 {
+			t.Errorf("run(%v) exit %d, want 2 (stderr: %s)", tc.args, code, errb.String())
 		}
-		if errb.Len() == 0 {
-			t.Errorf("run(%v) printed no diagnostic", args)
+		msg := errb.String()
+		if msg == "" {
+			t.Errorf("run(%v) printed no diagnostic", tc.args)
+		}
+		if !strings.Contains(msg, tc.want) || strings.Contains(msg, "cellsim: cellsim:") {
+			t.Errorf("run(%v) stderr %q: want one \"cellsim: \" prefix and %q", tc.args, msg, tc.want)
 		}
 	}
 }

@@ -41,7 +41,7 @@ func (n *Network) auditNow(now float64) {
 	// Under delayed signaling a cell's neighbors legitimately read as
 	// unreachable before its first exchange reply, so degraded-mode
 	// accounting is expected there.
-	lossless := !n.cfg.Faults.Enabled && !n.cfg.Sharding.Async()
+	lossless := n.cfg.FaultDrop == 0 && !n.cfg.Sharding.Async()
 	engineConns := 0
 	pledged := make([]int, len(n.cells))
 	var sys stats.Counters

@@ -32,8 +32,8 @@ func BenchmarkRunAC3AllFeatures(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg := scenario("AC3", 250, 0.6, mobility.HighMobility, uint64(i+1))
-		cfg.AdaptiveQoS = AdaptiveQoSConfig{Enabled: true, VideoMinBUs: 2}
-		cfg.SoftHandOff = SoftHandOffConfig{Enabled: true, OverlapSeconds: 4}
+		cfg.AdaptiveVideoMin = 2
+		cfg.SoftOverlap = 4
 		cfg.DirectionHints = true
 		MustNew(cfg).Run(500)
 	}

@@ -17,31 +17,13 @@ import (
 	"cellqos/internal/wired"
 )
 
-// Config describes one simulation scenario.
+// Config describes one simulation scenario. The embedded core.Config
+// configures every cell's engine; engineConfig overrides its Degree from
+// the topology and its Lock with nil, so those two fields are ignored.
 type Config struct {
+	core.Config
 	// Topology is the cell adjacency graph.
 	Topology *topology.Topology
-	// Capacity is each cell's wireless link capacity in BUs (A6: 100).
-	Capacity int
-	// Admission is the admission-control scheme under test (typically
-	// core.MustPolicy or core.PolicyByName). Required.
-	Admission core.AdmissionPolicy
-	// StaticReserve is G for the "static" policy.
-	StaticReserve int
-	// PHDTarget is P_HD,target (0.01 in the paper).
-	PHDTarget float64
-	// TStart is the initial T_est (1 s in the paper).
-	TStart float64
-	// Step is the T_est adjustment policy (UnitStep in the paper).
-	Step core.StepPolicy
-	// Estimation configures the hand-off estimation functions.
-	Estimation predict.Config
-	// Calendar optionally routes weekday/weekend patterns.
-	Calendar predict.Calendar
-	// ExpDwellMean and ExpDwellWindow parameterize the "exp-dwell"
-	// baseline (assumed mean dwell τ and fixed estimation window T).
-	ExpDwellMean   float64
-	ExpDwellWindow float64
 	// Mobility mints mobile movement paths.
 	Mobility mobility.Model
 	// Mix is the voice/video class mixture (A3).
@@ -60,24 +42,23 @@ type Config struct {
 	// Wired shortfalls block new connections and drop hand-offs on top of
 	// the wireless admission tests.
 	Backbone *wired.Backbone
-	// AdaptiveQoS enables the §1 integration with adaptive-QoS schemes
-	// (refs [6,8]): video connections become elastic between VideoMinBUs
-	// and the full 4 BUs — cells downgrade them to absorb hand-offs and
-	// upgrade them when bandwidth frees; reservation uses minimum QoS.
-	AdaptiveQoS AdaptiveQoSConfig
+	// AdaptiveVideoMin, when non-zero, enables the §1 integration with
+	// adaptive-QoS schemes (refs [6,8]): video connections become elastic
+	// between this many BUs (1–4) and the full 4 — cells downgrade them
+	// to absorb hand-offs and upgrade them when bandwidth frees;
+	// reservation uses minimum QoS. Zero means rigid video.
+	AdaptiveVideoMin int
 	// MobSpecHorizon sizes the "mob-spec" baseline's mobility
 	// specification: a new connection pledges its bandwidth in every
 	// cell within this many hops (default 2). Ignored by other policies.
 	MobSpecHorizon int
-	// HandOffMargin models CDMA soft capacity (§7): hand-offs may use up
-	// to Capacity+HandOffMargin BUs.
-	HandOffMargin int
-	// SoftHandOff enables the §7 CDMA soft hand-off extension: a mobile
-	// crossing into a full cell keeps its old-cell link for up to
-	// OverlapSeconds (macrodiversity in the overlap region) and the
-	// hand-off completes as soon as the new cell frees capacity; it
-	// drops only when the window expires.
-	SoftHandOff SoftHandOffConfig
+	// SoftOverlap, when positive, enables the §7 CDMA soft hand-off
+	// extension: a mobile crossing into a full cell keeps its old-cell
+	// link for up to this many seconds (macrodiversity in the overlap
+	// region) and the hand-off completes as soon as the new cell frees
+	// capacity; it drops only when the window expires. Zero means a
+	// hard hand-off.
+	SoftOverlap float64
 	// DirectionHints enables the paper's §7 ITS/GPS extension: every
 	// mobile's next cell is known from route guidance, so Eq. 5 only
 	// estimates the hand-off time and concentrates reservation on the
@@ -88,13 +69,14 @@ type Config struct {
 	// records them: the movement happened even though the connection
 	// died, and the estimator models mobility, not admission.
 	SkipDroppedDepartures bool
-	// Faults models a degraded signaling plane inside the in-process
-	// simulation (the distributed deployment injects real link faults via
-	// internal/faults): each peer information exchange independently
-	// fails with probability Faults.Drop, drawn from a dedicated
-	// deterministic RNG stream, and the engines degrade per
-	// Faults.Fallback instead of silently under-reserving.
-	Faults FaultConfig
+	// FaultDrop, when positive, models a degraded signaling plane inside
+	// the in-process simulation (the distributed deployment injects real
+	// link faults via internal/faults): each peer information exchange
+	// independently fails with this probability (request and any
+	// response lost; the caller sees an unreachable neighbor), drawn
+	// from a dedicated deterministic RNG stream, and the engines degrade
+	// per Fallback instead of silently under-reserving.
+	FaultDrop float64
 	// Audit, when non-nil, re-verifies the bandwidth ledgers, counters,
 	// pledges and wired reservations after simulation events (sampled per
 	// audit.Checker.EveryN) and in full at every Snapshot; a violation
@@ -170,11 +152,11 @@ func (s ShardingConfig) Validate() error {
 	if s.Shards < 0 {
 		return fmt.Errorf("cellnet: negative shard count %d", s.Shards)
 	}
-	if s.SignalingLatency < 0 {
-		return fmt.Errorf("cellnet: negative signaling latency %v", s.SignalingLatency)
+	if !(s.SignalingLatency >= 0) {
+		return fmt.Errorf("cellnet: signaling latency %v must be >= 0", s.SignalingLatency)
 	}
-	if s.ExchangePeriod < 0 {
-		return fmt.Errorf("cellnet: negative exchange period %v", s.ExchangePeriod)
+	if !(s.ExchangePeriod >= 0) {
+		return fmt.Errorf("cellnet: exchange period %v must be >= 0", s.ExchangePeriod)
 	}
 	if s.Async() && s.ExchangePeriod > 0 && s.ExchangePeriod < s.SignalingLatency {
 		return fmt.Errorf("cellnet: exchange period %v shorter than signaling latency %v",
@@ -183,77 +165,10 @@ func (s ShardingConfig) Validate() error {
 	return nil
 }
 
-// FaultConfig parameterizes in-simulation signaling faults.
-type FaultConfig struct {
-	Enabled bool
-	// Drop is the probability that one peer exchange fails (both the
-	// request and any response lost; the caller sees an unreachable
-	// neighbor).
-	Drop float64
-	// Fallback selects what an unreachable neighbor contributes to B_r
-	// (core degradation policy; zero value = last-known with decay).
-	Fallback core.Fallback
-}
-
-// Validate checks fault-model invariants.
-func (f FaultConfig) Validate() error {
-	if !f.Enabled {
-		return nil
-	}
-	if f.Drop < 0 || f.Drop > 1 {
-		return fmt.Errorf("cellnet: fault drop probability %v outside [0,1]", f.Drop)
-	}
-	return f.Fallback.Validate()
-}
-
-// AdaptiveQoSConfig parameterizes the adaptive-QoS integration.
-type AdaptiveQoSConfig struct {
-	Enabled bool
-	// VideoMinBUs is the minimum acceptable video bandwidth (1–4).
-	VideoMinBUs int
-}
-
-// Validate checks adaptive-QoS invariants.
-func (a AdaptiveQoSConfig) Validate() error {
-	if !a.Enabled {
-		return nil
-	}
-	if a.VideoMinBUs < 1 || a.VideoMinBUs > 4 {
-		return fmt.Errorf("cellnet: video minimum %d outside [1,4]", a.VideoMinBUs)
-	}
-	return nil
-}
-
-// SoftHandOffConfig parameterizes the CDMA soft hand-off extension.
-type SoftHandOffConfig struct {
-	Enabled bool
-	// OverlapSeconds is how long the mobile can hold both links (paper's
-	// "communicate via two adjacent BSs simultaneously for a while").
-	OverlapSeconds float64
-}
-
-// softHandOffRetry is how often, in seconds, a pending soft hand-off
-// re-tests the new cell.
-const softHandOffRetry = 0.5
-
-// Validate checks soft hand-off invariants.
-func (s SoftHandOffConfig) Validate() error {
-	if !s.Enabled {
-		return nil
-	}
-	if s.OverlapSeconds <= 0 {
-		return fmt.Errorf("cellnet: soft hand-off needs positive overlap, got %v", s.OverlapSeconds)
-	}
-	return nil
-}
-
 // Validate checks scenario invariants.
 func (c Config) Validate() error {
 	if c.Topology == nil {
 		return fmt.Errorf("cellnet: nil topology")
-	}
-	if c.Capacity <= 0 {
-		return fmt.Errorf("cellnet: capacity %d", c.Capacity)
 	}
 	if c.Mobility == nil {
 		return fmt.Errorf("cellnet: nil mobility model")
@@ -264,20 +179,20 @@ func (c Config) Validate() error {
 	if c.Mix.VoiceRatio < 0 || c.Mix.VoiceRatio > 1 {
 		return fmt.Errorf("cellnet: voice ratio %v", c.Mix.VoiceRatio)
 	}
-	if c.MeanLifetime <= 0 {
+	if !(c.MeanLifetime > 0) {
 		return fmt.Errorf("cellnet: mean lifetime %v", c.MeanLifetime)
 	}
 	if err := c.Retry.Validate(); err != nil {
 		return err
 	}
-	if err := c.SoftHandOff.Validate(); err != nil {
-		return err
+	if c.AdaptiveVideoMin < 0 || c.AdaptiveVideoMin > 4 {
+		return fmt.Errorf("cellnet: video minimum %d outside [1,4] (0 = rigid)", c.AdaptiveVideoMin)
 	}
-	if err := c.AdaptiveQoS.Validate(); err != nil {
-		return err
+	if !(c.SoftOverlap >= 0) {
+		return fmt.Errorf("cellnet: soft hand-off overlap %v must be >= 0", c.SoftOverlap)
 	}
-	if err := c.Faults.Validate(); err != nil {
-		return err
+	if !(c.FaultDrop >= 0 && c.FaultDrop <= 1) {
+		return fmt.Errorf("cellnet: fault drop probability %v outside [0,1]", c.FaultDrop)
 	}
 	for _, id := range c.TraceCells {
 		if !c.Topology.Valid(id) {
@@ -308,9 +223,9 @@ func (c Config) Validate() error {
 			return fmt.Errorf("cellnet: wired backbone unsupported with async sharding")
 		case c.Admission.Traits().MobSpec:
 			return fmt.Errorf("cellnet: mobility-specification policies unsupported with async sharding")
-		case c.SoftHandOff.Enabled:
+		case c.SoftOverlap > 0:
 			return fmt.Errorf("cellnet: soft hand-off unsupported with async sharding")
-		case c.Faults.Enabled:
+		case c.FaultDrop > 0:
 			return fmt.Errorf("cellnet: fault injection unsupported with async sharding")
 		case c.SkipDroppedDepartures:
 			return fmt.Errorf("cellnet: SkipDroppedDepartures unsupported with async sharding")
@@ -319,23 +234,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// engineConfig derives the per-cell engine configuration.
+// engineConfig derives a cell's engine configuration: the embedded
+// one, with the cell's degree and no lock (cellnet is single-threaded).
 func (c Config) engineConfig(id topology.CellID) core.Config {
-	return core.Config{
-		Capacity:       c.Capacity,
-		Degree:         c.Topology.Degree(id),
-		Admission:      c.Admission,
-		StaticReserve:  c.StaticReserve,
-		PHDTarget:      c.PHDTarget,
-		TStart:         c.TStart,
-		Step:           c.Step,
-		Estimation:     c.Estimation,
-		Calendar:       c.Calendar,
-		ExpDwellMean:   c.ExpDwellMean,
-		ExpDwellWindow: c.ExpDwellWindow,
-		Fallback:       c.Faults.Fallback,
-		HandOffMargin:  c.HandOffMargin,
-	}
+	ec := c.Config
+	ec.Degree = c.Topology.Degree(id)
+	ec.Lock = nil
+	return ec
 }
 
 // PaperBase returns a config pre-filled with the paper's §5.1 constants
@@ -344,10 +249,12 @@ func (c Config) engineConfig(id topology.CellID) core.Config {
 // policy, mobility, mix and schedule.
 func PaperBase() Config {
 	return Config{
-		Capacity:     100,
-		PHDTarget:    0.01,
-		TStart:       1,
-		Estimation:   predict.StationaryConfig(),
+		Config: core.Config{
+			Capacity:   100,
+			PHDTarget:  0.01,
+			TStart:     1,
+			Estimation: predict.StationaryConfig(),
+		},
 		MeanLifetime: traffic.MeanLifetime,
 	}
 }

@@ -139,7 +139,7 @@ type Network struct {
 	softSaved   uint64 // hand-offs completed within the overlap window
 	softExpired uint64 // pending hand-offs dropped at window expiry
 
-	// Fault-injection state (Config.Faults): a dedicated RNG stream so
+	// Fault-injection state (Config.FaultDrop): a dedicated RNG stream so
 	// the fault schedule never perturbs the traffic/mobility draws, and
 	// the count of injected exchange failures.
 	faultRng   *rand.Rand
@@ -183,7 +183,7 @@ func New(cfg Config) (*Network, error) {
 	if !async {
 		n.rng = rand.New(rand.NewPCG(cfg.Seed, 0x9e3779b97f4a7c15))
 	}
-	if cfg.Faults.Enabled {
+	if cfg.FaultDrop > 0 {
 		n.faultRng = rand.New(rand.NewPCG(cfg.Seed, 0xfa17_fa17_fa17_fa17))
 	}
 	// Pick the event kernel from the signaling model alone: instant
@@ -320,8 +320,8 @@ func (n *Network) scheduleNextArrival(c *cell) {
 func (n *Network) onArrival(c *cell) {
 	class := n.cfg.Mix.Sample(c.rng)
 	min, max := class.Bandwidth, class.Bandwidth
-	if n.cfg.AdaptiveQoS.Enabled && class == traffic.Video {
-		min = n.cfg.AdaptiveQoS.VideoMinBUs
+	if n.cfg.AdaptiveVideoMin > 0 && class == traffic.Video {
+		min = n.cfg.AdaptiveVideoMin
 	}
 	n.request(c, min, max, serviceClass(class), 1)
 	n.scheduleNextArrival(c)
@@ -652,10 +652,10 @@ func (n *Network) onCrossing(conn *connection, hop mobility.Hop) {
 	if admitted || !n.cfg.SkipDroppedDepartures {
 		from.engine.RecordDeparture(quad)
 	}
-	if !admitted && n.cfg.SoftHandOff.Enabled {
+	if !admitted && n.cfg.SoftOverlap > 0 {
 		// §7 CDMA soft hand-off: hold both links for up to the overlap
 		// window; the hand-off resolves (and is counted) later.
-		deadline := math.Min(now+n.cfg.SoftHandOff.OverlapSeconds, conn.diesAt)
+		deadline := math.Min(now+n.cfg.SoftOverlap, conn.diesAt)
 		n.scheduleSoftRetry(conn, from, to, deadline)
 		return
 	}
@@ -671,7 +671,7 @@ func (n *Network) admitHandOff(conn *connection, to *cell, now float64) bool {
 	// A MobSpec pledge at the destination converts into used bandwidth.
 	n.dropPledge(conn, to.id)
 	admitted := to.engine.AdmitHandOffRequest(now, core.Request{Bandwidth: conn.min, Class: conn.class}, to.peers).Admitted
-	if !admitted && n.cfg.AdaptiveQoS.Enabled {
+	if !admitted && n.cfg.AdaptiveVideoMin > 0 {
 		// Adaptive QoS absorbs the hand-off by degrading existing
 		// connections toward their minima (§1).
 		admitted = to.engine.DowngradeToFit(conn.min)
@@ -716,7 +716,7 @@ func (n *Network) resolveHandOff(conn *connection, from, to *cell, admitted bool
 // connections then grow back into the freed bandwidth.
 func (n *Network) vacate(c *cell, conn *connection, now float64) {
 	c.engine.RemoveConnection(conn.id)
-	if n.cfg.AdaptiveQoS.Enabled {
+	if n.cfg.AdaptiveVideoMin > 0 {
 		c.engine.RedistributeFree()
 	}
 	n.noteBu(c, now)
@@ -753,6 +753,10 @@ func (n *Network) enterCell(conn *connection, from, to *cell, now float64) {
 	}
 	n.scheduleDeparture(conn, nextHop, okNext)
 }
+
+// softHandOffRetry is how often, in seconds, a pending soft hand-off
+// re-tests the new cell.
+const softHandOffRetry = 0.5
 
 // scheduleSoftRetry books the next capacity re-test of a pending soft
 // hand-off. While pending, the connection keeps its old-cell bandwidth
@@ -814,7 +818,7 @@ func (n *Network) releaseWired(conn *connection) {
 // adaptive QoS is on, the degradation average).
 func (n *Network) noteBu(c *cell, now float64) {
 	c.buTW.Set(now, float64(c.engine.UsedBandwidth()))
-	if n.cfg.AdaptiveQoS.Enabled {
+	if n.cfg.AdaptiveVideoMin > 0 {
 		c.degTW.Set(now, float64(c.engine.DegradedBandwidth()))
 	}
 }
@@ -830,7 +834,7 @@ func (n *Network) noteBr(c *cell, now float64) {
 
 // memPeers implements core.Peers by direct in-process calls to neighbor
 // engines, counting one exchange per query (what a real deployment would
-// send over the Fig. 1 signaling network). With Config.Faults enabled,
+// send over the Fig. 1 signaling network). With a positive Config.FaultDrop,
 // each exchange independently fails with the configured probability —
 // the in-process model of a lossy signaling plane — and the caller's
 // engine degrades per its Fallback policy.
@@ -852,7 +856,7 @@ func (p *memPeers) faulted() bool {
 	if p.n.faultRng == nil {
 		return false
 	}
-	if p.n.faultRng.Float64() >= p.n.cfg.Faults.Drop {
+	if p.n.faultRng.Float64() >= p.n.cfg.FaultDrop {
 		return false
 	}
 	p.n.peerFaults++

@@ -1,6 +1,7 @@
 package cellnet
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -249,8 +250,8 @@ func TestResetStatsKeepsConnections(t *testing.T) {
 // be inconsistent.
 func TestResetStatsClearsSoftAndFaultTallies(t *testing.T) {
 	cfg := scenario("AC3", 300, 1.0, mobility.HighMobility, 14)
-	cfg.SoftHandOff = SoftHandOffConfig{Enabled: true, OverlapSeconds: 1}
-	cfg.Faults = FaultConfig{Enabled: true, Drop: 0.2}
+	cfg.SoftOverlap = 1
+	cfg.FaultDrop = 0.2
 	n := MustNew(cfg)
 	warm := n.Run(1500)
 	if warm.SoftSaved == 0 || warm.SoftExpired == 0 || warm.PeerFaults == 0 {
@@ -563,7 +564,7 @@ func TestAdaptiveQoSAbsorbsHandOffs(t *testing.T) {
 	// cost of reduced quality under load.
 	base := scenario("AC3", 300, 0.5, mobility.HighMobility, 61)
 	adaptive := base
-	adaptive.AdaptiveQoS = AdaptiveQoSConfig{Enabled: true, VideoMinBUs: 1}
+	adaptive.AdaptiveVideoMin = 1
 	a := MustNew(base).Run(2500)
 	nb := MustNew(adaptive)
 	b := nb.Run(2500)
@@ -599,7 +600,7 @@ func TestAdaptiveQoSDisabledUnchanged(t *testing.T) {
 	// QoS off, results equal the pre-feature behavior deterministically.
 	a := MustNew(scenario("AC3", 150, 0.8, mobility.HighMobility, 62)).Run(1200)
 	cfg := scenario("AC3", 150, 0.8, mobility.HighMobility, 62)
-	cfg.AdaptiveQoS = AdaptiveQoSConfig{} // explicitly zero
+	cfg.AdaptiveVideoMin = 0 // explicitly rigid
 	b := MustNew(cfg).Run(1200)
 	if a.Total != b.Total {
 		t.Fatal("zero-valued adaptive config changed results")
@@ -611,13 +612,11 @@ func TestAdaptiveQoSDisabledUnchanged(t *testing.T) {
 
 func TestAdaptiveQoSValidation(t *testing.T) {
 	cfg := scenario("AC3", 100, 0.5, mobility.HighMobility, 63)
-	cfg.AdaptiveQoS = AdaptiveQoSConfig{Enabled: true, VideoMinBUs: 0}
-	if cfg.Validate() == nil {
-		t.Fatal("VideoMinBUs=0 accepted")
-	}
-	cfg.AdaptiveQoS.VideoMinBUs = 5
-	if cfg.Validate() == nil {
-		t.Fatal("VideoMinBUs=5 accepted")
+	for min := -1; min <= 5; min++ {
+		cfg.AdaptiveVideoMin = min
+		if ok := min >= 0 && min <= 4; (cfg.Validate() == nil) != ok {
+			t.Errorf("AdaptiveVideoMin=%d: Validate = %v, want ok=%v", min, cfg.Validate(), ok)
+		}
 	}
 }
 
@@ -626,7 +625,7 @@ func TestSoftHandOffReducesDrops(t *testing.T) {
 	// into deferred completions, so P_HD falls for the same workload.
 	base := scenario("none", 300, 1.0, mobility.HighMobility, 41)
 	soft := base
-	soft.SoftHandOff = SoftHandOffConfig{Enabled: true, OverlapSeconds: 5}
+	soft.SoftOverlap = 5
 	a := MustNew(base).Run(2500)
 	nb := MustNew(soft)
 	b := nb.Run(2500)
@@ -652,9 +651,11 @@ func TestSoftHandOffReducesDrops(t *testing.T) {
 
 func TestSoftHandOffValidation(t *testing.T) {
 	cfg := scenario("AC3", 100, 1.0, mobility.HighMobility, 42)
-	cfg.SoftHandOff = SoftHandOffConfig{Enabled: true, OverlapSeconds: 0}
-	if cfg.Validate() == nil {
-		t.Fatal("zero overlap accepted")
+	for _, overlap := range []float64{-1, math.NaN()} {
+		cfg.SoftOverlap = overlap
+		if cfg.Validate() == nil {
+			t.Errorf("overlap %v accepted", overlap)
+		}
 	}
 }
 
@@ -718,8 +719,8 @@ func TestEverythingEnabledInteraction(t *testing.T) {
 	cfg.Mobility = &mobility.Linear{Top: top, DiameterKm: 1, Speed: mobility.HighMobility}
 	cfg.Schedule = traffic.PaperDay(cfg.Mix, cfg.MeanLifetime)
 	cfg.Retry = traffic.PaperRetry
-	cfg.AdaptiveQoS = AdaptiveQoSConfig{Enabled: true, VideoMinBUs: 2}
-	cfg.SoftHandOff = SoftHandOffConfig{Enabled: true, OverlapSeconds: 4}
+	cfg.AdaptiveVideoMin = 2
+	cfg.SoftOverlap = 4
 	cfg.HandOffMargin = 4
 	cfg.DirectionHints = true
 	cfg.Backbone = wired.MeshOfBSs(top, 300, 300, wired.FullReroute)
@@ -761,35 +762,34 @@ func TestConfigValidation(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	bad := good
-	bad.Topology = nil
-	if bad.Topology != nil || bad.Validate() == nil {
-		t.Fatal("nil topology accepted")
-	}
-	bad = good
-	bad.Mobility = nil
-	if bad.Validate() == nil {
-		t.Fatal("nil mobility accepted")
-	}
-	bad = good
-	bad.Schedule = nil
-	if bad.Validate() == nil {
-		t.Fatal("nil schedule accepted")
-	}
-	bad = good
-	bad.MeanLifetime = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero lifetime accepted")
-	}
-	bad = good
-	bad.TraceCells = []topology.CellID{99}
-	if bad.Validate() == nil {
-		t.Fatal("out-of-range trace cell accepted")
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"nil topology", func(c *Config) { c.Topology = nil }},
+		{"nil mobility", func(c *Config) { c.Mobility = nil }},
+		{"nil schedule", func(c *Config) { c.Schedule = nil }},
+		{"zero lifetime", func(c *Config) { c.MeanLifetime = 0 }},
+		{"NaN lifetime", func(c *Config) { c.MeanLifetime = nan }},
+		{"out-of-range trace cell", func(c *Config) { c.TraceCells = []topology.CellID{99} }},
+		{"NaN signaling latency", func(c *Config) { c.Sharding.SignalingLatency = nan }},
+		{"NaN exchange period", func(c *Config) { c.Sharding.ExchangePeriod = nan }},
+		{"NaN fault drop", func(c *Config) { c.FaultDrop = nan }},
+		{"fault drop above 1", func(c *Config) { c.FaultDrop = 1.5 }},
+		{"NaN soft overlap", func(c *Config) { c.SoftOverlap = nan }},
+		{"NaN P_HD target", func(c *Config) { c.PHDTarget = nan }},
+	} {
+		bad := good
+		tc.mut(&bad)
+		if bad.Validate() == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 	// No default scheme, under either signaling model: the error lists
 	// the names a config could have chosen.
 	for _, latency := range []float64{0, 0.5} {
-		bad = good
+		bad := good
 		bad.Admission = nil
 		bad.Sharding.SignalingLatency = latency
 		err := bad.Validate()

@@ -226,8 +226,8 @@ func TestRecycledConnectionsCarryNoState(t *testing.T) {
 		stream.pcg.Seed(7, 7)
 	}
 	softAC3 := scenario("AC3", 250, 0.6, mobility.HighMobility, 7)
-	softAC3.AdaptiveQoS = AdaptiveQoSConfig{Enabled: true, VideoMinBUs: 2}
-	softAC3.SoftHandOff = SoftHandOffConfig{Enabled: true, OverlapSeconds: 4}
+	softAC3.AdaptiveVideoMin = 2
+	softAC3.SoftOverlap = 4
 	for _, tc := range []struct {
 		name string
 		cfg  Config

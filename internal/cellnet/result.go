@@ -54,7 +54,7 @@ type Result struct {
 	AvgDegraded   float64
 	QoSDowngrades uint64
 	QoSUpgrades   uint64
-	// Degraded signaling-plane outcomes (Config.Faults): injected
+	// Degraded signaling-plane outcomes (Config.FaultDrop): injected
 	// exchange failures, B_r computations that substituted a fallback
 	// contribution, and admission tests decided on unknown neighbor
 	// state. All zero in a fault-free run.
@@ -171,7 +171,7 @@ func (n *Network) Snapshot() *Result {
 		l := c.engine.Ledger()
 		res.DegradedBrCalcs += l.DegradedBrCalcs
 		res.DegradedAdmissions += l.DegradedAdmissions
-		if n.cfg.AdaptiveQoS.Enabled {
+		if n.cfg.AdaptiveVideoMin > 0 {
 			// multi-class downgrades without adaptive QoS; those runs
 			// report no QoS adaptation.
 			res.AvgDegraded += c.degTW.Mean(now)
@@ -179,7 +179,7 @@ func (n *Network) Snapshot() *Result {
 			res.QoSUpgrades += l.QoSUpgrades
 		}
 	}
-	if n.cfg.AdaptiveQoS.Enabled {
+	if n.cfg.AdaptiveVideoMin > 0 {
 		res.AvgDegraded /= nc
 	}
 	return res

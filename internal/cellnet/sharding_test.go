@@ -108,8 +108,8 @@ func TestAsyncRejectsUnsupportedFeatures(t *testing.T) {
 			c.Backbone = wired.StarOfMSCs(c.Topology, 2, 1000, 5000, wired.FullReroute)
 		}},
 		{"mobspec", "mobility-specification", func(c *Config) { c.Admission = core.MustPolicy("mob-spec") }},
-		{"soft", "soft hand-off", func(c *Config) { c.SoftHandOff.Enabled = true; c.SoftHandOff.OverlapSeconds = 1 }},
-		{"faults", "fault injection", func(c *Config) { c.Faults.Enabled = true; c.Faults.Drop = 0.1 }},
+		{"soft", "soft hand-off", func(c *Config) { c.SoftOverlap = 1 }},
+		{"faults", "fault injection", func(c *Config) { c.FaultDrop = 0.1 }},
 		{"skipdrops", "SkipDroppedDepartures", func(c *Config) { c.SkipDroppedDepartures = true }},
 	}
 	for _, tc := range cases {

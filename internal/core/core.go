@@ -117,10 +117,10 @@ func (c Config) Validate() error {
 		}
 	}
 	if pol.Traits().Adaptive {
-		if c.PHDTarget <= 0 || c.PHDTarget > 1 {
+		if !(c.PHDTarget > 0 && c.PHDTarget <= 1) {
 			return fmt.Errorf("core: PHD target %v outside (0,1]", c.PHDTarget)
 		}
-		if c.TStart < 1 {
+		if !(c.TStart >= 1) {
 			return fmt.Errorf("core: TStart %v below 1 s", c.TStart)
 		}
 		if err := c.Estimation.Validate(); err != nil {

@@ -328,6 +328,15 @@ func TestNoteHandOffNonAdaptiveNoop(t *testing.T) {
 }
 
 func TestEngineConfigValidation(t *testing.T) {
+	nan := math.NaN()
+	withAC3 := func(f func(*Config)) Config {
+		c := adaptiveConfig("AC3")
+		f(&c)
+		return c
+	}
+	expDwell := func(mean, window float64) Config {
+		return Config{Capacity: 10, Degree: 1, Admission: MustPolicy("exp-dwell"), ExpDwellMean: mean, ExpDwellWindow: window}
+	}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -340,6 +349,11 @@ func TestEngineConfigValidation(t *testing.T) {
 		{"adaptive bad target", Config{Capacity: 10, Degree: 1, Admission: MustPolicy("AC1"), PHDTarget: 0, TStart: 1, Estimation: predict.StationaryConfig()}, false},
 		{"adaptive bad estimation", Config{Capacity: 10, Degree: 1, Admission: MustPolicy("AC1"), PHDTarget: 0.01, TStart: 1, Estimation: predict.Config{}}, false},
 		{"static valid", Config{Capacity: 10, Degree: 1, Admission: MustPolicy("static"), StaticReserve: 10}, true},
+		{"adaptive NaN target", withAC3(func(c *Config) { c.PHDTarget = nan }), false},
+		{"adaptive NaN TStart", withAC3(func(c *Config) { c.TStart = nan }), false},
+		{"exp-dwell valid", expDwell(35, 30), true},
+		{"exp-dwell NaN mean", expDwell(nan, 30), false},
+		{"exp-dwell NaN window", expDwell(35, nan), false},
 	}
 	for _, c := range cases {
 		if err := c.cfg.Validate(); (err == nil) != c.ok {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"cellqos/internal/topology"
@@ -289,5 +290,26 @@ func TestNeighborFloatsFailClosed(t *testing.T) {
 	}
 	if checked < 2 {
 		t.Fatalf("only %d policies read neighbors directly; AC2 and AC3 must be among them", checked)
+	}
+}
+
+// TestParseFallbackMode resolves every mode by its String name in any
+// case and lists the three names when it cannot.
+func TestParseFallbackMode(t *testing.T) {
+	for m := FallbackDecay; m <= FallbackZero; m++ {
+		for _, name := range []string{m.String(), strings.ToUpper(m.String())} {
+			if got, err := ParseFallbackMode(name); err != nil || got != m {
+				t.Errorf("ParseFallbackMode(%q) = %v, %v; want %v", name, got, err, m)
+			}
+		}
+	}
+	_, err := ParseFallbackMode("wishful")
+	if err == nil {
+		t.Fatal("ParseFallbackMode(wishful) accepted")
+	}
+	for _, name := range []string{"decay", "guard", "zero"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %q", err, name)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 )
 
 // FallbackMode selects the conservative estimate substituted for an
@@ -43,6 +44,18 @@ func (m FallbackMode) String() string {
 	default:
 		return fmt.Sprintf("FallbackMode(%d)", int(m))
 	}
+}
+
+// ParseFallbackMode returns the mode whose String is name, ignoring case.
+func ParseFallbackMode(name string) (FallbackMode, error) {
+	var names []string
+	for m := FallbackDecay; m <= FallbackZero; m++ {
+		if strings.EqualFold(name, m.String()) {
+			return m, nil
+		}
+		names = append(names, m.String())
+	}
+	return 0, fmt.Errorf("core: unknown fallback mode %q (want %s)", name, strings.Join(names, "|"))
 }
 
 // Fallback is the degradation policy applied when a neighbor cannot be

@@ -438,7 +438,7 @@ func (expDwellPolicy) ModelOutgoing(e *Engine, now float64, toward topology.Loca
 }
 
 func (expDwellPolicy) ValidateConfig(cfg Config) error {
-	if cfg.ExpDwellMean <= 0 || cfg.ExpDwellWindow <= 0 {
+	if !(cfg.ExpDwellMean > 0 && cfg.ExpDwellWindow > 0) {
 		return fmt.Errorf("core: ExpDwell requires positive mean dwell and window, got τ=%v T=%v",
 			cfg.ExpDwellMean, cfg.ExpDwellWindow)
 	}

@@ -337,9 +337,7 @@ func ExtensionCDMA(opt Options) (*Report, error) {
 		func(v int, load float64) cellnet.Config {
 			cfg := stationaryConfig("AC3", load, 0.5, true, opt.Seed)
 			cfg.HandOffMargin = variants[v].margin
-			if variants[v].overlap > 0 {
-				cfg.SoftHandOff = cellnet.SoftHandOffConfig{Enabled: true, OverlapSeconds: variants[v].overlap}
-			}
+			cfg.SoftOverlap = variants[v].overlap
 			return cfg
 		})
 	if err != nil {
@@ -381,9 +379,7 @@ func IntegrationAdaptiveQoS(opt Options) (*Report, error) {
 	res, err := variantSweep(opt, rep.ID, len(variants), loads,
 		func(v int, load float64) cellnet.Config {
 			cfg := stationaryConfig("AC3", load, 0.5, true, opt.Seed)
-			if variants[v].min > 0 {
-				cfg.AdaptiveQoS = cellnet.AdaptiveQoSConfig{Enabled: true, VideoMinBUs: variants[v].min}
-			}
+			cfg.AdaptiveVideoMin = variants[v].min
 			return cfg
 		})
 	if err != nil {

@@ -44,13 +44,8 @@ func ExtensionFaults(opt Options) (*Report, error) {
 	res, err := variantSweep(opt, rep.ID, len(variants), loads,
 		func(v int, load float64) cellnet.Config {
 			cfg := stationaryConfig("AC3", load, 0.5, true, opt.Seed)
-			if variants[v].drop > 0 {
-				cfg.Faults = cellnet.FaultConfig{
-					Enabled:  true,
-					Drop:     variants[v].drop,
-					Fallback: core.Fallback{Mode: variants[v].mode},
-				}
-			}
+			cfg.FaultDrop = variants[v].drop
+			cfg.Fallback = core.Fallback{Mode: variants[v].mode}
 			return cfg
 		})
 	if err != nil {

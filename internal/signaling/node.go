@@ -25,15 +25,16 @@ type CallPolicy struct {
 	// (values < 1 mean 1: no retries).
 	MaxAttempts int
 	// Backoff is the sleep before the second attempt; it doubles per
-	// further attempt, capped at MaxBackoff. 0 retries immediately.
+	// further attempt, capped at maxBackoff. 0 retries immediately.
 	Backoff time.Duration
-	// MaxBackoff caps the exponential growth (default 1 s when 0).
-	MaxBackoff time.Duration
 	// JitterSeed seeds the node's deterministic jitter stream; each
 	// backoff sleep is stretched by up to 50% drawn from that stream, so
 	// two runs with the same seed de-synchronize retries identically.
 	JitterSeed uint64
 }
+
+// maxBackoff caps a CallPolicy's exponential backoff growth.
+const maxBackoff = time.Second
 
 // attempts normalizes MaxAttempts.
 func (cp CallPolicy) attempts() int {
@@ -50,12 +51,8 @@ func (cp CallPolicy) delay(retry int) time.Duration {
 		return 0
 	}
 	d := cp.Backoff << uint(retry-1)
-	max := cp.MaxBackoff
-	if max <= 0 {
-		max = time.Second
-	}
-	if d > max || d <= 0 { // <= 0 guards shift overflow
-		d = max
+	if d > maxBackoff || d <= 0 { // <= 0 guards shift overflow
+		d = maxBackoff
 	}
 	return d
 }

@@ -71,10 +71,9 @@ func TestCallTimeoutSemantics(t *testing.T) {
 
 // TestCallPolicyDelay pins the exponential backoff schedule.
 func TestCallPolicyDelay(t *testing.T) {
-	cp := CallPolicy{Backoff: 5 * time.Millisecond, MaxBackoff: 35 * time.Millisecond}
+	cp := CallPolicy{Backoff: 300 * time.Millisecond}
 	want := []time.Duration{
-		5 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond,
-		35 * time.Millisecond, 35 * time.Millisecond,
+		300 * time.Millisecond, 600 * time.Millisecond, time.Second, time.Second,
 	}
 	for i, w := range want {
 		if got := cp.delay(i + 1); got != w {
@@ -85,7 +84,7 @@ func TestCallPolicyDelay(t *testing.T) {
 		t.Fatalf("zero-policy delay = %v, want 0", got)
 	}
 	// A huge retry index must not shift into a negative duration.
-	if got := cp.delay(70); got != 35*time.Millisecond {
+	if got := cp.delay(70); got != time.Second {
 		t.Fatalf("overflowed delay = %v, want cap", got)
 	}
 }

@@ -142,23 +142,23 @@ func (c Constant) NextChange(float64) (float64, bool) { return 0, false }
 // RetryPolicy models the time-varying scenario's user behavior: "a
 // blocked connection request will be re-requested with probability
 // 1 − 0.1·N_ret after waiting 5 seconds, where N_ret is the number of
-// times a connection request has been made" (§5.3).
+// times a connection request has been made" (§5.3). The zero policy
+// never retries; the stationary experiments run with it.
 type RetryPolicy struct {
-	// Enabled turns retries on; the stationary experiments run without.
-	Enabled bool
 	// WaitSeconds is the delay before a retry (paper: 5 s).
 	WaitSeconds float64
-	// DecayPerTry is the per-attempt retry-probability decay (paper: 0.1).
+	// DecayPerTry is the per-attempt retry-probability decay (paper:
+	// 0.1); a non-zero policy needs it positive.
 	DecayPerTry float64
 }
 
 // PaperRetry is the §5.3 retry behavior.
-var PaperRetry = RetryPolicy{Enabled: true, WaitSeconds: 5, DecayPerTry: 0.1}
+var PaperRetry = RetryPolicy{WaitSeconds: 5, DecayPerTry: 0.1}
 
 // ShouldRetry decides whether a user whose request was just blocked for
 // the nth time (n ≥ 1 counts all requests made so far) tries again.
 func (p RetryPolicy) ShouldRetry(rng *rand.Rand, nRet int) bool {
-	if !p.Enabled || nRet < 1 {
+	if p.DecayPerTry <= 0 || nRet < 1 {
 		return false
 	}
 	prob := 1 - p.DecayPerTry*float64(nRet)
@@ -170,13 +170,13 @@ func (p RetryPolicy) ShouldRetry(rng *rand.Rand, nRet int) bool {
 
 // Validate checks policy invariants.
 func (p RetryPolicy) Validate() error {
-	if !p.Enabled {
+	if p == (RetryPolicy{}) {
 		return nil
 	}
 	if p.WaitSeconds < 0 || math.IsNaN(p.WaitSeconds) {
 		return fmt.Errorf("traffic: negative retry wait %v", p.WaitSeconds)
 	}
-	if p.DecayPerTry <= 0 {
+	if !(p.DecayPerTry > 0) {
 		return fmt.Errorf("traffic: non-positive retry decay %v", p.DecayPerTry)
 	}
 	return nil

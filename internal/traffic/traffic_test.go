@@ -267,13 +267,17 @@ func TestRetryPolicyDisabled(t *testing.T) {
 }
 
 func TestRetryPolicyValidate(t *testing.T) {
-	bad := RetryPolicy{Enabled: true, WaitSeconds: -1, DecayPerTry: 0.1}
+	bad := RetryPolicy{WaitSeconds: -1, DecayPerTry: 0.1}
 	if bad.Validate() == nil {
 		t.Fatal("negative wait validated")
 	}
-	bad = RetryPolicy{Enabled: true, WaitSeconds: 5, DecayPerTry: 0}
+	bad = RetryPolicy{WaitSeconds: 5, DecayPerTry: 0}
 	if bad.Validate() == nil {
 		t.Fatal("zero decay validated")
+	}
+	bad = RetryPolicy{WaitSeconds: 5, DecayPerTry: math.NaN()}
+	if bad.Validate() == nil {
+		t.Fatal("NaN decay validated")
 	}
 	if PaperRetry.Validate() != nil {
 		t.Fatal("paper policy invalid")
