@@ -90,7 +90,7 @@ arena:
 # reduced grid under the race detector, with the runtime invariant
 # auditor attached (internal/arena.TestArenaSmoke).
 arena-smoke:
-	$(GO) test -race -count=1 -run 'TestArenaSmoke|TestArenaUnknownPolicy|TestRosterRegistered' -v ./internal/arena/
+	$(GO) test -race -count=1 -run 'TestArenaSmoke|TestArenaUnknownPolicy' -v ./internal/arena/
 
 # fuzz gives every Fuzz* target in the module a short smoke run (the CI
 # budget), enumerating them with `go test -list` exactly as CI's fuzz

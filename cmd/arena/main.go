@@ -1,4 +1,4 @@
-// Command arena runs the admission-policy arena: every registered
+// Command arena runs the admission-policy arena: every roster
 // admission scheme against the same controlled workload grid, ranked on
 // hand-off dropping, new-call blocking and utilization, with the
 // pre-registered hypothesis verdicts appended.
@@ -16,12 +16,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 
 	"cellqos/internal/arena"
 	"cellqos/internal/audit"
+	"cellqos/internal/core"
 )
 
 func main() {
@@ -46,11 +48,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	errf := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "arena: "+format+"\n", a...)
+		return 2
+	}
 	if *list {
-		for _, name := range arena.Roster() {
+		for _, name := range core.PolicyNames() {
 			fmt.Fprintln(stdout, name)
 		}
 		return 0
+	}
+	if !(*duration >= 0 && !math.IsInf(*duration, 1)) {
+		return errf("-duration %v: the simulated time must be finite and >= 0 (0 = pinned default)", *duration)
+	}
+	if *seeds < 0 {
+		return errf("-seeds %d: the seed count must be >= 0 (0 = pinned default)", *seeds)
 	}
 	opt := arena.Options{
 		Duration: *duration,
@@ -60,12 +72,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var err error
 	if opt.Loads, err = parseFloats(*loads); err != nil {
-		fmt.Fprintf(stderr, "arena: -loads: %v\n", err)
-		return 2
+		return errf("-loads: %v", err)
+	}
+	for _, v := range opt.Loads {
+		if !(v >= 0 && !math.IsInf(v, 1)) {
+			return errf("-loads %v: every offered load must be finite and >= 0", v)
+		}
 	}
 	if opt.VoiceRatios, err = parseFloats(*rvo); err != nil {
-		fmt.Fprintf(stderr, "arena: -rvo: %v\n", err)
-		return 2
+		return errf("-rvo: %v", err)
+	}
+	for _, v := range opt.VoiceRatios {
+		if !(v >= 0 && v <= 1) {
+			return errf("-rvo %v: every voice ratio must lie in [0, 1]", v)
+		}
 	}
 	if *policies != "" {
 		opt.Policies = strings.Split(*policies, ",")

@@ -57,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cellsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		policyName  = fs.String("policy", "ac3", "admission policy name (see core.PolicyNames: ac1|ac2|ac3|static|none|exp-dwell|mob-spec|guard-dynamic|multi-class|token-bucket)")
+		policyName  = fs.String("policy", "ac3", "admission policy name, any case: "+strings.Join(core.PolicyNames(), "|"))
 		reserve     = fs.Int("reserve", 10, "static reservation G in BUs (policy=static)")
 		load        = fs.Float64("load", 150, "offered load per cell in BUs (Eq. 7)")
 		rvo         = fs.Float64("rvo", 1.0, "voice ratio R_vo (voice=1 BU, video=4 BU)")
@@ -114,9 +114,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !(*rvo >= 0 && *rvo <= 1) {
 		return errf("-rvo %v: the voice ratio must lie in [0, 1]", *rvo)
 	}
-	if !(*persistence >= 0 && *persistence <= 1) {
-		return errf("-persistence %v: the direction persistence must lie in [0, 1]", *persistence)
-	}
 
 	cfg := cellnet.PaperBase()
 	cfg.Capacity = *capacity
@@ -133,21 +130,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Fallback = core.Fallback{Mode: mode}
 	cfg.FaultDrop = *faultDrop
 
-	// The policy registry resolves names case-insensitively (-policy ac3
-	// and -policy AC3 both parse), and rivals registered by other
-	// packages are selectable with no CLI change.
+	// Policy names match case-insensitively (-policy ac3 and -policy AC3
+	// both parse). The baselines' knobs are set whatever the policy:
+	// only exp-dwell reads the dwell pair, only mob-spec the horizon.
 	pol, err := core.PolicyByName(*policyName)
 	if err != nil {
 		return errf("%v", err)
 	}
 	cfg.Admission = pol
-	switch pol.Name() {
-	case "exp-dwell":
-		cfg.ExpDwellMean = *dwellMean
-		cfg.ExpDwellWindow = *dwellWindow
-	case "mob-spec":
-		cfg.MobSpecHorizon = *specHorizon
-	}
+	cfg.ExpDwellMean = *dwellMean
+	cfg.ExpDwellWindow = *dwellWindow
+	cfg.MobSpecHorizon = *specHorizon
 	cfg.AdaptiveVideoMin = *adaptiveMin
 	cfg.SoftOverlap = *softOverlap
 	cfg.HandOffMargin = *margin

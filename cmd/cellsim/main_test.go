@@ -75,7 +75,11 @@ func TestSmokeBadFlags(t *testing.T) {
 		{[]string{"-duration", "-5"}, "-duration"},
 		{[]string{"-duration", "NaN"}, "-duration"},
 		{[]string{"-schedule", "daily", "-days", "-1"}, "-days"},
-		{[]string{"-topology", "hex", "-persistence", "2", "-duration", "10"}, "-persistence"},
+		{[]string{"-topology", "hex", "-persistence", "2", "-duration", "10"}, "persistence"},
+		{[]string{"-speed", "-10,-5", "-duration", "10"}, "speed range"},
+		{[]string{"-speed", "50,10", "-duration", "10"}, "speed range"},
+		{[]string{"-speed", "NaN,NaN", "-duration", "10"}, "speed range"},
+		{[]string{"-topology", "hex", "-speed", "50,10", "-duration", "10"}, "speed range"},
 		{[]string{"-adaptive-video-min", "7", "-duration", "10"}, "video minimum"},
 		{[]string{"-soft-overlap", "-1", "-duration", "10"}, "overlap"},
 		{[]string{"-soft-overlap", "NaN", "-duration", "10"}, "overlap"},

@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -74,6 +75,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	errf := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "experiments: "+format+"\n", a...)
+		return 2
+	}
+	if !(*duration > 0 && !math.IsInf(*duration, 1)) {
+		return errf("-duration %v: the simulated time must be finite and > 0", *duration)
+	}
+	if !(*traceDur > 0 && !math.IsInf(*traceDur, 1)) {
+		return errf("-trace-duration %v: the simulated time must be finite and > 0", *traceDur)
+	}
+	if *days < 1 {
+		return errf("-days %d: the run must simulate at least one day", *days)
+	}
+
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -106,8 +121,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, part := range strings.Split(*loads, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 			if err != nil {
-				fmt.Fprintf(stderr, "experiments: bad load %q: %v\n", part, err)
-				return 2
+				return errf("-loads: bad load %q: %v", part, err)
+			}
+			if !(v >= 0 && !math.IsInf(v, 1)) {
+				return errf("-loads %v: every offered load must be finite and >= 0", v)
 			}
 			opt.Loads = append(opt.Loads, v)
 		}

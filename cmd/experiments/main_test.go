@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestSmokeList: -list must enumerate the full experiment registry.
@@ -44,21 +46,58 @@ func TestSmokeRunOne(t *testing.T) {
 	}
 }
 
-// TestSmokeBadFlags: usage errors must exit 2 with a diagnostic.
+// TestSmokeBadFlags: usage errors must exit 2 with a diagnostic that,
+// where a flag is at fault, names it. Each row runs under a 10 s
+// watchdog, so that a run that never ends fails instead of stalling,
+// and a panic fails instead of killing the binary.
 func TestSmokeBadFlags(t *testing.T) {
-	cases := [][]string{
-		{},
-		{"-run", "no-such-experiment"},
-		{"-run", "fig7", "-loads", "100,banana"},
-		{"-no-such-flag"},
+	cases := []struct {
+		args []string
+		want string // stderr fragment; "" checks only for a diagnostic
+	}{
+		{[]string{}, ""},
+		{[]string{"-run", "no-such-experiment"}, ""},
+		{[]string{"-run", "fig7", "-loads", "100,banana"}, "-loads"},
+		{[]string{"-no-such-flag"}, ""},
+		{[]string{"-run", "fig8", "-loads", "150", "-duration", "-5"}, "-duration"},
+		{[]string{"-run", "fig8", "-loads", "150", "-duration", "NaN"}, "-duration"},
+		{[]string{"-run", "fig8", "-loads", "NaN", "-duration", "10"}, "-loads"},
+		{[]string{"-run", "fig8", "-loads", "-5", "-duration", "10"}, "-loads"},
+		{[]string{"-run", "fig10", "-trace-duration", "NaN"}, "-trace-duration"},
+		{[]string{"-run", "fig10", "-trace-duration", "-5"}, "-trace-duration"},
+		{[]string{"-run", "fig14", "-days", "-1"}, "-days"},
 	}
-	for _, args := range cases {
-		var out, errb bytes.Buffer
-		if code := run(args, &out, &errb); code != 2 {
-			t.Errorf("run(%v) exit %d, want 2 (stderr: %s)", args, code, errb.String())
+	for _, tc := range cases {
+		type outcome struct {
+			code   int
+			stderr string
 		}
-		if errb.Len() == 0 {
-			t.Errorf("run(%v) printed no diagnostic", args)
+		done := make(chan outcome, 1)
+		go func() {
+			var out, errb bytes.Buffer
+			defer func() {
+				if v := recover(); v != nil {
+					done <- outcome{-1, fmt.Sprintf("panic: %v", v)}
+				}
+			}()
+			code := run(tc.args, &out, &errb)
+			done <- outcome{code, errb.String()}
+		}()
+		var o outcome
+		select {
+		case o = <-done:
+		case <-time.After(10 * time.Second):
+			t.Errorf("run(%v) still running after 10 s", tc.args)
+			continue
+		}
+		if o.code != 2 {
+			t.Errorf("run(%v) exit %d, want 2 (stderr: %s)", tc.args, o.code, o.stderr)
+		}
+		if o.stderr == "" {
+			t.Errorf("run(%v) printed no diagnostic", tc.args)
+		}
+		if !strings.Contains(o.stderr, tc.want) {
+			t.Errorf("run(%v) stderr %q, want %q", tc.args, o.stderr, tc.want)
 		}
 	}
 }

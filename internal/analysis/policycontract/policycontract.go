@@ -3,8 +3,8 @@
 // analysis declares:
 //
 //   - cellstate: a policy whose methods mutate receiver fields carries
-//     per-cell state and must implement core.CellStater, otherwise one
-//     registry value is shared by every cell and run;
+//     per-cell state and must implement core.CellStater, otherwise the
+//     config's one policy value is shared by every cell and run;
 //   - shallowclone: CloneCellState must build a fresh instance (a
 //     composite literal of the policy type) and never return the
 //     receiver — a shallow hand-back aliases the prototype's state;
@@ -13,10 +13,7 @@
 //     streams;
 //   - maprange: no ranging over a map inside the decision path — Go's
 //     random iteration order feeding a float accumulation breaks
-//     byte-determinism;
-//   - registry: RegisterPolicy is called from init only, with a
-//     literal, package-unique (case-insensitive) name, so the registry
-//     contents never depend on call timing or computed strings.
+//     byte-determinism.
 //
 // The contract's degraded-peer clause — every Peers/PeerValue read
 // consumes its ok bool — is not checked here: the peervalue analyzer
@@ -31,7 +28,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"cellqos/internal/analysis"
 	"cellqos/internal/analysis/flow"
@@ -41,9 +37,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "policycontract",
 	Doc: "enforce the DESIGN.md §15 AdmissionPolicy contract: per-cell mutable " +
-		"state requires CellStater with a deep CloneCellState, decision methods " +
-		"stay free of wall clock, global rand, and map ranging, and " +
-		"RegisterPolicy runs only from init with a literal unique name",
+		"state requires CellStater with a deep CloneCellState, and decision " +
+		"methods stay free of wall clock, global rand, and map ranging",
 	Run: run,
 }
 
@@ -56,8 +51,6 @@ func run(pass *analysis.Pass) (any, error) {
 	}
 	ix := flow.NewIndex(pass)
 	stater := flow.LookupInterface(pass, corePath, "CellStater")
-
-	checkRegistry(pass, ix)
 
 	seenFn := map[*types.Func]bool{} // shared decision helpers scan once
 	for _, impl := range flow.Implementations(pass, iface) {
@@ -78,7 +71,7 @@ func checkCellState(pass *analysis.Pass, impl *types.Named, methods map[string]*
 	isStater := stater != nil && flow.Implements(impl, stater)
 	if node != nil && !isStater {
 		pass.Reportf(node.Pos(),
-			"policy %s mutates receiver state in %s but does not implement CellStater: without CloneCellState one registry value is shared by every cell (DESIGN.md §15)",
+			"policy %s mutates receiver state in %s but does not implement CellStater: without CloneCellState the config's one policy value is shared by every cell (DESIGN.md §15)",
 			impl.Obj().Name(), method)
 	}
 	if !isStater {
@@ -253,53 +246,4 @@ func scanDecisionFunc(pass *analysis.Pass, fd *ast.FuncDecl, policy string) {
 		}
 		return true
 	})
-}
-
-// ---------------------------------------------------------------------
-// registry
-
-// checkRegistry audits every RegisterPolicy call in the package: init
-// only, literal name, package-unique case-insensitively.
-func checkRegistry(pass *analysis.Pass, ix *flow.Index) {
-	seen := map[string]bool{}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			inInit := fd.Recv == nil && fd.Name.Name == "init"
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fn := ix.Callee(call)
-				if fn == nil || fn.Name() != "RegisterPolicy" ||
-					fn.Pkg() == nil || !flow.PathMatches(fn.Pkg().Path(), corePath) {
-					return true
-				}
-				if !inInit {
-					pass.Reportf(call.Pos(),
-						"RegisterPolicy called from %s: the registry is populated from init only, so PolicyNames never depends on call timing", fd.Name.Name)
-				}
-				if len(call.Args) == 0 {
-					return true
-				}
-				lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit)
-				if !ok || lit.Kind != token.STRING {
-					pass.Reportf(call.Args[0].Pos(),
-						"RegisterPolicy name is not a string literal: computed names defeat the duplicate check and static greps of the roster")
-					return true
-				}
-				key := strings.ToLower(strings.Trim(lit.Value, "`\""))
-				if seen[key] {
-					pass.Reportf(call.Args[0].Pos(),
-						"duplicate policy registration %s in this package: RegisterPolicy panics at run time on the second call", lit.Value)
-				}
-				seen[key] = true
-				return true
-			})
-		}
-	}
 }

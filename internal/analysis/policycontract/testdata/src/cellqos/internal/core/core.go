@@ -61,9 +61,3 @@ type AdmissionPolicy interface {
 type CellStater interface {
 	CloneCellState() AdmissionPolicy
 }
-
-// PolicyFactory mirrors the registry factory.
-type PolicyFactory func() AdmissionPolicy
-
-// RegisterPolicy mirrors the registry entry point.
-func RegisterPolicy(name string, f PolicyFactory) {}

@@ -1,6 +1,6 @@
 // Package policyfix is the policycontract fixture: AdmissionPolicy
 // implementations violating each clause of the DESIGN.md §15 contract
-// next to the compliant idioms, plus the registry discipline cases.
+// next to the compliant idioms.
 package policyfix
 
 import (
@@ -13,7 +13,7 @@ import (
 // ---------------------------------------------------------------------
 // cellstate: mutable per-cell state without CellStater. This is the
 // pre-fix regression shape from the rival-policy sweep: an adaptive
-// guard level mutated in place on the shared registry value.
+// guard level mutated in place on the config's shared policy value.
 
 type leakyGuard struct {
 	guard int
@@ -170,21 +170,4 @@ func (excusedPolicy) DecideNew(ctx *core.PolicyContext) core.Decision {
 
 func (excusedPolicy) DecideHandOff(ctx *core.PolicyContext) core.Decision {
 	return core.Decision{Admitted: ctx.HandOffRoom()}
-}
-
-// ---------------------------------------------------------------------
-// registry: init-only, literal, unique names.
-
-var lateName = "computed-" + "name"
-
-func init() {
-	core.RegisterPolicy("leaky-guard", func() core.AdmissionPolicy { return &leakyGuard{} })
-	core.RegisterPolicy("Leaky-Guard", func() core.AdmissionPolicy { return &leakyGuard{} }) // want `duplicate policy registration "Leaky-Guard" in this package`
-	core.RegisterPolicy(lateName, func() core.AdmissionPolicy { return noisyPolicy{} })      // want `RegisterPolicy name is not a string literal`
-}
-
-// registerLate is the timing violation: a registry mutated outside
-// init makes PolicyNames depend on who called what first.
-func registerLate() {
-	core.RegisterPolicy("late", func() core.AdmissionPolicy { return deafPolicy{} }) // want `RegisterPolicy called from registerLate`
 }

@@ -55,7 +55,7 @@ func TestArenaSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(out.Policies), len(Roster()); got != want {
+	if got, want := len(out.Policies), len(core.PolicyNames()); got != want {
 		t.Fatalf("ranked %d policies, want %d", got, want)
 	}
 	for _, p := range out.Policies {
@@ -82,27 +82,13 @@ func TestArenaSmoke(t *testing.T) {
 }
 
 // TestArenaUnknownPolicy verifies a bad roster name fails up front with
-// the registry's suggestion-bearing error, before any simulation runs.
+// core's roster-listing error, before any simulation runs.
 func TestArenaUnknownPolicy(t *testing.T) {
 	_, err := Run(Options{Policies: []string{"AC9"}})
 	if err == nil {
 		t.Fatal("want error for unknown policy")
 	}
 	if _, regErr := core.PolicyByName("AC9"); regErr == nil || err.Error() != regErr.Error() {
-		t.Fatalf("want registry error, got %v", err)
-	}
-}
-
-// TestRosterRegistered pins the arena roster to the policy registry:
-// every contender resolves, and the roster covers at least the nine
-// schemes the arena report promises to rank.
-func TestRosterRegistered(t *testing.T) {
-	if len(Roster()) < 9 {
-		t.Fatalf("roster has %d contenders, want >= 9", len(Roster()))
-	}
-	for _, name := range Roster() {
-		if _, err := core.PolicyByName(name); err != nil {
-			t.Errorf("roster contender %q not registered: %v", name, err)
-		}
+		t.Fatalf("want core's error, got %v", err)
 	}
 }

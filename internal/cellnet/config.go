@@ -176,6 +176,15 @@ func (c Config) Validate() error {
 	if c.Schedule == nil {
 		return fmt.Errorf("cellnet: nil schedule")
 	}
+	// Models and schedules that declare parameters check them here, so a
+	// bad value fails the config instead of panicking mid-run.
+	for _, part := range []any{c.Mobility, c.Schedule} {
+		if v, ok := part.(interface{ Validate() error }); ok {
+			if err := v.Validate(); err != nil {
+				return err
+			}
+		}
+	}
 	if c.Mix.VoiceRatio < 0 || c.Mix.VoiceRatio > 1 {
 		return fmt.Errorf("cellnet: voice ratio %v", c.Mix.VoiceRatio)
 	}

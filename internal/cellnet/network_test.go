@@ -757,6 +757,18 @@ func TestEverythingEnabledInteraction(t *testing.T) {
 	}
 }
 
+// linear is c's 1-D mobility model with the given speeds and diameter.
+func linear(c *Config, sr mobility.SpeedRange, diameterKm float64) mobility.Model {
+	return &mobility.Linear{Top: c.Topology, DiameterKm: diameterKm, Speed: sr}
+}
+
+// hexWalk moves c onto a 4×5 hex torus walked with the given diameter
+// and persistence.
+func hexWalk(c *Config, diameterKm, persistence float64) {
+	c.Topology = topology.Hex(4, 5, true)
+	c.Mobility = &mobility.HexWalk{Top: c.Topology, DiameterKm: diameterKm, Speed: mobility.HighMobility, Persistence: persistence}
+}
+
 func TestConfigValidation(t *testing.T) {
 	good := scenario("AC3", 100, 1.0, mobility.HighMobility, 1)
 	if err := good.Validate(); err != nil {
@@ -779,12 +791,30 @@ func TestConfigValidation(t *testing.T) {
 		{"fault drop above 1", func(c *Config) { c.FaultDrop = 1.5 }},
 		{"NaN soft overlap", func(c *Config) { c.SoftOverlap = nan }},
 		{"NaN P_HD target", func(c *Config) { c.PHDTarget = nan }},
+		{"negative speeds", func(c *Config) { c.Mobility = linear(c, mobility.SpeedRange{MinKmh: -10, MaxKmh: -5}, 1) }},
+		{"min speed above max", func(c *Config) { c.Mobility = linear(c, mobility.SpeedRange{MinKmh: 50, MaxKmh: 10}, 1) }},
+		{"NaN speeds", func(c *Config) { c.Mobility = linear(c, mobility.SpeedRange{MinKmh: nan, MaxKmh: nan}, 1) }},
+		{"infinite max speed", func(c *Config) { c.Mobility = linear(c, mobility.SpeedRange{MaxKmh: math.Inf(1)}, 1) }},
+		{"zero linear diameter", func(c *Config) { c.Mobility = linear(c, mobility.HighMobility, 0) }},
+		{"NaN linear diameter", func(c *Config) { c.Mobility = linear(c, mobility.HighMobility, nan) }},
+		{"hex persistence 2", func(c *Config) { hexWalk(c, 1, 2) }},
+		{"NaN hex persistence", func(c *Config) { hexWalk(c, 1, nan) }},
+		{"NaN hex diameter", func(c *Config) { hexWalk(c, nan, 0.8) }},
+		{"negative arrival rate", func(c *Config) { c.Schedule = traffic.Constant{Lambda: -1, MinKmh: 80, MaxKmh: 120} }},
+		{"NaN arrival rate", func(c *Config) { c.Schedule = traffic.Constant{Lambda: nan, MinKmh: 80, MaxKmh: 120} }},
+		{"schedule min speed above max", func(c *Config) { c.Schedule = traffic.Constant{Lambda: 1, MinKmh: 120, MaxKmh: 80} }},
+		{"NaN schedule speeds", func(c *Config) { c.Schedule = traffic.Constant{Lambda: 1, MinKmh: nan, MaxKmh: nan} }},
 	} {
 		bad := good
 		tc.mut(&bad)
 		if bad.Validate() == nil {
 			t.Errorf("%s accepted", tc.name)
 		}
+	}
+	hex := good
+	hexWalk(&hex, 1, 0.8)
+	if err := hex.Validate(); err != nil {
+		t.Fatalf("valid hex-walk config rejected: %v", err)
 	}
 	// No default scheme, under either signaling model: the error lists
 	// the names a config could have chosen.

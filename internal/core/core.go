@@ -57,7 +57,7 @@ type Config struct {
 	Capacity int
 	// Degree is the number of adjacent cells.
 	Degree int
-	// Admission is the admission-control scheme: a registry policy
+	// Admission is the admission-control scheme: a roster policy
 	// (MustPolicy, PolicyByName) or a custom AdmissionPolicy. Required.
 	Admission AdmissionPolicy
 	// StaticReserve is G, the permanent reservation of the Static policy.
@@ -102,7 +102,7 @@ type Config struct {
 func (c Config) Validate() error {
 	pol := c.Admission
 	if pol == nil {
-		return fmt.Errorf("core: no admission policy set (registered: %s)",
+		return fmt.Errorf("core: no admission policy set (roster: %s)",
 			strings.Join(PolicyNames(), ", "))
 	}
 	if c.Capacity <= 0 {
@@ -304,7 +304,7 @@ func NewEngine(cfg Config) *Engine {
 	pol := cfg.Admission
 	if cs, ok := pol.(CellStater); ok {
 		// Per-cell mutable state: this engine dispatches to its own
-		// instance, never the shared registry value.
+		// instance, never the config's shared value.
 		pol = cs.CloneCellState()
 	}
 	e := &Engine{cfg: cfg, pol: pol, traits: pol.Traits(), index: make(map[ConnID]int), youngest: -1}

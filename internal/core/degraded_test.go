@@ -242,7 +242,7 @@ func (p *badFloatPeers) RecomputeReservation(topology.LocalIndex, float64) (int,
 func (p *badFloatPeers) MaxSojourn(topology.LocalIndex, float64) (float64, bool) { return 0, true }
 
 // TestNeighborFloatsFailClosed pins the degraded-value contract on the
-// policy side: every registered policy that reads neighbors directly
+// policy side: every roster policy that reads neighbors directly
 // (Snapshot / RecomputeReservation — AC2 and AC3 among the built-ins)
 // must treat a non-finite or negative B_r arriving with ok=true as an
 // unreachable neighbor. Against neighbors that honestly block the call,
@@ -250,7 +250,7 @@ func (p *badFloatPeers) MaxSojourn(topology.LocalIndex, float64) (float64, bool)
 func TestNeighborFloatsFailClosed(t *testing.T) {
 	decide := func(pol string, p *badFloatPeers) Decision {
 		cfg := adaptiveConfig(pol)
-		cfg.ExpDwellMean, cfg.ExpDwellWindow = 60, 10 // so every registered policy validates
+		cfg.ExpDwellMean, cfg.ExpDwellWindow = 60, 10 // so every roster policy validates
 		return NewEngine(cfg).AdmitNew(1, 1, p)
 	}
 	checked := 0

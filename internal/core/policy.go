@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
-	"sync"
 
 	"cellqos/internal/topology"
 )
@@ -71,7 +69,8 @@ type PolicyTraits struct {
 // FixedReservationPolicy (non-adaptive B_r), OutgoingModel (analytic
 // Eq. 5 replacement), PolicyValidator (config invariants).
 type AdmissionPolicy interface {
-	// Name is the registry name (also the CLI -policy spelling).
+	// Name is the policy's one spelling: PolicyByName matches it
+	// case-insensitively, and reports print it.
 	Name() string
 	// Traits declares the machinery this policy needs.
 	Traits() PolicyTraits
@@ -86,7 +85,7 @@ type AdmissionPolicy interface {
 // CellStater is implemented by policies with per-cell mutable state
 // (token buckets, dynamic guard levels). NewEngine calls CloneCellState
 // once per cell and dispatches to the returned instance, so state never
-// leaks between cells or between runs sharing one registry value. The
+// leaks between cells or between runs sharing one policy value. The
 // clone must be deep: every mutable field reset or copied, never shared
 // through a pointer, slice, or map with the prototype — the
 // policycontract analyzer enforces this shape.
@@ -185,39 +184,35 @@ func (ctx *PolicyContext) DowngradeClassToFit(need int, keep ServiceClass, limit
 }
 
 // ---------------------------------------------------------------------
-// Registry
+// Roster
 
-// PolicyFactory builds a registry policy with its default knobs.
-type PolicyFactory func() AdmissionPolicy
-
-var (
-	policyMu       sync.RWMutex
-	policyRegistry = map[string]PolicyFactory{}
-)
-
-// RegisterPolicy adds a named policy to the registry. Names are matched
-// case-insensitively by PolicyByName; registering a duplicate panics.
-func RegisterPolicy(name string, f PolicyFactory) {
-	key := strings.ToLower(name)
-	policyMu.Lock()
-	defer policyMu.Unlock()
-	if _, dup := policyRegistry[key]; dup {
-		panic(fmt.Sprintf("core: duplicate policy registration %q", name))
-	}
-	policyRegistry[key] = f
+// roster builds every admission scheme, in the arena's report order:
+// the paper's adaptive schemes, the static/none baselines, the §6
+// literature baselines, then the rivals of rivals.go. A scheme's name is
+// written once, in its Name method.
+var roster = [...]func() AdmissionPolicy{
+	func() AdmissionPolicy { return ac1Policy{} },
+	func() AdmissionPolicy { return ac2Policy{} },
+	func() AdmissionPolicy { return ac3Policy{} },
+	func() AdmissionPolicy { return staticPolicy{} },
+	func() AdmissionPolicy { return nonePolicy{} },
+	func() AdmissionPolicy { return mobSpecPolicy{} },
+	func() AdmissionPolicy { return expDwellPolicy{} },
+	func() AdmissionPolicy { return &guardDynamicPolicy{guard: guardStart} },
+	func() AdmissionPolicy { return multiClassPolicy{} },
+	func() AdmissionPolicy { return &tokenBucketPolicy{} },
 }
 
-// PolicyByName returns a registered policy by name (case-insensitive).
-// Unknown names return an error listing the registered names.
+// PolicyByName returns a fresh roster policy by name (case-insensitive).
+// Unknown names return an error listing the roster.
 func PolicyByName(name string) (AdmissionPolicy, error) {
-	policyMu.RLock()
-	f, ok := policyRegistry[strings.ToLower(name)]
-	policyMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("core: unknown policy %q (registered: %s)",
-			name, strings.Join(PolicyNames(), ", "))
+	for _, build := range roster {
+		if p := build(); strings.EqualFold(p.Name(), name) {
+			return p, nil
+		}
 	}
-	return f(), nil
+	return nil, fmt.Errorf("core: unknown policy %q (roster: %s)",
+		name, strings.Join(PolicyNames(), ", "))
 }
 
 // MustPolicy is PolicyByName for statically known names; it panics on
@@ -230,15 +225,12 @@ func MustPolicy(name string) AdmissionPolicy {
 	return p
 }
 
-// PolicyNames lists every registered policy name, sorted.
+// PolicyNames lists every roster policy's name, in roster order.
 func PolicyNames() []string {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
-	names := make([]string, 0, len(policyRegistry))
-	for key := range policyRegistry {
-		names = append(names, key)
+	names := make([]string, len(roster))
+	for i, build := range roster {
+		names[i] = build().Name()
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -443,14 +435,4 @@ func (expDwellPolicy) ValidateConfig(cfg Config) error {
 			cfg.ExpDwellMean, cfg.ExpDwellWindow)
 	}
 	return nil
-}
-
-func init() {
-	RegisterPolicy("AC1", func() AdmissionPolicy { return ac1Policy{} })
-	RegisterPolicy("AC2", func() AdmissionPolicy { return ac2Policy{} })
-	RegisterPolicy("AC3", func() AdmissionPolicy { return ac3Policy{} })
-	RegisterPolicy("static", func() AdmissionPolicy { return staticPolicy{} })
-	RegisterPolicy("none", func() AdmissionPolicy { return nonePolicy{} })
-	RegisterPolicy("mob-spec", func() AdmissionPolicy { return mobSpecPolicy{} })
-	RegisterPolicy("exp-dwell", func() AdmissionPolicy { return expDwellPolicy{} })
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,66 +9,53 @@ import (
 	"cellqos/internal/topology"
 )
 
-// TestPolicyNameRoundTrip checks every registered policy resolves by
-// name, case-insensitively, to an implementation reporting that name
-// (TestPolicyStrings pins the built-ins' exact report spellings).
+// TestPolicyNameRoundTrip checks every roster policy resolves by its
+// canonical name, and by that name in upper and lower case, to an
+// implementation reporting the canonical name (TestPolicyStrings pins
+// the built-ins' exact report spellings).
 func TestPolicyNameRoundTrip(t *testing.T) {
-	for _, key := range PolicyNames() {
-		pol, err := PolicyByName(key)
-		if err != nil {
-			t.Errorf("PolicyByName(%q): %v", key, err)
-			continue
-		}
-		if strings.ToLower(pol.Name()) != key {
-			t.Errorf("PolicyByName(%q).Name() = %q", key, pol.Name())
-		}
-		upper, err := PolicyByName(strings.ToUpper(key))
-		if err != nil {
-			t.Errorf("PolicyByName(upper %q): %v", key, err)
-			continue
-		}
-		if upper.Name() != pol.Name() {
-			t.Errorf("case-insensitive lookup of %q resolved %q", key, upper.Name())
+	for _, name := range PolicyNames() {
+		for _, key := range []string{name, strings.ToUpper(name), strings.ToLower(name)} {
+			pol, err := PolicyByName(key)
+			if err != nil {
+				t.Errorf("PolicyByName(%q): %v", key, err)
+				continue
+			}
+			if pol.Name() != name {
+				t.Errorf("PolicyByName(%q).Name() = %q, want %q", key, pol.Name(), name)
+			}
 		}
 	}
 }
 
 // TestPolicyByNameUnknown checks the error names the offender and lists
-// the registered alternatives, which is what CLI users see.
+// the roster in canonical spelling, which is what CLI users see.
 func TestPolicyByNameUnknown(t *testing.T) {
 	_, err := PolicyByName("AC9")
 	if err == nil {
 		t.Fatal("want error for unknown policy")
 	}
 	msg := err.Error()
-	for _, want := range []string{`"AC9"`, "registered:", "ac3", "guard-dynamic"} {
+	for _, want := range []string{`"AC9"`, "roster: AC1, AC2, AC3, static", "guard-dynamic"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error %q missing %q", msg, want)
 		}
 	}
 	if MustPolicy("token-bucket") == nil {
-		t.Fatal("MustPolicy returned nil for registered name")
+		t.Fatal("MustPolicy returned nil for a roster name")
 	}
 }
 
-// TestPolicyNamesComplete pins the full roster: the seven paper-era
-// schemes plus the three rivals.
+// TestPolicyNamesComplete pins the full roster in its order: the seven
+// paper-era schemes plus the three rivals. `cellsim -policy`'s help
+// text and `cmd/arena -list` print this slice, and the arena ranks in
+// this order.
 func TestPolicyNamesComplete(t *testing.T) {
 	got := PolicyNames()
-	// `cellsim -policy list` and `cmd/arena -list` print this slice
-	// verbatim: it must be sorted regardless of registration order.
-	if !sort.StringsAreSorted(got) {
-		t.Fatalf("PolicyNames() = %v, not sorted", got)
-	}
-	want := []string{"ac1", "ac2", "ac3", "exp-dwell", "guard-dynamic",
-		"mob-spec", "multi-class", "none", "static", "token-bucket"}
-	if len(got) != len(want) {
+	want := []string{"AC1", "AC2", "AC3", "static", "none",
+		"mob-spec", "exp-dwell", "guard-dynamic", "multi-class", "token-bucket"}
+	if !slices.Equal(got, want) {
 		t.Fatalf("PolicyNames() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("PolicyNames() = %v, want %v", got, want)
-		}
 	}
 }
 
@@ -82,8 +69,8 @@ func guardEngine(t *testing.T) *Engine {
 
 // TestGuardDynamicAdmission exercises the guard band and its borrowing
 // rule: new calls stop at C − guard unless the cell has seen no
-// hand-off for BorrowIdle seconds, in which case idle guard capacity is
-// lent down to Min.
+// hand-off for guardBorrowIdle seconds, in which case idle guard
+// capacity is lent down to guardMin.
 func TestGuardDynamicAdmission(t *testing.T) {
 	e := guardEngine(t)
 	// Default guard 5: 95 fits, 96 does not (not yet idle at t=0).
@@ -112,8 +99,8 @@ func TestGuardDynamicAdmission(t *testing.T) {
 }
 
 // TestGuardDynamicAdaptation drives the guard level through the
-// observer: a drop widens the band by Step, SuccessRun clean hand-offs
-// relax it, and the published reservation tracks the live level.
+// observer: a drop widens the band by guardStep, guardSuccessRun clean
+// hand-offs relax it, and the published reservation tracks the live level.
 func TestGuardDynamicAdaptation(t *testing.T) {
 	e := guardEngine(t)
 	if br := e.LastTargetReservation(); br != 5 {
@@ -132,7 +119,7 @@ func TestGuardDynamicAdaptation(t *testing.T) {
 }
 
 // TestGuardDynamicPerCellState verifies CellStater isolation: two
-// engines built from the same registry prototype adapt independently.
+// engines built from the same policy value adapt independently.
 func TestGuardDynamicPerCellState(t *testing.T) {
 	proto := MustPolicy("guard-dynamic")
 	e1 := NewEngine(Config{Capacity: 100, Degree: 2, Admission: proto})
@@ -146,8 +133,8 @@ func TestGuardDynamicPerCellState(t *testing.T) {
 	}
 }
 
-// TestTokenBucketGate exercises the overload gate: Burst admissions
-// pass at t=0, the empty bucket sheds, simulated time refills at Rate,
+// TestTokenBucketGate exercises the overload gate: tokenBurst admissions
+// pass at t=0, the empty bucket sheds, simulated time refills at tokenRate,
 // and hand-offs never consume tokens.
 func TestTokenBucketGate(t *testing.T) {
 	e := NewEngine(Config{Capacity: 100, Degree: 1, Admission: MustPolicy("token-bucket")})
@@ -219,20 +206,15 @@ func TestMultiClassDegradation(t *testing.T) {
 	}
 }
 
-// TestRivalValidateConfig checks PolicyValidator wiring: invalid rival
-// knobs surface as Config.Validate errors.
+// TestRivalValidateConfig checks PolicyValidator wiring: a capacity
+// below guard-dynamic's maximum guard surfaces as a Config.Validate
+// error.
 func TestRivalValidateConfig(t *testing.T) {
-	bad := &guardDynamicPolicy{Start: 1, Min: 2, Max: 20, Step: 1, SuccessRun: 8}
-	cfg := Config{Capacity: 100, Degree: 2, Admission: bad}
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("guard-dynamic start below min validated")
-	}
-	overCap := &guardDynamicPolicy{Start: 5, Min: 2, Max: 500, Step: 1, SuccessRun: 8}
-	if err := (Config{Capacity: 100, Degree: 2, Admission: overCap}).Validate(); err == nil {
+	pol := MustPolicy("guard-dynamic")
+	if err := (Config{Capacity: guardMax - 1, Degree: 2, Admission: pol}).Validate(); err == nil {
 		t.Fatal("guard-dynamic max beyond capacity validated")
 	}
-	badTB := &tokenBucketPolicy{Burst: 0, Rate: 1}
-	if err := (Config{Capacity: 100, Degree: 2, Admission: badTB}).Validate(); err == nil {
-		t.Fatal("token-bucket zero burst validated")
+	if err := (Config{Capacity: guardMax, Degree: 2, Admission: pol}).Validate(); err != nil {
+		t.Fatalf("guard-dynamic at capacity %d: %v", guardMax, err)
 	}
 }

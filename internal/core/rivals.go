@@ -7,7 +7,7 @@ import (
 )
 
 // This file implements three admission-control rivals from the wider
-// hand-off literature, registered alongside the paper's schemes so the
+// hand-off literature, on the roster beside the paper's schemes so the
 // arena (internal/arena) can rank them under identical workloads:
 //
 //   - "guard-dynamic": dynamic guard channels with channel borrowing —
@@ -27,42 +27,34 @@ import (
 // ---------------------------------------------------------------------
 // Dynamic guard channels with borrowing.
 
-// guardDynamicPolicy reserves an integer guard band for hand-offs and
-// adapts it per cell: every dropped hand-off raises the guard by Step,
-// every SuccessRun consecutive successes lowers it by Step. New calls
-// may "borrow" guard bandwidth down to Min when the cell has seen no
-// hand-off arrival for BorrowIdle seconds — idle guard capacity is
-// lent to new calls instead of sitting blocked.
-//
-// The struct doubles as the registry prototype (knobs only) and, via
-// CloneCellState, the per-cell instance carrying mutable state. State is
-// guarded by a mutex because neighbors may read the guard level through
-// the peer fan-out while the owning cell adapts it.
-type guardDynamicPolicy struct {
-	// Start is the initial guard level in BUs.
-	Start int
-	// Min and Max clamp the adaptive guard level.
-	Min, Max int
-	// Step is the per-adjustment guard increment/decrement in BUs.
-	Step int
-	// SuccessRun is how many consecutive successful hand-offs lower the
-	// guard by one Step.
-	SuccessRun int
-	// BorrowIdle is how long (seconds) the cell must go without any
-	// hand-off arrival before new calls may borrow into the guard band.
-	BorrowIdle float64
+// Guard-dynamic's fixed knobs: a 5-BU starting guard adapting within
+// [2,20] by 1-BU steps, relaxing after 8 clean hand-offs, borrowable
+// after 30 idle seconds.
+const (
+	guardStart      = 5
+	guardMin        = 2
+	guardMax        = 20
+	guardStep       = 1
+	guardSuccessRun = 8
+	guardBorrowIdle = 30.0
+)
 
+// guardDynamicPolicy reserves an integer guard band for hand-offs and
+// adapts it per cell: every dropped hand-off raises the guard by
+// guardStep, every guardSuccessRun consecutive successes lowers it by
+// guardStep, within [guardMin, guardMax]. New calls may "borrow" guard
+// bandwidth down to guardMin when the cell has seen no hand-off arrival
+// for guardBorrowIdle seconds — idle guard capacity is lent to new calls
+// instead of sitting blocked.
+//
+// CloneCellState gives each cell its own instance. State is guarded by
+// a mutex because neighbors may read the guard level through the peer
+// fan-out while the owning cell adapts it.
+type guardDynamicPolicy struct {
 	mu     sync.Mutex
 	guard  int     // current guard level in BUs
 	okRun  int     // consecutive successful hand-offs since last change
 	lastHO float64 // time of the most recent hand-off arrival
-}
-
-// defaultGuardDynamic returns the registry prototype with its default
-// knobs: a 5-BU starting guard adapting within [2,20] by 1-BU steps,
-// relaxing after 8 clean hand-offs, borrowable after 30 idle seconds.
-func defaultGuardDynamic() *guardDynamicPolicy {
-	return &guardDynamicPolicy{Start: 5, Min: 2, Max: 20, Step: 1, SuccessRun: 8, BorrowIdle: 30, guard: 5}
 }
 
 func (g *guardDynamicPolicy) Name() string         { return "guard-dynamic" }
@@ -70,11 +62,7 @@ func (g *guardDynamicPolicy) Traits() PolicyTraits { return PolicyTraits{} }
 
 // CloneCellState gives each cell its own guard level.
 func (g *guardDynamicPolicy) CloneCellState() AdmissionPolicy {
-	return &guardDynamicPolicy{
-		Start: g.Start, Min: g.Min, Max: g.Max, Step: g.Step,
-		SuccessRun: g.SuccessRun, BorrowIdle: g.BorrowIdle,
-		guard: g.Start,
-	}
+	return &guardDynamicPolicy{guard: guardStart}
 }
 
 // FixedReservation seeds B_r^prev with the guard level and answers the
@@ -92,22 +80,12 @@ func (g *guardDynamicPolicy) ObserveHandOff(e *Engine, now float64, dropped bool
 	g.lastHO = now
 	if dropped {
 		g.okRun = 0
-		if g.guard < g.Max {
-			g.guard += g.Step
-			if g.guard > g.Max {
-				g.guard = g.Max
-			}
-		}
+		g.guard = min(g.guard+guardStep, guardMax)
 	} else {
 		g.okRun++
-		if g.okRun >= g.SuccessRun {
+		if g.okRun >= guardSuccessRun {
 			g.okRun = 0
-			if g.guard > g.Min {
-				g.guard -= g.Step
-				if g.guard < g.Min {
-					g.guard = g.Min
-				}
-			}
+			g.guard = max(g.guard-guardStep, guardMin)
 		}
 	}
 	guard := g.guard
@@ -118,14 +96,14 @@ func (g *guardDynamicPolicy) ObserveHandOff(e *Engine, now float64, dropped bool
 func (g *guardDynamicPolicy) DecideNew(ctx *PolicyContext) Decision {
 	g.mu.Lock()
 	guard := g.guard
-	idle := ctx.Now-g.lastHO >= g.BorrowIdle
+	idle := ctx.Now-g.lastHO >= guardBorrowIdle
 	g.mu.Unlock()
 	total := ctx.Committed() + ctx.Bandwidth
 	if total <= ctx.Capacity()-guard {
 		return Decision{Admitted: true}
 	}
-	// Borrowing: idle guard capacity is lent down to Min.
-	if idle && total <= ctx.Capacity()-g.Min {
+	// Borrowing: idle guard capacity is lent down to guardMin.
+	if idle && total <= ctx.Capacity()-guardMin {
 		return Decision{Admitted: true}
 	}
 	return Decision{}
@@ -136,14 +114,8 @@ func (g *guardDynamicPolicy) DecideHandOff(ctx *PolicyContext) Decision {
 }
 
 func (g *guardDynamicPolicy) ValidateConfig(cfg Config) error {
-	if g.Min < 0 || g.Max < g.Min || g.Start < g.Min || g.Start > g.Max {
-		return fmt.Errorf("core: guard-dynamic levels start=%d outside [%d,%d]", g.Start, g.Min, g.Max)
-	}
-	if g.Max > cfg.Capacity {
-		return fmt.Errorf("core: guard-dynamic max %d exceeds capacity %d", g.Max, cfg.Capacity)
-	}
-	if g.Step <= 0 || g.SuccessRun <= 0 || g.BorrowIdle < 0 {
-		return fmt.Errorf("core: guard-dynamic knobs step=%d run=%d idle=%v", g.Step, g.SuccessRun, g.BorrowIdle)
+	if guardMax > cfg.Capacity {
+		return fmt.Errorf("core: guard-dynamic max %d exceeds capacity %d", guardMax, cfg.Capacity)
 	}
 	return nil
 }
@@ -219,26 +191,22 @@ func (b *TokenBucket) Take(now float64) bool {
 	return true
 }
 
+// Token-bucket's fixed knobs: bursts of 10 admissions, refilling at 0.5
+// tokens per simulated second (steady-state 30 calls/min).
+const (
+	tokenBurst = 10
+	tokenRate  = 0.5
+)
+
 // tokenBucketPolicy meters new-call admission attempts through a
 // per-cell token bucket running on simulation time: each attempt needs
-// one token; the bucket refills at Rate tokens/second up to Burst. An
-// empty bucket sheds the attempt outright — before any capacity test —
-// which smooths admission bursts into the cell. Hand-offs never consume
-// tokens: the gate protects hand-offs from new-call surges, not the
-// other way around.
+// one token; the bucket refills at tokenRate tokens/second up to
+// tokenBurst. An empty bucket sheds the attempt outright — before any
+// capacity test — which smooths admission bursts into the cell.
+// Hand-offs never consume tokens: the gate protects hand-offs from
+// new-call surges, not the other way around.
 type tokenBucketPolicy struct {
-	// Burst is the bucket depth (maximum tokens, also the initial fill).
-	Burst float64
-	// Rate is the refill rate in tokens per simulated second.
-	Rate float64
-
 	bucket TokenBucket
-}
-
-// defaultTokenBucket returns the registry prototype: bursts of 10
-// admissions, refilling at 0.5 tokens/s (steady-state 30 calls/min).
-func defaultTokenBucket() *tokenBucketPolicy {
-	return &tokenBucketPolicy{Burst: 10, Rate: 0.5}
 }
 
 func (t *tokenBucketPolicy) Name() string         { return "token-bucket" }
@@ -246,7 +214,7 @@ func (t *tokenBucketPolicy) Traits() PolicyTraits { return PolicyTraits{} }
 
 // CloneCellState gives each cell its own bucket, initially full.
 func (t *tokenBucketPolicy) CloneCellState() AdmissionPolicy {
-	return &tokenBucketPolicy{Burst: t.Burst, Rate: t.Rate, bucket: NewTokenBucket(t.Burst, t.Rate)}
+	return &tokenBucketPolicy{bucket: NewTokenBucket(tokenBurst, tokenRate)}
 }
 
 // FixedReservation: the gate reserves no bandwidth.
@@ -263,17 +231,4 @@ func (t *tokenBucketPolicy) DecideNew(ctx *PolicyContext) Decision {
 
 func (t *tokenBucketPolicy) DecideHandOff(ctx *PolicyContext) Decision {
 	return handOffRoomDecision(ctx)
-}
-
-func (t *tokenBucketPolicy) ValidateConfig(Config) error {
-	if t.Burst < 1 || t.Rate <= 0 {
-		return fmt.Errorf("core: token-bucket burst=%v rate=%v invalid", t.Burst, t.Rate)
-	}
-	return nil
-}
-
-func init() {
-	RegisterPolicy("guard-dynamic", func() AdmissionPolicy { return defaultGuardDynamic() })
-	RegisterPolicy("multi-class", func() AdmissionPolicy { return multiClassPolicy{} })
-	RegisterPolicy("token-bucket", func() AdmissionPolicy { return defaultTokenBucket() })
 }

@@ -1,6 +1,7 @@
 package mobility
 
 import (
+	"fmt"
 	"math/rand/v2"
 
 	"cellqos/internal/topology"
@@ -26,6 +27,18 @@ type HexWalk struct {
 	Persistence float64
 	// StationaryProb is the fraction of mobiles that never move.
 	StationaryProb float64
+}
+
+// Validate checks the model's parameters: a positive cell diameter, a
+// persistence in [0,1] and a valid speed range.
+func (m *HexWalk) Validate() error {
+	if !(m.DiameterKm > 0) {
+		return fmt.Errorf("mobility: HexWalk diameter %v km must be > 0", m.DiameterKm)
+	}
+	if !(m.Persistence >= 0 && m.Persistence <= 1) {
+		return fmt.Errorf("mobility: HexWalk persistence %v outside [0,1]", m.Persistence)
+	}
+	return m.Speed.Validate()
 }
 
 // NewPath implements Model.

@@ -62,6 +62,15 @@ type SpeedRange struct {
 	MinKmh, MaxKmh float64
 }
 
+// Validate checks that the range is finite with 0 ≤ min ≤ max; NaN
+// fails it.
+func (r SpeedRange) Validate() error {
+	if !(r.MinKmh >= 0 && r.MinKmh <= r.MaxKmh && !math.IsInf(r.MaxKmh, 1)) {
+		return fmt.Errorf("mobility: speed range [%v,%v] must be finite with 0 <= min <= max", r.MinKmh, r.MaxKmh)
+	}
+	return nil
+}
+
 // Sample draws a speed in km/s.
 func (r SpeedRange) Sample(rng *rand.Rand) float64 {
 	if r.MinKmh < 0 || r.MaxKmh < r.MinKmh {
@@ -104,6 +113,15 @@ type Linear struct {
 	// StationaryProb is the probability that a mobile never moves
 	// (0 in the paper's experiments; used for mixed-mobility extensions).
 	StationaryProb float64
+}
+
+// Validate checks the model's parameters: a positive cell diameter and
+// a valid speed range.
+func (m *Linear) Validate() error {
+	if !(m.DiameterKm > 0) {
+		return fmt.Errorf("mobility: Linear diameter %v km must be > 0", m.DiameterKm)
+	}
+	return m.Speed.Validate()
 }
 
 // NewPath implements Model.

@@ -24,6 +24,7 @@ package runner
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -41,7 +42,7 @@ type Scenario struct {
 	// Config fully describes the network; it must be freshly built for
 	// this scenario (mutable parts such as Backbone cannot be shared).
 	Config cellnet.Config
-	// Duration is the simulated time to run, in seconds.
+	// Duration is the simulated time to run, in seconds: finite and > 0.
 	Duration float64
 	// Reps replicates the scenario with derived seeds Config.Seed,
 	// Config.Seed+1, …, Config.Seed+Reps-1. Zero or one means a single
@@ -160,6 +161,9 @@ func expand(scenarios []Scenario) ([]point, error) {
 		key := s.Key
 		if key == "" {
 			key = fmt.Sprintf("scenario-%d", si)
+		}
+		if !(s.Duration > 0 && !math.IsInf(s.Duration, 1)) {
+			return nil, fmt.Errorf("runner: scenario %q: duration %v must be finite and > 0", key, s.Duration)
 		}
 		if s.reps() > 1 && s.Config.Backbone != nil {
 			return nil, fmt.Errorf("runner: scenario %q: Reps=%d with a shared Backbone "+

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"cellqos/internal/cellnet"
 	"cellqos/internal/core"
@@ -203,6 +205,31 @@ func TestInvalidConfigIsPointError(t *testing.T) {
 	}
 	if err := FirstError(points); err == nil || !strings.Contains(err.Error(), "bad") {
 		t.Fatalf("FirstError = %v, want the bad point's error", err)
+	}
+}
+
+// TestRunRejectsBadDuration: a run length that is not finite and > 0
+// fails Run up front with an error naming the scenario, instead of
+// running no events (zero, negative) or never ending (NaN, +Inf). Each
+// row runs under a watchdog so that a hang fails instead of stalling.
+func TestRunRejectsBadDuration(t *testing.T) {
+	for _, d := range []float64{0, -5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		t.Run(fmt.Sprint(d), func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() {
+				_, err := (&Runner{}).Run(context.Background(),
+					[]Scenario{{Key: "bad-length", Config: testConfig(100, 1), Duration: d}})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), `"bad-length"`) {
+					t.Fatalf("Run with duration %v: err %v, want one naming the scenario", d, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("Run with duration %v still running after 10 s", d)
+			}
+		})
 	}
 }
 

@@ -172,8 +172,14 @@ func (k *Kernel) Run() float64 { return k.run(math.Inf(1), false) }
 // RunUntil fires events with timestamps ≤ end, then sets all clocks to
 // end. Repeated calls with increasing end values resume on the same
 // window grid, so a run chunked into many RunUntil calls delivers
-// messages at the same barriers as a single call.
-func (k *Kernel) RunUntil(end float64) float64 { return k.run(end, true) }
+// messages at the same barriers as a single call. It panics if end is
+// NaN, as Schedule does on a NaN time.
+func (k *Kernel) RunUntil(end float64) float64 {
+	if math.IsNaN(end) {
+		panic("shard: NaN run end")
+	}
+	return k.run(end, true)
+}
 
 // run executes fixed-grid conservative windows, one goroutine per shard
 // inside each window when there is more than one shard.

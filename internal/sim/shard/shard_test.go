@@ -2,12 +2,14 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cellqos/internal/sim"
 	"cellqos/internal/testleak"
@@ -76,6 +78,26 @@ func TestRunUntilSemantics(t *testing.T) {
 	k.Run()
 	if len(fired) != 5 {
 		t.Fatalf("remaining events lost: %v", fired)
+	}
+}
+
+// TestRunUntilNaNPanics: a NaN end would otherwise run windows forever,
+// since no barrier compares at or above it. The call runs under a
+// watchdog so that a hang fails instead of stalling.
+func TestRunUntilNaNPanics(t *testing.T) {
+	k := New(Config{Shards: 2, Lookahead: 1})
+	panicked := make(chan bool, 1)
+	go func() {
+		defer func() { panicked <- recover() != nil }()
+		k.RunUntil(math.NaN())
+	}()
+	select {
+	case p := <-panicked:
+		if !p {
+			t.Fatal("RunUntil(NaN) returned without panicking")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunUntil(NaN) still running after 10 s")
 	}
 }
 

@@ -142,8 +142,12 @@ func (s *Simulator) Run() float64 {
 }
 
 // RunUntil fires events with timestamps ≤ end, then sets the clock to end
-// and returns. Events scheduled after end remain queued.
+// and returns. Events scheduled after end remain queued. It panics if end
+// is NaN, as Schedule does on a NaN time.
 func (s *Simulator) RunUntil(end float64) float64 {
+	if math.IsNaN(end) {
+		panic("sim: NaN run end")
+	}
 	s.run(end)
 	if !s.stopped && s.now < end {
 		s.now = end

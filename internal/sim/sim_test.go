@@ -91,6 +91,19 @@ func TestNaNPanics(t *testing.T) {
 	New().At(nan(), func(Scheduler) {})
 }
 
+// TestRunUntilNaNPanics: a NaN end would otherwise fire every event,
+// since no event time compares above it.
+func TestRunUntilNaNPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RunUntil(NaN) did not panic")
+		}
+	}()
+	s := New()
+	s.MustAfter(1, func(Scheduler) {})
+	s.RunUntil(nan())
+}
+
 func nan() float64 { z := 0.0; return z / z }
 
 func TestCancel(t *testing.T) {

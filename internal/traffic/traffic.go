@@ -139,6 +139,18 @@ func (c Constant) Speed(float64) (float64, float64) { return c.MinKmh, c.MaxKmh 
 // NextChange implements Schedule; a constant schedule never changes.
 func (c Constant) NextChange(float64) (float64, bool) { return 0, false }
 
+// Validate checks for a finite rate ≥ 0 and a finite speed range with
+// 0 ≤ min ≤ max; NaN fails both.
+func (c Constant) Validate() error {
+	if !(c.Lambda >= 0 && !math.IsInf(c.Lambda, 1)) {
+		return fmt.Errorf("traffic: arrival rate %v must be finite and >= 0", c.Lambda)
+	}
+	if !(c.MinKmh >= 0 && c.MinKmh <= c.MaxKmh && !math.IsInf(c.MaxKmh, 1)) {
+		return fmt.Errorf("traffic: speed range [%v,%v] must be finite with 0 <= min <= max", c.MinKmh, c.MaxKmh)
+	}
+	return nil
+}
+
 // RetryPolicy models the time-varying scenario's user behavior: "a
 // blocked connection request will be re-requested with probability
 // 1 − 0.1·N_ret after waiting 5 seconds, where N_ret is the number of
