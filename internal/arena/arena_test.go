@@ -2,13 +2,17 @@ package arena
 
 import (
 	"bytes"
+	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cellqos/internal/audit"
 	"cellqos/internal/core"
+	"cellqos/internal/runner"
 )
 
 var update = flag.Bool("update", false, "rewrite the pinned arena report")
@@ -90,5 +94,70 @@ func TestArenaUnknownPolicy(t *testing.T) {
 	}
 	if _, regErr := core.PolicyByName("AC9"); regErr == nil || err.Error() != regErr.Error() {
 		t.Fatalf("want core's error, got %v", err)
+	}
+}
+
+// TestRunRejectsBadOptions: an out-of-range option is an error naming
+// its field, returned before any point runs. Before Options were
+// checked a negative load or a voice ratio above 1 panicked in
+// traffic.RateForLoad, negative seeds ran no seed and reported NaN, and
+// the rest failed a point in the runner, naming a scenario rather than
+// the option.
+func TestRunRejectsBadOptions(t *testing.T) {
+	tiny := func(o Options) Options {
+		o.Policies = []string{"AC3"}
+		if o.Seeds == 0 {
+			o.Seeds = 1
+		}
+		if o.Duration == 0 {
+			o.Duration = 10
+		}
+		return o
+	}
+	for _, tc := range []struct {
+		name  string
+		opt   Options
+		field string
+	}{
+		{"negative load", Options{Loads: []float64{150, -5}}, "Options.Loads"},
+		{"voice ratio above 1", Options{VoiceRatios: []float64{1.5}}, "Options.VoiceRatios"},
+		{"voice ratio NaN", Options{VoiceRatios: []float64{math.NaN()}}, "Options.VoiceRatios"},
+		{"load NaN", Options{Loads: []float64{math.NaN()}}, "Options.Loads"},
+		{"load +Inf", Options{Loads: []float64{math.Inf(1)}}, "Options.Loads"},
+		{"negative duration", Options{Duration: -5}, "Options.Duration"},
+		{"duration NaN", Options{Duration: math.NaN()}, "Options.Duration"},
+		{"negative seeds", Options{Seeds: -1}, "Options.Seeds"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if v := recover(); v != nil {
+					t.Fatalf("Run panicked: %v", v)
+				}
+			}()
+			_, err := Run(tiny(tc.opt))
+			if err == nil || !strings.HasPrefix(err.Error(), tc.field+" ") && !strings.HasPrefix(err.Error(), tc.field+":") {
+				t.Fatalf("err = %v, want one naming %s", err, tc.field)
+			}
+		})
+	}
+}
+
+// TestPointErrorNamesItsKey: a failed point comes back as its key, which
+// starts with "arena/", and the cause, with no "arena: " prefix of its
+// own for cmd/arena to double. The failure is injected from the progress
+// sink, which sees each point before Run aggregates it.
+func TestPointErrorNamesItsKey(t *testing.T) {
+	injected := errors.New("injected")
+	sink := runner.SinkFunc(func(p runner.Progress) {
+		if p.Point.Index == 0 {
+			p.Point.Err = injected
+		}
+	})
+	_, err := Run(Options{Duration: 10, Seeds: 1, Policies: []string{"AC3"}, Loads: []float64{150}, VoiceRatios: []float64{1}, Sink: sink})
+	if !errors.Is(err, injected) {
+		t.Fatalf("err = %v, want the injected point error", err)
+	}
+	if want := "arena/AC3/load150/rvo1: injected"; err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
 	}
 }

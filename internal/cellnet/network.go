@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"unsafe"
 
 	"cellqos/internal/core"
 	"cellqos/internal/mobility"
@@ -66,16 +67,16 @@ type connection struct {
 	prevInCell topology.LocalIndex // local index (in cell's space) of the previous cell
 	enteredAt  float64
 	diesAt     float64
-	path       mobility.Path
 	wpath      wired.Path        // reserved backbone path (when a Backbone is configured)
 	pledges    []topology.CellID // cells holding a MobSpec pledge for this connection
 	min, max   int               // QoS range; rigid connections have min == max == bw
 	class      core.ServiceClass // service class (voice = 0, video = streaming)
-	// stream is the slot's private stream. Under delayed signaling the
-	// path draws from it, hop by hop: the connection migrates across
-	// shards, so the draws must follow it, not a cell or the run. Under
-	// instant signaling the path draws from the run's one shared stream.
-	stream *connRand
+	// move is the mobile's path and the slot's private stream, beside
+	// the record in its slot. Under delayed signaling the path draws from
+	// that stream, hop by hop: the connection migrates across shards, so
+	// the draws must follow it, not a cell or the run. Under instant
+	// signaling the path draws from the run's one shared stream.
+	move *connMove
 
 	// A connection has exactly one pending kernel event at a time — its
 	// next boundary crossing (toward hop), its lifetime end, a soft
@@ -95,17 +96,30 @@ type connection struct {
 	pending  bool
 }
 
-// connSlot is a connection record and its private stream, side by side
-// in a table's chunk of connChunk slots, reused when a call ends (newConn,
-// release). The record points at the stream rather than holding it, so
-// it keeps its size class.
+// connSlot is a connection record and its path and private stream,
+// side by side in a table's chunk of connChunk slots, reused when a call
+// ends (newConn, release). The record points at them rather than holding
+// them, so it keeps its size class.
 type connSlot struct {
 	connection
-	rng connRand
+	move connMove
 }
 
-// connChunk is the number of slots a table allocates at a time.
-const connChunk = 128
+// connMove is what a connection's movement keeps in its slot: the
+// mobility path, which a model refills for each tenant (newPath), and
+// the slot's private stream, the generator and the rand.Rand drawing
+// from it. Reseeding pcg with connStream(id) gives the draws of a fresh
+// stream for connection id.
+type connMove struct {
+	path mobility.PathState
+	pcg  rand.PCG
+	r    rand.Rand
+}
+
+// connChunk is the number of slots a table allocates at a time: as many
+// as fit in 32 KiB, Go's largest small-object size class. A chunk any
+// larger is a large object, rounded up to whole 8-KiB pages.
+const connChunk = 32 << 10 / unsafe.Sizeof(connSlot{})
 
 // Network is a runnable cellular-network simulation.
 //
@@ -460,18 +474,18 @@ func (n *Network) establish(c *cell, min, max int, svc core.ServiceClass, wpath 
 		diesAt:     now + traffic.Lifetime(c.rng, n.cfg.MeanLifetime),
 		wpath:      wpath,
 		pledges:    pledges,
-		stream:     conn.stream,
+		move:       conn.move,
 		event:      conn.event,
 	}
 	rng := n.rng
 	if rng == nil { // delayed signaling: the slot's stream, seeded by the ID
-		conn.stream.pcg.Seed(n.cfg.Seed, connStream(id))
-		rng = &conn.stream.r
+		conn.move.pcg.Seed(n.cfg.Seed, connStream(id))
+		rng = &conn.move.r
 	}
-	conn.path = n.newPath(rng, c.id, now)
+	n.newPath(&conn.move.path, rng, c.id, now)
 	c.tab.conns[id] = conn
 	c.tab.births++
-	hop, ok := conn.path.NextHop()
+	hop, ok := conn.move.path.NextHop()
 	n.addTo(c, conn, topology.Self, hop, ok, now)
 	n.scheduleDeparture(conn, hop, ok)
 }
@@ -489,8 +503,8 @@ func (n *Network) newConn(st *shardState) *connection {
 	s := &st.chunk[0]
 	st.chunk = st.chunk[1:]
 	conn := &s.connection
-	s.rng.r = *rand.New(&s.rng.pcg)
-	conn.stream = &s.rng
+	s.move.r = *rand.New(&s.move.pcg)
+	conn.move = &s.move
 	conn.event = func(sim.Scheduler) {
 		conn.pending = false
 		switch {
@@ -509,12 +523,14 @@ func (n *Network) newConn(st *shardState) *connection {
 // the table whose shard ran the death, so no list is touched from two
 // shards. A slot with a booked event would fire into its next tenant.
 // Clearing the path, pledges and wired path leaves a free slot holding
-// nothing else alive.
+// nothing else alive: the path points at its model and, on a hex walk,
+// at the stream it draws from.
 func (st *shardState) release(conn *connection) {
 	if conn.pending {
 		panic(fmt.Sprintf("cellnet: releasing connection %d with a booked event", conn.id))
 	}
-	conn.path, conn.pledges, conn.wpath = nil, nil, wired.Path{}
+	conn.move.path = mobility.PathState{}
+	conn.pledges, conn.wpath = nil, wired.Path{}
 	st.freeConns = append(st.freeConns, conn)
 }
 
@@ -543,18 +559,36 @@ func (n *Network) hintFor(cur topology.CellID, hop mobility.Hop, ok bool) topolo
 	return li
 }
 
-// newPath mints a movement path from rng, honoring the schedule's
-// current speed range when the model supports it. A schedule that
-// doesn't specify speeds (zero range, e.g. a bare
-// traffic.Constant{Lambda: …}) defers to the model's own configured range.
-func (n *Network) newPath(rng *rand.Rand, start topology.CellID, now float64) mobility.Path {
-	if sa, ok := n.cfg.Mobility.(mobility.SpeedAware); ok {
-		lo, hi := n.cfg.Schedule.Speed(now)
-		if hi > 0 {
-			return sa.NewPathWithSpeed(rng, start, mobility.SpeedRange{MinKmh: lo, MaxKmh: hi})
-		}
+// pathIniter is a mobility model that fills a caller-owned path: every
+// model in internal/mobility.
+type pathIniter interface {
+	InitPath(ps *mobility.PathState, rng *rand.Rand, start topology.CellID, sr mobility.SpeedRange)
+}
+
+// newPath fills ps with a new mobile's movement drawn from rng, at the
+// schedule's current speed range. A schedule that doesn't specify speeds
+// (zero range, e.g. a bare traffic.Constant{Lambda: …}) defers to the
+// model's own configured range. A model that only mints paths (a wrapper
+// around a mobility model) has its path copied in, and must mint a
+// *mobility.PathState.
+func (n *Network) newPath(ps *mobility.PathState, rng *rand.Rand, start topology.CellID, now float64) {
+	lo, hi := n.cfg.Schedule.Speed(now)
+	sr := mobility.SpeedRange{MinKmh: lo, MaxKmh: hi}
+	var p mobility.Path
+	switch m := n.cfg.Mobility.(type) {
+	case pathIniter:
+		m.InitPath(ps, rng, start, sr)
+		return
+	case mobility.SpeedAware:
+		p = m.NewPathWithSpeed(rng, start, sr)
+	default:
+		p = m.NewPath(rng, start)
 	}
-	return n.cfg.Mobility.NewPath(rng, start)
+	minted, ok := p.(*mobility.PathState)
+	if !ok {
+		panic(fmt.Sprintf("cellnet: mobility model %T minted a %T path; want *mobility.PathState", n.cfg.Mobility, p))
+	}
+	*ps = *minted
 }
 
 // scheduleDeparture books the single next event for a connection that
@@ -737,7 +771,7 @@ func (n *Network) teardown(c *cell, conn *connection, now float64) {
 // new cell and its next departure is scheduled.
 func (n *Network) enterCell(conn *connection, from, to *cell, now float64) {
 	prevLocal, _ := n.cfg.Topology.LocalOf(to.id, from.id)
-	nextHop, okNext := conn.path.NextHop()
+	nextHop, okNext := conn.move.path.NextHop()
 	n.addTo(to, conn, prevLocal, nextHop, okNext, now)
 	conn.cell = to.id
 	conn.prevInCell = prevLocal

@@ -1,8 +1,6 @@
 package cellnet
 
 import (
-	"math/rand/v2"
-
 	"cellqos/internal/core"
 	"cellqos/internal/sim"
 	"cellqos/internal/sim/shard"
@@ -60,14 +58,6 @@ func cellStream(id topology.CellID) uint64 {
 // shard-count-independent ID.
 func connStream(id core.ConnID) uint64 {
 	return 0x2545f4914f6cdd1d ^ (uint64(id)+1)*0x94d049bb133111eb
-}
-
-// connRand is a connection slot's private stream: the generator and the
-// rand.Rand drawing from it. Reseeding pcg with connStream(id) gives the
-// draws of a fresh stream for connection id.
-type connRand struct {
-	pcg rand.PCG
-	r   rand.Rand
 }
 
 // mirrorEntry is one neighbor's last replied state.

@@ -21,7 +21,10 @@ var overloadLoads = []float64{150, 300}
 // and multiplicative alternatives §4.2 tried and rejected for causing
 // reservation oscillation.
 func AblationStep(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		ID:    "ablation-step",
 		Title: "T_est adjustment step policy (paper §4.2 design discussion)",
@@ -73,7 +76,10 @@ func AblationStep(opt Options) (*Report, error) {
 // AblationNQuad varies the maximum estimation-function size N_quad
 // around the paper's 100.
 func AblationNQuad(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		ID:    "ablation-nquad",
 		Title: "N_quad sensitivity (estimation-function size)",
@@ -109,7 +115,10 @@ func AblationNQuad(opt Options) (*Report, error) {
 // dwell, uniform direction, fixed window — with the dwell parameter both
 // well-tuned and mis-tuned.
 func BaselineExpDwell(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		ID:    "baseline-expdwell",
 		Title: "AC3 vs exponential-dwell analytical reservation (§6, ref. [10])",
@@ -162,7 +171,10 @@ func BaselineExpDwell(opt Options) (*Report, error) {
 // admitted connection pledges its bandwidth in every cell within the
 // specification horizon for its whole lifetime.
 func BaselineMobSpec(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		ID:    "baseline-mobspec",
 		Title: "AC3 vs mobility-specification reservation (§6, ref. [14])",
@@ -207,7 +219,10 @@ func BaselineMobSpec(opt Options) (*Report, error) {
 // direction persistence, where history-based direction prediction is
 // genuinely uncertain.
 func ExtensionHints(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		ID:    "extension-hints",
 		Title: "§7 extension: path/direction information from route guidance (ITS/GPS)",
@@ -256,7 +271,10 @@ func ExtensionHints(opt Options) (*Report, error) {
 // re-route, comparing full re-routing against anchor extension under a
 // constrained backbone.
 func ExtensionWired(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		ID:    "extension-wired",
 		Title: "§2/§7 extension: wired-link reservation with re-routing on hand-off",
@@ -313,7 +331,10 @@ func ExtensionWired(opt Options) (*Report, error) {
 // margin usable by hand-offs), each of which the paper predicts will
 // reduce hand-off drops.
 func ExtensionCDMA(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		ID:    "extension-cdma",
 		Title: "§7 extension: CDMA soft hand-off and soft capacity",
@@ -361,7 +382,10 @@ func ExtensionCDMA(opt Options) (*Report, error) {
 // 4 BUs, reservation and admission run on the minimum-QoS basis, cells
 // downgrade to absorb hand-offs and upgrade when bandwidth frees.
 func IntegrationAdaptiveQoS(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		ID:    "integration-adaptiveqos",
 		Title: "§1 integration: adaptive QoS (degradable video) under AC3",
@@ -402,7 +426,10 @@ func IntegrationAdaptiveQoS(opt Options) (*Report, error) {
 // still feeds the estimation functions (our default: yes — the movement
 // happened; the paper does not specify).
 func AblationDropped(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		ID:    "ablation-dropped",
 		Title: "Recording dropped hand-offs as mobility observations",

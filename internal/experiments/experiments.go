@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"cellqos/internal/audit"
@@ -64,8 +65,9 @@ type Options struct {
 	Audit *audit.Checker
 }
 
-// withDefaults fills in zero fields.
-func (o Options) withDefaults() Options {
+// withDefaults fills in zero fields, then rejects what no experiment
+// can run, naming the field.
+func (o Options) withDefaults() (Options, error) {
 	if o.Duration == 0 {
 		o.Duration = 20000
 	}
@@ -81,8 +83,26 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	return o
+	switch {
+	case !finitePositive(o.Duration):
+		return o, fmt.Errorf("Options.Duration %v: must be finite and > 0", o.Duration)
+	case !finitePositive(o.TraceDuration):
+		return o, fmt.Errorf("Options.TraceDuration %v: must be finite and > 0", o.TraceDuration)
+	case o.Days < 0:
+		return o, fmt.Errorf("Options.Days %d: must be >= 0", o.Days)
+	case o.Fig14Hours < 0:
+		return o, fmt.Errorf("Options.Fig14Hours %d: must be >= 0", o.Fig14Hours)
+	}
+	for _, l := range o.Loads {
+		if !(l >= 0 && !math.IsInf(l, 1)) {
+			return o, fmt.Errorf("Options.Loads: offered load %v must be finite and >= 0", l)
+		}
+	}
+	return o, nil
 }
+
+// finitePositive reports whether v is a finite number > 0 (NaN is not).
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // LabeledTable pairs a table with its caption.
 type LabeledTable struct {

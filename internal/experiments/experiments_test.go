@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -280,5 +281,41 @@ func TestMetroShardedDeterministic(t *testing.T) {
 	}
 	if !bytes.Contains(a.Bytes(), []byte("shard-count invariance,identical")) {
 		t.Fatalf("metro-sharded verdict not 'identical':\n%s", a.Bytes())
+	}
+}
+
+// TestBadOptionsAreErrors: an out-of-range option is an error naming its
+// field, returned before any point runs. Before Options were checked a
+// negative load panicked in traffic.RateForLoad, negative hours ran the
+// full two days, and the rest failed a point in the runner, naming a
+// scenario rather than the option.
+func TestBadOptionsAreErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		run   func(Options) (*Report, error)
+		set   func(*Options)
+		field string
+	}{
+		{"fig7 negative load", Fig7, func(o *Options) { o.Loads = []float64{100, -5} }, "Options.Loads"},
+		{"fig13 negative load", Fig13, func(o *Options) { o.Loads = []float64{-1} }, "Options.Loads"},
+		{"fig12 negative load", Fig12, func(o *Options) { o.Loads = []float64{-300} }, "Options.Loads"},
+		{"fig14 negative days", Fig14, func(o *Options) { o.Days = -1 }, "Options.Days"},
+		{"fig14 negative hours", Fig14, func(o *Options) { o.Fig14Hours = -2 }, "Options.Fig14Hours"},
+		{"fig8 duration NaN", Fig8, func(o *Options) { o.Duration = math.NaN() }, "Options.Duration"},
+		{"fig10 negative trace duration", Fig10, func(o *Options) { o.TraceDuration = -1 }, "Options.TraceDuration"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if v := recover(); v != nil {
+					t.Fatalf("panicked: %v", v)
+				}
+			}()
+			opt := quickOpt()
+			tc.set(&opt)
+			_, err := tc.run(opt)
+			if err == nil || !strings.HasPrefix(err.Error(), tc.field+" ") && !strings.HasPrefix(err.Error(), tc.field+":") {
+				t.Fatalf("err = %v, want one naming %s", err, tc.field)
+			}
+		})
 	}
 }

@@ -17,7 +17,10 @@ import (
 // healthy. The fault-free variant doubles as a control: its counters
 // must all be zero and its metrics match the unfaulted simulation.
 func ExtensionFaults(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		ID:    "extension-faults",
 		Title: "Robustness: signaling faults and graceful degradation, AC3",

@@ -49,7 +49,10 @@ func metroConfig(shards int, seed uint64) cellnet.Config {
 // detail, so any divergence between shard counts is a determinism bug,
 // which the experiment checks explicitly.
 func MetroSharded(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		ID:    "metro-sharded",
 		Title: "Metro-scale sharded kernel: shard-count invariance under async signaling",

@@ -39,7 +39,10 @@ func mobilityRvoProbTables(rep *Report, res [][][]*cellnet.Result, loads []float
 // static reservation of G = 10 BUs, for R_vo ∈ {1.0, 0.8, 0.5} and both
 // mobility ranges.
 func Fig7(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		ID:    "fig7",
 		Title: "P_CB and P_HD vs offered load: static reservation, G = 10 BUs",
@@ -63,7 +66,10 @@ func Fig7(opt Options) (*Report, error) {
 // Fig8 regenerates Figure 8: the same sweep under AC3; P_HD must stay at
 // or below the 0.01 target everywhere.
 func Fig8(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		ID:    "fig8",
 		Title: "P_CB and P_HD vs offered load: AC3",
@@ -85,7 +91,10 @@ func Fig8(opt Options) (*Report, error) {
 // Fig9 regenerates Figure 9: average target reservation bandwidth B_r
 // and average used bandwidth B_u versus load under AC3.
 func Fig9(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		ID:    "fig9",
 		Title: "Average target reservation B_r and used bandwidth B_u vs load: AC3",
@@ -127,7 +136,10 @@ var comparedPolicies = []string{"AC1", "AC2", "AC3"}
 // Fig12 regenerates Figure 12: P_CB and P_HD versus load for AC1, AC2
 // and AC3 under high mobility, for R_vo = 1.0 and 0.5.
 func Fig12(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		ID:    "fig12",
 		Title: "P_CB and P_HD vs offered load: AC1 vs AC2 vs AC3 (high mobility)",
@@ -165,7 +177,10 @@ func Fig12(opt Options) (*Report, error) {
 // Fig13 regenerates Figure 13: average number of B_r calculations per
 // admission test (N_calc) versus load.
 func Fig13(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		ID:    "fig13",
 		Title: "Average N_calc per admission test vs offered load",

@@ -17,7 +17,10 @@ import (
 // mobility (the §5.3 schedule transcribed from Fig. 14(a)) with the
 // blocked-request retry model, comparing AC1, AC2 and AC3 per hour.
 func Fig14(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	mix := traffic.Mix{VoiceRatio: 1.0}
 	sched := traffic.PaperDay(mix, traffic.MeanLifetime)
 	end := float64(opt.Days) * traffic.SecondsPerDay

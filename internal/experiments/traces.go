@@ -25,7 +25,10 @@ func tracedRun(key string, opt Options) (*cellnet.Result, error) {
 // Fig10 regenerates Figure 10: T_est and B_r over time in cells <5> and
 // <6> for the over-loaded high-mobility run.
 func Fig10(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	res, err := tracedRun("fig10/trace", opt)
 	if err != nil {
 		return nil, err
@@ -62,7 +65,10 @@ func Fig10(opt Options) (*Report, error) {
 // Fig11 regenerates Figure 11: cumulative P_HD over time for the same
 // run and cells.
 func Fig11(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	res, err := tracedRun("fig11/trace", opt)
 	if err != nil {
 		return nil, err
@@ -113,7 +119,10 @@ func perCellTable(res *cellnet.Result) *stats.Table {
 // Table2 regenerates Table 2: per-cell status at the end of over-loaded
 // runs (load 300, R_vo = 1.0, high mobility) under AC1 and AC3.
 func Table2(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		ID:    "table2",
 		Title: "Per-cell status at end of run (load 300, Rvo 1.0, high mobility)",
@@ -145,7 +154,10 @@ func Table2(opt Options) (*Report, error) {
 // travel from cell <1> toward cell <10> on an open line (borders
 // disconnected), load 300, R_vo = 1.0, high mobility.
 func Table3(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		ID:    "table3",
 		Title: "Per-cell status, one-directional mobiles on an open line (load 300)",

@@ -48,6 +48,16 @@ func (m *HexWalk) NewPath(rng *rand.Rand, start topology.CellID) Path {
 
 // NewPathWithSpeed implements SpeedAware.
 func (m *HexWalk) NewPathWithSpeed(rng *rand.Rand, start topology.CellID, sr SpeedRange) Path {
+	ps := new(PathState)
+	m.InitPath(ps, rng, start, sr)
+	return ps
+}
+
+// InitPath fills ps with a new mobile's movement, drawing from rng what
+// NewPathWithSpeed draws, in the same order; the path keeps rng for the
+// turns it draws hop by hop. A range with MaxKmh == 0 (none given) takes
+// the model's Speed.
+func (m *HexWalk) InitPath(ps *PathState, rng *rand.Rand, start topology.CellID, sr SpeedRange) {
 	if m.Top.Kind() != topology.KindHex {
 		panic("mobility: HexWalk requires a hex topology")
 	}
@@ -58,32 +68,21 @@ func (m *HexWalk) NewPathWithSpeed(rng *rand.Rand, start topology.CellID, sr Spe
 		panic("mobility: HexWalk.Persistence must be in [0,1]")
 	}
 	if m.StationaryProb > 0 && rng.Float64() < m.StationaryProb {
-		return stationaryPath{cell: start}
+		*ps = PathState{kind: pathStationary, cell: int32(start)}
+		return
 	}
-	return &hexPath{
-		m:     m,
-		rng:   rng,
-		cell:  start,
-		dir:   rng.IntN(topology.NumHexDirs),
-		speed: sr.Sample(rng),
+	if sr.MaxKmh == 0 {
+		sr = m.Speed
 	}
+	dir := int8(rng.IntN(topology.NumHexDirs))
+	*ps = PathState{kind: pathHex, hex: m, rng: rng, cell: int32(start), dir: dir, speed: sr.Sample(rng)}
 }
 
-type hexPath struct {
-	m     *HexWalk
-	rng   *rand.Rand
-	cell  topology.CellID
-	dir   int
-	speed float64
-	first bool
-	gone  bool
-}
-
-func (p *hexPath) NextHop() (Hop, bool) {
+func (p *PathState) hexHop() (Hop, bool) {
 	if p.gone {
 		return Hop{Next: topology.None}, false
 	}
-	full := p.m.DiameterKm / p.speed
+	full := p.hex.DiameterKm / p.speed
 	sojourn := full
 	if !p.first {
 		p.first = true
@@ -91,18 +90,19 @@ func (p *hexPath) NextHop() (Hop, bool) {
 		if sojourn <= 0 {
 			sojourn = 1e-12
 		}
-	} else if p.rng.Float64() >= p.m.Persistence {
+	} else if p.rng.Float64() >= p.hex.Persistence {
+		const dirs = int8(topology.NumHexDirs)
 		if p.rng.IntN(2) == 0 {
-			p.dir = (p.dir + 1) % topology.NumHexDirs
+			p.dir = (p.dir + 1) % dirs
 		} else {
-			p.dir = (p.dir + topology.NumHexDirs - 1) % topology.NumHexDirs
+			p.dir = (p.dir + dirs - 1) % dirs
 		}
 	}
-	next, ok := p.m.Top.HexStep(p.cell, p.dir)
+	next, ok := p.hex.Top.HexStep(topology.CellID(p.cell), int(p.dir))
 	if !ok {
 		p.gone = true
 		return Hop{Next: topology.None, Sojourn: sojourn}, true
 	}
-	p.cell = next
+	p.cell = int32(next)
 	return Hop{Next: next, Sojourn: sojourn}, true
 }

@@ -5,9 +5,12 @@
 // one direction on an open line), and a 2-D hexagonal walk with direction
 // persistence for the paper's future-work two-dimensional scenarios.
 //
-// A Model mints a Path per mobile; the Path is an iterator over
-// (next cell, sojourn time) hops. Leaving the coverage area is reported
-// as next == topology.None with ok == false thereafter.
+// A mobile's movement is a PathState, an iterator over (next cell,
+// sojourn time) hops. Each model fills a caller-owned one with InitPath,
+// so a simulator can keep it inline and reuse it for the next mobile;
+// NewPath returns a new one behind the Path interface. Leaving the
+// coverage area is reported as next == topology.None with ok == false
+// thereafter.
 package mobility
 
 import (
@@ -50,7 +53,8 @@ type Model interface {
 
 // SpeedAware is an optional Model extension for time-varying scenarios:
 // the caller supplies the speed range in force when the mobile appears,
-// overriding the model's configured range.
+// overriding the model's configured range (a range with MaxKmh == 0
+// gives none and keeps it).
 type SpeedAware interface {
 	Model
 	NewPathWithSpeed(rng *rand.Rand, start topology.CellID, sr SpeedRange) Path
@@ -132,6 +136,15 @@ func (m *Linear) NewPath(rng *rand.Rand, start topology.CellID) Path {
 // NewPathWithSpeed implements SpeedAware: the time-varying scenarios pick
 // the speed range in force at connection-setup time (§5.3).
 func (m *Linear) NewPathWithSpeed(rng *rand.Rand, start topology.CellID, sr SpeedRange) Path {
+	ps := new(PathState)
+	m.InitPath(ps, rng, start, sr)
+	return ps
+}
+
+// InitPath fills ps with a new mobile's movement, drawing from rng what
+// NewPathWithSpeed draws, in the same order. A range with MaxKmh == 0
+// (none given) takes the model's Speed.
+func (m *Linear) InitPath(ps *PathState, rng *rand.Rand, start topology.CellID, sr SpeedRange) {
 	if m.Top.Kind() != topology.KindRing && m.Top.Kind() != topology.KindLine {
 		panic("mobility: Linear requires a ring or line topology")
 	}
@@ -139,9 +152,13 @@ func (m *Linear) NewPathWithSpeed(rng *rand.Rand, start topology.CellID, sr Spee
 		panic("mobility: Linear.DiameterKm must be positive")
 	}
 	if m.StationaryProb > 0 && rng.Float64() < m.StationaryProb {
-		return stationaryPath{cell: start}
+		*ps = PathState{kind: pathStationary, cell: int32(start)}
+		return
 	}
-	dir := +1
+	if sr.MaxKmh == 0 {
+		sr = m.Speed
+	}
+	dir := int8(+1)
 	switch m.Direction {
 	case RandomDirection:
 		if rng.IntN(2) == 0 {
@@ -150,30 +167,55 @@ func (m *Linear) NewPathWithSpeed(rng *rand.Rand, start topology.CellID, sr Spee
 	case BackwardOnly:
 		dir = -1
 	}
-	return &linearPath{
-		m:      m,
-		cell:   start,
-		offset: rng.Float64() * m.DiameterKm, // A2: uniform within the cell
-		speed:  sr.Sample(rng),
-		dir:    dir,
-	}
+	offset := rng.Float64() * m.DiameterKm // A2: uniform within the cell
+	*ps = PathState{kind: pathLinear, lin: m, cell: int32(start), offset: offset, speed: sr.Sample(rng), dir: dir}
 }
 
-type linearPath struct {
-	m      *Linear
-	cell   topology.CellID
-	offset float64 // km from the cell's low edge; only meaningful pre-first-hop
-	speed  float64 // km/s
-	dir    int     // ±1
-	gone   bool
+// PathState is one mobile's movement under any of the package's models:
+// a kind tag and the union of the models' per-path state. It is a plain
+// value, so a caller can keep it inline (the simulator keeps it in the
+// connection's slot) and refill it for each new mobile with a model's
+// InitPath, allocating nothing; NewPath and NewPathWithSpeed return a
+// fresh one. The zero PathState is no path: NextHop panics on it.
+type PathState struct {
+	lin    *Linear
+	hex    *HexWalk
+	rng    *rand.Rand // HexWalk: turns are drawn hop by hop
+	offset float64    // Linear: km from the cell's low edge; only meaningful pre-first-hop
+	speed  float64    // km/s
+	cell   int32
+	dir    int8 // Linear: ±1; HexWalk: a hex direction
+	kind   pathKind
 	first  bool // set after the first hop has been consumed
+	gone   bool
 }
 
-func (p *linearPath) NextHop() (Hop, bool) {
+type pathKind uint8
+
+const (
+	pathStationary pathKind = iota + 1 // never leaves its cell
+	pathLinear
+	pathHex
+)
+
+// NextHop implements Path.
+func (p *PathState) NextHop() (Hop, bool) {
+	switch p.kind {
+	case pathLinear:
+		return p.linearHop()
+	case pathHex:
+		return p.hexHop()
+	case pathStationary:
+		return Hop{Next: topology.None, Sojourn: math.Inf(1)}, true
+	}
+	panic("mobility: NextHop on a PathState no model has initialized")
+}
+
+func (p *PathState) linearHop() (Hop, bool) {
 	if p.gone {
 		return Hop{Next: topology.None}, false
 	}
-	d := p.m.DiameterKm
+	d := p.lin.DiameterKm
 	dist := d
 	if !p.first {
 		p.first = true
@@ -182,7 +224,7 @@ func (p *linearPath) NextHop() (Hop, bool) {
 		} else {
 			dist = p.offset
 		}
-		if dist <= 0 { // landed exactly on the boundary; treat as full next cell? no: cross immediately
+		if dist <= 0 { // landed exactly on the boundary: cross at once
 			dist = 1e-12
 		}
 	}
@@ -192,17 +234,17 @@ func (p *linearPath) NextHop() (Hop, bool) {
 		p.gone = true
 		return Hop{Next: topology.None, Sojourn: sojourn}, true
 	}
-	p.cell = next
+	p.cell = int32(next)
 	return Hop{Next: next, Sojourn: sojourn}, true
 }
 
 // neighborInDir resolves the adjacent cell in the travel direction, or
 // None when the mobile exits an open line.
-func (p *linearPath) neighborInDir() topology.CellID {
-	n := p.m.Top.NumCells()
-	i := int(p.cell)
-	j := i + p.dir
-	if p.m.Top.Kind() == topology.KindRing {
+func (p *PathState) neighborInDir() topology.CellID {
+	top := p.lin.Top
+	n := top.NumCells()
+	j := int(p.cell) + int(p.dir)
+	if top.Kind() == topology.KindRing {
 		return topology.CellID((j + n) % n)
 	}
 	if j < 0 || j >= n {
@@ -211,18 +253,18 @@ func (p *linearPath) neighborInDir() topology.CellID {
 	return topology.CellID(j)
 }
 
-// stationaryPath never leaves its cell.
-type stationaryPath struct{ cell topology.CellID }
-
-func (stationaryPath) NextHop() (Hop, bool) {
-	return Hop{Next: topology.None, Sojourn: math.Inf(1)}, true
-}
-
 // Stationary is a Model whose mobiles never move; useful for indoor
 // scenarios and as a degenerate case in tests.
 type Stationary struct{}
 
 // NewPath implements Model.
-func (Stationary) NewPath(_ *rand.Rand, start topology.CellID) Path {
-	return stationaryPath{cell: start}
+func (m Stationary) NewPath(rng *rand.Rand, start topology.CellID) Path {
+	ps := new(PathState)
+	m.InitPath(ps, rng, start, SpeedRange{})
+	return ps
+}
+
+// InitPath fills ps with a mobile that stays in start; it draws nothing.
+func (Stationary) InitPath(ps *PathState, _ *rand.Rand, start topology.CellID, _ SpeedRange) {
+	*ps = PathState{kind: pathStationary, cell: int32(start)}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cellqos/internal/topology"
 )
@@ -366,4 +367,97 @@ func TestPropertyHexWalkWellFormed(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A PathState is no larger than the 48-B path object a model allocated
+// per mobile before paths were filled in place, so a simulator that keeps
+// one in each connection slot holds no more than it did.
+func TestPathStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(PathState{}); got > 48 {
+		t.Fatalf("PathState is %d bytes, want ≤ 48", got)
+	}
+}
+
+// pathModel is a model that also fills a caller-owned path.
+type pathModel interface {
+	Model
+	InitPath(ps *PathState, rng *rand.Rand, start topology.CellID, sr SpeedRange)
+}
+
+// initPathCases are the models InitPath must agree with NewPathWithSpeed
+// under: Linear in every direction policy on a ring and on a line, with
+// and without stationary mobiles; HexWalk on a wrapped and an open grid;
+// and Stationary.
+var initPathCases = []struct {
+	name  string
+	m     pathModel
+	cells int // starts are drawn from [0, cells)
+}{
+	{"linear ring random stationary 0.3", &Linear{Top: topology.Ring(10), DiameterKm: 1, Speed: HighMobility, StationaryProb: 0.3}, 10},
+	{"linear ring forward", &Linear{Top: topology.Ring(10), DiameterKm: 1, Speed: LowMobility, Direction: ForwardOnly}, 10},
+	{"linear ring backward", &Linear{Top: topology.Ring(7), DiameterKm: 2, Speed: HighMobility, Direction: BackwardOnly}, 7},
+	{"linear line random", &Linear{Top: topology.Line(10), DiameterKm: 1, Speed: HighMobility}, 10},
+	{"linear line forward stationary 0.3", &Linear{Top: topology.Line(6), DiameterKm: 1, Speed: HighMobility, Direction: ForwardOnly, StationaryProb: 0.3}, 6},
+	{"linear line backward", &Linear{Top: topology.Line(6), DiameterKm: 1.5, Speed: LowMobility, Direction: BackwardOnly}, 6},
+	{"hexwalk wrapped persistence 0.8", &HexWalk{Top: topology.Hex(5, 6, true), DiameterKm: 1, Speed: HighMobility, Persistence: 0.8}, 30},
+	{"hexwalk open persistence 0.8 stationary 0.3", &HexWalk{Top: topology.Hex(4, 4, false), DiameterKm: 1, Speed: LowMobility, Persistence: 0.8, StationaryProb: 0.3}, 16},
+	{"stationary", Stationary{}, 5},
+}
+
+// initPathSpeeds are the speed ranges a case is tried at; the zero range
+// takes the model's own.
+var initPathSpeeds = []SpeedRange{{}, HighMobility, LowMobility, {100, 100}}
+
+// checkInitPath fails t unless InitPath into the dirty, reused ps and
+// NewPathWithSpeed (NewPath for a model without it), each from one of
+// two twin-seeded streams, give hops identical to the bit and leave the
+// two streams at the same position.
+func checkInitPath(t testing.TB, ps *PathState, c int, seed uint64, start topology.CellID, sr SpeedRange) {
+	t.Helper()
+	m := initPathCases[c].m
+	a, b := rng(seed), rng(seed)
+	m.InitPath(ps, a, start, sr)
+	var p Path
+	if sa, ok := m.(SpeedAware); ok {
+		p = sa.NewPathWithSpeed(b, start, sr)
+	} else {
+		p = m.NewPath(b, start)
+	}
+	for i := 0; i < 40; i++ {
+		got, gotOK := ps.NextHop()
+		want, wantOK := p.NextHop()
+		if got.Next != want.Next || math.Float64bits(got.Sojourn) != math.Float64bits(want.Sojourn) || gotOK != wantOK {
+			t.Fatalf("%s from %d, seed %d, %v: hop %d = %+v,%v, want %+v,%v", initPathCases[c].name, start, seed, sr, i, got, gotOK, want, wantOK)
+		}
+	}
+	if x, y := a.Uint64(), b.Uint64(); x != y {
+		t.Fatalf("%s from %d, seed %d, %v: streams left at different positions", initPathCases[c].name, start, seed, sr)
+	}
+}
+
+// InitPath replays NewPathWithSpeed exactly, into a PathState that the
+// previous case (another model, kind and start) left mid-path.
+func TestInitPathMatchesNewPath(t *testing.T) {
+	var ps PathState
+	for seed := uint64(1); seed <= 40; seed++ {
+		for c, tc := range initPathCases {
+			start := topology.CellID(seed % uint64(tc.cells))
+			for _, sr := range initPathSpeeds {
+				checkInitPath(t, &ps, c, seed, start, sr)
+			}
+		}
+	}
+}
+
+func FuzzInitPath(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint16(3), uint8(0), uint8(2))
+	f.Add(uint64(9), uint8(6), uint16(17), uint8(1), uint8(8))
+	f.Fuzz(func(t *testing.T, seed uint64, c uint8, start uint16, sr uint8, prev uint8) {
+		var ps PathState
+		i := int(c) % len(initPathCases)
+		j := int(prev) % len(initPathCases)
+		initPathCases[j].m.InitPath(&ps, rng(^seed), 0, SpeedRange{})
+		ps.NextHop()
+		checkInitPath(t, &ps, i, seed, topology.CellID(int(start)%initPathCases[i].cells), initPathSpeeds[int(sr)%len(initPathSpeeds)])
+	})
 }
