@@ -30,9 +30,10 @@ lint: vet
 
 # race exercises the scenario runner's worker pool and the engine
 # property test under the race detector; -short skips the long sweeps
-# but keeps every concurrent path. internal/cellnet alone runs ~8–9
-# minutes under the race detector, so the default 10 m per-package
-# timeout leaves no headroom — raise it explicitly.
+# but keeps every concurrent path. internal/cellnet alone runs ~8.5
+# minutes under the race detector on 2 vCPUs with its independent tests
+# parallel (17 minutes serial), so the default 10 m per-package timeout
+# leaves little headroom — raise it explicitly.
 race:
 	$(GO) test -race -short -timeout 20m ./...
 	$(GO) test -race ./internal/runner/ ./internal/sim/shard/

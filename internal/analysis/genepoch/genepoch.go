@@ -60,10 +60,10 @@ var mutatorMethods = map[string]bool{
 	"EnsureCurrent": true, "Reset": true,
 }
 
-// estimatorReceiver reports whether the method's receiver is an
-// estimation type from the predict package (or a fixture standing in
-// for it — matching is by package-path suffix so analysistest stubs
-// under testdata/src/cellqos/internal/predict participate).
+// estimatorReceiver reports whether the method's receiver is the
+// predict package's Estimator (or a fixture standing in for it —
+// matching is by package-path suffix so analysistest stubs under
+// testdata/src/cellqos/internal/predict participate).
 func estimatorReceiver(sel *types.Selection) bool {
 	t := sel.Recv()
 	if p, ok := t.(*types.Pointer); ok {
@@ -77,7 +77,7 @@ func estimatorReceiver(sel *types.Selection) bool {
 	if obj.Pkg() == nil {
 		return false
 	}
-	if name := obj.Name(); name != "Estimator" && name != "PatternSet" {
+	if obj.Name() != "Estimator" {
 		return false
 	}
 	path := obj.Pkg().Path()
@@ -116,8 +116,8 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// estimatorCall classifies a call as derived/mutator/check on an
-// estimation type; returns the method name and kind, or ok=false.
+// estimatorCall classifies a call on the estimator as
+// derived/mutator/check; returns the method name and kind, or ok=false.
 func estimatorCall(pass *analysis.Pass, call *ast.CallExpr) (name string, kind int, ok bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {

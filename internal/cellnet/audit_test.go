@@ -62,6 +62,7 @@ func anyLiveConn(n *Network) *connection {
 // while the network still tracks it is exactly the class of bug the
 // audit exists for — the next check trips connection-lifecycle.
 func TestAuditCatchesEngineLeak(t *testing.T) {
+	t.Parallel()
 	n := warmNetwork(t, scenario("AC3", 200, 1.0, mobility.HighMobility, 81))
 	conn := anyLiveConn(n)
 	n.cells[conn.cell].engine.RemoveConnection(conn.id)
@@ -76,6 +77,7 @@ func TestAuditCatchesEngineLeak(t *testing.T) {
 // flight. A connection that vanishes from its engine and its table
 // together leaves every other ledger consistent; only the tallies notice.
 func TestAuditCatchesLifecycleTallyDrift(t *testing.T) {
+	t.Parallel()
 	n := warmNetwork(t, scenario("AC3", 200, 1.0, mobility.HighMobility, 89))
 	conn := anyLiveConn(n)
 	c := n.cells[conn.cell]
@@ -87,6 +89,7 @@ func TestAuditCatchesLifecycleTallyDrift(t *testing.T) {
 // TestAuditCatchesPledgeCorruption: a pledge not backed by any live
 // connection (the signature of a rollback bug) trips pledge-conservation.
 func TestAuditCatchesPledgeCorruption(t *testing.T) {
+	t.Parallel()
 	n := warmNetwork(t, scenario("AC3", 200, 1.0, mobility.HighMobility, 82))
 	if !n.cells[4].engine.Pledge(1) {
 		t.Fatal("seeding pledge failed")
@@ -100,6 +103,7 @@ func TestAuditCatchesPledgeCorruption(t *testing.T) {
 // TestAuditCatchesCounterCorruption: Blocked running ahead of Requested
 // would print P_CB > 1 in Table 2; the audit refuses to build the Result.
 func TestAuditCatchesCounterCorruption(t *testing.T) {
+	t.Parallel()
 	n := warmNetwork(t, scenario("AC3", 200, 1.0, mobility.HighMobility, 83))
 	n.cells[2].counters.Blocked = n.cells[2].counters.Requested + 1
 	wantAuditViolation(t, "counter-consistency", func() { n.Snapshot() })
@@ -108,6 +112,7 @@ func TestAuditCatchesCounterCorruption(t *testing.T) {
 // TestAuditCatchesWiredLeak: an extra backbone reservation with no
 // owning path trips wired-conservation.
 func TestAuditCatchesWiredLeak(t *testing.T) {
+	t.Parallel()
 	cfg := scenario("AC3", 150, 1.0, mobility.HighMobility, 84)
 	cfg.Backbone = wired.StarOfMSCs(cfg.Topology, 2, 1000, 5000, wired.FullReroute)
 	n := warmNetwork(t, cfg)
@@ -125,6 +130,7 @@ func TestAuditCatchesWiredLeak(t *testing.T) {
 // is caught by the event-boundary hook during the next slice, not only
 // at Snapshot.
 func TestAuditCatchesMidRunCorruption(t *testing.T) {
+	t.Parallel()
 	n := warmNetwork(t, scenario("AC3", 200, 1.0, mobility.HighMobility, 85))
 	if !n.cells[0].engine.Pledge(3) {
 		t.Fatal("seeding pledge failed")
@@ -135,6 +141,7 @@ func TestAuditCatchesMidRunCorruption(t *testing.T) {
 // TestAuditDoesNotPerturbResults: auditing is read-only — a run with the
 // checker attached produces byte-for-byte the counters of a run without.
 func TestAuditDoesNotPerturbResults(t *testing.T) {
+	t.Parallel()
 	audited := scenario("AC3", 200, 0.8, mobility.HighMobility, 86)
 	plain := audited
 	plain.Audit = nil
@@ -148,6 +155,7 @@ func TestAuditDoesNotPerturbResults(t *testing.T) {
 // TestAuditSampledStillChecksSnapshot: with sparse event sampling the
 // Snapshot-time check still runs in full and catches corruption.
 func TestAuditSampledStillChecksSnapshot(t *testing.T) {
+	t.Parallel()
 	cfg := scenario("AC3", 200, 1.0, mobility.HighMobility, 87)
 	cfg.Audit = &audit.Checker{EveryN: 1 << 30} // effectively never at events
 	n := warmNetwork(t, cfg)
@@ -164,6 +172,7 @@ func TestAuditSampledStillChecksSnapshot(t *testing.T) {
 // blocked left its pledges held forever. With auditing on, the leak
 // would trip pledge-conservation at the next event.
 func TestMobSpecBackboneBlockRollsBackPledges(t *testing.T) {
+	t.Parallel()
 	cfg := scenario("mob-spec", 250, 1.0, mobility.HighMobility, 88)
 	cfg.MobSpecHorizon = 2
 	// Starved BS uplinks: plenty of wireless room, frequent wired blocks.

@@ -12,7 +12,9 @@ import (
 // A connection and a cell each reuse one event closure for life, and the
 // kernel's queue slots are recycled, so a locally-deciding run (static
 // reservation: no Eq. 5, no peers) allocates per connection, not per
-// event. The parent of this ratchet read 2.33 allocations per event.
+// event. The parent of this ratchet read 2.33 allocations per event;
+// the ring now reads 0 over 13,484 events, and the bound of 0.01 lets
+// about 135 stray allocations through.
 func TestAllocationsPerEventRatchet(t *testing.T) {
 	cfg := scenario("static", 200, 0.8, mobility.HighMobility, 1)
 	cfg.StaticReserve = 10
@@ -28,8 +30,8 @@ func TestAllocationsPerEventRatchet(t *testing.T) {
 	events := float64(n.EventsFired()-fired0) / (runs + 1) // AllocsPerRun adds a warm-up call
 	got := perRun / events
 	t.Logf("%.3f allocations per fired event", got)
-	if got > 0.6 {
-		t.Fatalf("%.0f allocations over %.0f events, want ≤ 0.6 per event", perRun, events)
+	if got > 0.01 {
+		t.Fatalf("%.0f allocations over %.0f events, want ≤ 0.01 per event", perRun, events)
 	}
 }
 

@@ -37,6 +37,7 @@ func scenario(policy string, load, rvo float64, sr mobility.SpeedRange, seed uin
 }
 
 func TestSmokeRunAC3(t *testing.T) {
+	t.Parallel()
 	n := MustNew(scenario("AC3", 150, 1.0, mobility.HighMobility, 1))
 	res := n.Run(2000)
 	if res.Total.Requested == 0 {
@@ -59,6 +60,7 @@ func TestSmokeRunAC3(t *testing.T) {
 }
 
 func TestConnectionConservation(t *testing.T) {
+	t.Parallel()
 	n := MustNew(scenario("AC3", 200, 0.8, mobility.HighMobility, 2))
 	res := n.Run(3000)
 	admitted := res.Total.Requested - res.Total.Blocked
@@ -74,6 +76,7 @@ func TestConnectionConservation(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
+	t.Parallel()
 	a := MustNew(scenario("AC3", 150, 0.8, mobility.HighMobility, 7)).Run(1500)
 	b := MustNew(scenario("AC3", 150, 0.8, mobility.HighMobility, 7)).Run(1500)
 	if a.Total != b.Total {
@@ -89,6 +92,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestZeroLoadProducesNothing(t *testing.T) {
+	t.Parallel()
 	cfg := scenario("AC3", 0, 1.0, mobility.HighMobility, 3)
 	n := MustNew(cfg)
 	res := n.Run(1000)
@@ -98,6 +102,7 @@ func TestZeroLoadProducesNothing(t *testing.T) {
 }
 
 func TestStationaryMobilesNeverHandOff(t *testing.T) {
+	t.Parallel()
 	cfg := scenario("AC3", 100, 1.0, mobility.HighMobility, 4)
 	cfg.Mobility = mobility.Stationary{}
 	n := MustNew(cfg)
@@ -116,6 +121,7 @@ func TestStationaryMobilesNeverHandOff(t *testing.T) {
 }
 
 func TestOverloadBlocks(t *testing.T) {
+	t.Parallel()
 	n := MustNew(scenario("AC3", 300, 1.0, mobility.HighMobility, 5))
 	res := n.Run(2000)
 	if res.PCB < 0.3 {
@@ -129,6 +135,7 @@ func TestOverloadBlocks(t *testing.T) {
 }
 
 func TestAC3MeetsTargetUnderOverload(t *testing.T) {
+	t.Parallel()
 	n := MustNew(scenario("AC3", 300, 1.0, mobility.HighMobility, 6))
 	res := n.Run(4000)
 	// The paper's design goal: P_HD ≤ 0.01 (we allow measurement noise
@@ -142,6 +149,7 @@ func TestAC3MeetsTargetUnderOverload(t *testing.T) {
 }
 
 func TestStaticUnderReservesForVideo(t *testing.T) {
+	t.Parallel()
 	// Paper Fig. 7: G=10 violates the target for R_vo = 0.5 under load.
 	cfg := scenario("static", 300, 0.5, mobility.HighMobility, 7)
 	cfg.StaticReserve = 10
@@ -152,6 +160,7 @@ func TestStaticUnderReservesForVideo(t *testing.T) {
 }
 
 func TestStaticZeroEqualsNone(t *testing.T) {
+	t.Parallel()
 	cfgS := scenario("static", 200, 1.0, mobility.HighMobility, 8)
 	cfgS.StaticReserve = 0
 	cfgN := scenario("none", 200, 1.0, mobility.HighMobility, 8)
@@ -163,6 +172,7 @@ func TestStaticZeroEqualsNone(t *testing.T) {
 }
 
 func TestNCalcPerPolicy(t *testing.T) {
+	t.Parallel()
 	// AC1 always performs exactly 1 B_r calculation per admission test;
 	// AC2 exactly 3 on a ring (2 neighbors + self); AC3 in [1, 3].
 	for _, tc := range []struct {
@@ -182,6 +192,7 @@ func TestNCalcPerPolicy(t *testing.T) {
 }
 
 func TestAC3NCalcRisesWithLoad(t *testing.T) {
+	t.Parallel()
 	lo := MustNew(scenario("AC3", 60, 1.0, mobility.HighMobility, 10)).Run(2000)
 	hi := MustNew(scenario("AC3", 300, 1.0, mobility.HighMobility, 10)).Run(2000)
 	if !(hi.NCalc > lo.NCalc) {
@@ -193,6 +204,7 @@ func TestAC3NCalcRisesWithLoad(t *testing.T) {
 }
 
 func TestTracesRecorded(t *testing.T) {
+	t.Parallel()
 	cfg := scenario("AC3", 300, 1.0, mobility.HighMobility, 11)
 	cfg.TraceCells = []topology.CellID{4, 5}
 	n := MustNew(cfg)
@@ -212,6 +224,7 @@ func TestTracesRecorded(t *testing.T) {
 }
 
 func TestRetriesIncreaseActualLoad(t *testing.T) {
+	t.Parallel()
 	base := scenario("AC3", 300, 1.0, mobility.HighMobility, 12)
 	with := base
 	with.Retry = traffic.PaperRetry
@@ -223,6 +236,7 @@ func TestRetriesIncreaseActualLoad(t *testing.T) {
 }
 
 func TestResetStatsKeepsConnections(t *testing.T) {
+	t.Parallel()
 	n := MustNew(scenario("AC3", 150, 1.0, mobility.HighMobility, 13))
 	n.Run(1000)
 	active := n.ActiveConnections()
@@ -249,6 +263,7 @@ func TestResetStatsKeepsConnections(t *testing.T) {
 // mixing a measured-span Total with whole-run SoftSaved/PeerFaults would
 // be inconsistent.
 func TestResetStatsClearsSoftAndFaultTallies(t *testing.T) {
+	t.Parallel()
 	cfg := scenario("AC3", 300, 1.0, mobility.HighMobility, 14)
 	cfg.SoftOverlap = 1
 	cfg.FaultDrop = 0.2
@@ -275,6 +290,7 @@ func TestResetStatsClearsSoftAndFaultTallies(t *testing.T) {
 }
 
 func TestForwardOnlyLineBorderCell(t *testing.T) {
+	t.Parallel()
 	// Table 3 scenario: open line, all mobiles moving 0→9. Cell 0 never
 	// receives hand-offs; mobiles exit past cell 9.
 	top := topology.Line(10)
@@ -302,6 +318,7 @@ func TestForwardOnlyLineBorderCell(t *testing.T) {
 }
 
 func TestHourlyBucketsSumToTotals(t *testing.T) {
+	t.Parallel()
 	n := MustNew(scenario("AC3", 150, 0.8, mobility.LowMobility, 15))
 	res := n.Run(3 * 3600)
 	var req, blk, ho, dr uint64
@@ -318,6 +335,7 @@ func TestHourlyBucketsSumToTotals(t *testing.T) {
 }
 
 func TestHexNetworkRuns(t *testing.T) {
+	t.Parallel()
 	top := topology.Hex(4, 4, true)
 	cfg := PaperBase()
 	cfg.Topology = top
@@ -337,6 +355,7 @@ func TestHexNetworkRuns(t *testing.T) {
 }
 
 func TestTimeVaryingScheduleRuns(t *testing.T) {
+	t.Parallel()
 	top := topology.Ring(10)
 	cfg := PaperBase()
 	cfg.Topology = top
@@ -364,6 +383,7 @@ func TestTimeVaryingScheduleRuns(t *testing.T) {
 // per-cell capacity, connection conservation, and hand-off/drop
 // accounting consistency.
 func TestPropertyRunInvariants(t *testing.T) {
+	t.Parallel()
 	policies := []string{"AC1", "AC2", "AC3", "static", "none"}
 	for seed := uint64(1); seed <= 5; seed++ {
 		policy := policies[int(seed)%len(policies)]
@@ -406,6 +426,7 @@ func TestPropertyRunInvariants(t *testing.T) {
 }
 
 func TestBackboneIntegration(t *testing.T) {
+	t.Parallel()
 	// Ample backbone: behaves like the wireless-only run, but every live
 	// connection holds a wired path; on teardown nothing leaks.
 	cfg := scenario("AC3", 150, 1.0, mobility.HighMobility, 31)
@@ -429,6 +450,7 @@ func TestBackboneIntegration(t *testing.T) {
 }
 
 func TestBackboneConstrainedBlocksAndDrops(t *testing.T) {
+	t.Parallel()
 	// A starved backbone becomes the bottleneck: wired blocks and wired
 	// drops appear, and conservation still holds.
 	cfg := scenario("none", 200, 1.0, mobility.HighMobility, 32)
@@ -461,6 +483,7 @@ func TestBackboneConstrainedBlocksAndDrops(t *testing.T) {
 }
 
 func TestBackboneAnchorExtend(t *testing.T) {
+	t.Parallel()
 	cfg := scenario("AC3", 100, 1.0, mobility.HighMobility, 33)
 	cfg.Backbone = wired.MeshOfBSs(cfg.Topology, 2000, 2000, wired.AnchorExtend)
 	n := MustNew(cfg)
@@ -480,6 +503,7 @@ func TestBackboneAnchorExtend(t *testing.T) {
 }
 
 func TestBackboneCellCountValidation(t *testing.T) {
+	t.Parallel()
 	cfg := scenario("AC3", 100, 1.0, mobility.HighMobility, 34)
 	cfg.Backbone = wired.StarOfMSCs(topology.Ring(4), 1, 100, 100, wired.FullReroute)
 	if cfg.Validate() == nil {
@@ -488,6 +512,7 @@ func TestBackboneCellCountValidation(t *testing.T) {
 }
 
 func TestDirectionHintsRun(t *testing.T) {
+	t.Parallel()
 	// §7 extension smoke test: with route-guidance hints enabled the
 	// system still meets the target and remains conservation-consistent.
 	cfg := scenario("AC3", 200, 1.0, mobility.HighMobility, 21)
@@ -508,6 +533,7 @@ func TestDirectionHintsRun(t *testing.T) {
 }
 
 func TestMobSpecBaseline(t *testing.T) {
+	t.Parallel()
 	// Ref. [14]: when the specification covers every cell the mobile can
 	// visit (horizon 5 = the whole 10-ring), hand-offs are undroppable —
 	// at the price of heavy blocking (the paper's "usually excessive"
@@ -542,6 +568,7 @@ func TestMobSpecBaseline(t *testing.T) {
 }
 
 func TestMobSpecPledgesReleasedOnDrain(t *testing.T) {
+	t.Parallel()
 	cfg := scenario("mob-spec", 150, 1.0, mobility.HighMobility, 52)
 	cfg.MobSpecHorizon = 2
 	n := MustNew(cfg)
@@ -560,6 +587,7 @@ func TestMobSpecPledgesReleasedOnDrain(t *testing.T) {
 }
 
 func TestAdaptiveQoSAbsorbsHandOffs(t *testing.T) {
+	t.Parallel()
 	// §1 integration: degradable video slashes drops and blocking at the
 	// cost of reduced quality under load.
 	base := scenario("AC3", 300, 0.5, mobility.HighMobility, 61)
@@ -596,6 +624,7 @@ func TestAdaptiveQoSAbsorbsHandOffs(t *testing.T) {
 }
 
 func TestAdaptiveQoSDisabledUnchanged(t *testing.T) {
+	t.Parallel()
 	// The elastic plumbing must not disturb rigid runs: with adaptive
 	// QoS off, results equal the pre-feature behavior deterministically.
 	a := MustNew(scenario("AC3", 150, 0.8, mobility.HighMobility, 62)).Run(1200)
@@ -611,6 +640,7 @@ func TestAdaptiveQoSDisabledUnchanged(t *testing.T) {
 }
 
 func TestAdaptiveQoSValidation(t *testing.T) {
+	t.Parallel()
 	cfg := scenario("AC3", 100, 0.5, mobility.HighMobility, 63)
 	for min := -1; min <= 5; min++ {
 		cfg.AdaptiveVideoMin = min
@@ -621,6 +651,7 @@ func TestAdaptiveQoSValidation(t *testing.T) {
 }
 
 func TestSoftHandOffReducesDrops(t *testing.T) {
+	t.Parallel()
 	// §7 CDMA extension: an overlap window converts some would-be drops
 	// into deferred completions, so P_HD falls for the same workload.
 	base := scenario("none", 300, 1.0, mobility.HighMobility, 41)
@@ -650,6 +681,7 @@ func TestSoftHandOffReducesDrops(t *testing.T) {
 }
 
 func TestSoftHandOffValidation(t *testing.T) {
+	t.Parallel()
 	cfg := scenario("AC3", 100, 1.0, mobility.HighMobility, 42)
 	for _, overlap := range []float64{-1, math.NaN()} {
 		cfg.SoftOverlap = overlap
@@ -660,6 +692,7 @@ func TestSoftHandOffValidation(t *testing.T) {
 }
 
 func TestSoftCapacityMarginAdmitsMoreHandOffs(t *testing.T) {
+	t.Parallel()
 	base := scenario("none", 300, 0.5, mobility.HighMobility, 43)
 	margin := base
 	margin.HandOffMargin = 8
@@ -676,6 +709,7 @@ func TestSoftCapacityMarginAdmitsMoreHandOffs(t *testing.T) {
 }
 
 func TestDailySweepKeepsCacheBounded(t *testing.T) {
+	t.Parallel()
 	// A finite-Tint run across several days must evict out-of-date
 	// quadruplets (the §3.1 deletion rule) via the periodic sweep.
 	top := topology.Ring(5)
@@ -706,6 +740,7 @@ func TestDailySweepKeepsCacheBounded(t *testing.T) {
 }
 
 func TestEverythingEnabledInteraction(t *testing.T) {
+	t.Parallel()
 	// All features at once: AC3 + adaptive QoS + soft hand-off + soft
 	// capacity + direction hints + wired backbone + retries + daily
 	// schedule. Guards against pairwise feature interactions breaking
@@ -770,6 +805,7 @@ func hexWalk(c *Config, diameterKm, persistence float64) {
 }
 
 func TestConfigValidation(t *testing.T) {
+	t.Parallel()
 	good := scenario("AC3", 100, 1.0, mobility.HighMobility, 1)
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)

@@ -147,7 +147,8 @@ func TestHandOffTransferAllocatesNothing(t *testing.T) {
 // start. This grid read 2.19 allocations per event while every connection
 // allocated its record, event closure and private stream, 1.65 with
 // recycled connection slots, and 1.29 with the mobility path in the slot
-// too (metro-async: 2.199, 1.649 and 1.288).
+// too (metro-async: 2.199, 1.649 and 1.288). It reads 1.403 under the
+// race detector, so the bound of 1.45 sits 3 % above that reading.
 func TestMetroShapedAllocationsPerEvent(t *testing.T) {
 	n := MustNew(quietHexScenario("AC3", 30, 30, 2, 0.25, 150))
 	var before, after runtime.MemStats
@@ -156,8 +157,8 @@ func TestMetroShapedAllocationsPerEvent(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	got := float64(after.Mallocs-before.Mallocs) / float64(n.EventsFired())
 	t.Logf("%.3f allocations per fired event", got)
-	if got > 1.8 {
-		t.Fatalf("%d allocations over %d events, want ≤ 1.8 per event", after.Mallocs-before.Mallocs, n.EventsFired())
+	if got > 1.45 {
+		t.Fatalf("%d allocations over %d events, want ≤ 1.45 per event", after.Mallocs-before.Mallocs, n.EventsFired())
 	}
 }
 

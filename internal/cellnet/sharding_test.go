@@ -32,6 +32,7 @@ func stripTraces(r *Result) *Result {
 // nothing — the run stays on the single heap and every statistic equals
 // the unsharded run's.
 func TestInstantSignalingIgnoresShardCount(t *testing.T) {
+	t.Parallel()
 	ref := stripTraces(MustNew(shardedScenario("AC3", 0, 0, 7)).Run(1500))
 	n := MustNew(shardedScenario("AC3", 8, 0, 7))
 	if _, ok := n.kernel.(*sim.Simulator); !ok {
@@ -48,6 +49,7 @@ func TestInstantSignalingIgnoresShardCount(t *testing.T) {
 // count produce identical Results, including a repeat run at the same
 // shard count.
 func TestAsyncShardCountInvariance(t *testing.T) {
+	t.Parallel()
 	ref := stripTraces(MustNew(shardedScenario("AC3", 1, 0.5, 7)).Run(1500))
 	if ref.Total.Requested == 0 || ref.Total.HandOffs == 0 {
 		t.Fatalf("async reference run generated no traffic: %+v", ref.Total)
@@ -64,6 +66,7 @@ func TestAsyncShardCountInvariance(t *testing.T) {
 // accounted for, modulo hand-offs still in flight between shards when
 // the run stops (the barrier audit checks the same law continuously).
 func TestAsyncConservation(t *testing.T) {
+	t.Parallel()
 	n := MustNew(shardedScenario("AC3", 3, 0.5, 2))
 	res := n.Run(2000)
 	admitted := res.Total.Requested - res.Total.Blocked
@@ -84,6 +87,7 @@ func TestAsyncConservation(t *testing.T) {
 // admission tests must fall back (neighbor state unknown) rather than
 // fail — the degradation counters record that window.
 func TestAsyncWarmupDegradation(t *testing.T) {
+	t.Parallel()
 	res := MustNew(shardedScenario("AC2", 2, 0.5, 3)).Run(1500)
 	if res.DegradedBrCalcs == 0 {
 		t.Fatal("async warmup produced no degraded B_r calculations; mirror should start cold")
@@ -97,6 +101,7 @@ func TestAsyncWarmupDegradation(t *testing.T) {
 // that require synchronous cross-cell state cannot run under the async
 // plane.
 func TestAsyncRejectsUnsupportedFeatures(t *testing.T) {
+	t.Parallel()
 	base := func() Config { return shardedScenario("AC3", 2, 0.5, 1) }
 	// Each case names the word its rejection must carry, so a reordered
 	// switch cannot pass by rejecting a config for the wrong feature.
@@ -139,6 +144,7 @@ func TestAsyncRejectsUnsupportedFeatures(t *testing.T) {
 // TestPartitionBoundaryRouting runs async on a wrapped hex grid so
 // hand-offs cross row-aligned shard boundaries in both directions.
 func TestPartitionBoundaryRouting(t *testing.T) {
+	t.Parallel()
 	n := MustNew(hexScenario("AC3", 6, 6, 3, 0.5, 150))
 	res := n.Run(1500)
 	if res.Total.HandOffs == 0 {

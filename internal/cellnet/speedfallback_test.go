@@ -9,6 +9,7 @@ import (
 )
 
 func TestScheduleWithoutSpeedsUsesModelRange(t *testing.T) {
+	t.Parallel()
 	// A bare Constant{Lambda} (no speed fields) must not freeze mobiles:
 	// the mobility model's own range applies.
 	top := scenario("AC3", 0, 1, mobility.HighMobility, 0).Topology

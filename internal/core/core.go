@@ -70,9 +70,6 @@ type Config struct {
 	Step StepPolicy
 	// Estimation configures the hand-off estimation functions.
 	Estimation predict.Config
-	// Calendar routes quadruplets to weekday/weekend pattern sets; nil
-	// means a single weekday pattern.
-	Calendar predict.Calendar
 	// HandOffMargin models CDMA soft capacity (§7): hand-offs may intrude
 	// up to Capacity+HandOffMargin BUs (spending interference budget),
 	// while new connections still respect Capacity − B_r. Zero for the
@@ -273,10 +270,10 @@ type Engine struct {
 	// converts to used when the pledged mobile arrives.
 	pledged int
 
-	patterns *predict.PatternSet
-	tc       *TestController
-	lastBr   float64 // B_r^prev: target reservation from the latest calculation
-	brCalcs  uint64  // lifetime count of Eq. 6 evaluations by this engine
+	est     *predict.Estimator // the cell's hand-off history; nil for non-adaptive policies
+	tc      *TestController
+	lastBr  float64 // B_r^prev: target reservation from the latest calculation
+	brCalcs uint64  // lifetime count of Eq. 6 evaluations by this engine
 
 	// eq5 memoizes Eq. 5 state across the back-to-back queries of an
 	// admission burst; see eq5cache.go for the exactness rules.
@@ -315,7 +312,7 @@ func NewEngine(cfg Config) *Engine {
 		e.lastOutAt[i] = math.NaN() // never heard from this neighbor
 	}
 	if e.traits.Adaptive {
-		e.patterns = predict.NewPatternSet(cfg.Estimation, cfg.Calendar)
+		e.est = predict.New(cfg.Estimation)
 		e.tc = NewTestController(cfg.PHDTarget, cfg.TStart, cfg.Step)
 	}
 	if f, ok := pol.(FixedReservationPolicy); ok {
@@ -406,14 +403,9 @@ func (e *Engine) Test() float64 {
 // non-adaptive policies).
 func (e *Engine) Controller() *TestController { return e.tc }
 
-// Estimator exposes the estimator in force at time t (nil for
-// non-adaptive policies).
-func (e *Engine) Estimator(t float64) *predict.Estimator {
-	if e.patterns == nil {
-		return nil
-	}
-	return e.patterns.Estimator(t)
-}
+// Estimator exposes the cell's estimator (nil for non-adaptive
+// policies). t is ignored: one estimator serves every time of day.
+func (e *Engine) Estimator(t float64) *predict.Estimator { return e.est }
 
 // LastTargetReservation returns B_r^prev, the most recently computed
 // target reservation bandwidth (G for Static, 0 for None).
@@ -691,12 +683,12 @@ func (e *Engine) Connection(id ConnID) (bw int, prev topology.LocalIndex, entere
 // (no-op for non-adaptive policies). The record moves the estimator
 // generation, so the Eq. 5 view rebuilds on its next query.
 func (e *Engine) RecordDeparture(q predict.Quadruplet) {
-	if e.patterns == nil {
+	if e.est == nil {
 		return
 	}
 	e.lock()
 	defer e.unlock()
-	e.patterns.Record(q)
+	e.est.Record(q)
 }
 
 // NoteHandOffArrival drives the T_est controller with one hand-off into
@@ -778,15 +770,14 @@ func (e *Engine) OutgoingReservation(now float64, toward topology.LocalIndex, te
 		// the history-based evaluation entirely.
 		return m.ModelOutgoing(e, now, toward, test)
 	}
-	if e.patterns == nil {
+	if e.est == nil {
 		return 0
 	}
 	e.lock()
 	defer e.unlock()
-	est := e.patterns.Estimator(now)
 	c := &e.eq5
-	if !e.eq5Current(now, test, est) {
-		e.eq5Rebuild(now, test, est, t)
+	if !e.eq5Current(now, test) {
+		e.eq5Rebuild(now, test, t)
 	}
 	if c.done[t] {
 		c.hits++
@@ -936,22 +927,22 @@ func (e *Engine) finishDecision(d Decision) Decision {
 // MaxSojourn returns this cell's current T_soj,max (largest selected
 // sojourn in its estimation functions); 0 for non-adaptive policies.
 func (e *Engine) MaxSojourn(now float64) float64 {
-	if e.patterns == nil {
+	if e.est == nil {
 		return 0
 	}
 	e.lock()
 	defer e.unlock()
-	return e.patterns.MaxSojourn(now)
+	return e.est.MaxSojourn(now)
 }
 
 // SweepHistory evicts out-of-date quadruplets from the estimation
 // caches (the §3.1 deletion rule); the owner calls it periodically.
 // No-op for non-adaptive policies and infinite estimation intervals.
 func (e *Engine) SweepHistory(t float64) {
-	if e.patterns == nil {
+	if e.est == nil {
 		return
 	}
 	e.lock()
 	defer e.unlock()
-	e.patterns.SweepAt(t)
+	e.est.SweepAt(t)
 }

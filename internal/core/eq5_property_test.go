@@ -63,7 +63,7 @@ func runEq5Ops(t *testing.T, estCfg predict.Config, seed uint64) {
 		toward := randDir()
 		test := 1 + r.Float64()*9
 		got := e.OutgoingReservation(now, toward, test)
-		want := e.eq5Scratch(now, toward, test, e.patterns.Estimator(now))
+		want := e.eq5Scratch(now, toward, test)
 		if math.Abs(got-want) > eq5PropTolerance {
 			t.Fatalf("step %d: OutgoingReservation(now=%v, toward=%d, test=%v) = %v, from-scratch = %v (diff %v)",
 				step, now, toward, test, got, want, math.Abs(got-want))
@@ -130,7 +130,7 @@ func runEq5Ops(t *testing.T, estCfg predict.Config, seed uint64) {
 	for toward := topology.LocalIndex(1); int(toward) <= cfg.Degree; toward++ {
 		test := 1 + r.Float64()*9
 		got := e.OutgoingReservation(now, toward, test)
-		want := e.eq5Scratch(now, toward, test, e.patterns.Estimator(now))
+		want := e.eq5Scratch(now, toward, test)
 		if math.Abs(got-want) > eq5PropTolerance {
 			t.Fatalf("final: toward %d: cached %v vs from-scratch %v", toward, got, want)
 		}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 
-	"cellqos/internal/predict"
 	"cellqos/internal/topology"
 )
 
@@ -61,7 +60,6 @@ type eq5Cache struct {
 	valid  bool
 	now    float64
 	test   float64
-	est    *predict.Estimator
 	estGen uint64
 
 	// terms[i*d+t], d = Degree+1, is connection i's Eq. 5 term toward
@@ -112,21 +110,21 @@ func (c *eq5Cache) row(i int) []float64 {
 	return c.terms[i*d : (i+1)*d]
 }
 
-// eq5Current reports whether the live view answers for (now, test, est),
+// eq5Current reports whether the live view answers for (now, test),
 // advancing it across a timestamp change when the per-connection guards
 // allow. On false the caller performs a full rebuild. Called under the
 // engine lock.
-func (e *Engine) eq5Current(now, test float64, est *predict.Estimator) bool {
+func (e *Engine) eq5Current(now, test float64) bool {
 	c := &e.eq5
-	if !c.valid || c.test != test || c.est != est {
+	if !c.valid || c.test != test {
 		return false
 	}
 	if c.now == now {
 		// Same timestamp, but the estimator may have moved underneath —
 		// a Record landing between two queries at equal now.
-		return est.Generation() == c.estGen
+		return e.est.Generation() == c.estGen
 	}
-	return e.eq5Advance(now, est)
+	return e.eq5Advance(now)
 }
 
 // eq5Advance moves the view from c.now to a later now. The estimator is
@@ -144,12 +142,12 @@ func (e *Engine) eq5Current(now, test float64, est *predict.Estimator) bool {
 // When no guard expired the finished sums remain valid as-is: every
 // cached term is bit-identical to the from-scratch term at the new
 // timestamp. Called under the engine lock.
-func (e *Engine) eq5Advance(now float64, est *predict.Estimator) bool {
+func (e *Engine) eq5Advance(now float64) bool {
 	c := &e.eq5
 	if now < c.now {
 		return false // time went backwards: not an advance
 	}
-	if est.EnsureCurrent(now) != c.estGen {
+	if e.est.EnsureCurrent(now) != c.estGen {
 		return false
 	}
 	c.advances++
@@ -190,18 +188,18 @@ func eq5Ext(t float64, cn *conn) float64 {
 	return ext
 }
 
-// eq5Rebuild builds the view from scratch for (now, test, est) with
+// eq5Rebuild builds the view from scratch for (now, test) with
 // column t materialized: one sweep computes every connection's base
 // state and its term toward t, and no sum is finished. The estimator is
 // pinned with EnsureCurrent before the sweep, so no lazy selection
 // rebuild can move the generation mid-build. Called under the engine
 // lock.
-func (e *Engine) eq5Rebuild(now, test float64, est *predict.Estimator, t int) {
+func (e *Engine) eq5Rebuild(now, test float64, t int) {
 	c := &e.eq5
 	c.rebuilds++
 	c.valid = true
-	c.now, c.test, c.est = now, test, est
-	c.estGen = est.EnsureCurrent(now)
+	c.now, c.test = now, test
+	c.estGen = e.est.EnsureCurrent(now)
 	n, d := len(e.conns), e.cfg.Degree+1
 	// slices.Grow grows the block by append's amortized policy, so a
 	// filling cell that rebuilds at every add reallocates it only
@@ -256,7 +254,7 @@ func (e *Engine) eq5Row(i, t int) {
 	}
 	ext := eq5Ext(c.now, cn)
 	if t != 0 {
-		w, hi := c.est.SweepHandOffNext(cn.prev, topology.LocalIndex(t), ext, c.test)
+		w, hi := e.est.SweepHandOffNext(cn.prev, topology.LocalIndex(t), ext, c.test)
 		e.eq5Put(i, t, w, hi)
 		return
 	}
@@ -268,14 +266,14 @@ func (e *Engine) eq5Row(i, t int) {
 	}
 	first := t
 	var w, hi float64
-	cn.den, cn.nextLo, w, hi = c.est.SweepNext(cn.prev, topology.LocalIndex(t), ext, c.test)
+	cn.den, cn.nextLo, w, hi = e.est.SweepNext(cn.prev, topology.LocalIndex(t), ext, c.test)
 	cn.nextHi = math.Inf(1)
 	for ; t < d; t++ {
 		if !c.termsDone[t] {
 			continue
 		}
 		if t != first {
-			w, hi = c.est.SweepHandOffNext(cn.prev, topology.LocalIndex(t), ext, c.test)
+			w, hi = e.est.SweepHandOffNext(cn.prev, topology.LocalIndex(t), ext, c.test)
 		}
 		e.eq5Put(i, t, w, hi)
 	}
@@ -316,9 +314,9 @@ func (e *Engine) eq5Base(i int) {
 	c := &e.eq5
 	cn := &e.conns[i]
 	ext := eq5Ext(c.now, cn)
-	_, cn.nextLo = c.est.SurvivorWeightNext(c.now, cn.prev, ext)
-	_, cn.nextHi = c.est.SurvivorWeightNext(c.now, cn.prev, ext+c.test)
-	cn.den = c.est.SojournProb(c.now, cn.prev, cn.nextCell(), ext, c.test)
+	_, cn.nextLo = e.est.SurvivorWeightNext(c.now, cn.prev, ext)
+	_, cn.nextHi = e.est.SurvivorWeightNext(c.now, cn.prev, ext+c.test)
+	cn.den = e.est.SojournProb(c.now, cn.prev, cn.nextCell(), ext, c.test)
 }
 
 // eq5Cell stores hinted connection i's term in column t: its §7
@@ -341,18 +339,14 @@ func (e *Engine) eq5Cell(i, t int) {
 // any other row), and every finished direction sum is extended by its
 // term — exactly what a from-scratch walk at the view's now would
 // produce, since the new connection sits at the end of the table. A
-// changed estimator or generation, or a clock that went backwards, drops
-// the view. Called under the engine lock by AddConnection.
+// changed generation, or a clock that went backwards, drops the view.
+// Called under the engine lock by AddConnection.
 func (e *Engine) eq5Extend(i int, now float64) {
 	c := &e.eq5
 	if !c.valid {
 		return
 	}
-	if e.patterns == nil || now < c.now {
-		c.invalidate()
-		return
-	}
-	if est := e.patterns.Estimator(now); est != c.est || est.Generation() != c.estGen {
+	if now < c.now || e.est.Generation() != c.estGen {
 		c.invalidate()
 		return
 	}
@@ -389,7 +383,7 @@ func (e *Engine) eq5Remove(i, last int) {
 // semantics the view must reproduce bit-for-bit, kept both as the
 // verifier's oracle and as documentation of the paper's sum:
 // B_{this,toward} = Σ_j b(C_j) · p_h(C_j → toward within test).
-func (e *Engine) eq5Scratch(now float64, toward topology.LocalIndex, test float64, est *predict.Estimator) float64 {
+func (e *Engine) eq5Scratch(now float64, toward topology.LocalIndex, test float64) float64 {
 	sum := 0.0
 	for i := range e.conns {
 		c := &e.conns[i]
@@ -404,11 +398,11 @@ func (e *Engine) eq5Scratch(now float64, toward topology.LocalIndex, test float6
 			// §7 extension: the next cell is known; only the hand-off
 			// time is estimated.
 			if c.nextCell() == toward {
-				sum += b * est.SojournProb(now, c.prev, c.nextCell(), extSoj, test)
+				sum += b * e.est.SojournProb(now, c.prev, c.nextCell(), extSoj, test)
 			}
 			continue
 		}
-		sum += b * est.HandOffProb(now, c.prev, extSoj, test, toward)
+		sum += b * e.est.HandOffProb(now, c.prev, extSoj, test, toward)
 	}
 	return sum
 }
@@ -447,7 +441,7 @@ func (e *Engine) Eq5CacheStats() (hits, misses uint64) {
 // timestamp and again at the next real query, thrashing every audited
 // event).
 func (e *Engine) VerifyEq5CacheAt(now float64) (maxDiff float64, checked bool) {
-	if e.patterns == nil {
+	if e.est == nil {
 		return 0, false
 	}
 	e.lock()
@@ -463,7 +457,7 @@ func (e *Engine) verifyEq5Locked() (maxDiff float64, checked bool) {
 	if !c.valid {
 		return 0, false
 	}
-	if est := e.patterns.Estimator(c.now); est != c.est || est.Generation() != c.estGen {
+	if e.est.Generation() != c.estGen {
 		// Stale key: the next query discards the view anyway; there is
 		// no live state to certify.
 		return 0, false
@@ -496,10 +490,10 @@ func (e *Engine) verifyEq5Locked() (maxDiff float64, checked bool) {
 			fresh := 0.0
 			if cn.nextCell() != NoHint {
 				if cn.nextCell() == toward {
-					fresh = b * c.est.SojournProb(c.now, cn.prev, cn.nextCell(), ext, c.test)
+					fresh = b * e.est.SojournProb(c.now, cn.prev, cn.nextCell(), ext, c.test)
 				}
 			} else {
-				fresh = b * c.est.HandOffProb(c.now, cn.prev, ext, c.test, toward)
+				fresh = b * e.est.HandOffProb(c.now, cn.prev, ext, c.test, toward)
 			}
 			if d := math.Abs(fresh - c.row(i)[t]); d > maxDiff {
 				maxDiff = d
@@ -512,7 +506,7 @@ func (e *Engine) verifyEq5Locked() (maxDiff float64, checked bool) {
 		if !c.done[t] {
 			continue
 		}
-		scratch := e.eq5Scratch(c.now, topology.LocalIndex(t), c.test, c.est)
+		scratch := e.eq5Scratch(c.now, topology.LocalIndex(t), c.test)
 		if d := math.Abs(scratch - c.sums[t]); d > maxDiff {
 			maxDiff = d
 		}

@@ -13,7 +13,7 @@ import (
 
 // VerifyEq5Cache is VerifyEq5CacheAt at the view's own timestamp.
 func (e *Engine) VerifyEq5Cache() (maxDiff float64, checked bool) {
-	if e.patterns == nil {
+	if e.est == nil {
 		return 0, false
 	}
 	e.lock()
@@ -110,7 +110,7 @@ func TestEq5CacheExtendsOnSameTimestampAdd(t *testing.T) {
 	if h, _ := e.Eq5CacheStats(); h != 1 {
 		t.Fatalf("post-add query was not a cache hit (hits=%d)", h)
 	}
-	want := e.eq5Scratch(now, 2, 30, e.patterns.Estimator(now))
+	want := e.eq5Scratch(now, 2, 30)
 	if got != want {
 		t.Fatalf("extended sum %v != from-scratch %v", got, want)
 	}
@@ -135,7 +135,7 @@ func TestEq5CacheSurvivesRemove(t *testing.T) {
 	// The next query re-accumulates over the cached terms — a miss, but
 	// no full rebuild — and answers for the shrunken table.
 	got := e.OutgoingReservation(100, 1, 30)
-	want := e.eq5Scratch(100, 1, 30, e.patterns.Estimator(100))
+	want := e.eq5Scratch(100, 1, 30)
 	if got != want {
 		t.Fatalf("post-remove query %v != from-scratch %v", got, want)
 	}
@@ -167,7 +167,7 @@ func TestEq5CacheInvalidatesOnNewHistory(t *testing.T) {
 		rebuilds := e.Ledger().Eq5Rebuilds
 		e.RecordDeparture(q)
 		got := e.OutgoingReservation(100, 1, 30)
-		want := e.eq5Scratch(100, 1, 30, e.patterns.Estimator(100))
+		want := e.eq5Scratch(100, 1, 30)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("after %+v: query %v != from-scratch %v", q, got, want)
 		}
@@ -270,7 +270,7 @@ func TestEq5RefusesVisibleRecordOnLivePrev(t *testing.T) {
 		t.Fatalf("Ledger().Eq5Adoptions = %d, want 0", got)
 	}
 	got := e.OutgoingReservation(100, 1, 30)
-	want := e.eq5Scratch(100, 1, 30, e.patterns.Estimator(100))
+	want := e.eq5Scratch(100, 1, 30)
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("query %v != from-scratch %v", got, want)
 	}
@@ -321,7 +321,7 @@ func TestEq5RebuildGrowthAmortized(t *testing.T) {
 		e.RecordDeparture(predict.Quadruplet{Event: now, Prev: topology.Self, Next: 1, Sojourn: float64(10 + i%30)})
 		e.AddConnection(ConnID(i+1), ConnSpec{Min: 1, Prev: topology.LocalIndex(i % 2)}, now)
 		got[i] = e.OutgoingReservation(now, 1, 30)
-		want[i] = e.eq5Scratch(now, 1, 30, e.patterns.Estimator(now))
+		want[i] = e.eq5Scratch(now, 1, 30)
 		now += 0.5
 	}
 	runtime.ReadMemStats(&after)

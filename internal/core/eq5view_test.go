@@ -64,7 +64,7 @@ func runIncrementalBrOps(t *testing.T, estCfg predict.Config, seed uint64) {
 		toward := randDir()
 		test := windows[r.IntN(len(windows))]
 		got := e.OutgoingReservation(now, toward, test)
-		want := e.eq5Scratch(now, toward, test, e.patterns.Estimator(now))
+		want := e.eq5Scratch(now, toward, test)
 		if math.Abs(got-want) > eq5PropTolerance {
 			t.Fatalf("step %d after %s: OutgoingReservation(now=%v, toward=%d, test=%v) = %v, from-scratch = %v (diff %v)",
 				step, what, now, toward, test, got, want, math.Abs(got-want))
@@ -136,7 +136,7 @@ func runIncrementalBrOps(t *testing.T, estCfg predict.Config, seed uint64) {
 			})
 		case op == 9: // explicit estimator eviction
 			what = "evict"
-			e.patterns.Estimator(now).EvictBefore(now - 20 - r.Float64()*100)
+			e.est.EvictBefore(now - 20 - r.Float64()*100)
 		case op == 10: // §3.1 deletion rule
 			what = "sweep"
 			e.SweepHistory(now)
@@ -151,7 +151,7 @@ func runIncrementalBrOps(t *testing.T, estCfg predict.Config, seed uint64) {
 	for toward := topology.LocalIndex(1); int(toward) <= cfg.Degree; toward++ {
 		for _, test := range windows {
 			got := e.OutgoingReservation(now, toward, test)
-			want := e.eq5Scratch(now, toward, test, e.patterns.Estimator(now))
+			want := e.eq5Scratch(now, toward, test)
 			if math.Abs(got-want) > eq5PropTolerance {
 				t.Fatalf("final: toward %d test %v: view %v vs from-scratch %v", toward, test, got, want)
 			}
@@ -223,7 +223,7 @@ func TestEq5ViewEdgeCases(t *testing.T) {
 			name: "evict drops samples",
 			run: func(t *testing.T, e *Engine) viewState {
 				e.OutgoingReservation(100, 1, 30)
-				est := e.patterns.Estimator(100)
+				est := e.est
 				gen := est.Generation()
 				est.EvictBefore(1.5) // drops the Event=0 and Event=1 quadruplets
 				if est.Generation() == gen {
@@ -244,7 +244,7 @@ func TestEq5ViewEdgeCases(t *testing.T) {
 			name: "evict drops nothing",
 			run: func(t *testing.T, e *Engine) viewState {
 				e.OutgoingReservation(100, 1, 30)
-				est := e.patterns.Estimator(100)
+				est := e.est
 				gen := est.Generation()
 				est.EvictBefore(-1)
 				if est.Generation() != gen {
@@ -271,7 +271,7 @@ func TestEq5ViewEdgeCases(t *testing.T) {
 			}
 			for _, toward := range []topology.LocalIndex{1, 2} {
 				got := e.OutgoingReservation(100, toward, 30)
-				want := e.eq5Scratch(100, toward, 30, e.patterns.Estimator(100))
+				want := e.eq5Scratch(100, toward, 30)
 				if got != want {
 					t.Fatalf("toward %d: view %v != from-scratch %v", toward, got, want)
 				}
@@ -308,7 +308,7 @@ func TestEq5AdvanceDuringExtend(t *testing.T) {
 	if d := done.Eq5Refreshes - after.Eq5Refreshes; d != 1 {
 		t.Fatalf("query after the add refreshed %d connections, want 1", d)
 	}
-	want := e.eq5Scratch(110, 1, 30, e.patterns.Estimator(110))
+	want := e.eq5Scratch(110, 1, 30)
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("view %v != from-scratch %v", got, want)
 	}
@@ -338,7 +338,7 @@ func TestEq5GuardIgnoresUnqueriedPairs(t *testing.T) {
 		t.Fatalf("advances %d -> %d, refreshes %d -> %d; want one advance and no refresh",
 			before.Eq5Advances, after.Eq5Advances, before.Eq5Refreshes, after.Eq5Refreshes)
 	}
-	want := e.eq5Scratch(115, 1, 30, e.patterns.Estimator(115))
+	want := e.eq5Scratch(115, 1, 30)
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("view %v != from-scratch %v", got, want)
 	}
@@ -413,7 +413,7 @@ func TestAgeOrder(t *testing.T) {
 		}
 		for toward := topology.LocalIndex(1); toward <= 2; toward++ {
 			got := e.OutgoingReservation(130, toward, 30)
-			if want := e.eq5Scratch(130, toward, 30, e.patterns.Estimator(130)); math.Float64bits(got) != math.Float64bits(want) {
+			if want := e.eq5Scratch(130, toward, 30); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("after %s: view %v != from-scratch %v toward %d", what, got, want, toward)
 			}
 		}

@@ -46,7 +46,7 @@ func FuzzIncrementalBr(f *testing.F) {
 		}
 		check := func(toward topology.LocalIndex, test float64) {
 			got := e.OutgoingReservation(now, toward, test)
-			want := e.eq5Scratch(now, toward, test, e.patterns.Estimator(now))
+			want := e.eq5Scratch(now, toward, test)
 			if math.Abs(got-want) > eq5PropTolerance {
 				t.Fatalf("OutgoingReservation(now=%v, toward=%d, test=%v) = %v, from-scratch = %v",
 					now, toward, test, got, want)
@@ -91,7 +91,7 @@ func FuzzIncrementalBr(f *testing.F) {
 					Sojourn: float64(next()) / 4,
 				})
 			case 4: // evict history
-				e.patterns.Estimator(now).EvictBefore(now - float64(next()))
+				e.est.EvictBefore(now - float64(next()))
 			case 5: // query + certify
 				b := next()
 				check(topology.LocalIndex(1+int(b)%degree), windows[int(b>>4)%len(windows)])

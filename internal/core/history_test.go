@@ -81,7 +81,7 @@ func TestHistoryNonAdaptiveEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if buf.Len() != 2 {
-		t.Fatalf("non-adaptive stream is %d bytes, want the 2-byte class count", buf.Len())
+		t.Fatalf("non-adaptive stream is %d bytes, want the 2-byte stream count", buf.Len())
 	}
 	if _, err := NewEngine(Config{Capacity: 10, Degree: 1, Admission: MustPolicy("none")}).RestoreHistory(&buf); err != nil {
 		t.Fatal(err)
@@ -91,19 +91,42 @@ func TestHistoryNonAdaptiveEngine(t *testing.T) {
 	}
 }
 
-// TestHistoryClassCountMismatch: an adaptive checkpoint cannot restore
-// into a non-adaptive engine, and vice versa.
-func TestHistoryClassCountMismatch(t *testing.T) {
-	var adaptive bytes.Buffer
+// TestHistoryStreamCountMismatch: a history whose stream count is not
+// the engine's is refused with an error naming both counts. Adaptive
+// and non-adaptive checkpoints do not cross, and a two-stream history
+// (the weekday/weekend layout of earlier builds) does not load.
+func TestHistoryStreamCountMismatch(t *testing.T) {
+	var adaptive, empty bytes.Buffer
 	adaptiveEngine().WriteHistory(&adaptive)
 	plain := NewEngine(Config{Capacity: 10, Degree: 1, Admission: MustPolicy("none")})
-	if _, err := plain.RestoreHistory(&adaptive); err == nil {
-		t.Fatal("adaptive checkpoint accepted by non-adaptive engine")
-	}
-	var empty bytes.Buffer
 	plain.WriteHistory(&empty)
-	if _, err := adaptiveEngine().RestoreHistory(&empty); err == nil {
-		t.Fatal("non-adaptive checkpoint accepted by adaptive engine")
+	// Two copies of one estimator stream behind a count of 2.
+	est := predict.New(predict.StationaryConfig())
+	est.Record(predict.Quadruplet{Event: 1, Prev: 0, Next: 1, Sojourn: 3})
+	two := []byte{0, 2}
+	for range 2 {
+		var s bytes.Buffer
+		if _, err := est.WriteTo(&s); err != nil {
+			t.Fatal(err)
+		}
+		two = append(two, s.Bytes()...)
+	}
+	for _, tc := range []struct {
+		name    string
+		engine  *Engine
+		history []byte
+		want    string
+	}{
+		{"adaptive into non-adaptive", plain, adaptive.Bytes(), "core: history has 1 estimator streams, engine expects 0"},
+		{"non-adaptive into adaptive", adaptiveEngine(), empty.Bytes(), "core: history has 0 estimator streams, engine expects 1"},
+		{"two streams into adaptive", adaptiveEngine(), two, "core: history has 2 estimator streams, engine expects 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := tc.engine.RestoreHistory(bytes.NewReader(tc.history))
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("RestoreHistory error = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -86,8 +86,8 @@ func (e *Estimator) ReadFrom(r io.Reader) (int64, error) {
 		return 0, fmt.Errorf("predict: ReadFrom into a non-empty estimator (Reset first to replace)")
 	}
 	// No read-ahead buffering: ReadFrom consumes exactly its own stream
-	// so several streams can be concatenated (one per day class in
-	// core.WriteHistory) and decoded back to back from one reader.
+	// so several streams can be concatenated (one per cell in a
+	// service checkpoint) and decoded back to back from one reader.
 	var n int64
 	read := func(v any) error {
 		if err := binary.Read(r, binary.BigEndian, v); err != nil {

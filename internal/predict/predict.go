@@ -11,8 +11,9 @@
 // (topology.LocalIndex): prev/next are 0 for "this cell" (prev = 0 marks
 // a connection born here) and 1..deg for neighbors.
 //
-// One Estimator serves one cell and one day-pattern class (weekday or
-// weekend/holiday; see PatternSet). It is not safe for concurrent use.
+// One Estimator serves one cell. Paper §3 keeps a second quadruplet set
+// for weekends and holidays; every reported experiment runs weekdays
+// only, so no such set is built. It is not safe for concurrent use.
 package predict
 
 import (
@@ -38,8 +39,8 @@ type Config struct {
 	// Weights[n]. math.Inf(1) (the paper's stationary-scenario choice)
 	// makes the single n=0 window cover all history.
 	Tint float64
-	// Period is T_day (86400 s) for weekday estimators or T_week for
-	// weekend ones. Ignored when Tint is infinite.
+	// Period is the repeat of the mobility pattern, T_day (86400 s) in
+	// the paper. Ignored when Tint is infinite.
 	Period float64
 	// NwinPeriods is N_win-days: quadruplets older than
 	// NwinPeriods·Period + Tint are out of date.

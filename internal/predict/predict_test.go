@@ -272,23 +272,6 @@ func TestSweepAt(t *testing.T) {
 	}
 }
 
-func TestPatternSetSweepAt(t *testing.T) {
-	ps := NewPatternSet(DailyConfig(), WeekCalendar{FirstWeekendDay: 5})
-	ps.Record(Quadruplet{Event: 1000, Prev: 1, Next: 2, Sojourn: 5})
-	day := 86400.0
-	ps.Record(Quadruplet{Event: 5 * day, Prev: 1, Next: 2, Sojourn: 5}) // weekend set
-	ps.SweepAt(20 * day)
-	// Weekday estimator horizon: 20d − (1d + 1h) → the day-0 sample goes.
-	if got := ps.ByClass(Weekday).Evicted(); got != 1 {
-		t.Fatalf("weekday evicted = %d, want 1", got)
-	}
-	// Weekend estimator period is 7d: horizon 20d − (7d + 1h) → day-5
-	// sample also out of date.
-	if got := ps.ByClass(Weekend).Evicted(); got != 1 {
-		t.Fatalf("weekend evicted = %d, want 1", got)
-	}
-}
-
 func TestOutOfOrderRecordPanics(t *testing.T) {
 	e := stationary(10)
 	e.Record(Quadruplet{Event: 10, Prev: 1, Next: 2, Sojourn: 1})
@@ -451,74 +434,30 @@ func TestPropertyMonotoneInTest(t *testing.T) {
 	}
 }
 
-func TestPatternSetRouting(t *testing.T) {
-	cal := WeekCalendar{FirstWeekendDay: 5}
-	ps := NewPatternSet(StationaryConfig(), cal)
-	day := 86400.0
-	// Weekday observation on day 0 (Monday).
-	ps.Record(Quadruplet{Event: 1000, Prev: 1, Next: 2, Sojourn: 10})
-	// Weekend observation on day 5 (Saturday).
-	ps.Record(Quadruplet{Event: 5*day + 1000, Prev: 1, Next: 3, Sojourn: 10})
-
-	ph := func(t0 float64, next topology.LocalIndex) float64 {
-		return ps.Estimator(t0).HandOffProb(t0, 1, 0, 100, next)
-	}
-	// A weekday query sees only the weekday sample.
-	if got := ph(1*day, 2); got != 1 {
-		t.Fatalf("weekday ph(→2) = %v, want 1", got)
-	}
-	if got := ph(1*day, 3); got != 0 {
-		t.Fatalf("weekday ph(→3) = %v, want 0", got)
-	}
-	// A weekend query sees only the weekend sample.
-	if got := ph(6*day, 3); got != 1 {
-		t.Fatalf("weekend ph(→3) = %v, want 1", got)
-	}
-}
-
-func TestWeekCalendar(t *testing.T) {
-	cal := WeekCalendar{FirstWeekendDay: 5}
-	day := 86400.0
-	for d, want := range map[int]DayClass{0: Weekday, 4: Weekday, 5: Weekend, 6: Weekend, 7: Weekday, 12: Weekend} {
-		if got := cal.ClassAt(float64(d)*day + 100); got != want {
-			t.Errorf("day %d class = %v, want %v", d, got, want)
-		}
-	}
-	if (WeekdayOnly{}).ClassAt(12*day) != Weekday {
-		t.Error("WeekdayOnly returned weekend")
-	}
-}
-
-func TestPatternSetWeekendPeriodStretched(t *testing.T) {
-	ps := NewPatternSet(DailyConfig(), WeekCalendar{FirstWeekendDay: 5})
-	if got := ps.ByClass(Weekend).Config().Period; got != 7*86400 {
-		t.Fatalf("weekend period = %v, want one week", got)
-	}
-	if got := ps.ByClass(Weekday).Config().Period; got != 86400 {
-		t.Fatalf("weekday period = %v, want one day", got)
-	}
-}
-
-// TestPatternSetClassesAndLastEvent pins the serializer-facing
-// accessors: Classes frames the per-class checkpoint streams, and
-// LastEvent is the newest event across all classes (the instant a
-// restored service resumes its simulation clock from).
-func TestPatternSetClassesAndLastEvent(t *testing.T) {
-	ps := NewPatternSet(DailyConfig(), WeekCalendar{FirstWeekendDay: 0})
-	if got := ps.Classes(); got != 2 {
-		t.Fatalf("Classes = %d, want 2", got)
-	}
-	if got := ps.LastEvent(); got != 0 {
+// TestLastEvent pins the serializer-facing clock: LastEvent is the
+// newest recorded event time (zero when empty), an eviction sweep
+// leaves it alone, and Reset returns it to zero. A restored service
+// resumes its simulation clock from it.
+func TestLastEvent(t *testing.T) {
+	e := New(DailyConfig())
+	if got := e.LastEvent(); got != 0 {
 		t.Fatalf("empty LastEvent = %v, want 0", got)
 	}
-	// Day 0 is a weekend under FirstWeekendDay 0; day 2 is a weekday.
-	ps.Record(Quadruplet{Event: 3600, Prev: 0, Next: 1, Sojourn: 5})
-	ps.Record(Quadruplet{Event: 2*86400 + 100, Prev: 0, Next: 1, Sojourn: 5})
-	if got := ps.LastEvent(); got != 2*86400+100 {
-		t.Fatalf("LastEvent = %v, want the weekday sample's time", got)
+	e.Record(Quadruplet{Event: 3600, Prev: 0, Next: 1, Sojourn: 5})
+	e.Record(Quadruplet{Event: 2*86400 + 100, Prev: 0, Next: 1, Sojourn: 5})
+	if got := e.LastEvent(); got != 2*86400+100 {
+		t.Fatalf("LastEvent = %v, want the newest sample's time", got)
 	}
-	if got := ps.ByClass(Weekend).LastEvent(); got != 3600 {
-		t.Fatalf("weekend LastEvent = %v, want 3600", got)
+	e.SweepAt(20 * 86400)
+	if e.Evicted() != 2 {
+		t.Fatalf("evicted = %d, want 2", e.Evicted())
+	}
+	if got := e.LastEvent(); got != 2*86400+100 {
+		t.Fatalf("LastEvent after sweep = %v, want %v", got, 2*86400+100)
+	}
+	e.Reset()
+	if got := e.LastEvent(); got != 0 {
+		t.Fatalf("LastEvent after Reset = %v, want 0", got)
 	}
 }
 

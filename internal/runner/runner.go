@@ -260,7 +260,7 @@ func (r *Runner) runPoint(ctx context.Context, p point, i int) (res PointResult)
 	start := wall.Now()
 	n, err := cellnet.New(p.cfg)
 	if err != nil {
-		res.Err = fmt.Errorf("runner: %s: %w", p.key, err)
+		res.Err = err // FirstError names the point's key
 		return res
 	}
 	chunks := r.Chunks

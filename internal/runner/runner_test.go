@@ -184,7 +184,7 @@ func TestPanicIsolatedToPoint(t *testing.T) {
 }
 
 // TestInvalidConfigIsPointError: a bad config fails its point, not the
-// sweep.
+// sweep, and FirstError names the point's key once, then the cause.
 func TestInvalidConfigIsPointError(t *testing.T) {
 	bad := testConfig(100, 1)
 	bad.Capacity = -1
@@ -203,8 +203,8 @@ func TestInvalidConfigIsPointError(t *testing.T) {
 	if points[1].Err != nil || points[1].Result == nil {
 		t.Fatalf("good point affected: %v", points[1].Err)
 	}
-	if err := FirstError(points); err == nil || !strings.Contains(err.Error(), "bad") {
-		t.Fatalf("FirstError = %v, want the bad point's error", err)
+	if got, want := fmt.Sprint(FirstError(points)), "bad: core: capacity must be positive, got -1"; got != want {
+		t.Fatalf("FirstError = %q, want %q", got, want)
 	}
 }
 
