@@ -59,7 +59,7 @@ bench:
 bench-json: SHELL := bash
 bench-json: .SHELLFLAGS := -o pipefail -c
 bench-json:
-	$(GO) test -bench 'BenchmarkAdmitNew|BenchmarkOutgoingReservation|BenchmarkColdCell|BenchmarkRecord|BenchmarkAdmitSignaled|BenchmarkChurn|BenchmarkCancel|BenchmarkBarrier|BenchmarkRingSteady' -benchmem -run '^$$' -count=1 ./internal/core/ ./internal/predict/ ./internal/signaling/ ./internal/sim/ ./internal/sim/shard/ ./internal/cellnet/ \
+	$(GO) test -bench 'BenchmarkAdmitNew|BenchmarkOutgoingReservation|BenchmarkColdCell|BenchmarkRecord|BenchmarkWriteTo|BenchmarkReadFrom|BenchmarkAdmitSignaled|BenchmarkChurn|BenchmarkCancel|BenchmarkBarrier|BenchmarkRingSteady' -benchmem -run '^$$' -count=1 ./internal/core/ ./internal/predict/ ./internal/signaling/ ./internal/sim/ ./internal/sim/shard/ ./internal/cellnet/ \
 		| $(GO) run ./cmd/benchjson
 
 # perf-test vets and tests the repository's benchmark (bench/, declared

@@ -27,7 +27,13 @@ import (
 func (e *Engine) WriteHistory(w io.Writer) (int64, error) {
 	e.lock()
 	defer e.unlock()
-	if err := binary.Write(w, binary.BigEndian, uint16(e.streams())); err != nil {
+	// Like the estimator's stream, the count is appended into the
+	// writer's own buffer when it offers one.
+	var b []byte
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		b = ab.AvailableBuffer()
+	}
+	if _, err := w.Write(binary.BigEndian.AppendUint16(b, uint16(e.streams()))); err != nil {
 		return 0, err
 	}
 	if e.est == nil {
@@ -45,11 +51,11 @@ func (e *Engine) WriteHistory(w io.Writer) (int64, error) {
 func (e *Engine) RestoreHistory(r io.Reader) (int64, error) {
 	e.lock()
 	defer e.unlock()
-	var streams uint16
-	if err := binary.Read(r, binary.BigEndian, &streams); err != nil {
-		return 0, err
+	var hdr [2]byte
+	if m, err := io.ReadFull(r, hdr[:]); err != nil {
+		return int64(m), err
 	}
-	if want := e.streams(); int(streams) != want {
+	if streams, want := binary.BigEndian.Uint16(hdr[:]), e.streams(); int(streams) != want {
 		return 2, fmt.Errorf("core: history has %d estimator streams, engine expects %d", streams, want)
 	}
 	if e.est == nil {

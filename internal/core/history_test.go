@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
+	"slices"
 	"testing"
 
 	"cellqos/internal/predict"
@@ -144,5 +146,118 @@ func TestHistoryRestoreRejectsTruncation(t *testing.T) {
 		if _, err := adaptiveEngine().RestoreHistory(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// pinnedHistoryEngine is an adaptive engine with a small fixed history:
+// pairs out of first-Record order and a group emptied by eviction.
+func pinnedHistoryEngine() *Engine {
+	e := adaptiveEngine()
+	e.RecordDeparture(predict.Quadruplet{Event: 1, Prev: 2, Next: 1, Sojourn: 6.5})
+	e.Estimator(0).EvictBefore(1.5) // group 2 keeps its pair, with no samples
+	e.RecordDeparture(predict.Quadruplet{Event: 2, Prev: 1, Next: 2, Sojourn: 0.1})
+	e.RecordDeparture(predict.Quadruplet{Event: 3, Prev: 0, Next: 1, Sojourn: 40})
+	return e
+}
+
+// pinnedHistoryHex is WriteHistory of pinnedHistoryEngine as the
+// reflection-based codec wrote it: the uint16 stream count, then one
+// predict persistence stream.
+const pinnedHistoryHex = "0001" + "43514844" + "0001" + "4008000000000000" + "00000003" +
+	"00000000" + "00000001" + "00000001" + "4008000000000000" + "4044000000000000" +
+	"00000001" + "00000002" + "00000001" + "4000000000000000" + "3fb999999999999a" +
+	"00000002" + "00000001" + "00000000"
+
+// TestHistoryFormatPinned: WriteHistory keeps its bytes, so a
+// checkpoint written by an earlier build still restores.
+func TestHistoryFormatPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		e    *Engine
+		want string
+	}{
+		{"adaptive", pinnedHistoryEngine(), pinnedHistoryHex},
+		{"non-adaptive", NewEngine(Config{Capacity: 10, Degree: 1, Admission: MustPolicy("none")}), "0000"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			n, err := tc.e.WriteHistory(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(buf.Bytes()); got != tc.want {
+				t.Fatalf("WriteHistory bytes\n got %s\nwant %s", got, tc.want)
+			}
+			if n != int64(buf.Len()) {
+				t.Fatalf("WriteHistory reported %d bytes, wrote %d", n, buf.Len())
+			}
+		})
+	}
+	raw, _ := hex.DecodeString(pinnedHistoryHex)
+	dst := adaptiveEngine()
+	if m, err := dst.RestoreHistory(bytes.NewReader(raw)); err != nil || m != int64(len(raw)) {
+		t.Fatalf("RestoreHistory = %d, %v; want %d, nil", m, err, len(raw))
+	}
+	if got := dst.HistoryLastEvent(); got != 3 {
+		t.Fatalf("restored HistoryLastEvent = %v, want 3", got)
+	}
+}
+
+// fencedReader serves data but fails the test on any Read that asks
+// for bytes past fence: a decoder reading ahead of its own stream
+// would steal the next cell's bytes from a concatenated checkpoint.
+type fencedReader struct {
+	t     *testing.T
+	data  []byte
+	off   int
+	fence int
+}
+
+func (r *fencedReader) Read(p []byte) (int, error) {
+	if r.off+len(p) > r.fence {
+		r.t.Fatalf("read of %d bytes at offset %d crosses the stream end at %d", len(p), r.off, r.fence)
+	}
+	n := copy(p, r.data[r.off:])
+	r.off += n
+	return n, nil
+}
+
+// TestHistoryStreamsConcatenate: two WriteHistory streams written back
+// to back decode back to back, each RestoreHistory consuming exactly
+// its own bytes.
+func TestHistoryStreamsConcatenate(t *testing.T) {
+	first := pinnedHistoryEngine()
+	second := adaptiveEngine()
+	for i := 0; i < 30; i++ {
+		second.RecordDeparture(predict.Quadruplet{
+			Event: float64(i), Prev: topology.LocalIndex(i % 3),
+			Next: topology.LocalIndex(1 + i%2), Sojourn: float64(i) / 7,
+		})
+	}
+	var a, b bytes.Buffer
+	if _, err := first.WriteHistory(&a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := second.WriteHistory(&b); err != nil {
+		t.Fatal(err)
+	}
+	r := &fencedReader{t: t, data: append(slices.Clone(a.Bytes()), b.Bytes()...), fence: a.Len()}
+	for i, want := range []*bytes.Buffer{&a, &b} {
+		dst := adaptiveEngine()
+		m, err := dst.RestoreHistory(r)
+		if err != nil {
+			t.Fatalf("stream %d: %v", i, err)
+		}
+		if m != int64(want.Len()) || r.off != r.fence {
+			t.Fatalf("stream %d: consumed %d bytes (offset %d), stream is %d bytes ending at %d", i, m, r.off, want.Len(), r.fence)
+		}
+		var again bytes.Buffer
+		if _, err := dst.WriteHistory(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), want.Bytes()) {
+			t.Fatalf("stream %d re-serializes differently", i)
+		}
+		r.fence = len(r.data)
 	}
 }

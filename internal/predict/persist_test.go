@@ -179,3 +179,59 @@ func TestPropertyPersistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// fullEstimator is a serve-mesh cell's history: degree 2, every
+// (prev, next) pair holding N_quad = 100 samples.
+func fullEstimator() *Estimator {
+	e := New(StationaryConfig())
+	r := rand.New(rand.NewPCG(6, 6))
+	ev := 0.0
+	for prev := 0; prev <= 2; prev++ {
+		for next := 1; next <= 2; next++ {
+			for k := 0; k < 100; k++ {
+				e.Record(Quadruplet{Event: ev, Prev: topology.LocalIndex(prev), Next: topology.LocalIndex(next), Sojourn: 20 + r.Float64()*300})
+				ev += 0.01
+			}
+		}
+	}
+	return e
+}
+
+// BenchmarkWriteTo serializes a full cell history into a reused
+// bytes.Buffer, the way a service checkpoint does: the stream is
+// appended in the buffer's own storage, so BENCH_admission.json pins
+// it at 0 allocs/op.
+func BenchmarkWriteTo(b *testing.B) {
+	e := fullEstimator()
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if _, err := e.WriteTo(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadFrom restores a full cell history into a Reset
+// estimator: the read buffer plus the pair tables and sample slices
+// the restored history needs, which BENCH_admission.json pins.
+func BenchmarkReadFrom(b *testing.B) {
+	var buf bytes.Buffer
+	if _, err := fullEstimator().WriteTo(&buf); err != nil {
+		b.Fatal(err)
+	}
+	raw := buf.Bytes()
+	e := New(StationaryConfig())
+	r := bytes.NewReader(raw)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Reset()
+		r.Reset(raw)
+		if _, err := e.ReadFrom(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -132,8 +132,6 @@ func DailyConfig() Config {
 	}
 }
 
-type pairKey struct{ prev, next topology.LocalIndex }
-
 // searchEvent returns the first index in raw (sorted by event time) whose
 // event is ≥ t.
 func searchEvent(raw []sample, t float64) int {
@@ -303,11 +301,10 @@ type Estimator struct {
 	cfg     Config
 	weights []float64
 	// Dense pair tables (local indices are tiny): prevs is indexed by
-	// int(prev), allPairs/allKeys list every pair in first-Record order.
+	// int(prev), allPairs lists every pair in first-Record order.
 	// No maps on the query path — lookups are two slice indexings.
 	prevs    []*prevGroup
 	allPairs []*pairData
-	allKeys  []pairKey // aligned with allPairs
 
 	// gen is the cache epoch: it advances whenever the selection backing
 	// probability queries may have changed — on Record, on an eviction
@@ -382,7 +379,6 @@ func (e *Estimator) addPair(prev, next topology.LocalIndex) *pairData {
 	g.pairs = append(g.pairs, p)
 	g.nexts = append(g.nexts, next)
 	e.allPairs = append(e.allPairs, p)
-	e.allKeys = append(e.allKeys, pairKey{prev, next})
 	return p
 }
 
@@ -409,7 +405,6 @@ func (e *Estimator) LastEvent() float64 { return e.lastEvent }
 func (e *Estimator) Reset() {
 	e.prevs = nil
 	e.allPairs = nil
-	e.allKeys = nil
 	e.recorded = 0
 	e.evicted = 0
 	e.lastEvent = 0

@@ -136,16 +136,21 @@ func (d *upkeepDriver) check() {
 			d.t.Fatalf("queries on a current group moved the generation %d -> %d", gen, g)
 		}
 	}
-	for i, p := range d.e.allPairs {
-		if !p.hasIndex || p.dirty {
+	for prev, g := range d.e.prevs {
+		if g == nil {
 			continue
 		}
-		want := &pairData{raw: slices.Clone(p.raw)}
-		d.oracle.rebuildPair(want, d.now)
-		if !sameBits(p.sojSorted, want.sojSorted) || !sameBits(p.wCum, want.wCum) ||
-			math.Float64bits(p.maxSoj) != math.Float64bits(want.maxSoj) {
-			d.t.Fatalf("pair %v diverged from a fresh rebuild:\n sojSorted %v\n     want %v\n wCum %v\n want %v\n maxSoj %v want %v",
-				d.e.allKeys[i], p.sojSorted, want.sojSorted, p.wCum, want.wCum, p.maxSoj, want.maxSoj)
+		for next, p := range g.byNext {
+			if p == nil || !p.hasIndex || p.dirty {
+				continue
+			}
+			want := &pairData{raw: slices.Clone(p.raw)}
+			d.oracle.rebuildPair(want, d.now)
+			if !sameBits(p.sojSorted, want.sojSorted) || !sameBits(p.wCum, want.wCum) ||
+				math.Float64bits(p.maxSoj) != math.Float64bits(want.maxSoj) {
+				d.t.Fatalf("pair (%d,%d) diverged from a fresh rebuild:\n sojSorted %v\n     want %v\n wCum %v\n want %v\n maxSoj %v want %v",
+					prev, next, p.sojSorted, want.sojSorted, p.wCum, want.wCum, p.maxSoj, want.maxSoj)
+			}
 		}
 	}
 }

@@ -26,8 +26,9 @@ const (
 type Checkpointer struct {
 	dir string
 
-	mu  sync.Mutex
-	seq uint64 // last sequence number written (or adopted from a restore)
+	mu    sync.Mutex
+	seq   uint64 // last sequence number written (or adopted from a restore)
+	frame []byte // Save's frame buffer, reused across saves
 }
 
 // NewCheckpointer creates the state directory if needed.
@@ -49,7 +50,8 @@ func (c *Checkpointer) Save(s *Snapshot) error {
 	defer c.mu.Unlock()
 	c.seq++
 	s.Seq = c.seq
-	data := s.Encode()
+	c.frame = s.appendFrame(c.frame[:0])
+	data := c.frame
 
 	tmp := filepath.Join(c.dir, checkpointTmp)
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)

@@ -170,6 +170,10 @@ type Server struct {
 
 	jobs chan func()
 	wg   sync.WaitGroup
+
+	// payload is the checkpoint payload buffer, reset and refilled by
+	// every checkpoint; only the drive loop checkpoints.
+	payload bytes.Buffer
 }
 
 // New builds a Server; it panics on empty Cells (programmer error,
@@ -254,15 +258,15 @@ func (s *Server) Restore() (RestoreInfo, error) {
 	return RestoreInfo{Found: true, SimNow: resume, Seq: snap.Seq, Source: source}, nil
 }
 
-// snapshotPayload serializes every cell's history: a cell count
-// followed by the cells' self-delimiting WriteHistory streams.
+// snapshotPayload serializes every cell's history into s.payload: a
+// cell count followed by the cells' self-delimiting WriteHistory
+// streams. The returned bytes are valid until the next checkpoint.
 func (s *Server) snapshotPayload() ([]byte, error) {
-	var buf bytes.Buffer
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(s.cfg.Cells)))
-	buf.Write(hdr[:])
+	buf := &s.payload
+	buf.Reset()
+	buf.Write(binary.BigEndian.AppendUint32(buf.AvailableBuffer(), uint32(len(s.cfg.Cells))))
 	for i, c := range s.cfg.Cells {
-		if _, err := c.Engine.WriteHistory(&buf); err != nil {
+		if _, err := c.Engine.WriteHistory(buf); err != nil {
 			return nil, fmt.Errorf("service: checkpoint cell %d: %w", i, err)
 		}
 	}
@@ -417,33 +421,37 @@ func (s *Server) newCall(t float64) {
 	}
 	s.nextID++
 	id := s.nextID
-	cell := s.cfg.Cells[ci]
-	job := func() {
-		defer s.drainer.Exit()
-		s.admit[ci].Lock()
-		d := cell.Engine.AdmitNew(t, bw, cell.Peers)
-		if d.Admitted {
-			cell.Engine.AddConnection(id, core.ConnSpec{Min: bw, Prev: topology.Self}, t)
-		}
-		s.admit[ci].Unlock()
-		s.brCalcs.Add(uint64(d.BrCalcs))
-		if d.Degraded {
-			s.degraded.Add(1)
-		}
-		if !d.Admitted {
-			s.blocked.Add(1)
-			return
-		}
-		s.admitted.Add(1)
-		s.callsMu.Lock()
-		s.calls = append(s.calls, activeCall{id: id, cell: ci, expire: t + s.cfg.CallHold})
-		s.callsMu.Unlock()
-	}
 	if s.jobs != nil {
-		s.jobs <- job
+		s.jobs <- func() { s.admit1(ci, id, t, bw) }
 	} else {
-		job()
+		s.admit1(ci, id, t, bw)
 	}
+}
+
+// admit1 is one admission job: decide and commit on cell ci under its
+// admission lock, then classify the call. The drive loop runs it inline
+// when there are no workers, so only worker dispatch builds a closure.
+func (s *Server) admit1(ci int, id core.ConnID, t float64, bw int) {
+	defer s.drainer.Exit()
+	cell := s.cfg.Cells[ci]
+	s.admit[ci].Lock()
+	d := cell.Engine.AdmitNew(t, bw, cell.Peers)
+	if d.Admitted {
+		cell.Engine.AddConnection(id, core.ConnSpec{Min: bw, Prev: topology.Self}, t)
+	}
+	s.admit[ci].Unlock()
+	s.brCalcs.Add(uint64(d.BrCalcs))
+	if d.Degraded {
+		s.degraded.Add(1)
+	}
+	if !d.Admitted {
+		s.blocked.Add(1)
+		return
+	}
+	s.admitted.Add(1)
+	s.callsMu.Lock()
+	s.calls = append(s.calls, activeCall{id: id, cell: ci, expire: t + s.cfg.CallHold})
+	s.callsMu.Unlock()
 }
 
 // handOff records one hand-off departure at simulation time t — the

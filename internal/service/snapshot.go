@@ -54,16 +54,23 @@ type Snapshot struct {
 
 // Encode serializes the snapshot into one framed byte slice.
 func (s *Snapshot) Encode() []byte {
-	out := make([]byte, snapshotHeaderLen+snapshotBodyFixed+len(s.Payload))
-	body := out[snapshotHeaderLen:]
-	binary.BigEndian.PutUint64(body[0:], math.Float64bits(s.SimNow))
-	binary.BigEndian.PutUint64(body[8:], s.Seq)
-	binary.BigEndian.PutUint32(body[16:], uint32(len(s.Payload)))
-	copy(body[snapshotBodyFixed:], s.Payload)
-	binary.BigEndian.PutUint32(out[0:], snapshotMagic)
-	binary.BigEndian.PutUint16(out[4:], snapshotVersion)
-	binary.BigEndian.PutUint32(out[6:], crc32.ChecksumIEEE(body))
-	return out
+	return s.appendFrame(make([]byte, 0, snapshotHeaderLen+snapshotBodyFixed+len(s.Payload)))
+}
+
+// appendFrame appends the snapshot's frame to dst; a Checkpointer
+// reuses one frame buffer across saves through it.
+func (s *Snapshot) appendFrame(dst []byte) []byte {
+	start := len(dst)
+	dst = binary.BigEndian.AppendUint32(dst, snapshotMagic)
+	dst = binary.BigEndian.AppendUint16(dst, snapshotVersion)
+	dst = binary.BigEndian.AppendUint32(dst, 0) // CRC, filled in below
+	body := len(dst)
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(s.SimNow))
+	dst = binary.BigEndian.AppendUint64(dst, s.Seq)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s.Payload)))
+	dst = append(dst, s.Payload...)
+	binary.BigEndian.PutUint32(dst[start+6:], crc32.ChecksumIEEE(dst[body:]))
+	return dst
 }
 
 // DecodeSnapshot parses and validates one framed snapshot. The frame
